@@ -5,6 +5,7 @@ print. Every tolerance is pinned here; nothing defers to later tuning.
 """
 import dataclasses
 import glob
+import hashlib
 import itertools
 import os
 import random
@@ -475,6 +476,27 @@ def test_criterion_11_light_client():
            f"20-block chain accepted honestly; {rejected}/{tried} single-field mutations rejected")
 
 
+# sha256 of each fixture's seed-7 event log. A change that keeps behaviour
+# (a refactor of the codec or the node) must leave every digest unchanged.
+EVENT_LOG_DIGESTS = {
+    "channels_coop.scn": "e3652c5824d12259c262fbab7d2c51cb89bf3bd27e4449640310ac7f52387459",
+    "channels_dispute.scn": "9f0abd46f12b947423ea0634cecae5568f5062cd920d857f4b015cdccc47229a",
+    "channels_htlc.scn": "87f4872602008b862bd2ac3a1a5d3f8978a593d665d507fc1616143466de385c",
+    "contracts.scn": "469fe7c2cfca803a156f1b2c7c2926f8b6d39d23549dfb5baf34d01d7bb4238f",
+    "crash_restart.scn": "8c9cbbe4a039a793d0e3f467aba09f69e35767ec0e5a7bc5ac836cbed444d25b",
+    "faults.scn": "0176c2d9816889b009053b63220f7ba4364e9d664361e471a64b158792f99a5c",
+    "maintenance_delete.scn": "1656d1a21177684c72ad19f5f436891ea36db0a9a89553e38afba4134152cfcc",
+    "mixed.scn": "e72435acc1e9d6b79b28cf14e6c59a8a39f2a4af37fc4a5cebc349dcd2dd6417",
+    "names.scn": "edb78f579d18e983a4f6ecd2f696e648d64d2c02ffeae8d6d2a4585cdd469fa6",
+    "oracle_accept.scn": "806a670533c776e86db5c35d764d335f00024f51a753033cab4056f2b773d442",
+    "oracle_burn.scn": "243cf5dfaa631d38c3947960a80a0abde21023da5c364ca826066e9e2779caaa",
+    "oracle_contest.scn": "d04f99c3f1c9c322340409e4ccf617b6ed160470120bab2ecbd59c46d48b4a0e",
+    "rewards_epoch.scn": "e333134ddd46f674ee47c3a26d38515fb876d9402be8d4f58e5a3aac6cbedfcd",
+    "spends.scn": "42d52c3d321e3e75651c0634a0ed3a7ff163330f00e44c37905892d54405d04d",
+    "storage.scn": "22481ee8054ce28b60f42d69b3f3f773b4ea41e885cfc954f1d858e71cfe7641",
+}
+
+
 def test_criterion_12_sim_determinism():
     cfg = config.load_config(os.path.join(SCENARIO_DIR, "net.cfg"))
     mismatches = []
@@ -482,7 +504,10 @@ def test_criterion_12_sim_determinism():
         text = open(path).read()
         a = sim.run(cfg, text, seed=7, base_dir=SCENARIO_DIR)
         b = sim.run(cfg, text, seed=7, base_dir=SCENARIO_DIR)
+        name = os.path.basename(path)
         if a.event_log != b.event_log or a.final_state_root != b.final_state_root:
-            mismatches.append(os.path.basename(path))
+            mismatches.append(name)
+        elif hashlib.sha256(a.event_log.encode()).hexdigest() != EVENT_LOG_DIGESTS.get(name):
+            mismatches.append(name)
     report(12, not mismatches,
            f"double execution of {len(scenario_paths())} scenarios is byte-identical")

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -255,6 +256,105 @@ def test_maintenance_charged_on_touch():
     assert bench.conservation_ok()
 
 
+# sha256 of encode() and signing_bytes() for each signed example below.
+# Field order is the wire order, a consensus rule: a refactor of the codec
+# must leave every digest unchanged.
+WIRE_DIGESTS = {
+    "Spend": (
+        "03a2566672575fe5b85e03a179a2a3a80fa79498b781c4b1abf7790acffa2719",
+        "fc414300f3022c2a05acb606cc0880e9d2346a2a87e300cd4e33c91120b1bdf7",
+    ),
+    "ContractCreate": (
+        "e8c5151354a3f2d3d15f81e8ead484c8aa0a59566cebd4cccf7ec1584330114a",
+        "55521bbcfb2eb84e620ade70eb178e7bb8ebef79b640922eaed8952cb3e498c8",
+    ),
+    "ContractCall": (
+        "9a70397ff0bce2d8ee7af1c00228868de37f06e725d6344a8c212149ee534460",
+        "6a2611d97207667ba5b6001668fc29bc5d4ffcdab424019cdd9f84420b1f2804",
+    ),
+    "DataOnly": (
+        "1bb980c08ac7756990799e6c2e093feecd3a1e230c4ed195d77fa59f0dbee244",
+        "4fc4629803b241a8a0797f0ff26ad27696217484f8557e622aaaf415c8324160",
+    ),
+    "NameClaim": (
+        "d615f1adde895d0fc11228ea624ab8d33d0cfab4c5da152d07627a384f3b6db9",
+        "0db218b6b0c17e7c13469cf966ba51cac27afe19be9dd49aef84a361f4fa80e1",
+    ),
+    "AccountDelete": (
+        "8c1947968cab7fb73cdfda08cacc7fbe73c98462a7fd4275eb98e0dea2bbf612",
+        "9ad38e4284cca2137562e62c98532763d352f0997ad34d41ea9edd67e810e141",
+    ),
+    "ChannelOpen": (
+        "29f147ff7f7a784a4b07e54296265ea4d3466f6f25bb85f3e35107e6a2ebfaab",
+        "7e545ca2b9a2ade354ad3c219cb5975257d85dc09c4b889a5aae708bbe87de83",
+    ),
+    "ChannelCloseCoop": (
+        "ecc4a6e51d32e486aff6d555158baebc020f9a3701f535745afe812affd5a5a9",
+        "beb4455e627c02fd4427f9c985b3726041f56e70457607f288198a07389df9f1",
+    ),
+    "ChannelClose": (
+        "29c402fe04c1f898bf6fcab285b62bcbb6bb3c45775af104beae630eb477fb8f",
+        "8503433845e7070948941eeea645e562e48b0c5fffb31be2011ed03f60a2c7e0",
+    ),
+    "ChannelChallenge": (
+        "43f773295e797b34e74c51862c2f31f36a1e0fc395a62d30d120b3a749b5edae",
+        "de301bc2f0e05467f6fb45d9d8486844b8ec95470cc3258bfa39e421887e175c",
+    ),
+    "ChannelFinalize": (
+        "b2c054256fca756a002af65f6e4e214c1982db2c0c341c4b5da36b8597378806",
+        "50e2834db269f0ba43b4e4fd627c6f00eab8e6313cb4082482d318849ea971f7",
+    ),
+    "OracleRegister": (
+        "fbee1cabddf78a93a9ac6c079bc45ec0e282c305095bbd3baa893aef2b8bb6c0",
+        "388d46fc15190350020dec0534318626b9efa3aef8c816ef0240d867e5549857",
+    ),
+    "OracleAnswer": (
+        "3e835a9f35b973fef34a7814fe8410b0e3e5495627439ed8cc66d11549772a59",
+        "b0c6d3b84011925579423abd5ad43c4d8eb1ff9384fe0f5ae762dda2084a1d29",
+    ),
+    "OracleCounter": (
+        "66a489bbcf8cb98ab7eb9b69b7aeab99050031a332fdbc80d4bc8c4734dabb73",
+        "375d7b9682e30f23f264f799588b84e008430e334f0f53645a0bcf70a00698f5",
+    ),
+    "OracleVote": (
+        "95438d191aad58de96a1a385f69aa144e77416189260fbf4f017e51bd0413b12",
+        "00e1aed608b754e4e8c163345df8fd887d05370c19c0cb196761d2b729db7d1a",
+    ),
+    "OracleResolve": (
+        "d09eea4d9bcc9e2b538e085d53f9467f217adb62ce76356a1939d6b8dc265436",
+        "7469a09300b0fee33390166fae4b0f5619881fdf0483a67073dfa9d5cc927c5b",
+    ),
+    "StorageCreate": (
+        "6bd9482de0d127b11077f8fab2c48ca6df6f43b17adaee3e61dff94c3f2fd752",
+        "0e5a0c045404c0ca3d239f8384d25f9464eca8ca1e8d8851ac15db066ffa5486",
+    ),
+    "StorageProof": (
+        "ed9d95e95285bcbba1d2ea667560a6d912fe856cabb535f81a998e35bf42f838",
+        "c4f9945708c69d3e5e66aad69127c16aa11123b1cc1c7a4581384e6134ec24b8",
+    ),
+    "StorageClose": (
+        "2482634136a7ff53037201d8d41421e0276d7a585a064b1dfb93578761d1b58f",
+        "796e1a470fe39576ae024a9d4d202dd4b707f86d061132019cc70d66b2e9790b",
+    ),
+    "AzCreate": (
+        "a744a70379e2b35ec13f04fc8a733ef7d93d49b43d211de721c0e13704666589",
+        "23652f15cef6369304f743e856d076c9847e55ccc015d67886dca8be0ec3f957",
+    ),
+    "AzJoin": (
+        "48c3ed04993769c276ee156bfc0968e4c9511918c7ba6f59e78b2f13459825e7",
+        "1c1fe3938378c2fdb4513f005b42088f713018225b66cd470e875d031129572e",
+    ),
+    "AzRefer": (
+        "2eb3882d6f2b44a41deca5473ffc49c1371c7be105e6a82af83321747e6e96f9",
+        "f0ce27be473b4433b6070bb81cb72fa3059664a7afa2aa573f5ef415eb949a58",
+    ),
+    "EpochTx": (
+        "e653b9fcf247c30934280919d6df6c5836f386522fead02870a8c6f5e3e49860",
+        "e653b9fcf247c30934280919d6df6c5836f386522fead02870a8c6f5e3e49860",
+    ),
+}
+
+
 def test_tx_encode_round_trip_all_kinds(bench):
     alice, bob = bench.key("alice"), bench.key("bob")
     program = assemble("PUSH 1\nSTOP")
@@ -296,9 +396,16 @@ def test_tx_encode_round_trip_all_kinds(bench):
     ]
     seen_tags = set()
     for tx in examples:
+        if isinstance(tx, txmod.ChannelOpen):
+            tx = dataclasses.replace(tx, sig_b=bob.sign(tx.signing_bytes()))
+        if not isinstance(tx, txmod.EpochTx):
+            tx = txmod.sign_tx(tx, alice)
         enc = tx.encode()
         assert txmod.decode_tx(enc) == tx
         assert txmod.decode_tx(enc).encode() == enc
+        name = type(tx).__name__
+        assert hashlib.sha256(enc).hexdigest() == WIRE_DIGESTS[name][0], name
+        assert hashlib.sha256(tx.signing_bytes()).hexdigest() == WIRE_DIGESTS[name][1], name
         seen_tags.add(tx.TAG)
     assert seen_tags == {cls.TAG for cls in txmod.TX_KINDS}
 
