@@ -4,9 +4,19 @@ Every hashed or signed object in the protocol is serialized through this
 module: fixed field order, big-endian integers, length-prefixed byte strings.
 The encoding is injective by construction; decode(encode(x)) == x and
 encode(decode(b)) == b are asserted property-style in the test suite.
+
+Records whose wire form is just their fields in order declare it once, on
+the fields themselves: each annotation is one of the ``Annotated`` aliases
+below (``U64``, ``Bytes32``, ``Record[Program]``, ...), and ``wire_fields``
+turns a class's annotations into its ``(name, write, read, is_sig)`` schema.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import partial
+from typing import Annotated, Any, Callable, get_type_hints
+
+from .crypto import SIG_SIZE
 from .errors import CodecError
 
 U64_MAX = 2**64 - 1
@@ -126,3 +136,85 @@ class Reader:
     def expect_end(self) -> None:
         if self._pos != len(self._data):
             raise CodecError(f"{len(self._data) - self._pos} trailing bytes")
+
+
+# --- field codecs --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FieldCodec:
+    """How one field is written and read; ``is_sig`` fields are zeroed in
+    signing bytes."""
+
+    write: Callable[[Writer, Any], Any]
+    read: Callable[[Reader], Any]
+    is_sig: bool = False
+
+
+def _write_i64s(w: Writer, values: tuple[int, ...]) -> None:
+    w.u32(len(values))
+    for v in values:
+        w.i64(v)
+
+
+def _read_i64s(r: Reader) -> tuple[int, ...]:
+    return tuple(r.i64() for _ in range(r.u32()))
+
+
+def _write_record(w: Writer, record) -> None:
+    w.blob(record.encode())
+
+
+def _read_record(record_type, r: Reader):
+    sub = Reader(r.blob())
+    record = record_type.read(sub)
+    sub.expect_end()
+    return record
+
+
+def _write_optional(w: Writer, record) -> None:
+    w.flag(record is not None)
+    if record is not None:
+        _write_record(w, record)
+
+
+def _read_optional(record_type, r: Reader):
+    return _read_record(record_type, r) if r.flag() else None
+
+
+U8 = Annotated[int, FieldCodec(Writer.u8, Reader.u8)]
+U64 = Annotated[int, FieldCodec(Writer.u64, Reader.u64)]
+Bytes32 = Annotated[bytes, FieldCodec(lambda w, v: w.fixed(v, 32), lambda r: r.fixed(32))]
+Sig = Annotated[bytes, FieldCodec(
+    lambda w, v: w.fixed(v, SIG_SIZE), lambda r: r.fixed(SIG_SIZE), is_sig=True
+)]
+Blob = Annotated[bytes, FieldCodec(Writer.blob, Reader.blob)]
+Text = Annotated[str, FieldCodec(Writer.text, Reader.text)]
+Flag = Annotated[bool, FieldCodec(Writer.flag, Reader.flag)]
+I64s = Annotated[tuple[int, ...], FieldCodec(_write_i64s, _read_i64s)]
+
+
+class Record:
+    """``Record[T]``: a nested T, as a blob that must read exactly to its end."""
+
+    def __class_getitem__(cls, record_type):
+        return Annotated[record_type, FieldCodec(_write_record, partial(_read_record, record_type))]
+
+
+class OptionalRecord:
+    """``OptionalRecord[T]``: a flag, then ``Record[T]`` when the flag is set."""
+
+    def __class_getitem__(cls, record_type):
+        return Annotated[record_type | None, FieldCodec(_write_optional, partial(_read_optional, record_type))]
+
+
+def wire_fields(cls) -> tuple[tuple[str, Callable, Callable, bool], ...]:
+    """``(name, write, read, is_sig)`` for each annotated field of ``cls``,
+    in declaration order, which is the wire order."""
+    schema = []
+    for name, hint in get_type_hints(cls, include_extras=True).items():
+        codec = next((m for m in getattr(hint, "__metadata__", ()) if isinstance(m, FieldCodec)), None)
+        if codec is None:
+            raise TypeError(f"{cls.__name__}.{name} has no wire codec")
+        schema.append((name, codec.write, codec.read, codec.is_sig))
+    return tuple(schema)

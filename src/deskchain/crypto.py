@@ -24,10 +24,6 @@ def hash256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-def hex32(digest: bytes) -> str:
-    return digest.hex()
-
-
 def address_of_seed(seed: bytes) -> bytes:
     return hash256(b"dsd/addr" + seed)
 

@@ -44,4 +44,5 @@ class ScenarioError(DeskchainError):
 
     def __init__(self, line_no: int, message: str):
         self.line_no = line_no
+        self.message = message
         super().__init__(f"line {line_no}: {message}")

@@ -548,7 +548,9 @@ class Simulation:
         args, opts, handle = self._opts(rest)
         try:
             self._exec(line_no, cmd, args, opts, handle)
-        except ScenarioError:
+        except ScenarioError as exc:
+            if exc.line_no == 0:  # raised by a helper that cannot see the line
+                raise ScenarioError(line_no, exc.message) from exc
             raise
         except (TxError, LedgerError) as exc:
             # protocol-level rejection: logged, scenario continues

@@ -17,8 +17,11 @@ from dataclasses import dataclass, field, replace
 
 from . import channels, oracles, pow, rewards, storage
 from .channels import SignedState
-from .codec import Reader, Writer
-from .crypto import ADDRESS_SIZE, HASH_SIZE, SIG_SIZE, ZERO32, ZERO_SIG, hash256, verify_sig
+from .codec import (
+    U8, U64, Blob, Bytes32, Flag, I64s, OptionalRecord, Reader, Record, Sig, Text, Writer,
+    wire_fields,
+)
+from .crypto import HASH_SIZE, ZERO32, ZERO_SIG, hash256, verify_sig
 from .errors import BlockError, CodecError, LedgerError, TxError
 from .ledger import Block, BlockHeader, CONTRACT, NameRecord, expected_entropy
 from .merkle import MerkleProof, tree_root
@@ -62,691 +65,291 @@ class _Revert(Exception):
 
 # --- transaction kinds -------------------------------------------------
 #
-# Encoding: u8 tag, kind fields in declaration order, then counter, fee,
-# signature(s). signing_bytes() is the same encoding with zeroed sigs.
+# Encoding: u8 TAG, then each field as its annotation's codec writes it.
+# Fields encode in declaration order; reordering is a consensus change.
+# signing_bytes() is the same encoding with every Sig field zeroed.
 
 
 class TxBase:
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._FIELDS = wire_fields(cls)
+
     def encode(self) -> bytes:
         return self._encode(with_sig=True)
 
     def signing_bytes(self) -> bytes:
         return self._encode(with_sig=False)
 
+    def _encode(self, with_sig: bool) -> bytes:
+        w = Writer().u8(self.TAG)
+        for name, write, _, is_sig in self._FIELDS:
+            write(w, ZERO_SIG if is_sig and not with_sig else getattr(self, name))
+        return w.done()
+
 
 @dataclass(frozen=True)
 class Spend(TxBase):
-    sender: bytes
-    recipient: bytes
-    amount: int
-    fee: int
-    counter: int
-    sig: bytes = ZERO_SIG
+    sender: Bytes32
+    recipient: Bytes32
+    amount: U64
+    fee: U64
+    counter: U64
+    sig: Sig = ZERO_SIG
     TAG = 0
-
-    def _encode(self, with_sig: bool) -> bytes:
-        w = (
-            Writer()
-            .u8(self.TAG)
-            .fixed(self.sender, ADDRESS_SIZE)
-            .fixed(self.recipient, ADDRESS_SIZE)
-            .u64(self.amount)
-            .u64(self.fee)
-            .u64(self.counter)
-        )
-        w.fixed(self.sig if with_sig else ZERO_SIG, SIG_SIZE)
-        return w.done()
-
-    @staticmethod
-    def read(r: Reader) -> "Spend":
-        return Spend(
-            r.fixed(ADDRESS_SIZE), r.fixed(ADDRESS_SIZE), r.u64(), r.u64(),
-            r.u64(), r.fixed(SIG_SIZE),
-        )
 
 
 @dataclass(frozen=True)
 class ContractCreate(TxBase):
-    owner: bytes
-    code: Program
-    vm_version: int
-    deposit: int
-    amount: int
-    gas: int
-    gas_price: int
-    call_data: tuple[int, ...]
-    fee: int
-    counter: int
-    sig: bytes = ZERO_SIG
+    owner: Bytes32
+    code: Record[Program]
+    vm_version: U8
+    deposit: U64
+    amount: U64
+    gas: U64
+    gas_price: U64
+    call_data: I64s
+    fee: U64
+    counter: U64
+    sig: Sig = ZERO_SIG
     TAG = 1
-
-    def _encode(self, with_sig: bool) -> bytes:
-        w = Writer().u8(self.TAG).fixed(self.owner, ADDRESS_SIZE)
-        w.blob(self.code.encode())
-        w.u8(self.vm_version)
-        w.u64(self.deposit).u64(self.amount).u64(self.gas).u64(self.gas_price)
-        w.u32(len(self.call_data))
-        for v in self.call_data:
-            w.i64(v)
-        w.u64(self.fee).u64(self.counter)
-        w.fixed(self.sig if with_sig else ZERO_SIG, SIG_SIZE)
-        return w.done()
-
-    @staticmethod
-    def read(r: Reader) -> "ContractCreate":
-        owner = r.fixed(ADDRESS_SIZE)
-        code = Program.decode(r.blob())
-        vm_version = r.u8()
-        deposit, amount, gas, gas_price = r.u64(), r.u64(), r.u64(), r.u64()
-        call_data = tuple(r.i64() for _ in range(r.u32()))
-        fee, counter = r.u64(), r.u64()
-        return ContractCreate(
-            owner, code, vm_version, deposit, amount, gas, gas_price,
-            call_data, fee, counter, r.fixed(SIG_SIZE),
-        )
 
 
 @dataclass(frozen=True)
 class ContractCall(TxBase):
-    caller: bytes
-    contract: bytes
-    amount: int
-    gas: int
-    gas_price: int
-    call_data: tuple[int, ...]
-    fee: int
-    counter: int
-    sig: bytes = ZERO_SIG
+    caller: Bytes32
+    contract: Bytes32
+    amount: U64
+    gas: U64
+    gas_price: U64
+    call_data: I64s
+    fee: U64
+    counter: U64
+    sig: Sig = ZERO_SIG
     TAG = 2
-
-    def _encode(self, with_sig: bool) -> bytes:
-        w = (
-            Writer()
-            .u8(self.TAG)
-            .fixed(self.caller, ADDRESS_SIZE)
-            .fixed(self.contract, ADDRESS_SIZE)
-            .u64(self.amount)
-            .u64(self.gas)
-            .u64(self.gas_price)
-        )
-        w.u32(len(self.call_data))
-        for v in self.call_data:
-            w.i64(v)
-        w.u64(self.fee).u64(self.counter)
-        w.fixed(self.sig if with_sig else ZERO_SIG, SIG_SIZE)
-        return w.done()
-
-    @staticmethod
-    def read(r: Reader) -> "ContractCall":
-        caller = r.fixed(ADDRESS_SIZE)
-        contract = r.fixed(ADDRESS_SIZE)
-        amount, gas, gas_price = r.u64(), r.u64(), r.u64()
-        call_data = tuple(r.i64() for _ in range(r.u32()))
-        fee, counter = r.u64(), r.u64()
-        return ContractCall(
-            caller, contract, amount, gas, gas_price, call_data, fee, counter,
-            r.fixed(SIG_SIZE),
-        )
 
 
 @dataclass(frozen=True)
 class DataOnly(TxBase):
-    sender: bytes
-    payload: bytes
-    gas_price: int
-    counter: int
-    sig: bytes = ZERO_SIG
+    sender: Bytes32
+    payload: Blob
+    gas_price: U64
+    counter: U64
+    sig: Sig = ZERO_SIG
     TAG = 3
-
-    def _encode(self, with_sig: bool) -> bytes:
-        w = (
-            Writer()
-            .u8(self.TAG)
-            .fixed(self.sender, ADDRESS_SIZE)
-            .blob(self.payload)
-            .u64(self.gas_price)
-            .u64(self.counter)
-        )
-        w.fixed(self.sig if with_sig else ZERO_SIG, SIG_SIZE)
-        return w.done()
-
-    @staticmethod
-    def read(r: Reader) -> "DataOnly":
-        return DataOnly(r.fixed(ADDRESS_SIZE), r.blob(), r.u64(), r.u64(), r.fixed(SIG_SIZE))
 
 
 @dataclass(frozen=True)
 class NameClaim(TxBase):
-    owner: bytes
-    name: str
-    target: bytes
-    fee: int
-    counter: int
-    sig: bytes = ZERO_SIG
+    owner: Bytes32
+    name: Text
+    target: Bytes32
+    fee: U64
+    counter: U64
+    sig: Sig = ZERO_SIG
     TAG = 4
-
-    def _encode(self, with_sig: bool) -> bytes:
-        w = (
-            Writer()
-            .u8(self.TAG)
-            .fixed(self.owner, ADDRESS_SIZE)
-            .text(self.name)
-            .fixed(self.target, 32)
-            .u64(self.fee)
-            .u64(self.counter)
-        )
-        w.fixed(self.sig if with_sig else ZERO_SIG, SIG_SIZE)
-        return w.done()
-
-    @staticmethod
-    def read(r: Reader) -> "NameClaim":
-        return NameClaim(
-            r.fixed(ADDRESS_SIZE), r.text(), r.fixed(32), r.u64(), r.u64(),
-            r.fixed(SIG_SIZE),
-        )
 
 
 @dataclass(frozen=True)
 class AccountDelete(TxBase):
-    sender: bytes
-    target: bytes
-    fee: int
-    counter: int
-    sig: bytes = ZERO_SIG
+    sender: Bytes32
+    target: Bytes32
+    fee: U64
+    counter: U64
+    sig: Sig = ZERO_SIG
     TAG = 5
-
-    def _encode(self, with_sig: bool) -> bytes:
-        w = (
-            Writer()
-            .u8(self.TAG)
-            .fixed(self.sender, ADDRESS_SIZE)
-            .fixed(self.target, ADDRESS_SIZE)
-            .u64(self.fee)
-            .u64(self.counter)
-        )
-        w.fixed(self.sig if with_sig else ZERO_SIG, SIG_SIZE)
-        return w.done()
-
-    @staticmethod
-    def read(r: Reader) -> "AccountDelete":
-        return AccountDelete(
-            r.fixed(ADDRESS_SIZE), r.fixed(ADDRESS_SIZE), r.u64(), r.u64(),
-            r.fixed(SIG_SIZE),
-        )
 
 
 @dataclass(frozen=True)
 class ChannelOpen(TxBase):
-    party_a: bytes
-    party_b: bytes
-    deposit_a: int
-    deposit_b: int
-    fee: int
-    counter: int
-    sig: bytes = ZERO_SIG       # party A, the fee payer
-    sig_b: bytes = ZERO_SIG     # party B consents to the lock
+    party_a: Bytes32
+    party_b: Bytes32
+    deposit_a: U64
+    deposit_b: U64
+    fee: U64
+    counter: U64
+    sig: Sig = ZERO_SIG         # party A, the fee payer
+    sig_b: Sig = ZERO_SIG       # party B consents to the lock
     TAG = 6
-
-    def _encode(self, with_sig: bool) -> bytes:
-        w = (
-            Writer()
-            .u8(self.TAG)
-            .fixed(self.party_a, ADDRESS_SIZE)
-            .fixed(self.party_b, ADDRESS_SIZE)
-            .u64(self.deposit_a)
-            .u64(self.deposit_b)
-            .u64(self.fee)
-            .u64(self.counter)
-        )
-        w.fixed(self.sig if with_sig else ZERO_SIG, SIG_SIZE)
-        w.fixed(self.sig_b if with_sig else ZERO_SIG, SIG_SIZE)
-        return w.done()
-
-    @staticmethod
-    def read(r: Reader) -> "ChannelOpen":
-        return ChannelOpen(
-            r.fixed(ADDRESS_SIZE), r.fixed(ADDRESS_SIZE), r.u64(), r.u64(),
-            r.u64(), r.u64(), r.fixed(SIG_SIZE), r.fixed(SIG_SIZE),
-        )
-
-
-def _encode_channel_close(tx, tag: int, with_sig: bool) -> bytes:
-    w = (
-        Writer()
-        .u8(tag)
-        .fixed(tx.sender, ADDRESS_SIZE)
-        .fixed(tx.channel_id, HASH_SIZE)
-        .flag(tx.state is not None)
-    )
-    if tx.state is not None:
-        w.blob(tx.state.encode())
-    w.flag(tx.program is not None)
-    if tx.program is not None:
-        w.blob(tx.program.encode())
-    w.u64(tx.fee).u64(tx.counter)
-    w.fixed(tx.sig if with_sig else ZERO_SIG, SIG_SIZE)
-    return w.done()
-
-
-def _read_channel_close(r: Reader, cls):
-    sender = r.fixed(ADDRESS_SIZE)
-    channel_id = r.fixed(HASH_SIZE)
-    state = None
-    if r.flag():
-        sub = Reader(r.blob())
-        state = SignedState.read(sub)
-        sub.expect_end()
-    program = Program.decode(r.blob()) if r.flag() else None
-    fee, counter = r.u64(), r.u64()
-    return cls(sender, channel_id, state, program, fee, counter, r.fixed(SIG_SIZE))
 
 
 @dataclass(frozen=True)
 class ChannelCloseCoop(TxBase):
-    sender: bytes
-    channel_id: bytes
-    state: SignedState | None
-    program: Program | None
-    fee: int
-    counter: int
-    sig: bytes = ZERO_SIG
+    sender: Bytes32
+    channel_id: Bytes32
+    state: OptionalRecord[SignedState]
+    program: OptionalRecord[Program]
+    fee: U64
+    counter: U64
+    sig: Sig = ZERO_SIG
     TAG = 7
-
-    def _encode(self, with_sig: bool) -> bytes:
-        return _encode_channel_close(self, self.TAG, with_sig)
-
-    @staticmethod
-    def read(r: Reader) -> "ChannelCloseCoop":
-        return _read_channel_close(r, ChannelCloseCoop)
 
 
 @dataclass(frozen=True)
 class ChannelClose(TxBase):
-    sender: bytes
-    channel_id: bytes
-    state: SignedState | None   # None settles at the original deposits
-    program: Program | None
-    fee: int
-    counter: int
-    sig: bytes = ZERO_SIG
+    sender: Bytes32
+    channel_id: Bytes32
+    state: OptionalRecord[SignedState]  # None settles at the original deposits
+    program: OptionalRecord[Program]
+    fee: U64
+    counter: U64
+    sig: Sig = ZERO_SIG
     TAG = 8
-
-    def _encode(self, with_sig: bool) -> bytes:
-        return _encode_channel_close(self, self.TAG, with_sig)
-
-    @staticmethod
-    def read(r: Reader) -> "ChannelClose":
-        return _read_channel_close(r, ChannelClose)
 
 
 @dataclass(frozen=True)
 class ChannelChallenge(TxBase):
-    sender: bytes
-    channel_id: bytes
-    state: SignedState | None
-    program: Program | None
-    fee: int
-    counter: int
-    sig: bytes = ZERO_SIG
+    sender: Bytes32
+    channel_id: Bytes32
+    state: OptionalRecord[SignedState]
+    program: OptionalRecord[Program]
+    fee: U64
+    counter: U64
+    sig: Sig = ZERO_SIG
     TAG = 9
-
-    def _encode(self, with_sig: bool) -> bytes:
-        return _encode_channel_close(self, self.TAG, with_sig)
-
-    @staticmethod
-    def read(r: Reader) -> "ChannelChallenge":
-        return _read_channel_close(r, ChannelChallenge)
 
 
 @dataclass(frozen=True)
 class ChannelFinalize(TxBase):
-    sender: bytes
-    channel_id: bytes
-    state: SignedState | None   # unused; kept for the shared wire shape
-    program: Program | None
-    fee: int
-    counter: int
-    sig: bytes = ZERO_SIG
+    sender: Bytes32
+    channel_id: Bytes32
+    state: OptionalRecord[SignedState]  # unused; kept for the shared wire shape
+    program: OptionalRecord[Program]
+    fee: U64
+    counter: U64
+    sig: Sig = ZERO_SIG
     TAG = 10
-
-    def _encode(self, with_sig: bool) -> bytes:
-        return _encode_channel_close(self, self.TAG, with_sig)
-
-    @staticmethod
-    def read(r: Reader) -> "ChannelFinalize":
-        return _read_channel_close(r, ChannelFinalize)
 
 
 @dataclass(frozen=True)
 class OracleRegister(TxBase):
-    asker: bytes
-    question_hash: bytes
-    start: int
-    end: int
-    fee: int
-    counter: int
-    sig: bytes = ZERO_SIG
+    asker: Bytes32
+    question_hash: Bytes32
+    start: U64
+    end: U64
+    fee: U64
+    counter: U64
+    sig: Sig = ZERO_SIG
     TAG = 11
-
-    def _encode(self, with_sig: bool) -> bytes:
-        w = (
-            Writer()
-            .u8(self.TAG)
-            .fixed(self.asker, ADDRESS_SIZE)
-            .fixed(self.question_hash, HASH_SIZE)
-            .u64(self.start)
-            .u64(self.end)
-            .u64(self.fee)
-            .u64(self.counter)
-        )
-        w.fixed(self.sig if with_sig else ZERO_SIG, SIG_SIZE)
-        return w.done()
-
-    @staticmethod
-    def read(r: Reader) -> "OracleRegister":
-        return OracleRegister(
-            r.fixed(ADDRESS_SIZE), r.fixed(HASH_SIZE), r.u64(), r.u64(),
-            r.u64(), r.u64(), r.fixed(SIG_SIZE),
-        )
-
-
-def _encode_oracle_action(tx, tag: int, with_sig: bool, with_bit: bool) -> bytes:
-    w = Writer().u8(tag).fixed(tx.sender, ADDRESS_SIZE).fixed(tx.question_id, HASH_SIZE)
-    if with_bit:
-        w.flag(tx.bit)
-    w.u64(tx.fee).u64(tx.counter)
-    w.fixed(tx.sig if with_sig else ZERO_SIG, SIG_SIZE)
-    return w.done()
 
 
 @dataclass(frozen=True)
 class OracleAnswer(TxBase):
-    sender: bytes
-    question_id: bytes
-    bit: bool
-    fee: int
-    counter: int
-    sig: bytes = ZERO_SIG
+    sender: Bytes32
+    question_id: Bytes32
+    bit: Flag
+    fee: U64
+    counter: U64
+    sig: Sig = ZERO_SIG
     TAG = 12
-
-    def _encode(self, with_sig: bool) -> bytes:
-        return _encode_oracle_action(self, self.TAG, with_sig, True)
-
-    @staticmethod
-    def read(r: Reader) -> "OracleAnswer":
-        return OracleAnswer(
-            r.fixed(ADDRESS_SIZE), r.fixed(HASH_SIZE), r.flag(), r.u64(),
-            r.u64(), r.fixed(SIG_SIZE),
-        )
 
 
 @dataclass(frozen=True)
 class OracleCounter(TxBase):
-    sender: bytes
-    question_id: bytes
-    fee: int
-    counter: int
-    sig: bytes = ZERO_SIG
+    sender: Bytes32
+    question_id: Bytes32
+    fee: U64
+    counter: U64
+    sig: Sig = ZERO_SIG
     TAG = 13
-
-    def _encode(self, with_sig: bool) -> bytes:
-        return _encode_oracle_action(self, self.TAG, with_sig, False)
-
-    @staticmethod
-    def read(r: Reader) -> "OracleCounter":
-        return OracleCounter(
-            r.fixed(ADDRESS_SIZE), r.fixed(HASH_SIZE), r.u64(), r.u64(),
-            r.fixed(SIG_SIZE),
-        )
 
 
 @dataclass(frozen=True)
 class OracleVote(TxBase):
-    sender: bytes
-    question_id: bytes
-    bit: bool
-    fee: int
-    counter: int
-    sig: bytes = ZERO_SIG
+    sender: Bytes32
+    question_id: Bytes32
+    bit: Flag
+    fee: U64
+    counter: U64
+    sig: Sig = ZERO_SIG
     TAG = 14
-
-    def _encode(self, with_sig: bool) -> bytes:
-        return _encode_oracle_action(self, self.TAG, with_sig, True)
-
-    @staticmethod
-    def read(r: Reader) -> "OracleVote":
-        return OracleVote(
-            r.fixed(ADDRESS_SIZE), r.fixed(HASH_SIZE), r.flag(), r.u64(),
-            r.u64(), r.fixed(SIG_SIZE),
-        )
 
 
 @dataclass(frozen=True)
 class OracleResolve(TxBase):
-    sender: bytes
-    question_id: bytes
-    fee: int
-    counter: int
-    sig: bytes = ZERO_SIG
+    sender: Bytes32
+    question_id: Bytes32
+    fee: U64
+    counter: U64
+    sig: Sig = ZERO_SIG
     TAG = 15
-
-    def _encode(self, with_sig: bool) -> bytes:
-        return _encode_oracle_action(self, self.TAG, with_sig, False)
-
-    @staticmethod
-    def read(r: Reader) -> "OracleResolve":
-        return OracleResolve(
-            r.fixed(ADDRESS_SIZE), r.fixed(HASH_SIZE), r.u64(), r.u64(),
-            r.fixed(SIG_SIZE),
-        )
 
 
 @dataclass(frozen=True)
 class StorageCreate(TxBase):
-    payer: bytes
-    provider: bytes
-    data_root: bytes
-    chunk_count: int
-    chunk_size: int
-    challenge_period_n: int
-    reward_per_proof: int
-    escrow: int
-    fee: int
-    counter: int
-    sig: bytes = ZERO_SIG
+    payer: Bytes32
+    provider: Bytes32
+    data_root: Bytes32
+    chunk_count: U64
+    chunk_size: U64
+    challenge_period_n: U64
+    reward_per_proof: U64
+    escrow: U64
+    fee: U64
+    counter: U64
+    sig: Sig = ZERO_SIG
     TAG = 16
-
-    def _encode(self, with_sig: bool) -> bytes:
-        w = (
-            Writer()
-            .u8(self.TAG)
-            .fixed(self.payer, ADDRESS_SIZE)
-            .fixed(self.provider, ADDRESS_SIZE)
-            .fixed(self.data_root, HASH_SIZE)
-            .u64(self.chunk_count)
-            .u64(self.chunk_size)
-            .u64(self.challenge_period_n)
-            .u64(self.reward_per_proof)
-            .u64(self.escrow)
-            .u64(self.fee)
-            .u64(self.counter)
-        )
-        w.fixed(self.sig if with_sig else ZERO_SIG, SIG_SIZE)
-        return w.done()
-
-    @staticmethod
-    def read(r: Reader) -> "StorageCreate":
-        return StorageCreate(
-            r.fixed(ADDRESS_SIZE), r.fixed(ADDRESS_SIZE), r.fixed(HASH_SIZE),
-            r.u64(), r.u64(), r.u64(), r.u64(), r.u64(), r.u64(), r.u64(),
-            r.fixed(SIG_SIZE),
-        )
 
 
 @dataclass(frozen=True)
 class StorageProof(TxBase):
-    sender: bytes               # the provider claiming the reward
-    contract_id: bytes
-    chunk: bytes
-    proof: MerkleProof
-    fee: int
-    counter: int
-    sig: bytes = ZERO_SIG
+    sender: Bytes32             # the provider claiming the reward
+    contract_id: Bytes32
+    chunk: Blob
+    proof: Record[MerkleProof]
+    fee: U64
+    counter: U64
+    sig: Sig = ZERO_SIG
     TAG = 17
-
-    def _encode(self, with_sig: bool) -> bytes:
-        w = (
-            Writer()
-            .u8(self.TAG)
-            .fixed(self.sender, ADDRESS_SIZE)
-            .fixed(self.contract_id, HASH_SIZE)
-            .blob(self.chunk)
-            .blob(self.proof.encode())
-            .u64(self.fee)
-            .u64(self.counter)
-        )
-        w.fixed(self.sig if with_sig else ZERO_SIG, SIG_SIZE)
-        return w.done()
-
-    @staticmethod
-    def read(r: Reader) -> "StorageProof":
-        sender = r.fixed(ADDRESS_SIZE)
-        contract_id = r.fixed(HASH_SIZE)
-        chunk = r.blob()
-        sub = Reader(r.blob())
-        proof = MerkleProof.read(sub)
-        sub.expect_end()
-        return StorageProof(sender, contract_id, chunk, proof, r.u64(), r.u64(), r.fixed(SIG_SIZE))
 
 
 @dataclass(frozen=True)
 class StorageClose(TxBase):
-    sender: bytes
-    contract_id: bytes
-    fee: int
-    counter: int
-    sig: bytes = ZERO_SIG
+    sender: Bytes32
+    contract_id: Bytes32
+    fee: U64
+    counter: U64
+    sig: Sig = ZERO_SIG
     TAG = 18
-
-    def _encode(self, with_sig: bool) -> bytes:
-        w = (
-            Writer()
-            .u8(self.TAG)
-            .fixed(self.sender, ADDRESS_SIZE)
-            .fixed(self.contract_id, HASH_SIZE)
-            .u64(self.fee)
-            .u64(self.counter)
-        )
-        w.fixed(self.sig if with_sig else ZERO_SIG, SIG_SIZE)
-        return w.done()
-
-    @staticmethod
-    def read(r: Reader) -> "StorageClose":
-        return StorageClose(
-            r.fixed(ADDRESS_SIZE), r.fixed(HASH_SIZE), r.u64(), r.u64(),
-            r.fixed(SIG_SIZE),
-        )
 
 
 @dataclass(frozen=True)
 class AzCreate(TxBase):
-    owner: bytes
-    join_price: int
-    fee: int
-    counter: int
-    sig: bytes = ZERO_SIG
+    owner: Bytes32
+    join_price: U64
+    fee: U64
+    counter: U64
+    sig: Sig = ZERO_SIG
     TAG = 19
-
-    def _encode(self, with_sig: bool) -> bytes:
-        w = (
-            Writer()
-            .u8(self.TAG)
-            .fixed(self.owner, ADDRESS_SIZE)
-            .u64(self.join_price)
-            .u64(self.fee)
-            .u64(self.counter)
-        )
-        w.fixed(self.sig if with_sig else ZERO_SIG, SIG_SIZE)
-        return w.done()
-
-    @staticmethod
-    def read(r: Reader) -> "AzCreate":
-        return AzCreate(r.fixed(ADDRESS_SIZE), r.u64(), r.u64(), r.u64(), r.fixed(SIG_SIZE))
 
 
 @dataclass(frozen=True)
 class AzJoin(TxBase):
-    sender: bytes
-    az_id: bytes
-    fee: int
-    counter: int
-    sig: bytes = ZERO_SIG
+    sender: Bytes32
+    az_id: Bytes32
+    fee: U64
+    counter: U64
+    sig: Sig = ZERO_SIG
     TAG = 20
-
-    def _encode(self, with_sig: bool) -> bytes:
-        w = (
-            Writer()
-            .u8(self.TAG)
-            .fixed(self.sender, ADDRESS_SIZE)
-            .fixed(self.az_id, HASH_SIZE)
-            .u64(self.fee)
-            .u64(self.counter)
-        )
-        w.fixed(self.sig if with_sig else ZERO_SIG, SIG_SIZE)
-        return w.done()
-
-    @staticmethod
-    def read(r: Reader) -> "AzJoin":
-        return AzJoin(r.fixed(ADDRESS_SIZE), r.fixed(HASH_SIZE), r.u64(), r.u64(), r.fixed(SIG_SIZE))
 
 
 @dataclass(frozen=True)
 class AzRefer(TxBase):
-    sender: bytes
-    user: bytes
-    az_id: bytes
-    fee: int
-    counter: int
-    sig: bytes = ZERO_SIG
+    sender: Bytes32
+    user: Bytes32
+    az_id: Bytes32
+    fee: U64
+    counter: U64
+    sig: Sig = ZERO_SIG
     TAG = 21
-
-    def _encode(self, with_sig: bool) -> bytes:
-        w = (
-            Writer()
-            .u8(self.TAG)
-            .fixed(self.sender, ADDRESS_SIZE)
-            .fixed(self.user, ADDRESS_SIZE)
-            .fixed(self.az_id, HASH_SIZE)
-            .u64(self.fee)
-            .u64(self.counter)
-        )
-        w.fixed(self.sig if with_sig else ZERO_SIG, SIG_SIZE)
-        return w.done()
-
-    @staticmethod
-    def read(r: Reader) -> "AzRefer":
-        return AzRefer(
-            r.fixed(ADDRESS_SIZE), r.fixed(ADDRESS_SIZE), r.fixed(HASH_SIZE),
-            r.u64(), r.u64(), r.fixed(SIG_SIZE),
-        )
 
 
 @dataclass(frozen=True)
 class EpochTx(TxBase):
     """System transaction applied at epoch boundary blocks; unsigned."""
 
-    report: rewards.EpochReport
+    report: Record[rewards.EpochReport]
     TAG = 22
-
-    def _encode(self, with_sig: bool) -> bytes:
-        return Writer().u8(self.TAG).blob(self.report.encode()).done()
-
-    @staticmethod
-    def read(r: Reader) -> "EpochTx":
-        sub = Reader(r.blob())
-        report = rewards.EpochReport.read(sub)
-        sub.expect_end()
-        return EpochTx(report)
 
 
 TX_KINDS = (
@@ -777,7 +380,7 @@ def decode_tx(data: bytes):
     cls = _BY_TAG.get(tag)
     if cls is None:
         raise CodecError(f"unknown tx tag {tag}")
-    tx = cls.read(r)
+    tx = cls(*[read(r) for _, _, read, _ in cls._FIELDS])
     r.expect_end()
     return tx
 

@@ -51,6 +51,11 @@ def test_scenario_error_carries_line_number():
         run("5 mine alice\n2 mine alice\n")  # times must be non-decreasing
     with pytest.raises(ScenarioError):
         run("0 mine mallory\n")
+    # a helper that raises mid-command reports the command's line
+    with pytest.raises(ScenarioError) as err:
+        run("0 mine alice\n1 mine bob\n2 channel-update alice hex:" + "ab" * 32 + " 6dsd 4dsd\n")
+    assert err.value.line_no == 3
+    assert str(err.value) == "line 3: channel unknown at proposer"
 
 
 def test_budget_exhaustion_detected():

@@ -1,14 +1,20 @@
 import dataclasses
 import hashlib
 import random
+import typing
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from deskchain import pow, tx as txmod
-from deskchain.crypto import KeyPair
-from deskchain.errors import BlockError, TxError
+from deskchain import codec, pow, tx as txmod
+from deskchain.channels import SignedState
+from deskchain.crypto import ZERO_SIG, KeyPair
+from deskchain.errors import BlockError, CodecError, TxError
 from deskchain.ledger import CONTRACT
-from deskchain.vm import assemble
+from deskchain.merkle import MerkleProof
+from deskchain.rewards import AZFactors, EpochReport, UserContribution, WorkItem
+from deskchain.vm import Program, assemble
 
 from conftest import Bench, make_cfg
 
@@ -355,15 +361,21 @@ WIRE_DIGESTS = {
 }
 
 
+# nested records carried by tx kinds; the examples and the strategies share them
+PROGRAM = assemble("PUSH 1\nSTOP")
+SIGNED_STATE = SignedState(b"\x01" * 32, 2, 600, 400, None, (1, 2))
+PROOF = MerkleProof(1, (b"\x06" * 32,))
+REPORT = EpochReport(
+    1, (Fraction(1, 2), Fraction(1, 2)),
+    (AZFactors(b"\x08" * 32, (3, 4)),),
+    (UserContribution(b"\x08" * 32, KeyPair.from_name("alice").address, Fraction(1), Fraction(1, 2),
+                      (WorkItem(Fraction(1), Fraction(1, 2), Fraction(1), (Fraction(1, 4),)),)),),
+)
+
+
 def test_tx_encode_round_trip_all_kinds(bench):
     alice, bob = bench.key("alice"), bench.key("bob")
-    program = assemble("PUSH 1\nSTOP")
-    from deskchain.channels import SignedState
-    from deskchain.merkle import MerkleProof
-    from deskchain.rewards import AZFactors, EpochReport, UserContribution, WorkItem
-    from fractions import Fraction
-
-    ss = SignedState(b"\x01" * 32, 2, 600, 400, None, (1, 2))
+    program, ss = PROGRAM, SIGNED_STATE
     examples = [
         txmod.Spend(alice.address, bob.address, 5, 1, 1),
         txmod.ContractCreate(alice.address, program, 1, 10, 20, 5, 2, (1, -2), 10, 1),
@@ -382,17 +394,12 @@ def test_tx_encode_round_trip_all_kinds(bench):
         txmod.OracleVote(alice.address, b"\x02" * 32, False, 1, 1),
         txmod.OracleResolve(alice.address, b"\x02" * 32, 1, 1),
         txmod.StorageCreate(alice.address, bob.address, b"\x04" * 32, 4, 16, 5, 10, 100, 1, 1),
-        txmod.StorageProof(alice.address, b"\x05" * 32, b"chunk", MerkleProof(1, (b"\x06" * 32,)), 1, 1),
+        txmod.StorageProof(alice.address, b"\x05" * 32, b"chunk", PROOF, 1, 1),
         txmod.StorageClose(alice.address, b"\x05" * 32, 1, 1),
         txmod.AzCreate(alice.address, 50, 1, 1),
         txmod.AzJoin(alice.address, b"\x07" * 32, 1, 1),
         txmod.AzRefer(alice.address, bob.address, b"\x07" * 32, 1, 1),
-        txmod.EpochTx(EpochReport(
-            1, (Fraction(1, 2), Fraction(1, 2)),
-            (AZFactors(b"\x08" * 32, (3, 4)),),
-            (UserContribution(b"\x08" * 32, alice.address, Fraction(1), Fraction(1, 2),
-                              (WorkItem(Fraction(1), Fraction(1, 2), Fraction(1), (Fraction(1, 4),)),)),),
-        )),
+        txmod.EpochTx(REPORT),
     ]
     seen_tags = set()
     for tx in examples:
@@ -408,6 +415,67 @@ def test_tx_encode_round_trip_all_kinds(bench):
         assert hashlib.sha256(tx.signing_bytes()).hexdigest() == WIRE_DIGESTS[name][1], name
         seen_tags.add(tx.TAG)
     assert seen_tags == {cls.TAG for cls in txmod.TX_KINDS}
+
+
+# one strategy per field codec; nested records come from the fixed examples
+FIELD_STRATEGIES = {
+    codec.U8: st.integers(0, 2**8 - 1),
+    codec.U64: st.integers(0, 2**64 - 1),
+    codec.Bytes32: st.binary(min_size=32, max_size=32),
+    codec.Sig: st.binary(min_size=64, max_size=64),
+    codec.Blob: st.binary(max_size=40),
+    codec.Text: st.text(max_size=12),
+    codec.Flag: st.booleans(),
+    codec.I64s: st.lists(st.integers(-(2**63), 2**63 - 1), max_size=4).map(tuple),
+}
+RECORDS = {Program: PROGRAM, SignedState: SIGNED_STATE, MerkleProof: PROOF, EpochReport: REPORT}
+
+
+def _field_strategy(hint):
+    if hint in FIELD_STRATEGIES:
+        return FIELD_STRATEGIES[hint]
+    record_type = typing.get_args(hint)[0]
+    if record_type in RECORDS:
+        return st.just(RECORDS[record_type])
+    inner = next(t for t in typing.get_args(record_type) if t is not type(None))
+    return st.sampled_from([None, RECORDS[inner]])
+
+
+def _kind_strategy(cls):
+    hints = typing.get_type_hints(cls, include_extras=True)
+    return st.builds(cls, *[_field_strategy(hints[name]) for name, *_ in cls._FIELDS])
+
+
+class _Padded:
+    """A nested record whose encoding carries one extra byte; the writer
+    length-prefixes it, so only the nested expect_end can catch it."""
+
+    def __init__(self, record):
+        self.record = record
+
+    def encode(self) -> bytes:
+        return self.record.encode() + b"\x00"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of([_kind_strategy(cls) for cls in txmod.TX_KINDS]))
+def test_decode_tx_round_trips_and_rejects_malformed_bytes(tx):
+    enc = tx.encode()
+    decoded = txmod.decode_tx(enc)
+    assert decoded == tx
+    assert decoded.encode() == enc
+    sigs = {name: ZERO_SIG for name, _, _, is_sig in tx._FIELDS if is_sig}
+    assert tx.signing_bytes() == dataclasses.replace(tx, **sigs).encode()
+    for cut in range(len(enc)):
+        with pytest.raises(CodecError):
+            txmod.decode_tx(enc[:cut])
+    with pytest.raises(CodecError):
+        txmod.decode_tx(enc + b"\x00")
+    for name, *_ in tx._FIELDS:
+        record = getattr(tx, name)
+        if type(record) in RECORDS:
+            with pytest.raises(CodecError):
+                txmod.decode_tx(dataclasses.replace(tx, **{name: _Padded(record)}).encode())
 
 
 def test_apply_block_empty_only_coinbase():
