@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -31,10 +32,14 @@ def test_derive_edge_deterministic():
 def test_derive_edge_partition_bounds():
     h = hash256(b"header")
     side = 1 << 11
-    for idx in range(512):
-        u, v = pow.derive_edge(h, 0, idx, 12)
+    endpoints = [pow.derive_edge(h, 0, idx, 12) for idx in range(512)]
+    for u, v in endpoints:
         assert 0 <= u < side
         assert 0 <= v < side
+    # the edge-hash rule is consensus: pinned from the unmodified code
+    assert hashlib.sha256(repr(endpoints).encode()).hexdigest() == (
+        "7ce289aa6d2711947a67c1fd12ef2f21597ed134c5c6d74ce5b419d1c0c63507"
+    )
 
 
 def test_degree_histogram_bounded():
@@ -116,6 +121,16 @@ def test_solve_interruptible():
     assert pow.solve(h, PARAMS, nonce_budget=100, stop=stop) is None
     assert len(calls) == 1
 
+    # polled once before every nonce tried, so a caller can count graphs
+    def never():
+        calls.append(1)
+        return False
+
+    calls.clear()
+    solution = pow.solve(h, PARAMS, nonce_budget=200, stop=never)
+    assert solution is not None
+    assert len(calls) == solution.nonce + 1
+
 
 def test_coinbase_schedule():
     cfg = make_cfg("coinbase.halving_blocks = 4\n")
@@ -156,3 +171,118 @@ def test_stake_weight_excludes_channel_locks(bench):
     after = pow.stake_weight(bench.state, alice.address)
     assert after == before - 10_000_000 - 1  # deposit plus the fee
     assert bench.state.locked_in_channels() == 15_000_000
+
+
+def _solution_digest(solution) -> str:
+    pinned = None if solution is None else (solution.nonce, solution.edges)
+    return hashlib.sha256(repr(pinned).encode()).hexdigest()
+
+
+def _pin_headers(edge_bits: int, count: int) -> list[bytes]:
+    return [hash256(b"solution-pin" + bytes([edge_bits]) + i.to_bytes(4, "big")) for i in range(count)]
+
+
+# sha256 of repr((nonce, edges)) returned by solve(budget 200) for each
+# _pin_headers header, taken from the unmodified solver: the search is a
+# heuristic, so these pin which cycle it finds, not only that it finds one
+SOLUTION_DIGESTS = {
+    8: (
+        "785db9651d2184d2cd2fea53578c8b661d01f95c0577ecf04a9a18dd6c24e61d",
+        "f81b9bcb03b432c56befd99707ca0e498d013e31a927f3c611993c700ef2b68a",
+        "de6da4d712fd510b7f215d46c631428f6e29e7b07c066cfe78e4d79f8561652e",
+        "e79a7490c4d1e71dc9c30738c8774c9d85417cd6b9efed74e4702c86388cfc42",
+        "248df4bd07388d636810a8673ce7bc233541f9573d6c1482a604823431bf31f5",
+        "d833910c232531751d452fad556047cfe6e35ae9759f9a06ecca627737b3ea4a",
+        "6fbd25b2cc0252c9fd0795a6029bb695ce6b0f2a36b02b8e82ae21b97d1dc8e9",
+        "4a814d0d35f16a073a2f30fc7f9237148fd213fcfbf716f98b5140c7af026518",
+        "85c28159ac87a2d0a9c79158c4472276ce9f721e189cc3e43f16292687244359",
+        "b627cb16ff93da589ce196eb730655dcee1b5751cae44c3df24c6f687bcb3d58",
+        "bf8194d4244b3b6228cff0fc74f16c1eb1842707db0a4560545e7996518f64ba",
+        "cc4df0340e5a8b2c2858be47f50b86ff297fb083c05adc646df4aa713af37e87",
+        "1a789fb977e73c0ee94b64af6d124ac551b166a8ae1fd115c5409f1e8267dbef",
+        "56c21a687b7606a1bee90b66275865432dacca16eb62ec9a4c53874d7057c689",
+        "9958a078d801e2e1d4c7419e619ebe419dec6f07cc800868aa7f81dcf54e65f4",
+        "10348136aac3b1961af073d20fada4e374f4cdc5f2a690c7dc5a1263fd2bc231",
+        "1da3baff48d41368a6b192861b6e97a606cb79454f2538785c4b37ccfc16a485",
+        "546dfbe2bfa6e3a2603e095e6ece2af87fb0b243b02b6eb5837ac79776fb1503",
+        "8151365e9ccf12cc820eb5f4387bbf0182dc18d02e3118f5c6764e30c6b5cd00",
+        "80400f0cc17a66f7a67c955586f6ab3be5043407f4a0aa2b160d4a1e10d3fa05",
+        "8bad0d771cd79effac61d0ce8fc06160d89aef14d94ccd5782cefbcb990d024b",
+        "e36f6c80647199ed02f3065ccc8f2e83f939224870953c971e53e4f9512b6c35",
+        "f9d79389043634441bb8841ce9a20152dd11777989d77f07625d2f8b29eafcd8",
+        "7750b310f7f89d5fcf21a3253184cbe2d9ed78911e32c32f13db68ebbf6d39fd",
+        "7b571b70b645b4b447d77aae8cdd92405d3d7e5f6f87babe327042e29f71e883",
+        "3866aac7af243120d75406359b69453c4ce961bbf76bd3fa89884ba59492ade3",
+        "1be4ffe55f0f788606f6bedc09aec43c3e452da0a4b4c3cd6746ba056756dea4",
+        "c0f873d1a6b07ec3c0b2212b6f0766fd4f50c3413e3ffa3125e389a63b538c52",
+        "aa0363f43960a3c1eafc1d8f324ffe239660325ed1679bd02c402a5b981a9f7e",
+        "3abcaaa6f572bf7dfd4970f2d6daafc6f977fa0e00bfa07df482dbbe0c5b7869",
+        "bc935396fb8fdcdd319c7dacf4b55815913290c4653e8db2941d7c23bc3c0311",
+        "f426646fdd9086c5a7fb407135747af259f5eecac88926ed0d8502ede4d908f1",
+        "e4e098908399d68c97c94d56a7ca4d3ef6e9bd38e59930853661e24e11b281d7",
+        "732dddc9a913d66ede80d57b710eef943cc5d7ee29993b91f673bfcfcbcd80b5",
+        "a29cb4412a37f850c0f0e243d8e3bcfe812df1d87857511ad6442262b55d0160",
+        "33efdc6c38c12c947b21057f7430818cb883438fca4982573e8a24ebb188485d",
+        "66ba7c7d94c8e9e51fc21da8072b2292a9257903d6df42fcb4d49de3ef9fb072",
+        "8f8b2e6c83b08af4cb78caf91c91ebb329b9b7747d7a907c12002ea995ec19f1",
+        "6881475919da50ec43a36b78335e804f610a5b1e3b6e144890819204309d5423",
+        "5a7b8d48b82edb1aee0cdb2212003d6f3e99561ba406993d12e222c20e8b9cec",
+        "690b580a5779d287419f78da97881d7938b98cca98c4912f3a6d12afa0313574",
+        "adf2968f5b556e6819ec1f866d38df1b49b1d9926047e2513863c5eef0b68233",
+        "100880ba81e683b889f6d6dd28de1ed021ff06b1e8cee5e8a5ad2be84ff4ceb4",
+        "39ffe73864abacc18e29cc80b6e3ffb36f709f1eba5cdcfd8da9e9ce5fb63635",
+        "abfa8a4b350cb2c76f05912ff7b3e450163cf4150cac1445740a5326ee2e240e",
+        "51e3a4e003cfe63bfe972e970bac3a686e19b9698f9bcd5d41dc29270dff9d96",
+        "386952fba9fdd6a5e280f469c47a376028e5f8355f2fd9c41d26a57973da348b",
+        "b8d789d03e86b1b595f81327b873763f65837e4d5ae18bf5b04da8686832ba3b",
+        "4fdd27d85c3256ce6e212708ce99912429e509b0d3c28d47d15c94dbb44f12ab",
+        "5cc5777dcdd69ac4521488caf27afbfc7d22d685ffcd6a8d8eb6824eb6fe3bb4",
+        "d2ccdbe964762c3c3902ae9e3b8967082491ab1a9f79a8744bd8044453fc314f",
+        "ee904b8411201a4307bdc6f89243d703e4d3fe2b4a21778cb495de632c2b9ca1",
+        "534f8f9d45cf2bd160832565837a84eea8c3019f2694b14f2cfb34327d3a659c",
+        "b6039fcda96e1fb6aa8c1889dad63c106d76fe844e74ef901d808bcd111d7401",
+        "ea752eedfe872739c4fe248bec999c66aa3a9c2d441a81a6ea46dc746a19bd80",
+        "961d3e6cc57e23ca066559ac622edfd91e5bf043eeff11c5d779f6d4f7d70ad7",
+        "ec10a8ecaf8c36f13f6e278352061f55f0ed4b51db4f7ade23a7006d485ce4e8",
+        "d34e3e08c16967ce281b6876d95091f593e312c420e69add5758b1ec344d6a39",
+        "f11cb2e601d4745c6af9cb13b68454c41f7b41553c062108bc492db34451a11a",
+        "815bc14cb8489d59d4211f9afc31c7aa90c644b75332b71f36f7e964fd591bd8",
+        "39597ee4f133181767468690d8e3b4ec1f1e8d1efa1894e36a4e843a7e545648",
+        "44a938a6ffe9cc5fe8d0f4f73c28d3125dad03565e14282ed4c061649f4fe4a2",
+        "d231c157c549f14402c39b7e70a01602af54af5cae8303f52516704a3ba483eb",
+        "07fde31fa427c141af4a8e949deeb04d704933917157c3df619a0af32101ca93",
+    ),
+    12: (
+        "acbe4a23deabac13d4514957339e9edb4ac329ab38679296c4c19f8d002e9239",
+        "43dc8894974b3409731fb5f012cf37a5d859e33569625ce248ecd0b89833ee57",
+        "c4b18ebc3e780ff76d37224614192460d3dbeaf3731c121ac3249a50a2f0aa92",
+        "e63e1fd935fe5e365bd3e4b7e7cbc071fd58a06540cca2356550ffce299180b3",
+        "a18981fc02fc748cc9a62bd9ae4659282a2ff9f2c73a31b2fb71239cb256513e",
+        "fdefdb071a2d2c51fc18d124b210e37c3cde76561b8aeb4de6ee9a9fa981cbf3",
+        "6b4dcea9d245fec8b54a1e4d7248be6bb5d84051abc02bd0653a99bf5bf4995c",
+        "92cd4fd02a8f135c430d278a6744937a51953624c80ecc247a972831e7a628f2",
+        "478b2f8d54ffae2b3606e4b601369fa3b61933edfd42e973471a8e441bd0cfbd",
+        "b8aff1ee99f9369bce44420d711894b7afbea94633aa8c85d546d3203bb98c39",
+        "efa741ceb362d44cb1c134065abac47415608b8b399499516851261428ff1b30",
+        "34c3c9843b9a92fc1966d5593c4176a967aadbab4dcaa4cf3ed07859778ca903",
+        "d3d4f62209332b9b86616072f2556dbe288165038d772e7561d41a0630cafe23",
+        "a7815eed4b9f24c87c41489204790160edd48160aff595e78c6170945197a120",
+        "29a0662af4cfc7717d3876a3c1c1a116ea7325ebf8a219b54674448447c51616",
+        "e25d75c6795ecb64c457b9236896fcd9d33be333ebbb9a8b28f0038b375b9f53",
+    ),
+}
+
+
+@pytest.mark.parametrize("edge_bits", sorted(SOLUTION_DIGESTS))
+def test_solutions_match_pinned_digests(edge_bits):
+    params = pow.PowParams(edge_bits=edge_bits, cycle_len=8)
+    pinned = SOLUTION_DIGESTS[edge_bits]
+    found = [_solution_digest(pow.solve(h, params, 200)) for h in _pin_headers(edge_bits, len(pinned))]
+    assert found == list(pinned)
+
+
+def test_budget_ends_search_before_a_later_solution():
+    params = pow.PowParams(edge_bits=8, cycle_len=8)
+    header = _pin_headers(8, 33)[32]  # its pinned solution is at nonce 2
+    assert pow.solve(header, params, 3).nonce == 2
+    assert pow.solve(header, params, 2) is None
