@@ -30,7 +30,7 @@ def main() -> int:
     params = pow.PowParams(edge_bits=args.edge_bits, cycle_len=args.cycle_len)
     nonces_used = []
     misses = 0
-    started = time.time()
+    started = time.perf_counter()
     for i in range(args.headers):
         header = hash256(b"calibration" + i.to_bytes(4, "big"))
         solution = pow.solve(header, params, args.max_nonces)
@@ -38,7 +38,8 @@ def main() -> int:
             misses += 1
         else:
             nonces_used.append(solution.nonce + 1)
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
+    graphs = sum(nonces_used) + misses * args.max_nonces
 
     if not nonces_used:
         print("no solutions found; raise --max-nonces")
@@ -48,6 +49,7 @@ def main() -> int:
     budget = math.ceil(math.log(args.target_failure) / math.log(1.0 - p))
     print(f"edge_bits={args.edge_bits} cycle_len={args.cycle_len} headers={args.headers}")
     print(f"solved {len(nonces_used)}/{args.headers} (misses {misses}) in {elapsed:.1f}s")
+    print(f"graphs searched: {graphs}, {1000 * elapsed / graphs:.2f} ms per graph")
     print(f"nonces per solve: mean {mean:.1f}, max {max(nonces_used)}")
     print(f"per-nonce success ~{p:.3f}")
     print(f"budget for failure<{args.target_failure:g}: {budget}")

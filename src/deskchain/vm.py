@@ -79,7 +79,11 @@ class Program:
     @staticmethod
     def read(r: Reader) -> "Program":
         version = r.u8()
+        if version != 1:
+            raise CodecError(f"vm_version must be 1, got {version}")
         count = r.u32()
+        if count > MAX_PROGRAM_LEN:
+            raise CodecError(f"program of {count} instructions exceeds {MAX_PROGRAM_LEN}")
         instrs = []
         for _ in range(count):
             code = r.u8()

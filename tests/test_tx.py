@@ -14,7 +14,7 @@ from deskchain.errors import BlockError, CodecError, TxError
 from deskchain.ledger import CONTRACT
 from deskchain.merkle import MerkleProof
 from deskchain.rewards import AZFactors, EpochReport, UserContribution, WorkItem
-from deskchain.vm import Program, assemble
+from deskchain.vm import MAX_PROGRAM_LEN, Program, assemble
 
 from conftest import Bench, make_cfg
 
@@ -596,3 +596,14 @@ def test_build_block_skips_inapplicable_and_replays(bench):
     assert len(block.transactions) == 1
     replayed, receipts = txmod.apply_block(state, block)  # roots must match
     assert receipts[0].status == "applied"
+
+
+def test_decode_tx_rejects_a_nested_program_with_a_bad_header(bench):
+    tx = txmod.ContractCreate(bench.key("alice").address, PROGRAM, 1, 10, 20, 5, 2, (1, -2), 10, 1)
+    enc = tx.encode()
+    at = enc.index(PROGRAM.encode())  # vm_version u8, then instruction count u32
+    bad_version = enc[:at] + b"\x02" + enc[at + 1:]
+    too_long = enc[:at + 1] + (MAX_PROGRAM_LEN + 1).to_bytes(4, "big") + enc[at + 5:]
+    for bad in (bad_version, too_long):
+        with pytest.raises(CodecError):
+            txmod.decode_tx(bad)
