@@ -36,7 +36,7 @@ def test_derive_edge_partition_bounds():
     for u, v in endpoints:
         assert 0 <= u < side
         assert 0 <= v < side
-    # the edge-hash rule is consensus: pinned from the unmodified code
+    # the edge-hash rule is consensus, so its output is pinned
     assert hashlib.sha256(repr(endpoints).encode()).hexdigest() == (
         "7ce289aa6d2711947a67c1fd12ef2f21597ed134c5c6d74ce5b419d1c0c63507"
     )
@@ -182,9 +182,9 @@ def _pin_headers(edge_bits: int, count: int) -> list[bytes]:
     return [hash256(b"solution-pin" + bytes([edge_bits]) + i.to_bytes(4, "big")) for i in range(count)]
 
 
-# sha256 of repr((nonce, edges)) returned by solve(budget 200) for each
-# _pin_headers header, taken from the unmodified solver: the search is a
-# heuristic, so these pin which cycle it finds, not only that it finds one
+# sha256 of repr((nonce, edges)) that solve(budget 200) returns for each
+# _pin_headers header. The search is a heuristic, so these pin which cycle
+# it finds, not only that it finds one; fixture block hashes rest on it.
 SOLUTION_DIGESTS = {
     8: (
         "785db9651d2184d2cd2fea53578c8b661d01f95c0577ecf04a9a18dd6c24e61d",
