@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Run every fixture scenario and print chain height, transaction count,
-the conservation check, and the final state root for each."""
+the conservation check, and the final tip and state root for each."""
 import glob
 import os
 import sys
@@ -26,7 +26,8 @@ def main() -> int:
         print(
             f"{ok} {os.path.basename(path):24s} height={result.chain[-1].header.height:3d} "
             f"txs={sum(len(b.transactions) for b in result.chain):3d} "
-            f"burned={state.burned_total:6d} root={result.final_state_root[:16]} "
+            f"burned={state.burned_total:6d} tip={result.final_tip.hex()[:16]} "
+            f"root={result.final_state_root.hex()[:16]} "
             f"({time.time() - t0:.2f}s)"
         )
     print(f"total {time.time() - started:.2f}s at seed {seed}")

@@ -410,7 +410,8 @@ def cmd_sim(args) -> int:
         text = fh.read()
     result = sim.run(cfg, text, seed=args.seed, base_dir=os.path.dirname(os.path.abspath(args.scenario)))
     sys.stdout.write(result.event_log)
-    print(f"final_state_root={result.final_state_root}")
+    print(f"final_tip={result.final_tip.hex()}")
+    print(f"final_state_root={result.final_state_root.hex()}")
     return 0
 
 

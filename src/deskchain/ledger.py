@@ -23,8 +23,25 @@ _KIND_TAGS = {EXTERNAL: 0, CONTRACT: 1}
 _KIND_NAMES = {v: k for k, v in _KIND_TAGS.items()}
 
 
+class _Digested:
+    """A frozen record whose leaf digest is computed once and kept.
+
+    ``dataclasses.replace`` builds a new record, so an edit never sees the
+    old digest.
+    """
+
+    def digest(self) -> bytes:
+        """hash256 of ``encode()``: this record's leaf digest in its state tree."""
+        try:
+            return self._digest  # not via __dict__, which would build one per record
+        except AttributeError:
+            digest = hash256(self.encode())
+            object.__setattr__(self, "_digest", digest)
+            return digest
+
+
 @dataclass(frozen=True)
-class Account:
+class Account(_Digested):
     address: bytes
     balance: int
     counter: int = 0
@@ -67,7 +84,7 @@ class Account:
 
 
 @dataclass(frozen=True)
-class NameRecord:
+class NameRecord(_Digested):
     name: str
     target: bytes
     owner: bytes

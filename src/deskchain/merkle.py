@@ -1,7 +1,7 @@
 """Binary Merkle trees over canonical-encoded leaves.
 
 Conventions (fixed network-wide):
-  - leaf nodes are H(leaf bytes);
+  - leaf nodes are H(leaf bytes), the leaf digests;
   - a level with an odd node count duplicates its last node;
   - parent = H(left || right);
   - a single-leaf tree hashes its lone node once more, so the root of [L]
@@ -9,9 +9,14 @@ Conventions (fixed network-wide):
 
 Proofs are (leaf_index, bottom-up sibling list); length is
 ceil(log2(leaf_count)) for leaf_count >= 2 and zero for a single leaf.
+
+``merkle_root`` and the proof functions take raw leaves. ``tree_root``, the
+entry point for the seven header commitments, takes leaf digests, so a
+frozen record can hash its encoding once and every later root reuses it.
 """
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 from .codec import Reader, Writer
@@ -43,21 +48,30 @@ def proof_len(leaf_count: int) -> int:
     return (leaf_count - 1).bit_length()
 
 
+_sha256 = hashlib.sha256
+
+
 def _level_up(nodes: list[bytes]) -> list[bytes]:
-    if len(nodes) % 2 == 1:
-        nodes = nodes + [nodes[-1]]
-    return [hash256(nodes[i] + nodes[i + 1]) for i in range(0, len(nodes), 2)]
+    """Parents of one level; an odd last node is paired with itself."""
+    pairs = iter(nodes)
+    up = [_sha256(left + right).digest() for left, right in zip(pairs, pairs)]
+    if len(nodes) % 2:
+        up.append(_sha256(nodes[-1] + nodes[-1]).digest())
+    return up
 
 
-def merkle_root(leaves: list[bytes]) -> bytes:
-    if not leaves:
-        raise LedgerError("EmptyLeaves", "merkle_root over zero leaves")
-    nodes = [hash256(leaf) for leaf in leaves]
+def _digest_root(nodes: list[bytes]) -> bytes:
     if len(nodes) == 1:
         return hash256(nodes[0])
     while len(nodes) > 1:
         nodes = _level_up(nodes)
     return nodes[0]
+
+
+def merkle_root(leaves: list[bytes]) -> bytes:
+    if not leaves:
+        raise LedgerError("EmptyLeaves", "merkle_root over zero leaves")
+    return _digest_root([hash256(leaf) for leaf in leaves])
 
 
 def merkle_prove(leaves: list[bytes], index: int) -> MerkleProof:
@@ -69,10 +83,8 @@ def merkle_prove(leaves: list[bytes], index: int) -> MerkleProof:
     nodes = [hash256(leaf) for leaf in leaves]
     i = index
     while len(nodes) > 1:
-        if len(nodes) % 2 == 1:
-            nodes = nodes + [nodes[-1]]
-        siblings.append(nodes[i ^ 1])
-        nodes = [hash256(nodes[j] + nodes[j + 1]) for j in range(0, len(nodes), 2)]
+        siblings.append(nodes[min(i ^ 1, len(nodes) - 1)])
+        nodes = _level_up(nodes)
         i //= 2
     return MerkleProof(index, tuple(siblings))
 
@@ -95,6 +107,10 @@ def merkle_verify(root: bytes, leaf: bytes, proof: MerkleProof, leaf_count: int)
     return acc == root
 
 
-def tree_root(items: list[bytes]) -> bytes:
-    """Root of a possibly-empty state tree; the all-zero hash marks empty."""
-    return merkle_root(items) if items else ZERO32
+def tree_root(digests: list[bytes]) -> bytes:
+    """Root of a possibly-empty tree given its leaf digests H(leaf).
+
+    ``tree_root([hash256(l) for l in leaves]) == merkle_root(leaves)``; the
+    all-zero hash marks an empty tree.
+    """
+    return _digest_root(digests) if digests else ZERO32

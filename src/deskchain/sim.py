@@ -99,8 +99,8 @@ class SimNode:
 
 @dataclass
 class SimResult:
-    final_tip: bytes
-    final_state_root: str
+    final_tip: bytes  # block hash of the chosen tip
+    final_state_root: bytes  # hash256 of the tip state's five roots, in header order
     receipts: list[txmod.Receipt]
     event_log: str
     state: ChainState
@@ -474,13 +474,14 @@ class Simulation:
         for block in chain:
             receipts.extend(node.receipts[block.header.block_hash()])
         tip = node.tip
+        state = node.tip_state()
         self.log(best_name, "final", height=node.tip_header().height, root=tip.hex())
         return SimResult(
             final_tip=tip,
-            final_state_root=tip.hex(),
+            final_state_root=hash256(b"".join(txmod.state_roots(state).values())),
             receipts=receipts,
             event_log="\n".join(self.log_lines) + "\n",
-            state=node.tip_state(),
+            state=state,
             chain=chain,
             handles=dict(self.handles),
         )

@@ -2,6 +2,9 @@
 
 The state is an in-memory container of frozen records; cloning copies the
 dicts but shares the records, which makes per-transaction snapshots cheap.
+Accounts and name records carry their cached leaf digest, so a shared
+record is encoded and hashed once however many states and roots use it;
+only the records a block replaces are hashed again.
 Seven Merkle roots commit the state: accounts, names, a combined wormhole
 tree (channels, storage contracts, AZs, and the reward pool, i.e. all
 contract-ish objects), two oracle trees split by liveness, plus the
@@ -14,11 +17,12 @@ account first settles the per-block fee accrued since its freshness height.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .channels import CLOSED, Channel
 from .codec import check_amount
 from .config import NetworkConfig
+from .crypto import hash256
 from .errors import LedgerError
 from .ledger import Account, NameRecord, charge_maintenance
 from .merkle import tree_root
@@ -82,13 +86,10 @@ class ChainState:
         )
 
     def restore(self, snapshot: "ChainState") -> None:
-        other = snapshot.clone()
-        for name in (
-            "cfg", "accounts", "names", "channels", "oracles", "storage_contracts",
-            "azs", "pool", "code", "height", "genesis_total", "minted_total",
-            "burned_total",
-        ):
-            setattr(self, name, getattr(other, name))
+        """Roll back to ``snapshot``, taking ownership of it: this state adopts
+        the snapshot's dicts, so the caller must not use the snapshot again."""
+        for f in fields(self):
+            setattr(self, f.name, getattr(snapshot, f.name))
 
     # --- account plumbing ---
 
@@ -150,27 +151,25 @@ class ChainState:
     # --- commitments ---
 
     def account_root(self) -> bytes:
-        items = [self.accounts[k].encode() for k in sorted(self.accounts)]
-        return tree_root(items)
+        return tree_root([self.accounts[k].digest() for k in sorted(self.accounts)])
 
     def name_root(self) -> bytes:
-        items = [self.names[k].encode() for k in sorted(self.names)]
-        return tree_root(items)
+        return tree_root([self.names[k].digest() for k in sorted(self.names)])
 
     def wormhole_root(self) -> bytes:
         items = [b"C" + self.channels[k].encode() for k in sorted(self.channels)]
         items += [b"S" + self.storage_contracts[k].encode() for k in sorted(self.storage_contracts)]
         items += [b"Z" + self.azs[k].encode() for k in sorted(self.azs)]
         items.append(b"P" + self.pool.encode())
-        return tree_root(items)
+        return tree_root([hash256(item) for item in items])
 
     def oracle_open_root(self) -> bytes:
         live = [k for k in sorted(self.oracles) if self.oracles[k].phase in ("open", "answered", "contested")]
-        return tree_root([self.oracles[k].encode() for k in live])
+        return tree_root([hash256(self.oracles[k].encode()) for k in live])
 
     def oracle_answer_root(self) -> bytes:
         done = [k for k in sorted(self.oracles) if self.oracles[k].phase in ("resolved", "burned")]
-        return tree_root([self.oracles[k].encode() for k in done])
+        return tree_root([hash256(self.oracles[k].encode()) for k in done])
 
     # --- invariants ---
 

@@ -2,7 +2,8 @@
 config, name-derived keys, the chain (canonical block encodings, length
 prefixed), the local mempool, and per-channel signed-state history. State
 is reconstructed by replaying the chain, which keeps the files minimal and
-the replay deterministic."""
+the replay deterministic. Rewritten files (config, keys, mempool, channel
+states) are replaced atomically: a failed write leaves the old file whole."""
 from __future__ import annotations
 
 import os
@@ -18,6 +19,22 @@ from .state import ChainState
 from .vm import Program
 
 
+def _write_atomic(path: str, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then rename it over
+    ``path``; readers see the old file or the new one, never a torn mix."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 class StateDir:
     def __init__(self, root: str):
         self.root = root
@@ -29,8 +46,7 @@ class StateDir:
 
     def write_config(self, text: str) -> None:
         os.makedirs(self.root, exist_ok=True)
-        with open(self.path("config.cfg"), "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_atomic(self.path("config.cfg"), text.encode("utf-8"))
 
     def config(self) -> NetworkConfig:
         path = self.path("config.cfg")
@@ -43,8 +59,7 @@ class StateDir:
     def keygen(self, name: str) -> KeyPair:
         os.makedirs(self.path("keys"), exist_ok=True)
         kp = KeyPair.from_name(name)
-        with open(self.path("keys", f"{name}.key"), "w", encoding="utf-8") as fh:
-            fh.write(kp.seed.hex() + "\n")
+        _write_atomic(self.path("keys", f"{name}.key"), (kp.seed.hex() + "\n").encode("utf-8"))
         return kp
 
     def key(self, name: str) -> KeyPair:
@@ -103,10 +118,11 @@ class StateDir:
         return out
 
     def write_mempool(self, txs: list) -> None:
-        with open(self.path("mempool.bin"), "wb") as fh:
-            for t in txs:
-                enc = t.encode()
-                fh.write(len(enc).to_bytes(4, "big") + enc)
+        parts = []
+        for t in txs:
+            enc = t.encode()
+            parts.append(len(enc).to_bytes(4, "big") + enc)
+        _write_atomic(self.path("mempool.bin"), b"".join(parts))
 
     def add_to_mempool(self, t) -> None:
         txs = self.mempool()
@@ -142,5 +158,4 @@ class StateDir:
         w.u32(len(programs))
         for key in sorted(programs):
             w.blob(programs[key].encode())
-        with open(self.path(f"channel_{channel_id.hex()}.bin"), "wb") as fh:
-            fh.write(w.done())
+        _write_atomic(self.path(f"channel_{channel_id.hex()}.bin"), w.done())

@@ -371,7 +371,13 @@ def signing_bytes(tx) -> bytes:
 
 
 def tx_hash(tx) -> bytes:
-    return hash256(encode_tx(tx))
+    """hash256 of the wire bytes, kept on the frozen tx after the first call."""
+    try:
+        return tx._hash
+    except AttributeError:
+        digest = hash256(encode_tx(tx))
+        object.__setattr__(tx, "_hash", digest)
+        return digest
 
 
 def decode_tx(data: bytes):
@@ -421,7 +427,7 @@ def check_tx(state: ChainState, tx, cfg) -> None:
     if isinstance(tx, EpochTx):
         return  # system txs carry no envelope; apply_epoch validates them
     try:
-        encode_tx(tx)  # exercises every range check in the codec
+        tx_hash(tx)  # encoding exercises every range check in the codec
     except (CodecError, LedgerError) as exc:
         raise TxError("BadFormat", str(exc)) from exc
     if isinstance(tx, GAS_KINDS):
@@ -720,9 +726,9 @@ def apply_block(state: ChainState, block: Block) -> tuple[ChainState, list[Recei
             except LedgerError as exc:
                 raise BlockError("BadTx", f"{exc}") from exc
 
-    if header.tx_root != tree_root([encode_tx(t) for t in block.transactions]):
+    if header.tx_root != tree_root([tx_hash(t) for t in block.transactions]):
         raise BlockError("RootMismatch", "tx_root")
-    if header.proof_root != tree_root(ctx.proof_leaves):
+    if header.proof_root != tree_root([hash256(leaf) for leaf in ctx.proof_leaves]):
         raise BlockError("RootMismatch", "proof_root")
     for name, value in state_roots(work).items():
         if getattr(header, name) != value:
@@ -768,8 +774,8 @@ def build_block(
     header_base = dict(
         height=height,
         prev_hash=prev_hash,
-        tx_root=tree_root([encode_tx(t) for t in included]),
-        proof_root=tree_root(ctx.proof_leaves),
+        tx_root=tree_root([tx_hash(t) for t in included]),
+        proof_root=tree_root([hash256(leaf) for leaf in ctx.proof_leaves]),
         miner=miner,
         **roots,
     )

@@ -1,4 +1,7 @@
+import dataclasses
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deskchain import tx as txmod
 from deskchain.codec import Reader
@@ -8,7 +11,7 @@ from deskchain.ledger import (
     Account, NameRecord, charge_maintenance, expected_entropy, header_ok,
     validate_header, verify_light,
 )
-from deskchain.merkle import merkle_prove
+from deskchain.merkle import merkle_prove, merkle_root
 from deskchain.state import ChainState
 
 from conftest import make_cfg
@@ -205,3 +208,70 @@ def test_resolve_name(cfg):
     assert err.value.code == "NotFound"
     state.names["plant-7"] = NameRecord("plant-7", b"\x0a" * 32, b"\x0b" * 32)
     assert state.resolve_name("plant-7") == b"\x0a" * 32
+
+
+def _reference_roots(state) -> dict[str, bytes]:
+    """The five state roots from scratch: each record copied (so no cached
+    digest comes along) and its raw encoding hashed by merkle_root."""
+
+    def root(records):
+        leaves = [dataclasses.replace(r).encode() for r in records]
+        return merkle_root(leaves) if leaves else ZERO32
+
+    def prefixed(tag, records):
+        return [tag + r.encode() for r in records]
+
+    def by_key(records):
+        return [records[k] for k in sorted(records)]
+
+    oracles = by_key(state.oracles)
+    wormhole = (prefixed(b"C", by_key(state.channels)) + prefixed(b"S", by_key(state.storage_contracts))
+                + prefixed(b"Z", by_key(state.azs)) + [b"P" + state.pool.encode()])
+    return {
+        "account_root": root(by_key(state.accounts)),
+        "name_root": root(by_key(state.names)),
+        "wormhole_root": merkle_root(wormhole),
+        "oracle_open_root": root([q for q in oracles if q.phase in ("open", "answered", "contested")]),
+        "oracle_answer_root": root([q for q in oracles if q.phase in ("resolved", "burned")]),
+    }
+
+
+_EDITS = st.lists(
+    st.tuples(st.sampled_from(["credit", "debit", "touch", "rename", "clone"]),
+              st.integers(0, 11), st.integers(0, 3 * 10**8)),
+    max_size=40,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 12), st.integers(0, 6), _EDITS)
+def test_state_roots_match_a_from_scratch_reference(n_accounts, n_names, edits):
+    cfg = make_cfg("maintenance.rate = 3\n")
+    state = ChainState.genesis(cfg)
+    addrs = [bytes([i + 1]) * 32 for i in range(12)]
+    for a in addrs[:n_accounts]:
+        state.credit(a, 1000 + a[0], 0)
+    for i in range(n_names):
+        state.names[f"n{i}"] = NameRecord(f"n{i}", addrs[i], addrs[-1])
+    assert txmod.state_roots(state) == _reference_roots(state)
+    held = []  # clones share records and their cached digests
+    for height, (op, i, amount) in enumerate(edits, start=1):
+        state.height = height
+        address = addrs[i]
+        try:
+            if op == "credit":
+                state.credit(address, amount, height)
+            elif op == "debit":
+                state.debit(address, amount, height)
+            elif op == "touch":
+                state.touch(address, height)
+            elif op == "rename" and state.names:
+                key = sorted(state.names)[i % len(state.names)]
+                state.names[key] = dataclasses.replace(state.names[key], target=address)
+            elif op == "clone":
+                held.append((state.clone(), txmod.state_roots(state)))
+        except LedgerError:
+            pass  # InsufficientFunds / NotFound leave the state as it was
+        assert txmod.state_roots(state) == _reference_roots(state)
+    for snapshot, roots in held:
+        assert txmod.state_roots(snapshot) == roots == _reference_roots(snapshot)

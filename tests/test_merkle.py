@@ -96,7 +96,15 @@ def test_proof_encoding_round_trip():
 
 def test_tree_root_empty_sentinel():
     assert tree_root([]) == b"\x00" * 32
-    assert tree_root([b"x"]) == merkle_root([b"x"])
+    assert tree_root([H(b"x")]) == merkle_root([b"x"])
+
+
+def test_tree_root_over_digests_equals_merkle_root_up_to_64():
+    for n in range(1, 65):
+        leaves = [i.to_bytes(2, "big") * (1 + i % 3) for i in range(n)]
+        digests = [H(leaf) for leaf in leaves]
+        assert tree_root(digests) == merkle_root(leaves)
+        assert digests == [H(leaf) for leaf in leaves]  # the caller's list is left alone
 
 
 @settings(max_examples=50)

@@ -11,7 +11,7 @@ from deskchain import codec, pow, tx as txmod
 from deskchain.channels import SignedState
 from deskchain.crypto import ZERO_SIG, KeyPair
 from deskchain.errors import BlockError, CodecError, TxError
-from deskchain.ledger import CONTRACT
+from deskchain.ledger import CONTRACT, Block
 from deskchain.merkle import MerkleProof
 from deskchain.rewards import AZFactors, EpochReport, UserContribution, WorkItem
 from deskchain.vm import MAX_PROGRAM_LEN, Program, assemble
@@ -506,6 +506,27 @@ def test_apply_block_conservation_with_spend():
     assert sum(a.balance for a in new_state.accounts.values()) == (
         sum(a.balance for a in state.accounts.values()) + pow.coinbase(1, cfg)
     )
+
+
+def test_apply_block_encodes_each_tx_once(monkeypatch):
+    cfg = make_cfg()
+    state, genesis = txmod.genesis_block(cfg)
+    miner = KeyPair.from_name("miner").address
+    alice, bob, carol = (KeyPair.from_name(n) for n in ("alice", "bob", "carol"))
+    txs = [
+        txmod.sign_tx(txmod.Spend(alice.address, bob.address, 123, 7, 1), alice),
+        txmod.sign_tx(txmod.Spend(bob.address, alice.address, 10**12, 5, 1), bob),  # reverts
+        txmod.sign_tx(txmod.DataOnly(carol.address, b"log", 2, 1), carol),
+    ]
+    block = txmod.build_block(state, txs, miner, genesis.header)
+    assert len(block.transactions) == 3
+    fresh = Block.read(codec.Reader(block.encode()))  # txs as a replay decodes them
+    calls = []
+    encode_tx = txmod.encode_tx
+    monkeypatch.setattr(txmod, "encode_tx", lambda tx: calls.append(tx) or encode_tx(tx))
+    _, receipts = txmod.apply_block(state, fresh)
+    assert sorted(r.status for r in receipts) == ["applied", "applied", "reverted"]
+    assert len(calls) == len(fresh.transactions)
 
 
 def test_apply_block_stale_root_rejected():
