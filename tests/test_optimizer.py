@@ -1,9 +1,12 @@
+import dataclasses
+import hashlib
 import itertools
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deskchain.errors import LedgerError
 from deskchain.optimizer import (
@@ -13,6 +16,7 @@ from deskchain.optimizer import (
 )
 from deskchain.optimizer.files import parse_factor_graph, parse_mdp
 from deskchain.optimizer.mdp import three_state_fixture
+from deskchain.optimizer.td import best_action
 
 
 # --- discounted return ---
@@ -108,8 +112,6 @@ def test_mdp_row_sum_validation():
 
 def test_mdp_poisson_expected_reward_matches_truncated_mean():
     mdp = three_state_fixture()
-    import dataclasses
-
     poisson = dataclasses.replace(mdp, arrival_kind="poisson", arrival_rate=2.0)
     # brute truncated mean for cap=1: P(X>=1) = 1 - exp(-2)
     got = poisson.expected_reward((0,), (0,))
@@ -371,3 +373,244 @@ def test_parse_factor_graph():
     want = _brute_marginals(g)
     for v in g.domains:
         np.testing.assert_allclose(got[v], want[v], atol=1e-12)
+
+
+# --- pinned training output ---
+#
+# Taken from the dict-based training loop that the dense-index loop
+# replaced; any change to RNG call order, argmax ties or float arithmetic
+# shows here. Each digest covers 12 runs (4 seeds x plain, scheduled and
+# prefilled) of one MDP, mode and step-size rule.
+
+
+def _pin_mdps():
+    fixture = three_state_fixture()
+    # run row 1 accumulates to 0.9999999999999999, one ulp below 1.0
+    short = ((0.6, 0.3, 0.1), (0.7, 0.2, 0.1), (0.0, 0.0, 1.0))
+    repair3 = ((1.0, 0.0, 0.0),) * 3
+    return {
+        "fixture": fixture,
+        "fixture_poisson": dataclasses.replace(fixture, arrival_kind="poisson", arrival_rate=1.5),
+        "pair_poisson": DeviceGroupMdp(
+            2, 3, ("run", "repair"), (short, repair3), ((2, 1, 0), (0, 0, 0)),
+            arrival_kind="poisson", arrival_rate=2.5,
+        ),
+        "triple_poisson": DeviceGroupMdp(
+            3, 2, ("run", "repair"),
+            (((0.8, 0.2), (0.0, 1.0)), ((1.0, 0.0), (0.9, 0.1))),
+            ((1, 0), (0, 0)), arrival_kind="poisson", arrival_rate=1.0,
+        ),
+        "pair_three_actions": DeviceGroupMdp(
+            2, 3, ("run", "slow", "repair"),
+            (((0.5, 0.4, 0.1), (0.0, 0.5, 0.5), (0.0, 0.0, 1.0)),
+             ((0.9, 0.1, 0.0), (0.0, 0.8, 0.2), (0.0, 0.1, 0.9)),
+             repair3),
+            ((2, 1, 0), (1, 1, 0), (0, 0, 0)), arrival_kind="constant", arrival_rate=3.0,
+        ),
+    }
+
+
+def _pin_runs(mdp, mode, alpha):
+    for seed in range(4):
+        for variant in ("plain", "schedule", "prefilled"):
+            q = QTable(alpha=alpha, gamma_d=0.8, epsilon=0.25)
+            schedule = None
+            if variant == "schedule":
+                schedule = lambda ep: 0.5 / (1 + ep)  # noqa: E731
+            elif variant == "prefilled":
+                for i, s in enumerate(mdp.states()):
+                    q.set(s, next(iter(mdp.actions())), 0.5 * i)
+            train(mdp, q, episodes=12, seed=seed, mode=mode, steps_per_episode=30,
+                  epsilon_schedule=schedule)
+            yield q
+
+
+def _values_digest(q):
+    return hashlib.sha256(repr(sorted((k, v.hex()) for k, v in q.values.items())).encode()).hexdigest()
+
+
+TRAIN_DIGESTS = {
+    "fixture/off_policy/None": "9e646ea44e993c4b86656beebf88f5e429c8d507c51b0dd35ce0820033f9b37b",
+    "fixture/off_policy/0.3": "f8aec5875de4b42edbd9c3999473afec997688824014fbea8119fdccaad88c86",
+    "fixture/on_policy/None": "e1f99d22335252f83559e60624a8dcebf159ab12dbe34dc91503addd1143497c",
+    "fixture/on_policy/0.3": "7ab30d3a7f9ddf1ac52784417b300d7da7cdbe447317d8170654f157250c10d9",
+    "fixture_poisson/off_policy/None": "70624881ffd531b57fb28868083cbc059c6129eef44bb70f927891486203ed9c",
+    "fixture_poisson/off_policy/0.3": "8b9e6c661e2317c46aad9270e404b5634af838db122c0061dae217894a67fee6",
+    "fixture_poisson/on_policy/None": "4e270effa86a8b353b84589c898eab3db7453d3b88c278034cc2ed062598f785",
+    "fixture_poisson/on_policy/0.3": "0c24694285e8f6d6fe7c080bfc2bc2ef401f35d3aebb4a8322135428a39fdaff",
+    "pair_poisson/off_policy/None": "3366b262c0dae7f6a50a107d4d5d6f25fe3af62ec1798d549db9d61d1788b652",
+    "pair_poisson/off_policy/0.3": "f7ff02b890687b6ba829af7cf34ae804d839c0b37616377703784787106b3eab",
+    "pair_poisson/on_policy/None": "cbd065003d9f995de4eaae43851393a7b39cfb70a001c0ee931dfae47b52b7ba",
+    "pair_poisson/on_policy/0.3": "5f7e2558fe408ea224f35e01970e1964168b2f49791852f9c19315370f624bbe",
+    "triple_poisson/off_policy/None": "094a003d2c93ee92307d68c6a1dd68980d5ee917210a191437cfa2958dd84c57",
+    "triple_poisson/off_policy/0.3": "8d6ec1abc3eb4c2b84370b1ea1f7d26ae1d33ebef5437bd459a538fa336fa396",
+    "triple_poisson/on_policy/None": "c0e491f26410672a2384892fe06be53e18af2cd650416bc0734e32b236aa6e33",
+    "triple_poisson/on_policy/0.3": "91c54b1c7e7645bea804053d466f15400eb209073a457ce2abf072e76372e2e5",
+    "pair_three_actions/off_policy/None": "840e1c0f59b4c10a66940c860146ea083b99729e499c762e83cb64f5540d1571",
+    "pair_three_actions/off_policy/0.3": "9b065b29b5feb6407c3ebd5b439d7d937dc71f7b4e58dd4cdce7dc724d0b615d",
+    "pair_three_actions/on_policy/None": "f2e96251ec60b2afa3ac2584878e6b966194ef6bb7eb3155a66f783e576e4372",
+    "pair_three_actions/on_policy/0.3": "b6d69bca9aa4a459bf5ff976741a586c3fbd8fb963e52d96069f8ad8780fe51f",
+}
+
+
+def test_train_output_is_pinned():
+    got = {}
+    for name, mdp in _pin_mdps().items():
+        for mode in ("off_policy", "on_policy"):
+            for alpha in (None, 0.3):
+                digests = [_values_digest(q) for q in _pin_runs(mdp, mode, alpha)]
+                got[f"{name}/{mode}/{alpha}"] = hashlib.sha256(" ".join(digests).encode()).hexdigest()
+    assert got == TRAIN_DIGESTS
+
+
+class _FixedRandom:
+    """Stands in for random.Random, returning the given draws in order."""
+
+    def __init__(self, draws):
+        self._draws = iter(draws)
+
+    def random(self):
+        return next(self._draws)
+
+
+def test_step_picks_the_last_state_past_a_short_cumulative_row():
+    mdp = _pin_mdps()["pair_poisson"]
+    top = math.nextafter(1.0, 0.0)  # the largest draw random() can return
+    assert top >= list(itertools.accumulate(mdp.transitions[0][1]))[-1]
+    # arrivals: one draw of 0.0 ends Knuth's loop at k=0; then one draw per device
+    assert mdp.step(_FixedRandom([0.0, top, 0.65]), (1, 0), (0, 0)) == ((2, 1), 0)
+    assert mdp.step(_FixedRandom([0.0, 0.7, 0.0]), (1, 1), (0, 1)) == ((1, 0), 0)
+
+
+_CLI_MDP = (
+    "devices 1\nstates 3\nactions run repair\narrivals constant 1\n"
+    "capacity run 1 1 0\ncapacity repair 0 0 0\n"
+    "transition run 0 0.7 0.3 0.0\ntransition run 1 0.0 0.6 0.4\n"
+    "transition run 2 0.0 0.0 1.0\ntransition repair 0 1 0 0\n"
+    "transition repair 1 1 0 0\ntransition repair 2 1 0 0\n"
+)
+
+CLI_STDOUT_DIGESTS = {
+    "train": "11601751f69d156d683d14880b09acb8c9886db66d136dea3e652609736e8f5d",
+    "evaluate": "a0f5c230d0550aefd25366ad7701957a5a67259d5cccec7130606381bde02c11",
+}
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("train", ["optimizer", "train", "--seed", "0", "--episodes", "120", "--steps", "60", "--compare-vi"]),
+    ("evaluate", ["optimizer", "evaluate", "--seed", "3", "--episodes", "150", "--steps", "60"]),
+])
+def test_optimizer_cli_stdout_is_pinned(tmp_path, capsys, name, argv):
+    from deskchain.cli import main
+
+    path = tmp_path / "m.mdp"
+    path.write_text(_CLI_MDP)
+    assert main(argv + ["--mdp", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_STDOUT_DIGESTS[name], out
+
+
+# --- training against the dict-based reference loop ---
+
+
+def _reference_step(mdp, rng, state, action):
+    arrivals = mdp.sample_arrivals(rng)
+    r = min(arrivals, sum(mdp.capacity[a][s] for s, a in zip(state, action)))
+    nxt = []
+    for s, a in zip(state, action):
+        u = rng.random()
+        acc = 0.0
+        pick = mdp.n_states - 1
+        for j, p in enumerate(mdp.transitions[a][s]):
+            acc += p
+            if u < acc:
+                pick = j
+                break
+        nxt.append(pick)
+    return tuple(nxt), r
+
+
+def _reference_train(mdp, q, episodes, seed, mode, steps_per_episode, epsilon_schedule):
+    # the training loop as it stood before it moved to index tables
+    rng = random.Random(seed)
+    actions = list(mdp.actions())
+    visits = {}
+
+    def step_size(s, a):
+        if q.alpha is not None:
+            return q.alpha
+        n = visits.get((s, a), 0)
+        visits[(s, a)] = n + 1
+        return 1.0 / (1.0 + n)
+
+    def pick(s, eps):
+        if rng.random() < eps:
+            return actions[rng.randrange(len(actions))]
+        return best_action(q, s, actions)
+
+    for episode in range(episodes):
+        eps = q.epsilon if epsilon_schedule is None else epsilon_schedule(episode)
+        s = mdp.initial_state()
+        a = pick(s, eps)
+        for _ in range(steps_per_episode):
+            s2, r = _reference_step(mdp, rng, s, a)
+            if mode == "on_policy":
+                a2 = pick(s2, eps)
+                sarsa_update(q, s, a, r, s2, a2, alpha=step_size(s, a))
+                s, a = s2, a2
+            else:
+                q_update(q, s, a, r, s2, actions, alpha=step_size(s, a))
+                s = s2
+                a = pick(s, eps)
+    return q
+
+
+@st.composite
+def _small_mdps(draw):
+    n_devices = draw(st.integers(1, 3))
+    n_states = draw(st.integers(2, 3))
+    n_actions = draw(st.integers(1, 3))
+
+    def row():
+        if n_states == 3 and draw(st.booleans()):
+            return draw(st.sampled_from([(0.7, 0.2, 0.1), (0.6, 0.3, 0.1), (0.0, 0.0, 1.0)]))
+        weights = draw(st.lists(st.integers(0, 5), min_size=n_states, max_size=n_states)
+                       .filter(lambda w: sum(w) > 0))
+        return tuple(w / sum(weights) for w in weights)
+
+    transitions = tuple(tuple(row() for _ in range(n_states)) for _ in range(n_actions))
+    capacity = tuple(
+        tuple(draw(st.integers(0, 3)) for _ in range(n_states)) for _ in range(n_actions)
+    )
+    if draw(st.booleans()):
+        kind, rate = "poisson", draw(st.floats(0.0, 3.0))
+    else:
+        kind, rate = "constant", float(draw(st.integers(0, 4)))
+    return DeviceGroupMdp(
+        n_devices, n_states, tuple(f"a{i}" for i in range(n_actions)),
+        transitions, capacity, arrival_kind=kind, arrival_rate=rate,
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    _small_mdps(),
+    st.integers(0, 2**32),
+    st.sampled_from(["off_policy", "on_policy"]),
+    st.sampled_from([None, 0.3]),
+    st.floats(0.0, 1.0),
+    st.booleans(),
+    st.booleans(),
+)
+def test_train_matches_the_reference_loop(mdp, seed, mode, alpha, epsilon, scheduled, prefilled):
+    tables = [QTable(alpha=alpha, gamma_d=0.9, epsilon=epsilon) for _ in range(2)]
+    if prefilled:
+        for q in tables:
+            for i, (s, a) in enumerate(itertools.product(mdp.states(), mdp.actions())):
+                if i % 3 == 0:
+                    q.set(s, a, 0.25 * i)
+    schedule = (lambda ep: epsilon / (1 + ep)) if scheduled else None
+    want = _reference_train(mdp, tables[0], 4, seed, mode, 15, schedule)
+    got = train(mdp, tables[1], episodes=4, seed=seed, mode=mode, steps_per_episode=15,
+                epsilon_schedule=schedule)
+    assert [(k, v.hex()) for k, v in got.values.items()] == [(k, v.hex()) for k, v in want.values.items()]
