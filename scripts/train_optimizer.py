@@ -34,19 +34,21 @@ def main() -> int:
     ):
         matches = 0
         worst = 0.0
-        t0 = time.time()
+        elapsed = 0.0
         for seed in range(args.seeds):
             q = QTable(alpha=None, gamma_d=args.gamma, epsilon=args.epsilon)
+            started = time.perf_counter()
             train(mdp, q, episodes=args.episodes, seed=seed, mode=mode,
                   steps_per_episode=args.steps, epsilon_schedule=schedule)
+            elapsed += time.perf_counter() - started
             if greedy_policy(q, mdp) == target:
                 matches += 1
             worst = max(
                 worst,
                 max(abs(q.get(s, a) - qstar[(s, a)]) for s in mdp.states() for a in mdp.actions()),
             )
-        print(f"{mode}: policy match {matches}/{args.seeds}, "
-              f"max|Q-Q*| {worst:.4f} ({time.time() - t0:.1f}s)")
+        print(f"{mode}: policy match {matches}/{args.seeds}, max|Q-Q*| {worst:.4f}, "
+              f"{1000 * elapsed / args.seeds:.1f} ms per training run")
     return 0
 
 

@@ -195,6 +195,14 @@ class Block:
         txs = tuple(decode_tx(r.blob()) for _ in range(r.u32()))
         return Block(header, txs)
 
+    @staticmethod
+    def decode(data: bytes) -> "Block":
+        """One whole block encoding; trailing bytes are a CodecError."""
+        r = Reader(data)
+        block = Block.read(r)
+        r.expect_end()
+        return block
+
 
 def validate_header(header: BlockHeader, prev: BlockHeader | None, cfg) -> None:
     """Raise BlockError(BadLink|BadHeight|BadPow) unless header extends prev."""

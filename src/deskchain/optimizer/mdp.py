@@ -7,12 +7,22 @@ reward is the number of requests served: min(arrivals, total capacity).
 Arrivals are either a constant rate or a seeded Poisson stream, so every
 rollout is reproducible and the expected reward is available in closed
 form for the value-iteration oracle.
+
+Rollouts run over indices. ``DeviceGroupMdp.table()`` enumerates joint
+states and actions once, in ``itertools.product`` order, and keeps for
+each (state, action) pair the total capacity and, per device, that
+device's cumulative transition row and its stride in the joint state
+index. Each device's next state is ``bisect_right(cum, u)`` for one
+uniform draw ``u``: the first j with ``u < p_0 + ... + p_j``, or the last
+state when float rounding leaves the row's sum just below ``u``.
+``sample_next`` is that rule, and both ``step`` and TD training use it.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from ..errors import LedgerError
@@ -22,6 +32,12 @@ POISSON = "poisson"
 
 State = tuple[int, ...]
 Action = tuple[int, ...]
+# per device: (cumulative transition row without its last entry, stride)
+DeviceRows = tuple[tuple[tuple[float, ...], int], ...]
+
+# tabular methods enumerate every joint state, and every (state, action) pair
+MAX_JOINT_STATES = 1_000
+MAX_JOINT_PAIRS = 100_000
 
 
 @dataclass(frozen=True)
@@ -70,6 +86,11 @@ class DeviceGroupMdp:
                     raise LedgerError("BadFormat", "transition row shape")
                 if abs(sum(row) - 1.0) > 1e-12:
                     raise LedgerError("BadFormat", f"row sums to {sum(row)!r}")
+        for row in self.capacity:
+            if len(row) != self.n_states or any(not isinstance(c, int) or c < 0 for c in row):
+                raise LedgerError("BadFormat", "capacity row needs one non-negative int per state")
+        if not math.isfinite(self.arrival_rate) or self.arrival_rate < 0:
+            raise LedgerError("BadFormat", f"arrival rate {self.arrival_rate!r} must be finite and >= 0")
 
     @property
     def n_actions(self) -> int:
@@ -77,6 +98,23 @@ class DeviceGroupMdp:
 
     def joint_size(self) -> int:
         return self.n_states ** self.n_devices
+
+    def require_tabular(self) -> None:
+        """Raise unless the joint states and (state, action) pairs are few
+        enough to enumerate."""
+        states = self.joint_size()
+        if states > MAX_JOINT_STATES or states * self.n_actions ** self.n_devices > MAX_JOINT_PAIRS:
+            raise LedgerError("BadFormat", "device group too large for tabular methods")
+
+    def table(self) -> "JointTable":
+        """The indexed joint MDP, built at first use and kept on the instance."""
+        try:
+            return self._table
+        except AttributeError:
+            self.require_tabular()
+            table = JointTable.build(self)
+            object.__setattr__(self, "_table", table)
+            return table
 
     def states(self):
         return itertools.product(range(self.n_states), repeat=self.n_devices)
@@ -102,9 +140,6 @@ class DeviceGroupMdp:
                 return k
             k += 1
 
-    def reward(self, state: State, action: Action, arrivals: int) -> int:
-        return min(arrivals, self.total_capacity(state, action))
-
     def expected_reward(self, state: State, action: Action) -> float:
         cap = self.total_capacity(state, action)
         if self.arrival_kind == CONSTANT:
@@ -121,27 +156,70 @@ class DeviceGroupMdp:
         return acc + cap * tail
 
     def step(self, rng: random.Random, state: State, action: Action) -> tuple[State, int]:
-        arrivals = self.sample_arrivals(rng)
-        r = self.reward(state, action, arrivals)
-        nxt = []
-        for s, a in zip(state, action):
-            row = self.transitions[a][s]
-            u = rng.random()
-            acc = 0.0
-            pick = self.n_states - 1
-            for j, p in enumerate(row):
-                acc += p
-                if u < acc:
-                    pick = j
-                    break
-            nxt.append(pick)
-        return tuple(nxt), r
+        """Draw arrivals, then each device's next state; returns the next
+        joint state and the requests served."""
+        table = self.table()
+        si, ai = table.state_index[state], table.action_index[action]
+        r = min(self.sample_arrivals(rng), table.capacity[si][ai])
+        return table.states[sample_next(rng.random, table.devices[si][ai])], r
 
     def transition_prob(self, state: State, action: Action, nxt: State) -> float:
         p = 1.0
         for s, a, t in zip(state, action, nxt):
             p *= self.transitions[a][s][t]
         return p
+
+
+@dataclass(frozen=True)
+class JointTable:
+    """A device group's joint MDP over indices, in ``itertools.product`` order.
+
+    ``capacity[si][ai]`` is the total capacity of joint state ``si`` under
+    joint action ``ai``; ``devices[si][ai]`` holds one ``(cum, stride)`` per
+    device, where ``cum`` is the device's cumulative transition row without
+    its last entry and ``stride`` is the weight of its state in the index.
+    """
+
+    states: tuple[State, ...]
+    actions: tuple[Action, ...]
+    state_index: dict[State, int]
+    action_index: dict[Action, int]
+    capacity: tuple[tuple[int, ...], ...]
+    devices: tuple[tuple[DeviceRows, ...], ...]
+
+    @staticmethod
+    def build(mdp: DeviceGroupMdp) -> "JointTable":
+        states = tuple(mdp.states())
+        actions = tuple(mdp.actions())
+        # accumulate adds left to right, as a running sum over the row does
+        cum = [[tuple(itertools.accumulate(row))[:-1] for row in matrix] for matrix in mdp.transitions]
+        # per device d: (cum, stride) for each (action, state), shared by every pair
+        rows = [
+            [[(cum[a][s], mdp.n_states ** (mdp.n_devices - 1 - d)) for s in range(mdp.n_states)]
+             for a in range(mdp.n_actions)]
+            for d in range(mdp.n_devices)
+        ]
+        return JointTable(
+            states=states,
+            actions=actions,
+            state_index={s: i for i, s in enumerate(states)},
+            action_index={a: i for i, a in enumerate(actions)},
+            capacity=tuple(tuple(mdp.total_capacity(s, a) for a in actions) for s in states),
+            devices=tuple(
+                tuple(tuple(rows[d][a_d][s_d] for d, (s_d, a_d) in enumerate(zip(s, a))) for a in actions)
+                for s in states
+            ),
+        )
+
+
+def sample_next(uniform, devices: DeviceRows) -> int:
+    """Joint index of the next state: one ``uniform()`` draw per device, in
+    device order, each mapped through ``bisect_right`` on its cumulative row
+    (the first j with u < cum[j], else the last state)."""
+    nxt = 0
+    for cum, stride in devices:
+        nxt += stride * bisect_right(cum, uniform())
+    return nxt
 
 
 def three_state_fixture(arrival_rate: float = 1.0) -> DeviceGroupMdp:

@@ -4,6 +4,14 @@ The two update rules are the classic ones: SARSA bootstraps on the action
 actually taken next, Q-learning on the greedy maximum. Training is seeded
 and single-threaded, so a (seed, hyperparameters) pair pins the entire
 QTable bit for bit.
+
+``train`` runs over the MDP's ``JointTable``: Q values and visit counts
+are per-state lists indexed by joint action, the argmax is the first
+maximum (ties go to the lowest action tuple, as in ``best_action``), and
+next states come from ``sample_next`` in mdp.py, the rule
+``DeviceGroupMdp.step`` uses. The single-step functions below
+(``q_update``, ``sarsa_update``, ``best_action``, ``max_q``) compute the
+same updates on a ``QTable``.
 """
 from __future__ import annotations
 
@@ -11,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 
 from ..errors import LedgerError
-from .mdp import Action, DeviceGroupMdp, State
+from .mdp import POISSON, Action, DeviceGroupMdp, State, sample_next
 
 ON_POLICY = "on_policy"
 OFF_POLICY = "off_policy"
@@ -73,49 +81,71 @@ def train(
 
     With q.alpha set to None the step size decays per state-action visit
     as 1/(1+visits). epsilon_schedule maps the episode index to an
-    exploration rate, defaulting to the constant q.epsilon.
+    exploration rate, defaulting to the constant q.epsilon. Training starts
+    from the values already in q and writes back the pairs it updated, in
+    the order they were first updated.
     """
-    if mdp.joint_size() > 1_000:
-        raise LedgerError("BadFormat", "device group too large for tabular training")
     if mode not in (ON_POLICY, OFF_POLICY):
         raise LedgerError("BadFormat", f"unknown mode {mode}")
+    table = mdp.table()
+    n_actions = len(table.actions)
+    values = [[0.0] * n_actions for _ in table.states]
+    for (s, a), v in q.values.items():
+        si, ai = table.state_index.get(s), table.action_index.get(a)
+        if si is not None and ai is not None:
+            values[si][ai] = v
+    visits = [[0] * n_actions for _ in table.states]
+    update_order: list[tuple[int, int]] = []
+    capacity, devices = table.capacity, table.devices
+    alpha, gamma_d = q.alpha, q.gamma_d
+    off_policy = mode == OFF_POLICY
+    start = table.state_index[mdp.initial_state()]
     rng = random.Random(seed)
-    actions = list(mdp.actions())
-    visits: dict[tuple[State, Action], int] = {}
+    uniform, randrange = rng.random, rng.randrange
+    poisson = mdp.arrival_kind == POISSON
+    arrivals = 0 if poisson else mdp.sample_arrivals(rng)  # a constant stream draws nothing
 
-    def step_size(s: State, a: Action) -> float:
-        if q.alpha is not None:
-            return q.alpha
-        n = visits.get((s, a), 0)
-        visits[(s, a)] = n + 1
-        return 1.0 / (1.0 + n)
-
-    def pick(s: State, eps: float) -> Action:
-        if rng.random() < eps:
-            return actions[rng.randrange(len(actions))]
-        return best_action(q, s, actions)
+    def pick(si: int, eps: float) -> int:
+        if uniform() < eps:
+            return randrange(n_actions)
+        row = values[si]
+        return row.index(max(row))
 
     for episode in range(episodes):
         eps = q.epsilon if epsilon_schedule is None else epsilon_schedule(episode)
-        s = mdp.initial_state()
-        a = pick(s, eps)
+        si = start
+        ai = pick(si, eps)
         for _ in range(steps_per_episode):
-            s2, r = mdp.step(rng, s, a)
-            if mode == ON_POLICY:
-                a2 = pick(s2, eps)
-                sarsa_update(q, s, a, r, s2, a2, alpha=step_size(s, a))
-                s, a = s2, a2
+            if poisson:
+                arrivals = mdp.sample_arrivals(rng)
+            cap = capacity[si][ai]
+            r = arrivals if arrivals <= cap else cap  # min(arrivals, cap), without the call
+            s2 = sample_next(uniform, devices[si][ai])
+            if off_policy:
+                target = max(values[s2])
             else:
-                q_update(q, s, a, r, s2, actions, alpha=step_size(s, a))
-                s = s2
-                a = pick(s, eps)
+                a2 = pick(s2, eps)
+                target = values[s2][a2]
+            n = visits[si][ai]
+            visits[si][ai] = n + 1
+            if n == 0:
+                update_order.append((si, ai))
+            step = 1.0 / (1.0 + n) if alpha is None else alpha
+            row = values[si]
+            row[ai] = row[ai] + step * (r + gamma_d * target - row[ai])
+            if off_policy:
+                si = s2
+                ai = pick(si, eps)
+            else:
+                si, ai = s2, a2
+    for si, ai in update_order:
+        q.values[(table.states[si], table.actions[ai])] = values[si][ai]
     return q
 
 
 def value_iteration(mdp: DeviceGroupMdp, gamma_d: float, tol: float = 1e-12, max_iter: int = 1_000_000) -> dict[tuple[State, Action], float]:
     """Bellman-optimality fixed point over the enumerated joint MDP."""
-    if mdp.joint_size() > 1_000:
-        raise LedgerError("BadFormat", "device group too large to enumerate")
+    mdp.require_tabular()
     states = list(mdp.states())
     actions = list(mdp.actions())
     expected = {

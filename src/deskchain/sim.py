@@ -403,9 +403,7 @@ class Simulation:
             self.log(dst, "drop", kind=kind, reason="offline_or_partitioned")
             return
         if kind == BLOCK:
-            from .codec import Reader
-
-            block = Block.read(Reader(payload[0]))
+            block = Block.decode(payload[0])
             self.accept_block(node, block, origin=src)
         elif kind == TX:
             t = txmod.decode_tx(payload[0])

@@ -12,7 +12,7 @@ from . import tx as txmod
 from .codec import Reader, Writer
 from .config import NetworkConfig, load_config
 from .crypto import KeyPair
-from .errors import DeskchainError
+from .errors import CodecError, DeskchainError
 from .ledger import Block, validate_header
 from .channels import SignedState
 from .state import ChainState
@@ -85,9 +85,16 @@ class StateDir:
             data = fh.read()
         pos = 0
         while pos < len(data):
-            size = int.from_bytes(data[pos : pos + 4], "big")
-            out.append(Block.read(Reader(data[pos + 4 : pos + 4 + size])))
-            pos += 4 + size
+            end = pos + 4 + int.from_bytes(data[pos : pos + 4], "big")
+            if end > len(data):
+                raise DeskchainError(
+                    f"{path}: record {len(out)} at byte {pos} runs past the end of the file (torn tail)"
+                )
+            try:
+                out.append(Block.decode(data[pos + 4 : end]))
+            except CodecError as exc:
+                raise CodecError(f"{path}: record {len(out)} at byte {pos}: {exc}") from exc
+            pos = end
         return out
 
     def load_chain(self) -> tuple[NetworkConfig, ChainState, list[Block]]:

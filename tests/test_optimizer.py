@@ -15,7 +15,7 @@ from deskchain.optimizer import (
     value_iteration,
 )
 from deskchain.optimizer.files import parse_factor_graph, parse_mdp
-from deskchain.optimizer.mdp import three_state_fixture
+from deskchain.optimizer.mdp import MAX_JOINT_PAIRS, MAX_JOINT_STATES, three_state_fixture
 from deskchain.optimizer.td import best_action
 
 
@@ -108,6 +108,45 @@ def test_mdp_row_sum_validation():
         DeviceGroupMdp(
             1, 2, ("a",), (((0.5, 0.4), (0.0, 1.0)),), ((1, 1),)
         )
+
+
+_RUN_REPAIR = (
+    ((0.7, 0.3, 0.0), (0.0, 0.6, 0.4), (0.0, 0.0, 1.0)),
+    ((1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
+)
+
+
+@pytest.mark.parametrize("capacity", [
+    ((1,), (0, 0, 0)),          # one entry for three states
+    ((1, 1, 0, 1), (0, 0, 0)),  # four entries
+    ((-3, 1, 0), (0, 0, 0)),    # negative capacity
+    ((1, 1.5, 0), (0, 0, 0)),   # not an int
+])
+def test_mdp_rejects_bad_capacity_rows(capacity):
+    with pytest.raises(LedgerError) as err:
+        DeviceGroupMdp(1, 3, ("run", "repair"), _RUN_REPAIR, capacity)
+    assert err.value.code == "BadFormat"
+
+
+@pytest.mark.parametrize("kind", ["constant", "poisson"])
+@pytest.mark.parametrize("rate", [-1.0, math.inf, math.nan])
+def test_mdp_rejects_bad_arrival_rates(kind, rate):
+    with pytest.raises(LedgerError) as err:
+        dataclasses.replace(three_state_fixture(), arrival_kind=kind, arrival_rate=rate)
+    assert err.value.code == "BadFormat"
+
+
+def test_parse_mdp_surfaces_constructor_errors():
+    for old, new in (
+        ("capacity run 1 1 0", "capacity run 1"),
+        ("capacity run 1 1 0", "capacity run -3 1 0"),
+        ("arrivals constant 1", "arrivals poisson -1"),
+    ):
+        text = MDP_TEXT.replace(old, new)
+        assert text != MDP_TEXT
+        with pytest.raises(LedgerError) as err:
+            parse_mdp(text)
+        assert err.value.code == "BadFormat"
 
 
 def test_mdp_poisson_expected_reward_matches_truncated_mean():
@@ -226,6 +265,26 @@ def test_train_rejects_oversized_mdp():
     )
     with pytest.raises(LedgerError):
         train(mdp, QTable(), episodes=1, seed=0)
+
+
+def test_tabular_methods_bound_joint_actions_too():
+    # 2^9 = 512 joint states pass the state bound, but 4^9 = 262,144 joint
+    # actions make 134 million (state, action) pairs
+    step = ((1.0, 0.0), (0.0, 1.0))
+    mdp = DeviceGroupMdp(9, 2, ("a", "b", "c", "d"), (step,) * 4, ((1, 1),) * 4)
+    assert mdp.joint_size() <= MAX_JOINT_STATES
+    with pytest.raises(LedgerError, match="too large"):
+        train(mdp, QTable(), episodes=1, seed=0)
+    with pytest.raises(LedgerError, match="too large"):
+        value_iteration(mdp, gamma_d=0.5)
+    # 2^8 states x 3^8 joint actions = 1,679,616 pairs
+    mdp = DeviceGroupMdp(8, 2, ("a", "b", "c"), (step,) * 3, ((1, 1),) * 3)
+    with pytest.raises(LedgerError, match="too large"):
+        train(mdp, QTable(), episodes=1, seed=0)
+    # 2^5 states x 3^5 joint actions = 7,776 pairs train
+    mdp = DeviceGroupMdp(5, 2, ("a", "b", "c"), (step,) * 3, ((1, 1),) * 3)
+    assert mdp.joint_size() * mdp.n_actions ** mdp.n_devices <= MAX_JOINT_PAIRS
+    assert train(mdp, QTable(), episodes=1, seed=0, steps_per_episode=5).values
 
 
 # --- belief propagation ---

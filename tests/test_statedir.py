@@ -4,7 +4,8 @@ import pytest
 
 from deskchain import tx as txmod
 from deskchain.crypto import KeyPair
-from deskchain.errors import CodecError
+from deskchain.errors import CodecError, DeskchainError
+from deskchain.ledger import Block, BlockHeader
 from deskchain.statedir import StateDir
 
 
@@ -20,3 +21,40 @@ def test_failed_mempool_write_leaves_the_previous_file(tmp_path):
     assert (tmp_path / "mempool.bin").read_bytes() == before
     assert sd.mempool() == txs
     assert os.listdir(tmp_path) == ["mempool.bin"]
+
+
+def _two_block_chain(sd):
+    alice, bob = KeyPair.from_name("alice"), KeyPair.from_name("bob").address
+    spend = txmod.sign_tx(txmod.Spend(alice.address, bob, 5, 1, 1), alice)
+    blocks = [
+        Block(BlockHeader(h, *[bytes([h]) * 32] * 8, bytes(32), alice.address, h, (1, 2)), txs)
+        for h, txs in ((0, ()), (1, (spend,)))
+    ]
+    for block in blocks:
+        sd.append_block(block)
+    assert sd.blocks() == blocks
+    return blocks
+
+
+def test_blocks_rejects_a_padded_record(tmp_path):
+    sd = StateDir(str(tmp_path))
+    first, second = _two_block_chain(sd)
+    offset = 4 + len(first.encode())
+    padded = second.encode() + b"\0\0\0"
+    (tmp_path / "chain.bin").write_bytes(
+        (tmp_path / "chain.bin").read_bytes()[:offset] + len(padded).to_bytes(4, "big") + padded
+    )
+    with pytest.raises(CodecError, match=f"record 1 at byte {offset}: 3 trailing bytes"):
+        sd.blocks()
+
+
+def test_blocks_reports_a_torn_tail(tmp_path):
+    sd = StateDir(str(tmp_path))
+    first, _ = _two_block_chain(sd)
+    chain = tmp_path / "chain.bin"
+    for cut in (5, len(chain.read_bytes()) - 4 - len(first.encode()) - 2):
+        data = (tmp_path / "chain.bin").read_bytes()
+        chain.write_bytes(data[:-cut])
+        with pytest.raises(DeskchainError, match=f"record 1 at byte {4 + len(first.encode())} runs past the end"):
+            sd.blocks()
+        chain.write_bytes(data)
