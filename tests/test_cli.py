@@ -210,3 +210,99 @@ def test_optimizer_evaluate_cli(tmp_path, capsys):
     learned = float(out.split("learned_policy_reward_per_step=")[1].splitlines()[0])
     optimal = float(out.split("optimal_policy_reward_per_step=")[1].splitlines()[0])
     assert learned >= optimal - 0.05
+
+
+_FLOW_CFG = """
+pow.edge_bits = 8
+channel.countdown_blocks = 3
+oracle.deposit_rate = 2
+oracle.challenge_window = 3
+oracle.vote_window = 4
+epoch.blocks = 8
+pool.q0 = 50000
+genesis.account = alice 100dsd
+genesis.account = bob 100dsd
+genesis.account = carol 100dsd
+genesis.endowment = 200dsd
+"""
+
+# one command per line, continued after a trailing backslash; {name} is
+# filled from an earlier command's `contract=`, `channel=` or `question=`
+# output, numbered in order of minting
+_FLOW = """
+send --from alice --to bob --amount 5dsd --fee 9
+contract create --owner bob --code template:payment-split --deposit 1000 \\
+    --gas 40 --gas-price 2 --call-data 1000,3,1
+name claim --owner carol --name plant-7 --target bob
+mine --miner carol
+name resolve --name plant-7
+contract call --caller alice --contract {contract0} --amount 500 \\
+    --gas 30 --gas-price 2 --call-data 1000,3,1
+channel open --a bob --b carol --deposit-a 2dsd --deposit-b 1dsd
+mine --miner alice
+channel update --channel {channel0} --balance-a 1dsd --balance-b 2dsd
+channel close-coop --channel {channel0} --sender carol
+channel open --a alice --b bob --deposit-a 5dsd --deposit-b 5dsd
+mine --miner carol
+channel update --channel {channel1} --balance-a 6dsd --balance-b 4dsd
+channel update --channel {channel1} --balance-a 2dsd --balance-b 8dsd
+channel close --channel {channel1} --sender alice --nonce 1
+oracle ask --asker carol --question lot-9-shipped --start 4 --end 9
+mine --miner bob
+channel challenge --channel {channel1} --sender bob
+oracle answer --sender carol --question-id {question0} --bit yes
+channel open --a alice --b carol --deposit-a 1dsd --deposit-b 1dsd
+mine --miner bob
+oracle counter --sender alice --question-id {question0}
+channel close --channel {channel2} --sender carol
+mine --miner bob --count 3
+channel finalize --channel {channel1} --sender bob
+channel finalize --channel {channel2} --sender carol
+oracle vote --sender bob --question-id {question0} --bit no
+mine --miner alice
+storage commit --payer alice --provider bob --data-file {data} --chunk-size 8 \\
+    --period 2 --reward 50 --escrow 600
+mine --miner alice --count 4
+oracle resolve --sender alice --question-id {question0}
+storage prove --provider bob --contract {contract1} --data-file {data} --chunk-size 8
+mine --miner carol
+oracle read --question-id {question0}
+storage close --payer alice --contract {contract1}
+mine --miner carol --count 2
+send --from bob --to alice --amount 1dsd
+"""
+
+CLI_FLOW_DIGESTS = {
+    "stdout": "6951140285cc0517af433d7a25b998cf4e456917b58f9ca7a31d6eb174be426c",
+    # the first finalize exits 1: bob's challenge already settled that channel
+    "exit_codes": "0000000000000000000000001000000000000",
+    "chain.bin": "02f9f957f11d25be8bd4a8646538fcab5c44971d098161d1126fff32d70a16e4",
+    "mempool.bin": "229c8772091838927460d53a8114b228fdd1d86371b042204052f2f671d7e659",
+}
+
+
+def test_cli_flow_is_pinned(tmp_path, capsys):
+    """Every tx verb through the CLI, across an epoch boundary, byte for byte."""
+    import hashlib
+
+    (tmp_path / "net.cfg").write_text(_FLOW_CFG)
+    (tmp_path / "data.bin").write_bytes(bytes(range(40)))
+    ids = {"data": str(tmp_path / "data.bin")}
+    assert run(tmp_path, "genesis", "--config", str(tmp_path / "net.cfg")) == 0
+    stdout, codes = [capsys.readouterr().out], []
+    for line in _FLOW.replace("\\\n", "").strip().splitlines():
+        argv = line.format(**ids).split()
+        codes.append(run(tmp_path, *argv))
+        out = capsys.readouterr().out
+        stdout.append(out)
+        if argv[1] in ("create", "open", "ask", "commit"):
+            key, value = out.split()[0].split("=")
+            ids[f"{key}{sum(k.startswith(key) for k in ids)}"] = value
+    state = tmp_path / "state"
+    got = {
+        "stdout": hashlib.sha256("".join(stdout).encode()).hexdigest(),
+        "exit_codes": "".join(map(str, codes)),
+        "chain.bin": hashlib.sha256((state / "chain.bin").read_bytes()).hexdigest(),
+        "mempool.bin": hashlib.sha256((state / "mempool.bin").read_bytes()).hexdigest(),
+    }
+    assert got == CLI_FLOW_DIGESTS, "".join(stdout)

@@ -157,3 +157,59 @@ def test_event_log_format():
     assert all(line.startswith("t=") for line in lines)
     assert any("ev=mine" in line for line in lines)
     assert lines[-1].startswith("t=") and "ev=final" in lines[-1]
+
+
+_SPLIT_ASM = """\
+; stack in: total ratio_a ratio_b; out: a = total*ra/(ra+rb), b = total - a
+STORE 2
+STORE 1
+STORE 0
+LOAD 0
+LOAD 1
+MUL
+LOAD 1
+LOAD 2
+ADD
+DIV
+STORE 3
+LOAD 0
+LOAD 3
+SUB
+STORE 4
+LOAD 3
+LOAD 4
+STOP
+"""
+
+# an explicit channel-challenge carrying an asm: program, asm: contract code
+# and file: storage data; no committed fixture reaches these paths
+_UNCOVERED_SCENARIO = """\
+0 mine alice
+1 storage-commit alice alice bob file:data.bin 8 2 50 600 as store1
+2 channel-open bob bob carol 5dsd 5dsd as ch1
+3 contract-create dave dave asm:split.asm 1000 0 40 2 call=1000,3,1 as c1
+4 mine bob
+6 channel-update bob ch1 6dsd 4dsd
+10 channel-update carol ch1 3dsd 7dsd contract=asm:split.asm cstate=10dsd,3,7
+14 channel-close bob ch1 nonce=1 fee=5
+15 channel-challenge carol ch1
+17 mine dave
+20 mine dave 2
+23 storage-prove bob bob store1
+24 contract-call alice alice c1 0 30 2 call=900,1,2
+25 mine bob
+27 mine alice 2
+"""
+
+UNCOVERED_EVENT_LOG_DIGEST = "f111f4bae75713a2c18c7ee5cc2682d6088608b8621c2eff7646bbd1c6af30ea"
+
+
+def test_uncovered_verbs_are_pinned(tmp_path):
+    (tmp_path / "split.asm").write_text(_SPLIT_ASM)
+    (tmp_path / "data.bin").write_bytes(bytes(range(40)))
+    result = sim.run(CFG, _UNCOVERED_SCENARIO, seed=7, base_dir=str(tmp_path))
+    # carol's nonce-2 state, settled by the program: 10dsd split 3:7
+    assert result.state.channels[result.handles["ch1"]].final_split == (3_000_000, 7_000_000)
+    assert all(r.status == "applied" for r in result.receipts) and len(result.receipts) == 7
+    digest = hashlib.sha256(result.event_log.encode()).hexdigest()
+    assert digest == UNCOVERED_EVENT_LOG_DIGEST, result.event_log
