@@ -9,7 +9,7 @@ split of the locked total.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .codec import Reader, Writer, check_amount
 from .crypto import ADDRESS_SIZE, HASH_SIZE, SIG_SIZE, ZERO_SIG, hash256, verify_sig
@@ -181,6 +181,49 @@ def sign_state(ss: SignedState, keypair, side: str) -> SignedState:
     if side == "b":
         return replace(ss, sig_b=sig)
     raise ValueError(f"side must be 'a' or 'b', not {side!r}")
+
+
+@dataclass
+class ChannelEndpoint:
+    """One holder's durable view of one channel: the doubly signed states in
+    nonce order and the programs they name. A simulated party keeps its
+    ``side`` and a volatile half-signed ``pending`` proposal; the CLI's state
+    directory holds both parties' keys and leaves ``side`` unset."""
+
+    channel_id: bytes
+    side: str | None = None  # "a" or "b"
+    history: list[SignedState] = field(default_factory=list)
+    pending: SignedState | None = None
+    programs: dict[bytes, Program] = field(default_factory=dict)
+
+    def latest(self) -> SignedState | None:
+        return self.history[-1] if self.history else None
+
+    def latest_nonce(self) -> int:
+        return self.history[-1].nonce if self.history else 0
+
+    def record(self, ss: SignedState) -> None:
+        if not self.history or ss.nonce > self.history[-1].nonce:
+            self.history.append(ss)
+
+    def by_nonce(self, nonce: int) -> SignedState | None:
+        return next((ss for ss in self.history if ss.nonce == nonce), None)
+
+    def program_for(self, ss: SignedState | None) -> Program | None:
+        """The program ``ss`` settles by, if it names one this holder has."""
+        return self.programs.get(ss.contract_hash) if ss and ss.contract_hash else None
+
+    def propose(
+        self, channel: Channel, balances: tuple[int, int], program: Program | None = None,
+        contract_state: tuple[int, ...] = (),
+    ) -> SignedState:
+        """The unsigned successor of the latest state; remembers its program."""
+        contract_hash = None
+        if program is not None:
+            contract_hash = program.code_hash()
+            self.programs[contract_hash] = program
+        prev = self.latest() or nonce_zero_state(channel)
+        return make_update(channel, prev, balances, contract_hash, contract_state)
 
 
 def settle_split(

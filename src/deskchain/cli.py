@@ -2,33 +2,44 @@
 
 Subcommands mirror the protocol: keygen, genesis, mine, send, contract
 create|call, name claim|resolve, channel open|update|close|close-coop|
-challenge|finalize, oracle ask|answer|counter|resolve|read, storage
-commit|prove|quote|close, epoch run, optimizer train|bp, sim run. Output
-is line-oriented text with lowercase hex hashes and integer base-unit
-amounts. Exit codes: 0 ok, 1 protocol/scenario error, 2 usage.
+challenge|finalize, oracle ask|answer|counter|vote|resolve|read, storage
+commit|prove|quote|close, epoch run, optimizer train|evaluate|bp, sim run.
+Output is line-oriented text with lowercase hex hashes and integer
+base-unit amounts. Exit codes: 0 ok, 1 protocol/scenario error, 2 usage.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from . import channels, oracles, rewards, sim, storage, templates, tx as txmod
+from .channels import ChannelEndpoint
 from .config import NetworkConfig, load_config, parse_amount
 from .crypto import hash256
 from .errors import DeskchainError
-from .merkle import merkle_prove
+from .merkle import merkle_prove, merkle_root
+from .node import Node
 from .optimizer import (
     QTable, bp_marginals, greedy_policy, train, value_iteration,
 )
 from .optimizer.files import load_factor_graph, load_mdp
 from .statedir import StateDir
-from .vm import Program, assemble
 
 
-def _amount(text: str) -> int:
-    return parse_amount(text)
+def _hex(text: str) -> bytes:
+    try:
+        return bytes.fromhex(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not hex: {text!r}") from None
+
+
+def _account(token: str) -> str:
+    """A key name, or ``hex:`` and a raw address (checked here, so bad hex is
+    a usage error)."""
+    if token.startswith("hex:"):
+        _hex(token[4:])
+    return token
 
 
 def _addr(sd: StateDir, token: str) -> bytes:
@@ -37,36 +48,25 @@ def _addr(sd: StateDir, token: str) -> bytes:
     return sd.key(token).address
 
 
-def _next_counter(state, sd: StateDir, address: bytes) -> int:
-    account = state.accounts.get(address)
-    base = account.counter if account else 0
-    pending = sum(1 for t in sd.mempool() if txmod.tx_sender(t) == address)
-    return base + pending + 1
+def _load(sd: StateDir) -> Node:
+    _, state, blocks = sd.load_chain()
+    return Node(state, blocks[-1].header, sd.mempool())
 
 
-def _submit(sd: StateDir, state, cfg, t, keyname: str, prev_hash: bytes = b"\x00" * 32):
-    signed = txmod.sign_tx(t, sd.key(keyname))
-    txmod.check_tx(state, signed, cfg)
+def _submit(sd: StateDir, node: Node, t) -> None:
+    state = node.state
+    txmod.check_tx(state, t, state.cfg)
     # refuse transactions that would revert against the next block; mined
     # blocks still honor fee-paying reverts, this is purely front-end care
-    probe = state.clone()
     probe_ctx = txmod.ApplyCtx(
-        miner=txmod.tx_sender(signed), height=state.height + 1, cfg=cfg,
-        prev_block_hash=prev_hash,
+        miner=txmod.tx_sender(t), height=state.height + 1, cfg=state.cfg,
+        prev_block_hash=node.header.block_hash(),
     )
-    receipt = txmod.apply_tx(probe, signed, probe_ctx)
+    receipt = txmod.apply_tx(state.clone(), t, probe_ctx)
     if receipt.status == txmod.REVERTED:
         raise DeskchainError(f"transaction would revert: {receipt.reason}")
-    sd.add_to_mempool(signed)
-    print(f"tx={txmod.tx_hash(signed).hex()}")
-    return signed
-
-
-def _program_ref(token: str) -> Program:
-    if token.startswith("template:"):
-        return templates.TEMPLATES[token.split(":", 1)[1]]
-    with open(token, "r", encoding="utf-8") as fh:
-        return assemble(fh.read())
+    sd.add_to_mempool(t)
+    print(f"tx={txmod.tx_hash(t).hex()}")
 
 
 def cmd_keygen(sd: StateDir, args) -> int:
@@ -93,26 +93,17 @@ def cmd_genesis(sd: StateDir, args) -> int:
 
 
 def cmd_mine(sd: StateDir, args) -> int:
-    cfg, state, blocks = sd.load_chain()
+    node = _load(sd)
     miner = _addr(sd, args.miner)
     for _ in range(args.count):
-        candidates = sd.mempool()
-        next_height = blocks[-1].header.height + 1
-        if next_height % cfg.blocks_per_epoch == 0 and not any(
-            isinstance(t, txmod.EpochTx) for t in candidates
-        ):
-            candidates.append(
-                txmod.EpochTx(rewards.EpochReport(state.pool.epoch_index + 1, (), (), ()))
-            )
-        block = txmod.build_block(state, candidates, miner, blocks[-1].header)
+        block = node.build_next_block(miner)
         if block is None:
             print("error: PoW nonce budget exhausted", file=sys.stderr)
             return 1
-        state, receipts = txmod.apply_block(state, block)
+        state, receipts = txmod.apply_block(node.state, block)
+        node.set_tip(state, block.header)
         sd.append_block(block)
-        blocks.append(block)
-        included = {txmod.tx_hash(t) for t in block.transactions}
-        sd.write_mempool([t for t in sd.mempool() if txmod.tx_hash(t) not in included])
+        sd.write_mempool(list(node.mempool.values()))
         print(f"block height={block.header.height} hash={block.header.block_hash().hex()}")
         for receipt in receipts:
             print(receipt.render())
@@ -120,132 +111,97 @@ def cmd_mine(sd: StateDir, args) -> int:
 
 
 def cmd_send(sd: StateDir, args) -> int:
-    cfg, state, _ = sd.load_chain()
-    sender = _addr(sd, args.sender)
-    t = txmod.Spend(
-        sender, _addr(sd, args.recipient), _amount(args.amount), _amount(args.fee),
-        _next_counter(state, sd, sender),
+    node = _load(sd)
+    t = node.make(
+        sd.key(args.sender), txmod.Spend, _addr(sd, args.recipient), parse_amount(args.amount),
+        fee=parse_amount(args.fee),
     )
-    _submit(sd, state, cfg, t, args.sender)
+    _submit(sd, node, t)
     return 0
 
 
 def cmd_contract(sd: StateDir, args) -> int:
-    cfg, state, _ = sd.load_chain()
+    node = _load(sd)
     call_data = tuple(int(v) for v in args.call_data.split(",") if v)
+    fee = args.gas * args.gas_price
     if args.action == "create":
-        owner = _addr(sd, args.owner)
-        program = _program_ref(args.code)
-        counter = _next_counter(state, sd, owner)
-        t = txmod.ContractCreate(
-            owner, program, 1, _amount(args.deposit), _amount(args.amount),
-            args.gas, args.gas_price, call_data, args.gas * args.gas_price, counter,
+        program = templates.load_program(args.code, asm_prefix="")
+        t = node.make(
+            sd.key(args.owner), txmod.ContractCreate, program, 1, parse_amount(args.deposit),
+            parse_amount(args.amount), args.gas, args.gas_price, call_data, fee=fee,
         )
-        print(f"contract={txmod.contract_address(owner, counter).hex()}")
-        _submit(sd, state, cfg, t, args.owner)
+        print(f"contract={txmod.created_id(t).hex()}")
     else:
-        caller = _addr(sd, args.caller)
-        t = txmod.ContractCall(
-            caller, bytes.fromhex(args.contract), _amount(args.amount),
-            args.gas, args.gas_price, call_data, args.gas * args.gas_price,
-            _next_counter(state, sd, caller),
+        t = node.make(
+            sd.key(args.caller), txmod.ContractCall, args.contract, parse_amount(args.amount),
+            args.gas, args.gas_price, call_data, fee=fee,
         )
-        _submit(sd, state, cfg, t, args.caller)
+    _submit(sd, node, t)
     return 0
 
 
 def cmd_name(sd: StateDir, args) -> int:
-    cfg, state, _ = sd.load_chain()
+    node = _load(sd)
     if args.action == "resolve":
-        print(state.resolve_name(args.name).hex())
+        print(node.state.resolve_name(args.name).hex())
         return 0
-    owner = _addr(sd, args.owner)
-    t = txmod.NameClaim(
-        owner, args.name, _addr(sd, args.target), _amount(args.fee),
-        _next_counter(state, sd, owner),
+    t = node.make(
+        sd.key(args.owner), txmod.NameClaim, args.name, _addr(sd, args.target),
+        fee=parse_amount(args.fee),
     )
-    _submit(sd, state, cfg, t, args.owner)
+    _submit(sd, node, t)
     return 0
 
 
 def cmd_channel(sd: StateDir, args) -> int:
-    cfg, state, _ = sd.load_chain()
+    node = _load(sd)
     if args.action == "open":
-        a, b = _addr(sd, args.party_a), _addr(sd, args.party_b)
-        counter = _next_counter(state, sd, a)
-        t = txmod.ChannelOpen(
-            a, b, _amount(args.deposit_a), _amount(args.deposit_b),
-            _amount(args.fee), counter,
+        t = node.make(
+            sd.key(args.party_a), txmod.ChannelOpen, _addr(sd, args.party_b),
+            parse_amount(args.deposit_a), parse_amount(args.deposit_b),
+            fee=parse_amount(args.fee), cosigner=sd.key(args.party_b),
         )
-        t = replace(t, sig_b=sd.key(args.party_b).sign(t.signing_bytes()))
-        channel_id = channels.channel_id_for(a, b, counter)
-        print(f"channel={channel_id.hex()}")
-        _submit(sd, state, cfg, t, args.party_a)
+        print(f"channel={txmod.created_id(t).hex()}")
+        _submit(sd, node, t)
         return 0
 
-    channel_id = bytes.fromhex(args.channel)
-    channel = state.channels.get(channel_id)
+    channel_id = args.channel
+    channel = node.state.channels.get(channel_id)
     if channel is None:
-        raise DeskchainError(f"unknown channel {args.channel}")
+        raise DeskchainError(f"unknown channel {channel_id.hex()}")
     history, programs = sd.channel_states(channel_id)
-    name_a, name_b = _owner_names(sd, cfg, channel)
+    endpoint = ChannelEndpoint(channel_id, history=history, programs=programs)
     if args.action == "update":
-        prev = history[-1] if history else channels.nonce_zero_state(channel)
-        program = _program_ref(args.contract) if args.contract else None
-        cstate = tuple(int(v) for v in args.cstate.split(",") if v)
-        unsigned = channels.make_update(
-            channel, prev, (_amount(args.balance_a), _amount(args.balance_b)),
-            program.code_hash() if program else None, cstate,
+        name_a, name_b = _owner_names(sd, node.state.cfg, channel)
+        program = templates.load_program(args.contract, asm_prefix="") if args.contract else None
+        unsigned = endpoint.propose(
+            channel, (parse_amount(args.balance_a), parse_amount(args.balance_b)), program,
+            tuple(int(v) for v in args.cstate.split(",") if v),
         )
         full = channels.sign_state(unsigned, sd.key(name_a), "a")
         full = channels.sign_state(full, sd.key(name_b), "b")
-        history.append(full)
-        if program:
-            programs[program.code_hash()] = program
-        sd.write_channel_states(channel_id, history, programs)
+        endpoint.record(full)
+        sd.write_channel_states(channel_id, endpoint.history, endpoint.programs)
         print(f"channel={channel_id.hex()} nonce={full.nonce} balances={full.balance_a},{full.balance_b}")
         return 0
 
-    sender_name = args.sender
-    sender = _addr(sd, sender_name)
-    latest = history[-1] if history else None
+    ss = endpoint.latest()
+    if args.action == "close" and args.nonce is not None:
+        ss = endpoint.by_nonce(args.nonce)
+        if ss is None:
+            raise DeskchainError(f"no recorded state with nonce {args.nonce}")
     if args.action == "close-coop":
-        if latest is None:
+        if ss is None:
             raise DeskchainError("no doubly signed state recorded")
-        t = txmod.ChannelCloseCoop(
-            sender, channel_id, latest, None, _amount(args.fee),
-            _next_counter(state, sd, sender),
-        )
-    elif args.action == "close":
-        candidate = latest
-        if args.nonce is not None:
-            candidate = next((s for s in history if s.nonce == args.nonce), None)
-            if candidate is None:
-                raise DeskchainError(f"no recorded state with nonce {args.nonce}")
-        program = programs.get(candidate.contract_hash) if candidate and candidate.contract_hash else None
-        t = txmod.ChannelClose(
-            sender, channel_id, candidate, program, _amount(args.fee),
-            _next_counter(state, sd, sender),
-        )
-    elif args.action == "challenge":
-        if latest is None:
-            raise DeskchainError("nothing recorded to challenge with")
-        program = programs.get(latest.contract_hash) if latest.contract_hash else None
-        t = txmod.ChannelChallenge(
-            sender, channel_id, latest, program, _amount(args.fee),
-            _next_counter(state, sd, sender),
-        )
+        fields = (txmod.ChannelCloseCoop, channel_id, ss, None)
     elif args.action == "finalize":
-        program = None
-        if channel.candidate is not None and channel.candidate.contract_hash:
-            program = programs.get(channel.candidate.contract_hash)
-        t = txmod.ChannelFinalize(
-            sender, channel_id, None, program, _amount(args.fee),
-            _next_counter(state, sd, sender),
-        )
+        fields = (txmod.ChannelFinalize, channel_id, None, endpoint.program_for(channel.candidate))
+    elif args.action == "challenge" and ss is None:
+        raise DeskchainError("nothing recorded to challenge with")
     else:
-        raise DeskchainError(f"unknown channel action {args.action}")
-    _submit(sd, state, cfg, t, sender_name)
+        kind = txmod.ChannelClose if args.action == "close" else txmod.ChannelChallenge
+        fields = (kind, channel_id, ss, endpoint.program_for(ss))
+    _submit(sd, node, node.make(sd.key(args.sender), *fields, fee=parse_amount(args.fee)))
     return 0
 
 
@@ -265,43 +221,46 @@ def _owner_names(sd: StateDir, cfg, channel) -> tuple[str, str]:
         raise DeskchainError("channel party key not present in state dir") from exc
 
 
+_ORACLE_KINDS = {
+    "answer": txmod.OracleAnswer, "counter": txmod.OracleCounter,
+    "vote": txmod.OracleVote, "resolve": txmod.OracleResolve,
+}
+
+
 def cmd_oracle(sd: StateDir, args) -> int:
-    cfg, state, _ = sd.load_chain()
-    if args.action == "ask":
-        asker = _addr(sd, args.asker)
-        question_hash = hash256(args.question.encode("utf-8"))
-        counter = _next_counter(state, sd, asker)
-        t = txmod.OracleRegister(
-            asker, question_hash, args.start, args.end, _amount(args.fee), counter
-        )
-        print(f"question={oracles.question_id_for(asker, counter, question_hash).hex()}")
-        _submit(sd, state, cfg, t, args.asker)
-        return 0
-    question_id = bytes.fromhex(args.question_id)
+    node = _load(sd)
     if args.action == "read":
-        answer = oracles.read_answer(state, question_id)
+        answer = oracles.read_answer(node.state, args.question_id)
         print(f"answer={'yes' if answer is True else 'no' if answer is False else answer}")
         return 0
-    sender = _addr(sd, args.sender)
-    counter = _next_counter(state, sd, sender)
-    if args.action == "answer":
-        t = txmod.OracleAnswer(sender, question_id, args.bit == "yes", _amount(args.fee), counter)
-    elif args.action == "counter":
-        t = txmod.OracleCounter(sender, question_id, _amount(args.fee), counter)
-    elif args.action == "vote":
-        t = txmod.OracleVote(sender, question_id, args.bit == "yes", _amount(args.fee), counter)
+    fee = parse_amount(args.fee)
+    if args.action == "ask":
+        t = node.make(
+            sd.key(args.asker), txmod.OracleRegister, hash256(args.question.encode("utf-8")),
+            args.start, args.end, fee=fee,
+        )
+        print(f"question={txmod.created_id(t).hex()}")
     else:
-        t = txmod.OracleResolve(sender, question_id, _amount(args.fee), counter)
-    _submit(sd, state, cfg, t, args.sender)
+        bit = (args.bit == "yes",) if args.action in ("answer", "vote") else ()
+        kind = _ORACLE_KINDS[args.action]
+        t = node.make(sd.key(args.sender), kind, args.question_id, *bit, fee=fee)
+    _submit(sd, node, t)
     return 0
 
 
 def _load_chunks(args) -> list[bytes]:
-    if args.chunk_dir:
-        names = sorted(os.listdir(args.chunk_dir))
-        return [open(os.path.join(args.chunk_dir, n), "rb").read() for n in names]
-    with open(args.data_file, "rb") as fh:
-        return storage.chunk_data(fh.read(), args.chunk_size)
+    if not args.chunk_dir:
+        if not args.data_file:
+            raise DeskchainError("storage data needs --data-file or --chunk-dir")
+        with open(args.data_file, "rb") as fh:
+            return storage.chunk_data(fh.read(), args.chunk_size)
+    chunks = []
+    for name in sorted(os.listdir(args.chunk_dir)):
+        with open(os.path.join(args.chunk_dir, name), "rb") as fh:
+            chunks.append(fh.read())
+    if not chunks:
+        raise DeskchainError(f"no chunk files in {args.chunk_dir}")
+    return chunks
 
 
 def cmd_storage(sd: StateDir, args) -> int:
@@ -309,53 +268,39 @@ def cmd_storage(sd: StateDir, args) -> int:
         cfg = sd.config() if os.path.exists(sd.path("config.cfg")) else NetworkConfig()
         print(f"quote={storage.retrieval_quote(args.bytes, cfg)}")
         return 0
-    cfg, state, blocks = sd.load_chain()
+    node = _load(sd)
+    fee = parse_amount(args.fee)
     if args.action == "commit":
-        payer = _addr(sd, args.payer)
         chunks = _load_chunks(args)
-        from .merkle import merkle_root
-
-        root = merkle_root(chunks)
-        counter = _next_counter(state, sd, payer)
-        t = txmod.StorageCreate(
-            payer, _addr(sd, args.provider), root, len(chunks),
-            len(chunks[0]) if args.chunk_dir else args.chunk_size,
-            args.period, _amount(args.reward), _amount(args.escrow),
-            _amount(args.fee), counter,
+        t = node.make(
+            sd.key(args.payer), txmod.StorageCreate, _addr(sd, args.provider), merkle_root(chunks),
+            len(chunks), len(chunks[0]) if args.chunk_dir else args.chunk_size, args.period,
+            parse_amount(args.reward), parse_amount(args.escrow), fee=fee,
         )
-        print(f"contract={storage.contract_id_for(payer, counter).hex()} chunks={len(chunks)}")
-        _submit(sd, state, cfg, t, args.payer)
-        return 0
-    contract_id = bytes.fromhex(args.contract)
-    if args.action == "prove":
-        provider = _addr(sd, args.provider)
+        print(f"contract={txmod.created_id(t).hex()} chunks={len(chunks)}")
+    elif args.action == "prove":
         chunks = _load_chunks(args)
-        prev_hash = blocks[-1].header.block_hash()
-        index = storage.challenge_index(prev_hash, contract_id, len(chunks))
-        t = txmod.StorageProof(
-            provider, contract_id, chunks[index], merkle_prove(chunks, index),
-            _amount(args.fee), _next_counter(state, sd, provider),
+        index = storage.challenge_index(node.header.block_hash(), args.contract, len(chunks))
+        t = node.make(
+            sd.key(args.provider), txmod.StorageProof, args.contract, chunks[index],
+            merkle_prove(chunks, index), fee=fee,
         )
         print(f"proving index={index}")
-        _submit(sd, state, cfg, t, args.provider, prev_hash=prev_hash)
-        return 0
-    payer = _addr(sd, args.payer)
-    t = txmod.StorageClose(
-        payer, contract_id, _amount(args.fee), _next_counter(state, sd, payer)
-    )
-    _submit(sd, state, cfg, t, args.payer)
+    else:
+        t = node.make(sd.key(args.payer), txmod.StorageClose, args.contract, fee=fee)
+    _submit(sd, node, t)
     return 0
 
 
 def cmd_epoch(sd: StateDir, args) -> int:
     with open(args.factors, "r", encoding="utf-8") as fh:
         report = sim.parse_factors(fh.read(), args.epoch, {})
-    result = rewards.compute_epoch(report, _amount(args.gamma))
+    result = rewards.compute_epoch(report, parse_amount(args.gamma))
     sys.stdout.write(rewards.format_epoch_report(result))
     return 0
 
 
-def cmd_optimizer(args) -> int:
+def cmd_optimizer(sd: StateDir, args) -> int:
     if args.action == "bp":
         graph = load_factor_graph(args.graph)
         for var in sorted(graph.domains):
@@ -404,7 +349,7 @@ def cmd_optimizer(args) -> int:
     return 0
 
 
-def cmd_sim(args) -> int:
+def cmd_sim(sd: StateDir, args) -> int:
     cfg = load_config(args.config)
     with open(args.scenario, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -427,18 +372,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("keygen");  p.add_argument("name")
     p = sub.add_parser("genesis"); p.add_argument("--config", dest="config", required=True)
     p = sub.add_parser("mine")
-    p.add_argument("--miner", required=True)
+    p.add_argument("--miner", type=_account, required=True)
     p.add_argument("--count", type=int, default=1)
     p = sub.add_parser("send")
-    p.add_argument("--from", dest="sender", required=True)
-    p.add_argument("--to", dest="recipient", required=True)
+    p.add_argument("--from", dest="sender", type=_account, required=True)
+    p.add_argument("--to", dest="recipient", type=_account, required=True)
     p.add_argument("--amount", required=True)
     p.add_argument("--fee", default="1")
 
     p = sub.add_parser("contract")
     psub = p.add_subparsers(dest="action", required=True)
     c = psub.add_parser("create")
-    c.add_argument("--owner", required=True)
+    c.add_argument("--owner", type=_account, required=True)
     c.add_argument("--code", required=True, help="template:NAME or an assembly file")
     c.add_argument("--deposit", default="0")
     c.add_argument("--amount", default="0")
@@ -446,8 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--gas-price", type=int, default=1)
     c.add_argument("--call-data", default="")
     c = psub.add_parser("call")
-    c.add_argument("--caller", required=True)
-    c.add_argument("--contract", required=True)
+    c.add_argument("--caller", type=_account, required=True)
+    c.add_argument("--contract", type=_hex, required=True)
     c.add_argument("--amount", default="0")
     c.add_argument("--gas", type=int, default=100)
     c.add_argument("--gas-price", type=int, default=1)
@@ -456,9 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("name")
     psub = p.add_subparsers(dest="action", required=True)
     c = psub.add_parser("claim")
-    c.add_argument("--owner", required=True)
+    c.add_argument("--owner", type=_account, required=True)
     c.add_argument("--name", required=True)
-    c.add_argument("--target", required=True)
+    c.add_argument("--target", type=_account, required=True)
     c.add_argument("--fee", default="1")
     c = psub.add_parser("resolve")
     c.add_argument("--name", required=True)
@@ -466,21 +411,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("channel")
     psub = p.add_subparsers(dest="action", required=True)
     c = psub.add_parser("open")
-    c.add_argument("--a", dest="party_a", required=True)
-    c.add_argument("--b", dest="party_b", required=True)
+    c.add_argument("--a", dest="party_a", type=_account, required=True)
+    c.add_argument("--b", dest="party_b", type=_account, required=True)
     c.add_argument("--deposit-a", required=True)
     c.add_argument("--deposit-b", required=True)
     c.add_argument("--fee", default="1")
     c = psub.add_parser("update")
-    c.add_argument("--channel", required=True)
+    c.add_argument("--channel", type=_hex, required=True)
     c.add_argument("--balance-a", required=True)
     c.add_argument("--balance-b", required=True)
     c.add_argument("--contract", default="")
     c.add_argument("--cstate", default="")
     for action in ("close-coop", "close", "challenge", "finalize"):
         c = psub.add_parser(action)
-        c.add_argument("--channel", required=True)
-        c.add_argument("--sender", required=True)
+        c.add_argument("--channel", type=_hex, required=True)
+        c.add_argument("--sender", type=_account, required=True)
         c.add_argument("--fee", default="1")
         if action == "close":
             c.add_argument("--nonce", type=int, default=None)
@@ -488,30 +433,30 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle")
     psub = p.add_subparsers(dest="action", required=True)
     c = psub.add_parser("ask")
-    c.add_argument("--asker", required=True)
+    c.add_argument("--asker", type=_account, required=True)
     c.add_argument("--question", required=True)
     c.add_argument("--start", type=int, required=True)
     c.add_argument("--end", type=int, required=True)
     c.add_argument("--fee", default="1")
     for action in ("answer", "vote"):
         c = psub.add_parser(action)
-        c.add_argument("--sender", required=True)
-        c.add_argument("--question-id", required=True)
+        c.add_argument("--sender", type=_account, required=True)
+        c.add_argument("--question-id", type=_hex, required=True)
         c.add_argument("--bit", choices=("yes", "no"), required=True)
         c.add_argument("--fee", default="1")
     for action in ("counter", "resolve"):
         c = psub.add_parser(action)
-        c.add_argument("--sender", required=True)
-        c.add_argument("--question-id", required=True)
+        c.add_argument("--sender", type=_account, required=True)
+        c.add_argument("--question-id", type=_hex, required=True)
         c.add_argument("--fee", default="1")
     c = psub.add_parser("read")
-    c.add_argument("--question-id", required=True)
+    c.add_argument("--question-id", type=_hex, required=True)
 
     p = sub.add_parser("storage")
     psub = p.add_subparsers(dest="action", required=True)
     c = psub.add_parser("commit")
-    c.add_argument("--payer", required=True)
-    c.add_argument("--provider", required=True)
+    c.add_argument("--payer", type=_account, required=True)
+    c.add_argument("--provider", type=_account, required=True)
     c.add_argument("--data-file")
     c.add_argument("--chunk-dir", help="pre-chunked data, zero-padded index filenames")
     c.add_argument("--chunk-size", type=int, default=storage.DEFAULT_CHUNK_SIZE)
@@ -520,8 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--escrow", default="10000")
     c.add_argument("--fee", default="1")
     c = psub.add_parser("prove")
-    c.add_argument("--provider", required=True)
-    c.add_argument("--contract", required=True)
+    c.add_argument("--provider", type=_account, required=True)
+    c.add_argument("--contract", type=_hex, required=True)
     c.add_argument("--data-file")
     c.add_argument("--chunk-dir")
     c.add_argument("--chunk-size", type=int, default=storage.DEFAULT_CHUNK_SIZE)
@@ -529,8 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     c = psub.add_parser("quote")
     c.add_argument("--bytes", type=int, required=True)
     c = psub.add_parser("close")
-    c.add_argument("--payer", required=True)
-    c.add_argument("--contract", required=True)
+    c.add_argument("--payer", type=_account, required=True)
+    c.add_argument("--contract", type=_hex, required=True)
     c.add_argument("--fee", default="1")
 
     p = sub.add_parser("epoch")
@@ -566,39 +511,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    sd = StateDir(args.state_dir)
+    args = build_parser().parse_args(argv)
+    command = {
+        "keygen": cmd_keygen, "genesis": cmd_genesis, "mine": cmd_mine, "send": cmd_send,
+        "contract": cmd_contract, "name": cmd_name, "channel": cmd_channel,
+        "oracle": cmd_oracle, "storage": cmd_storage, "epoch": cmd_epoch,
+        "optimizer": cmd_optimizer, "sim": cmd_sim,
+    }[args.command]
     try:
-        if args.command == "keygen":
-            return cmd_keygen(sd, args)
-        if args.command == "genesis":
-            return cmd_genesis(sd, args)
-        if args.command == "mine":
-            return cmd_mine(sd, args)
-        if args.command == "send":
-            return cmd_send(sd, args)
-        if args.command == "contract":
-            return cmd_contract(sd, args)
-        if args.command == "name":
-            return cmd_name(sd, args)
-        if args.command == "channel":
-            return cmd_channel(sd, args)
-        if args.command == "oracle":
-            return cmd_oracle(sd, args)
-        if args.command == "storage":
-            return cmd_storage(sd, args)
-        if args.command == "epoch":
-            return cmd_epoch(sd, args)
-        if args.command == "optimizer":
-            return cmd_optimizer(args)
-        if args.command == "sim":
-            return cmd_sim(args)
-        parser.error(f"unknown command {args.command}")
+        return command(StateDir(args.state_dir), args)
     except DeskchainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

@@ -13,19 +13,21 @@ take a trailing `as handle` clause; later commands refer to the handle.
 from __future__ import annotations
 
 import heapq
+import os
 import random
 import shlex
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
-from . import channels, oracles, rewards, storage, templates, tx as txmod
-from .channels import SignedState
+from . import channels, rewards, storage, templates, tx as txmod
+from .channels import ChannelEndpoint, SignedState
 from .config import NetworkConfig, parse_amount, parse_fraction
 from .crypto import KeyPair, hash256
 from .errors import BlockError, DeskchainError, LedgerError, ScenarioError, TxError
 from .ledger import Block, validate_header
 from .merkle import merkle_prove
+from .node import Node
 from .state import ChainState
-from .vm import Program, assemble
+from .vm import Program
 
 BLOCK = "block"
 TX = "tx"
@@ -34,35 +36,12 @@ CHAN_ACK = "chan_ack"
 COMMAND = "command"
 
 
-@dataclass
-class ChannelEndpoint:
-    """One party's durable view of one channel."""
+class SimNode(Node):
+    """A node with a block tree: every block it has accepted, the state
+    after each, and its tip among them."""
 
-    channel_id: bytes
-    side: str  # "a" or "b"
-    history: list[SignedState] = field(default_factory=list)  # fully signed
-    pending: SignedState | None = None  # half-signed proposal, volatile
-    programs: dict[bytes, Program] = field(default_factory=dict)
-
-    def latest(self) -> SignedState | None:
-        return self.history[-1] if self.history else None
-
-    def latest_nonce(self) -> int:
-        return self.history[-1].nonce if self.history else 0
-
-    def record(self, ss: SignedState) -> None:
-        if not self.history or ss.nonce > self.history[-1].nonce:
-            self.history.append(ss)
-
-    def by_nonce(self, nonce: int) -> SignedState | None:
-        for ss in self.history:
-            if ss.nonce == nonce:
-                return ss
-        return None
-
-
-class SimNode:
     def __init__(self, name: str, keypair: KeyPair, genesis_state: ChainState, genesis: Block):
+        super().__init__(genesis_state, genesis.header)
         self.name = name
         self.keypair = keypair
         self.online = True
@@ -71,10 +50,8 @@ class SimNode:
         self.states: dict[bytes, ChainState] = {gh: genesis_state}
         self.receipts: dict[bytes, list[txmod.Receipt]] = {gh: []}
         self.tip: bytes = gh
-        self.mempool: dict[bytes, object] = {}
         self.orphans: dict[bytes, list[Block]] = {}
         self.endpoints: dict[bytes, ChannelEndpoint] = {}
-        self.staged_epoch: rewards.EpochReport | None = None
         self.chunk_store: dict[bytes, list[bytes]] = {}
         self.challenged: set[tuple[bytes, int]] = set()
 
@@ -82,19 +59,12 @@ class SimNode:
     def address(self) -> bytes:
         return self.keypair.address
 
-    def tip_state(self) -> ChainState:
-        return self.states[self.tip]
-
-    def tip_header(self):
-        return self.blocks[self.tip].header
-
-    def next_counter(self, address: bytes) -> int:
-        account = self.tip_state().accounts.get(address)
-        base = account.counter if account else 0
-        pending = sum(
-            1 for t in self.mempool.values() if txmod.tx_sender(t) == address
-        )
-        return base + pending + 1
+    def chain(self) -> list[Block]:
+        """Genesis to tip."""
+        out = [self.blocks[self.tip]]
+        while out[-1].header.height:
+            out.append(self.blocks[out[-1].header.prev_hash])
+        return out[::-1]
 
 
 @dataclass
@@ -188,13 +158,11 @@ class Simulation:
             height=block.header.height, hash=h.hex()[:16], txs=len(block.transactions),
             origin=origin,
         )
-        old_tip = node.tip
         best = self._better_tip(node.tip, h, node)
         if best != node.tip:
             node.tip = best
-            if old_tip != best:
-                self.log(node.name, "tip", height=node.blocks[best].header.height, hash=best.hex()[:16])
-            self._prune_mempool(node)
+            node.set_tip(node.states[best], node.blocks[best].header)
+            self.log(node.name, "tip", height=node.header.height, hash=best.hex()[:16])
             self._watch_channels(node)
         for orphan in node.orphans.pop(h, []):
             self.accept_block(node, orphan, origin="orphan")
@@ -208,22 +176,11 @@ class Simulation:
             return candidate
         return current
 
-    def _prune_mempool(self, node: SimNode) -> None:
-        state = node.tip_state()
-        stale = []
-        for h, t in node.mempool.items():
-            sender = txmod.tx_sender(t)
-            account = state.accounts.get(sender)
-            if account and t.counter <= account.counter:
-                stale.append(h)
-        for h in stale:
-            del node.mempool[h]
-
     def _watch_channels(self, node: SimNode) -> None:
         if not self.cfg.sim_auto_challenge:
             return
-        state = node.tip_state()
-        height = node.tip_header().height
+        state = node.state
+        height = node.header.height
         for channel_id, endpoint in node.endpoints.items():
             channel = state.channels.get(channel_id)
             if channel is None or channel.status != channels.CLOSING:
@@ -238,20 +195,19 @@ class Simulation:
             if key in node.challenged:
                 continue
             node.challenged.add(key)
-            program = endpoint.programs.get(mine.contract_hash) if mine.contract_hash else None
-            challenge = txmod.ChannelChallenge(
-                sender=node.address, channel_id=channel_id, state=mine,
-                program=program, fee=1, counter=node.next_counter(node.address),
+            challenge = node.make(
+                node.keypair, txmod.ChannelChallenge, channel_id, mine,
+                endpoint.program_for(mine), fee=1,
             )
             self.log(node.name, "auto_challenge", chan=channel_id.hex()[:16], nonce=mine.nonce)
-            self.submit_tx(node, txmod.sign_tx(challenge, node.keypair))
+            self.submit_tx(node, challenge)
 
     def submit_tx(self, node: SimNode, t) -> None:
         h = txmod.tx_hash(t)
         if h in node.mempool:
             return
         try:
-            txmod.check_tx(node.tip_state(), t, self.cfg)
+            txmod.check_tx(node.state, t, self.cfg)
         except TxError as exc:
             self.log(node.name, "tx_rejected", reason=exc.code, hash=h.hex()[:16])
             raise
@@ -261,17 +217,7 @@ class Simulation:
 
     def mine(self, node: SimNode, count: int = 1) -> None:
         for _ in range(count):
-            state = node.tip_state()
-            prev = node.tip_header()
-            candidates = list(node.mempool.values())
-            next_height = prev.height + 1
-            if next_height % self.cfg.blocks_per_epoch == 0:
-                report = node.staged_epoch
-                if report is None or report.epoch_index != state.pool.epoch_index + 1:
-                    report = rewards.EpochReport(state.pool.epoch_index + 1, (), (), ())
-                candidates.append(txmod.EpochTx(report))
-                node.staged_epoch = None
-            block = txmod.build_block(state, candidates, node.address, prev)
+            block = node.build_next_block(node.address)
             if block is None:
                 raise ScenarioError(0, f"PoW budget exhausted mining at {node.name}")
             self.log(node.name, "mine", height=block.header.height,
@@ -283,7 +229,7 @@ class Simulation:
 
     def endpoint_for(self, node: SimNode, channel_id: bytes) -> ChannelEndpoint:
         if channel_id not in node.endpoints:
-            channel = node.tip_state().channels.get(channel_id)
+            channel = node.state.channels.get(channel_id)
             if channel is None:
                 raise ScenarioError(0, f"{node.name} sees no channel {channel_id.hex()[:16]}")
             side = "a" if channel.party_a == node.address else "b"
@@ -305,16 +251,11 @@ class Simulation:
         self, node: SimNode, channel_id: bytes, balances: tuple[int, int],
         contract: Program | None, contract_state: tuple[int, ...],
     ) -> None:
-        state = node.tip_state()
-        channel = state.channels.get(channel_id)
+        channel = node.state.channels.get(channel_id)
         if channel is None:
             raise ScenarioError(0, "channel unknown at proposer")
         endpoint = self.endpoint_for(node, channel_id)
-        prev = endpoint.latest() or channels.nonce_zero_state(channel)
-        contract_hash = contract.code_hash() if contract else None
-        if contract:
-            endpoint.programs[contract_hash] = contract
-        unsigned = channels.make_update(channel, prev, balances, contract_hash, contract_state)
+        unsigned = endpoint.propose(channel, balances, contract, contract_state)
         half = channels.sign_state(unsigned, node.keypair, endpoint.side)
         endpoint.pending = half
         peer = channel.party_b if endpoint.side == "a" else channel.party_a
@@ -328,8 +269,7 @@ class Simulation:
         from .codec import Reader
 
         half = SignedState.read(Reader(ss_bytes))
-        state = node.tip_state()
-        channel = state.channels.get(channel_id)
+        channel = node.state.channels.get(channel_id)
         if channel is None:
             self.log(node.name, "chan_ignore", reason="unknown_channel")
             return
@@ -356,8 +296,7 @@ class Simulation:
         from .codec import Reader
 
         full = SignedState.read(Reader(ss_bytes))
-        state = node.tip_state()
-        channel = state.channels.get(channel_id)
+        channel = node.state.channels.get(channel_id)
         if channel is None or not channels.state_sigs_ok(channel, full):
             self.log(node.name, "chan_ignore", reason="bad_ack")
             return
@@ -373,15 +312,7 @@ class Simulation:
             node = self.nodes[name]
             if not node.online:
                 continue
-            chain = []
-            h = node.tip
-            while True:
-                block = node.blocks[h]
-                chain.append(block)
-                if block.header.height == 0:
-                    break
-                h = block.header.prev_hash
-            for block in reversed(chain[:-1]):  # skip the shared genesis
+            for block in node.chain()[1:]:  # skip the shared genesis
                 self.broadcast(name, BLOCK, (block.encode(),))
 
     def _name_of(self, address: bytes) -> str:
@@ -410,7 +341,7 @@ class Simulation:
             if isinstance(t, txmod.EpochTx):
                 return  # system txs are assembled locally, never gossiped
             try:
-                txmod.check_tx(node.tip_state(), t, self.cfg)
+                txmod.check_tx(node.state, t, self.cfg)
             except TxError:
                 return
             h = txmod.tx_hash(t)
@@ -453,33 +384,22 @@ class Simulation:
         best_key = None
         for name in sorted(self.nodes):
             node = self.nodes[name]
-            header = node.tip_header()
-            key = (-header.height, node.tip)
+            key = (-node.header.height, node.tip)
             if best_key is None or key < best_key:
                 best_key = key
                 best_name = name
         node = self.nodes[best_name]
-        chain = []
-        h = node.tip
-        while True:
-            block = node.blocks[h]
-            chain.append(block)
-            if block.header.height == 0:
-                break
-            h = block.header.prev_hash
-        chain.reverse()
+        chain = node.chain()
         receipts = []
         for block in chain:
             receipts.extend(node.receipts[block.header.block_hash()])
-        tip = node.tip
-        state = node.tip_state()
-        self.log(best_name, "final", height=node.tip_header().height, root=tip.hex())
+        self.log(best_name, "final", height=node.header.height, root=node.tip.hex())
         return SimResult(
-            final_tip=tip,
-            final_state_root=hash256(b"".join(txmod.state_roots(state).values())),
+            final_tip=node.tip,
+            final_state_root=hash256(b"".join(txmod.state_roots(node.state).values())),
             receipts=receipts,
             event_log="\n".join(self.log_lines) + "\n",
-            state=state,
+            state=node.state,
             chain=chain,
             handles=dict(self.handles),
         )
@@ -502,9 +422,6 @@ class Simulation:
             return self.handles[token]
         raise ScenarioError(line_no, f"unknown handle {token!r}")
 
-    def _amount(self, token: str) -> int:
-        return parse_amount(token)
-
     def _opts(self, args: list[str]) -> tuple[list[str], dict[str, str], str | None]:
         positional: list[str] = []
         opts: dict[str, str] = {}
@@ -525,21 +442,6 @@ class Simulation:
             i += 1
         return positional, opts, handle
 
-    def _program_ref(self, token: str, line_no: int) -> Program:
-        if token.startswith("template:"):
-            name = token.split(":", 1)[1]
-            program = templates.TEMPLATES.get(name)
-            if program is None:
-                raise ScenarioError(line_no, f"unknown template {name!r}")
-            return program
-        if token.startswith("asm:"):
-            import os
-
-            path = os.path.join(self.base_dir, token.split(":", 1)[1])
-            with open(path, "r", encoding="utf-8") as fh:
-                return assemble(fh.read())
-        raise ScenarioError(line_no, f"expected template:NAME or asm:FILE, got {token!r}")
-
     def run_command(self, line_no: int, argv: list[str]) -> None:
         if not argv:
             return
@@ -554,6 +456,8 @@ class Simulation:
         except (TxError, LedgerError) as exc:
             # protocol-level rejection: logged, scenario continues
             self.log(args[0] if args else "-", "rejected", cmd=cmd, reason=getattr(exc, "code", str(exc)))
+        except DeskchainError as exc:  # e.g. an unknown template
+            raise ScenarioError(line_no, str(exc)) from exc
         except (KeyError, IndexError, ValueError) as exc:
             raise ScenarioError(line_no, f"{cmd}: {exc}") from exc
 
@@ -592,240 +496,132 @@ class Simulation:
 
         if cmd == "mine":
             self.mine(node, int(args[1]) if len(args) > 1 else 1)
-        elif cmd == "spend":
-            sender = self._addr(args[1])
-            t = txmod.Spend(
-                sender, self._resolve_target(args[2], line_no), self._amount(args[3]),
-                int(opts.get("fee", "1")), node.next_counter(sender),
-            )
-            self.submit_tx(node, txmod.sign_tx(t, KeyPair.from_name(args[1])))
-        elif cmd == "data":
-            sender = self._addr(args[1])
-            t = txmod.DataOnly(
-                sender, bytes.fromhex(args[2]), int(opts.get("gas_price", "1")),
-                node.next_counter(sender),
-            )
-            self.submit_tx(node, txmod.sign_tx(t, KeyPair.from_name(args[1])))
-        elif cmd == "name-claim":
-            owner = self._addr(args[1])
-            t = txmod.NameClaim(
-                owner, args[2], self._resolve_target(args[3], line_no),
-                int(opts.get("fee", "1")), node.next_counter(owner),
-            )
-            self.submit_tx(node, txmod.sign_tx(t, KeyPair.from_name(args[1])))
-        elif cmd == "delete-account":
-            sender = self._addr(args[1])
-            t = txmod.AccountDelete(
-                sender, self._resolve_target(args[2], line_no),
-                int(opts.get("fee", "1")), node.next_counter(sender),
-            )
-            self.submit_tx(node, txmod.sign_tx(t, KeyPair.from_name(args[1])))
-        elif cmd == "contract-create":
-            owner = self._addr(args[1])
-            program = self._program_ref(args[2], line_no)
-            gas, gas_price = int(args[5]), int(args[6])
-            counter = node.next_counter(owner)
-            call_data = tuple(int(v) for v in opts.get("call", "").split(",") if v)
-            t = txmod.ContractCreate(
-                owner, program, 1, self._amount(args[3]), self._amount(args[4]),
-                gas, gas_price, call_data, gas * gas_price, counter,
-            )
-            if handle:
-                self.handles[handle] = txmod.contract_address(owner, counter)
-            self.submit_tx(node, txmod.sign_tx(t, KeyPair.from_name(args[1])))
-        elif cmd == "contract-call":
-            caller = self._addr(args[1])
-            gas, gas_price = int(args[4]), int(args[5])
-            call_data = tuple(int(v) for v in opts.get("call", "").split(",") if v)
-            t = txmod.ContractCall(
-                caller, self._handle(args[2], line_no), self._amount(args[3]),
-                gas, gas_price, call_data, gas * gas_price, node.next_counter(caller),
-            )
-            self.submit_tx(node, txmod.sign_tx(t, KeyPair.from_name(args[1])))
-        elif cmd == "channel-open":
-            a, b = self._addr(args[1]), self._addr(args[2])
-            counter = node.next_counter(a)
-            t = txmod.ChannelOpen(
-                a, b, self._amount(args[3]), self._amount(args[4]),
-                int(opts.get("fee", "1")), counter,
-            )
-            t = replace(t, sig_b=KeyPair.from_name(args[2]).sign(t.signing_bytes()))
-            t = txmod.sign_tx(t, KeyPair.from_name(args[1]))
-            if handle:
-                self.handles[handle] = channels.channel_id_for(a, b, counter)
-            self.submit_tx(node, t)
         elif cmd == "channel-update":
             channel_id = self._handle(args[1], line_no)
-            balances = (self._amount(args[2]), self._amount(args[3]))
-            program = self._program_ref(opts["contract"], line_no) if "contract" in opts else None
+            balances = (parse_amount(args[2]), parse_amount(args[3]))
+            program = None
+            if "contract" in opts:
+                program = templates.load_program(opts["contract"], self.base_dir)
             cstate = self._contract_state(opts.get("cstate", ""))
             self.propose_update(node, channel_id, balances, program, cstate)
-        elif cmd == "channel-close-coop":
-            channel_id = self._handle(args[1], line_no)
-            endpoint = self.endpoint_for(node, channel_id)
-            final = endpoint.latest()
-            if final is None:
-                raise ScenarioError(line_no, "no signed state to close with")
-            sender = node.address
-            t = txmod.ChannelCloseCoop(
-                sender, channel_id, final, None, int(opts.get("fee", "1")),
-                node.next_counter(sender),
+        elif cmd == "epoch-factors":
+            with open(os.path.join(self.base_dir, args[1]), "r", encoding="utf-8") as fh:
+                text = fh.read()
+            report = parse_factors(text, node.state.pool.epoch_index + 1, self.handles)
+            node.staged_epoch = report
+            self.log(node.name, "epoch_staged", azs=len(report.az_rows))
+        elif cmd == "advance-epoch":
+            height = node.header.height
+            target = ((height // cfg.blocks_per_epoch) + 1) * cfg.blocks_per_epoch
+            self.mine(node, target - height)
+        else:
+            t = self._tx(node, line_no, cmd, args, opts)
+            created = txmod.created_id(t)
+            if handle and created:
+                self.handles[handle] = created
+            self.submit_tx(node, t)
+
+    def _tx(self, node: SimNode, line_no: int, cmd: str, args: list[str], opts: dict):
+        """The signed transaction a scenario verb submits at ``node``."""
+        fee = int(opts.get("fee", "1"))
+
+        def make(kind, *fields, fee=fee, cosigner=None):
+            return node.make(KeyPair.from_name(args[1]), kind, *fields, fee=fee, cosigner=cosigner)
+
+        if cmd == "spend":
+            return make(txmod.Spend, self._resolve_target(args[2], line_no), parse_amount(args[3]))
+        if cmd == "data":
+            return make(txmod.DataOnly, bytes.fromhex(args[2]), fee=int(opts.get("gas_price", "1")))
+        if cmd == "name-claim":
+            return make(txmod.NameClaim, args[2], self._resolve_target(args[3], line_no))
+        if cmd == "delete-account":
+            return make(txmod.AccountDelete, self._resolve_target(args[2], line_no))
+        if cmd == "contract-create":
+            program = templates.load_program(args[2], self.base_dir)
+            gas, gas_price = int(args[5]), int(args[6])
+            call_data = tuple(int(v) for v in opts.get("call", "").split(",") if v)
+            return make(
+                txmod.ContractCreate, program, 1, parse_amount(args[3]), parse_amount(args[4]),
+                gas, gas_price, call_data, fee=gas * gas_price,
             )
-            self.submit_tx(node, txmod.sign_tx(t, node.keypair))
-        elif cmd == "channel-close":
-            channel_id = self._handle(args[1], line_no)
-            endpoint = self.endpoint_for(node, channel_id)
-            candidate = None
-            if "nonce" in opts:
-                candidate = endpoint.by_nonce(int(opts["nonce"]))
-                if candidate is None:
-                    raise ScenarioError(line_no, f"no recorded state with nonce {opts['nonce']}")
-            else:
-                candidate = endpoint.latest()
-            program = None
-            if candidate is not None and candidate.contract_hash:
-                program = endpoint.programs.get(candidate.contract_hash)
-            sender = node.address
-            t = txmod.ChannelClose(
-                sender, channel_id, candidate, program, int(opts.get("fee", "1")),
-                node.next_counter(sender),
+        if cmd == "contract-call":
+            gas, gas_price = int(args[4]), int(args[5])
+            call_data = tuple(int(v) for v in opts.get("call", "").split(",") if v)
+            return make(
+                txmod.ContractCall, self._handle(args[2], line_no), parse_amount(args[3]),
+                gas, gas_price, call_data, fee=gas * gas_price,
             )
-            self.submit_tx(node, txmod.sign_tx(t, node.keypair))
-        elif cmd == "channel-challenge":
-            channel_id = self._handle(args[1], line_no)
-            endpoint = self.endpoint_for(node, channel_id)
-            mine = endpoint.latest()
-            if mine is None:
-                raise ScenarioError(line_no, "nothing better to challenge with")
-            program = endpoint.programs.get(mine.contract_hash) if mine.contract_hash else None
-            sender = node.address
-            t = txmod.ChannelChallenge(
-                sender, channel_id, mine, program, int(opts.get("fee", "1")),
-                node.next_counter(sender),
+        if cmd == "channel-open":
+            return make(
+                txmod.ChannelOpen, self._addr(args[2]), parse_amount(args[3]),
+                parse_amount(args[4]), cosigner=KeyPair.from_name(args[2]),
             )
-            self.submit_tx(node, txmod.sign_tx(t, node.keypair))
-        elif cmd == "channel-finalize":
-            channel_id = self._handle(args[1], line_no)
-            state = node.tip_state()
-            channel = state.channels.get(channel_id)
-            program = None
-            if channel and channel.candidate and channel.candidate.contract_hash:
-                endpoint = self.endpoint_for(node, channel_id)
-                program = endpoint.programs.get(channel.candidate.contract_hash)
-            sender = node.address
-            t = txmod.ChannelFinalize(
-                sender, channel_id, None, program, int(opts.get("fee", "1")),
-                node.next_counter(sender),
-            )
-            self.submit_tx(node, txmod.sign_tx(t, node.keypair))
-        elif cmd == "oracle-ask":
-            asker = self._addr(args[1])
+        if cmd in ("channel-close-coop", "channel-close", "channel-challenge", "channel-finalize"):
+            return self._channel_tx(node, line_no, cmd, self._handle(args[1], line_no), opts, fee)
+        if cmd == "oracle-ask":
             question_hash = hash256(args[2].encode("utf-8"))
-            counter = node.next_counter(asker)
-            t = txmod.OracleRegister(
-                asker, question_hash, int(args[3]), int(args[4]),
-                int(opts.get("fee", "1")), counter,
-            )
-            if handle:
-                self.handles[handle] = oracles.question_id_for(asker, counter, question_hash)
-            self.submit_tx(node, txmod.sign_tx(t, KeyPair.from_name(args[1])))
-        elif cmd in ("oracle-answer", "oracle-vote"):
-            sender = self._addr(args[1])
-            bit = {"yes": True, "no": False}[args[3]]
-            cls = txmod.OracleAnswer if cmd == "oracle-answer" else txmod.OracleVote
-            t = cls(
-                sender, self._handle(args[2], line_no), bit,
-                int(opts.get("fee", "1")), node.next_counter(sender),
-            )
-            self.submit_tx(node, txmod.sign_tx(t, KeyPair.from_name(args[1])))
-        elif cmd in ("oracle-counter", "oracle-resolve"):
-            sender = self._addr(args[1])
-            cls = txmod.OracleCounter if cmd == "oracle-counter" else txmod.OracleResolve
-            t = cls(
-                sender, self._handle(args[2], line_no),
-                int(opts.get("fee", "1")), node.next_counter(sender),
-            )
-            self.submit_tx(node, txmod.sign_tx(t, KeyPair.from_name(args[1])))
-        elif cmd == "storage-commit":
-            payer = self._addr(args[1])
-            provider_name = args[2]
-            data = self._read_data(args[3], line_no)
+            return make(txmod.OracleRegister, question_hash, int(args[3]), int(args[4]))
+        if cmd in ("oracle-answer", "oracle-vote"):
+            kind = txmod.OracleAnswer if cmd == "oracle-answer" else txmod.OracleVote
+            return make(kind, self._handle(args[2], line_no), {"yes": True, "no": False}[args[3]])
+        if cmd in ("oracle-counter", "oracle-resolve"):
+            kind = txmod.OracleCounter if cmd == "oracle-counter" else txmod.OracleResolve
+            return make(kind, self._handle(args[2], line_no))
+        if cmd == "storage-commit":
             chunk_size = int(args[4])
-            chunks, root = storage.commit_data(data, chunk_size)
-            counter = node.next_counter(payer)
-            contract_id = storage.contract_id_for(payer, counter)
-            t = txmod.StorageCreate(
-                payer, self._addr(provider_name), root, len(chunks), chunk_size,
-                int(args[5]), self._amount(args[6]), self._amount(args[7]),
-                int(opts.get("fee", "1")), counter,
+            chunks, root = storage.commit_data(self._read_data(args[3], line_no), chunk_size)
+            t = make(
+                txmod.StorageCreate, self._addr(args[2]), root, len(chunks), chunk_size,
+                int(args[5]), parse_amount(args[6]), parse_amount(args[7]),
             )
-            if handle:
-                self.handles[handle] = contract_id
-            provider_node = self.nodes.get(provider_name)
+            provider_node = self.nodes.get(args[2])
             if provider_node is not None:
-                provider_node.chunk_store[contract_id] = chunks
-            self.submit_tx(node, txmod.sign_tx(t, KeyPair.from_name(args[1])))
-        elif cmd == "storage-prove":
-            provider = self._addr(args[1])
+                provider_node.chunk_store[txmod.created_id(t)] = chunks
+            return t
+        if cmd == "storage-prove":
             contract_id = self._handle(args[2], line_no)
             chunks = node.chunk_store.get(contract_id)
             if chunks is None:
                 raise ScenarioError(line_no, "provider holds no chunks for that contract")
-            prev_hash = node.tip
-            index = storage.challenge_index(prev_hash, contract_id, len(chunks))
-            proof = merkle_prove(chunks, index)
-            t = txmod.StorageProof(
-                provider, contract_id, chunks[index], proof,
-                int(opts.get("fee", "1")), node.next_counter(provider),
-            )
-            self.submit_tx(node, txmod.sign_tx(t, KeyPair.from_name(args[1])))
-        elif cmd == "storage-close":
-            payer = self._addr(args[1])
-            t = txmod.StorageClose(
-                payer, self._handle(args[2], line_no),
-                int(opts.get("fee", "1")), node.next_counter(payer),
-            )
-            self.submit_tx(node, txmod.sign_tx(t, KeyPair.from_name(args[1])))
-        elif cmd == "az-create":
-            owner = self._addr(args[1])
-            counter = node.next_counter(owner)
-            t = txmod.AzCreate(
-                owner, self._amount(args[2]), int(opts.get("fee", "1")), counter
-            )
-            if handle:
-                self.handles[handle] = rewards.az_id_for(owner, counter)
-            self.submit_tx(node, txmod.sign_tx(t, KeyPair.from_name(args[1])))
-        elif cmd == "az-join":
-            user = self._addr(args[1])
-            t = txmod.AzJoin(
-                user, self._handle(args[2], line_no), int(opts.get("fee", "1")),
-                node.next_counter(user),
-            )
-            self.submit_tx(node, txmod.sign_tx(t, KeyPair.from_name(args[1])))
-        elif cmd == "az-refer":
-            member = self._addr(args[1])
-            t = txmod.AzRefer(
-                member, self._addr(args[2]), self._handle(args[3], line_no),
-                int(opts.get("fee", "1")), node.next_counter(member),
-            )
-            self.submit_tx(node, txmod.sign_tx(t, KeyPair.from_name(args[1])))
-        elif cmd == "epoch-factors":
-            import os
+            index = storage.challenge_index(node.tip, contract_id, len(chunks))
+            return make(txmod.StorageProof, contract_id, chunks[index], merkle_prove(chunks, index))
+        if cmd == "storage-close":
+            return make(txmod.StorageClose, self._handle(args[2], line_no))
+        if cmd == "az-create":
+            return make(txmod.AzCreate, parse_amount(args[2]))
+        if cmd == "az-join":
+            return make(txmod.AzJoin, self._handle(args[2], line_no))
+        if cmd == "az-refer":
+            return make(txmod.AzRefer, self._addr(args[2]), self._handle(args[3], line_no))
+        raise ScenarioError(line_no, f"unknown command {cmd!r}")
 
-            path = os.path.join(self.base_dir, args[1])
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-            report = parse_factors(
-                text, node.tip_state().pool.epoch_index + 1, self.handles
+    def _channel_tx(
+        self, node: SimNode, line_no: int, cmd: str, channel_id: bytes, opts: dict, fee: int,
+    ):
+        """A close, challenge or finalize signed by the node's own key."""
+        if cmd == "channel-finalize":
+            channel = node.state.channels.get(channel_id)
+            candidate = channel.candidate if channel else None
+            program = None
+            if candidate and candidate.contract_hash:  # only then is an endpoint needed
+                program = self.endpoint_for(node, channel_id).program_for(candidate)
+            return node.make(
+                node.keypair, txmod.ChannelFinalize, channel_id, None, program, fee=fee
             )
-            node.staged_epoch = report
-            self.log(node.name, "epoch_staged", azs=len(report.az_rows))
-        elif cmd == "advance-epoch":
-            height = node.tip_header().height
-            target = ((height // cfg.blocks_per_epoch) + 1) * cfg.blocks_per_epoch
-            self.mine(node, target - height)
-        else:
-            raise ScenarioError(line_no, f"unknown command {cmd!r}")
+        endpoint = self.endpoint_for(node, channel_id)
+        ss = endpoint.latest()
+        if cmd == "channel-close" and "nonce" in opts:
+            ss = endpoint.by_nonce(int(opts["nonce"]))
+            if ss is None:
+                raise ScenarioError(line_no, f"no recorded state with nonce {opts['nonce']}")
+        if cmd == "channel-close-coop":
+            if ss is None:
+                raise ScenarioError(line_no, "no signed state to close with")
+            return node.make(node.keypair, txmod.ChannelCloseCoop, channel_id, ss, None, fee=fee)
+        if cmd == "channel-challenge" and ss is None:
+            raise ScenarioError(line_no, "nothing better to challenge with")
+        kind = txmod.ChannelClose if cmd == "channel-close" else txmod.ChannelChallenge
+        return node.make(node.keypair, kind, channel_id, ss, endpoint.program_for(ss), fee=fee)
 
     def _resolve_target(self, token: str, line_no: int) -> bytes:
         if token.startswith("hex:"):
@@ -852,8 +648,6 @@ class Simulation:
         if token.startswith("hex:"):
             return bytes.fromhex(token[4:])
         if token.startswith("file:"):
-            import os
-
             with open(os.path.join(self.base_dir, token[5:]), "rb") as fh:
                 return fh.read()
         raise ScenarioError(line_no, f"expected hex:... or file:..., got {token!r}")

@@ -71,18 +71,13 @@ class StateDir:
 
     # --- chain ---
 
-    def append_block(self, block: Block) -> None:
-        with open(self.path("chain.bin"), "ab") as fh:
-            enc = block.encode()
-            fh.write(len(enc).to_bytes(4, "big") + enc)
-
-    def blocks(self) -> list[Block]:
-        path = self.path("chain.bin")
-        if not os.path.exists(path):
-            raise DeskchainError(f"no chain at {path}; run genesis first")
-        out = []
+    def _records(self, name: str, decode) -> list:
+        """Decode every length-prefixed record of one file; a torn or padded
+        record is reported with its index and byte offset."""
+        path = self.path(name)
         with open(path, "rb") as fh:
             data = fh.read()
+        out = []
         pos = 0
         while pos < len(data):
             end = pos + 4 + int.from_bytes(data[pos : pos + 4], "big")
@@ -91,11 +86,21 @@ class StateDir:
                     f"{path}: record {len(out)} at byte {pos} runs past the end of the file (torn tail)"
                 )
             try:
-                out.append(Block.decode(data[pos + 4 : end]))
+                out.append(decode(data[pos + 4 : end]))
             except CodecError as exc:
                 raise CodecError(f"{path}: record {len(out)} at byte {pos}: {exc}") from exc
             pos = end
         return out
+
+    def append_block(self, block: Block) -> None:
+        with open(self.path("chain.bin"), "ab") as fh:
+            enc = block.encode()
+            fh.write(len(enc).to_bytes(4, "big") + enc)
+
+    def blocks(self) -> list[Block]:
+        if not os.path.exists(self.path("chain.bin")):
+            raise DeskchainError(f"no chain at {self.path('chain.bin')}; run genesis first")
+        return self._records("chain.bin", Block.decode)
 
     def load_chain(self) -> tuple[NetworkConfig, ChainState, list[Block]]:
         cfg = self.config()
@@ -111,18 +116,9 @@ class StateDir:
     # --- mempool ---
 
     def mempool(self) -> list:
-        path = self.path("mempool.bin")
-        if not os.path.exists(path):
+        if not os.path.exists(self.path("mempool.bin")):
             return []
-        with open(path, "rb") as fh:
-            data = fh.read()
-        out = []
-        pos = 0
-        while pos < len(data):
-            size = int.from_bytes(data[pos : pos + 4], "big")
-            out.append(txmod.decode_tx(data[pos + 4 : pos + 4 + size]))
-            pos += 4 + size
-        return out
+        return self._records("mempool.bin", txmod.decode_tx)
 
     def write_mempool(self, txs: list) -> None:
         parts = []

@@ -7,7 +7,10 @@ balances. Helpers build the matching contract_state vectors.
 """
 from __future__ import annotations
 
+import os
+
 from .crypto import hash256
+from .errors import DeskchainError
 from .vm import Program, assemble
 
 # total ratio_a ratio_b -> a = total*ratio_a // (ratio_a+ratio_b), b = rest
@@ -124,6 +127,23 @@ TEMPLATES: dict[str, Program] = {
     "metered-api": METERED_API,
     "storage-payout": STORAGE_PAYOUT,
 }
+
+
+def load_program(token: str, base_dir: str = "", asm_prefix: str = "asm:") -> Program:
+    """``template:NAME``, or ``asm_prefix`` and an assembly file under base_dir.
+
+    The scenario DSL spells files ``asm:FILE``; the CLI passes an empty
+    prefix, so any other token is a file path.
+    """
+    if token.startswith("template:"):
+        name = token[len("template:"):]
+        if name not in TEMPLATES:
+            raise DeskchainError(f"unknown template {name!r}")
+        return TEMPLATES[name]
+    if not token.startswith(asm_prefix):
+        raise DeskchainError(f"expected template:NAME or asm:FILE, got {token!r}")
+    with open(os.path.join(base_dir, token[len(asm_prefix):]), "r", encoding="utf-8") as fh:
+        return assemble(fh.read())
 
 
 def vm_hash_int(x: int) -> int:

@@ -405,6 +405,21 @@ def tx_sender(tx) -> bytes:
     return tx.sender
 
 
+def created_id(tx) -> bytes | None:
+    """The id a tx mints: its contract, channel, question, storage contract or AZ."""
+    if isinstance(tx, ContractCreate):
+        return contract_address(tx.owner, tx.counter)
+    if isinstance(tx, ChannelOpen):
+        return channels.channel_id_for(tx.party_a, tx.party_b, tx.counter)
+    if isinstance(tx, OracleRegister):
+        return oracles.question_id_for(tx.asker, tx.counter, tx.question_hash)
+    if isinstance(tx, StorageCreate):
+        return storage.contract_id_for(tx.payer, tx.counter)
+    if isinstance(tx, AzCreate):
+        return rewards.az_id_for(tx.owner, tx.counter)
+    return None
+
+
 def effective_fee(tx) -> int:
     if isinstance(tx, DataOnly):
         return data_only_cost(len(tx.payload), tx.gas_price)

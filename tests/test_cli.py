@@ -306,3 +306,45 @@ def test_cli_flow_is_pinned(tmp_path, capsys):
         "mempool.bin": hashlib.sha256((state / "mempool.bin").read_bytes()).hexdigest(),
     }
     assert got == CLI_FLOW_DIGESTS, "".join(stdout)
+
+
+def test_unknown_template_is_a_clean_error(workdir, capsys):
+    run(workdir, "genesis", "--config", str(workdir / "net.cfg"))
+    capsys.readouterr()
+    assert run(workdir, "contract", "create", "--owner", "alice", "--code", "template:nope") == 1
+    assert capsys.readouterr().err == "error: unknown template 'nope'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["channel", "close", "--channel", "zz", "--sender", "alice"],
+    ["contract", "call", "--caller", "alice", "--contract", "0g"],
+    ["oracle", "read", "--question-id", "abc"],
+    ["send", "--from", "alice", "--to", "hex:nothex", "--amount", "1"],
+])
+def test_malformed_hex_is_a_usage_error(workdir, capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        run(workdir, *argv)
+    assert err.value.code == 2
+    assert "not hex" in capsys.readouterr().err
+
+
+def test_storage_data_source_is_checked_and_chunk_files_closed(workdir, capsys):
+    import warnings
+
+    run(workdir, "genesis", "--config", str(workdir / "net.cfg"))
+    chunk_dir = workdir / "chunks"
+    chunk_dir.mkdir()
+    commit = ["storage", "commit", "--payer", "alice", "--provider", "bob",
+              "--chunk-dir", str(chunk_dir)]
+    capsys.readouterr()
+    assert run(workdir, *commit[:-2]) == 1
+    assert capsys.readouterr().err == "error: storage data needs --data-file or --chunk-dir\n"
+    assert run(workdir, *commit) == 1
+    assert capsys.readouterr().err == f"error: no chunk files in {chunk_dir}\n"
+    for i in range(3):
+        (chunk_dir / f"{i:04d}.bin").write_bytes(bytes([i]) * 8)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(workdir, *commit) == 0
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert "chunks=3" in capsys.readouterr().out

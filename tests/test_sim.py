@@ -139,7 +139,7 @@ def test_double_sign_registry_catches_conflicts():
     simulation.run_scenario(text, SCENARIO_DIR)
     channel_id = simulation.handles["ch"]
     node = simulation.nodes["alice"]
-    state = node.tip_state()
+    state = node.state
     channel = state.channels[channel_id]
     a, b = KeyPair.from_name("alice"), KeyPair.from_name("bob")
     one = channels.make_update(channel, channels.nonce_zero_state(channel), (1_500_000, 500_000))
@@ -213,3 +213,9 @@ def test_uncovered_verbs_are_pinned(tmp_path):
     assert all(r.status == "applied" for r in result.receipts) and len(result.receipts) == 7
     digest = hashlib.sha256(result.event_log.encode()).hexdigest()
     assert digest == UNCOVERED_EVENT_LOG_DIGEST, result.event_log
+
+
+def test_unknown_template_names_the_line():
+    with pytest.raises(ScenarioError) as err:
+        run("0 mine alice\n1 contract-create alice alice template:nope 0 0 10 1\n")
+    assert str(err.value) == "line 2: unknown template 'nope'"

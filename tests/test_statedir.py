@@ -58,3 +58,20 @@ def test_blocks_reports_a_torn_tail(tmp_path):
         with pytest.raises(DeskchainError, match=f"record 1 at byte {4 + len(first.encode())} runs past the end"):
             sd.blocks()
         chain.write_bytes(data)
+
+
+def test_mempool_reports_a_torn_or_padded_record(tmp_path):
+    sd = StateDir(str(tmp_path))
+    alice, bob = KeyPair.from_name("alice"), KeyPair.from_name("bob").address
+    txs = [txmod.sign_tx(txmod.Spend(alice.address, bob, 5, 1, c), alice) for c in (1, 2)]
+    sd.write_mempool(txs)
+    path = tmp_path / "mempool.bin"
+    data = path.read_bytes()
+    offset = 4 + len(txs[0].encode())
+    path.write_bytes(data[:-3])
+    with pytest.raises(DeskchainError, match=f"mempool.bin: record 1 at byte {offset} runs past"):
+        sd.mempool()
+    padded = txs[1].encode() + b"\0\0"
+    path.write_bytes(data[:offset] + len(padded).to_bytes(4, "big") + padded)
+    with pytest.raises(CodecError, match=f"mempool.bin: record 1 at byte {offset}: 2 trailing"):
+        sd.mempool()
