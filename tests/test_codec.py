@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -75,25 +77,76 @@ def test_flag_rejects_other_bytes():
         Reader(b"\x02").flag()
 
 
-def test_state_records_round_trip():
-    # every committed record type: encode -> decode -> encode byte-identical
+def _state_record_examples():
+    from fractions import Fraction
+
     from deskchain.channels import Channel, SignedState
+    from deskchain.ledger import Account, NameRecord
+    from deskchain.merkle import MerkleProof
     from deskchain.oracles import OracleQuestion, Vote
-    from deskchain.rewards import AZ, RewardPoolState
+    from deskchain.rewards import AZ, AZFactors, EpochReport, RewardPoolState, UserContribution, WorkItem
+    from deskchain.storage import StorageContract
 
     candidate = SignedState(b"\x01" * 32, 4, 30, 70, b"\x02" * 32, (9, -9), b"\x0c" * 64, b"\x0d" * 64)
-    records = [
-        Channel(b"\x01" * 32, b"\x03" * 32, b"\x04" * 32, 60, 40, "closing", 17, candidate, None),
-        Channel(b"\x05" * 32, b"\x03" * 32, b"\x04" * 32, 60, 40, "closed", 0, None, (55, 45)),
-        OracleQuestion(
+    item = WorkItem(Fraction(1, 2), Fraction(3, 4), Fraction(2), (Fraction(0), Fraction(1, 3)))
+    report = EpochReport(
+        3,
+        (Fraction(1, 4), Fraction(3, 4)),
+        (AZFactors(b"\x0b" * 32, (5, 0)), AZFactors(b"\x0e" * 32, (1, 2))),
+        (
+            UserContribution(b"\x0b" * 32, b"\x0c" * 32, Fraction(1), Fraction(2, 3), (item,)),
+            UserContribution(b"\x0b" * 32, b"\x0d" * 32, Fraction(0), Fraction(1), ()),
+        ),
+    )
+    return {
+        "Channel.closing": Channel(b"\x01" * 32, b"\x03" * 32, b"\x04" * 32, 60, 40, "closing", 17, candidate, None),
+        "Channel.closed": Channel(b"\x05" * 32, b"\x03" * 32, b"\x04" * 32, 60, 40, "closed", 0, None, (55, 45)),
+        "OracleQuestion": OracleQuestion(
             b"\x06" * 32, b"\x07" * 32, b"\x08" * 32, 3, 9, 12, "contested",
             True, 5, b"\x09" * 32, 12, 15, (Vote(b"\x0a" * 32, False, 1000),), False,
         ),
-        AZ(b"\x0b" * 32, b"\x0c" * 32, frozenset({b"\x0c" * 32}), frozenset({b"\x0c" * 32, b"\x0d" * 32}), frozenset(), 77),
-        RewardPoolState(5, 6, 7, 8, 9),
-    ]
-    for record in records:
+        "AZ": AZ(b"\x0b" * 32, b"\x0c" * 32, frozenset({b"\x0c" * 32}), frozenset({b"\x0c" * 32, b"\x0d" * 32}), frozenset(), 77),
+        "RewardPoolState": RewardPoolState(5, 6, 7, 8, 9),
+        "Account.external": Account(b"\x10" * 32, 1234, 3, 7),
+        "Account.contract": Account(b"\x11" * 32, 0, 1, 2, "contract", b"\x12" * 32),
+        "NameRecord": NameRecord("plant-7", b"\x13" * 32, b"\x14" * 32),
+        "StorageContract": StorageContract(
+            b"\x15" * 32, b"\x16" * 32, b"\x17" * 32, b"\x18" * 32, 4, 16, 5, 10, 100, 9, True,
+        ),
+        "SignedState": candidate,
+        "MerkleProof": MerkleProof(5, (b"\x19" * 32, b"\x1a" * 32, b"\x1b" * 32)),
+        "EpochReport": report,
+    }
+
+
+# sha256 of each example's encode(), and of the signed state's signing bytes
+RECORD_DIGESTS = {
+    "Channel.closing": "e31a3dcf1db23777ceb99fa61492b94a4c7e7eb9a8b9773581874a0d0ff74faf",
+    "Channel.closed": "9e2ec041ef042a119503776b6dd22a83f898d4ac15256da5cfcffc4f99816e15",
+    "OracleQuestion": "d8eb433ad9fbfef0fe266045e412b45dc69520a9c3a462f917cf1a616d34e6b1",
+    "AZ": "965fec80f22e1b61d38979d1fdfd6cece5c5401f68df0af2420caf2462480a58",
+    "RewardPoolState": "cd3e00aaa5409c74f93f999c123d60ba5ef3673f1cfc827e1de8cec2feb47ea9",
+    "Account.external": "3b0196cf3ad3365db8ce75df87f15c60511f5737374d13dfefaf57484e85b851",
+    "Account.contract": "fbcd9af4cbbce504c9ac4a0e7e2716736f40f2709c29d4caf18630fd010e5b90",
+    "NameRecord": "5f7bf777700ec12452b005abe152de29d753f8288e0292eb63a07c6385f40af8",
+    "StorageContract": "3f90319faca9298d49b6000f9cd4b4a3178aa8c0ee841815b635eef218e52f9a",
+    "SignedState": "3bd0fdbee0616cbf7aec5ee517772fa25221a5498786f575f97282fb61ce79db",
+    "MerkleProof": "e7b3b284d30b5baf221f438e72eb88b4a4e5b92d43d6d50962c9adcb4162223d",
+    "EpochReport": "a59500d5f0c219b55cc0053eb17fe32552215af8540868b661b3ed41d52102e0",
+    "SignedState.signing_bytes": "3f146ca638aa8be6646412ab41316f3c2317d64db077b79ce3434f5205c6619b",
+}
+
+
+def test_state_records_round_trip():
+    # every committed record type: encode -> decode -> encode byte-identical
+    examples = _state_record_examples()
+    for label, record in examples.items():
         encoded = record.encode()
-        decoded = type(record).read(Reader(encoded))
+        r = Reader(encoded)
+        decoded = type(record).read(r)
+        r.expect_end()
         assert decoded == record
         assert decoded.encode() == encoded
+        assert hashlib.sha256(encoded).hexdigest() == RECORD_DIGESTS[label], label
+    signing = examples["SignedState"].signing_bytes()
+    assert hashlib.sha256(signing).hexdigest() == RECORD_DIGESTS["SignedState.signing_bytes"]
