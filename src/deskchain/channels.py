@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .codec import Reader, Writer, check_amount
-from .crypto import ADDRESS_SIZE, HASH_SIZE, SIG_SIZE, ZERO_SIG, hash256, verify_sig
+from .codec import U64, Bytes32, I64s, Maybe, OptionalRecord, Sig, Tag, U64Pair, WireRecord, check_amount
+from .crypto import ZERO_SIG, hash256, verify_sig
 from .errors import LedgerError, VmFailure
 from .vm import Program, eval_pure
 
@@ -20,110 +20,38 @@ OPEN = "open"
 CLOSING = "closing"
 CLOSED = "closed"
 
-_STATUS_TAGS = {OPEN: 0, CLOSING: 1, CLOSED: 2}
-_STATUS_NAMES = {v: k for k, v in _STATUS_TAGS.items()}
-
 
 @dataclass(frozen=True)
-class SignedState:
-    channel_id: bytes
-    nonce: int
-    balance_a: int
-    balance_b: int
-    contract_hash: bytes | None = None
-    contract_state: tuple[int, ...] = ()
-    sig_a: bytes = ZERO_SIG
-    sig_b: bytes = ZERO_SIG
+class SignedState(WireRecord):
+    channel_id: Bytes32
+    nonce: U64
+    balance_a: U64
+    balance_b: U64
+    contract_hash: Maybe[Bytes32] = None
+    contract_state: I64s = ()
+    sig_a: Sig = ZERO_SIG
+    sig_b: Sig = ZERO_SIG
 
     def signing_bytes(self) -> bytes:
-        return self._encode(with_sigs=False)
-
-    def encode(self) -> bytes:
-        return self._encode(with_sigs=True)
-
-    def _encode(self, with_sigs: bool) -> bytes:
-        w = (
-            Writer()
-            .fixed(self.channel_id, HASH_SIZE)
-            .u64(self.nonce)
-            .u64(self.balance_a)
-            .u64(self.balance_b)
-            .flag(self.contract_hash is not None)
-        )
-        if self.contract_hash is not None:
-            w.fixed(self.contract_hash, HASH_SIZE)
-        w.u32(len(self.contract_state))
-        for v in self.contract_state:
-            w.i64(v)
-        if with_sigs:
-            w.fixed(self.sig_a, SIG_SIZE).fixed(self.sig_b, SIG_SIZE)
-        return w.done()
-
-    @staticmethod
-    def read(r: Reader) -> "SignedState":
-        channel_id = r.fixed(HASH_SIZE)
-        nonce = r.u64()
-        bal_a = r.u64()
-        bal_b = r.u64()
-        contract_hash = r.fixed(HASH_SIZE) if r.flag() else None
-        contract_state = tuple(r.i64() for _ in range(r.u32()))
-        return SignedState(
-            channel_id, nonce, bal_a, bal_b, contract_hash, contract_state,
-            r.fixed(SIG_SIZE), r.fixed(SIG_SIZE),
-        )
+        """The wire bytes without the two sig fields."""
+        return self._encode("omit")
 
 
 @dataclass(frozen=True)
-class Channel:
-    channel_id: bytes
-    party_a: bytes
-    party_b: bytes
-    deposit_a: int
-    deposit_b: int
-    status: str = OPEN
-    deadline: int = 0
-    candidate: SignedState | None = None
-    final_split: tuple[int, int] | None = None
+class Channel(WireRecord):
+    channel_id: Bytes32
+    party_a: Bytes32
+    party_b: Bytes32
+    deposit_a: U64
+    deposit_b: U64
+    status: Tag[OPEN, CLOSING, CLOSED] = OPEN
+    deadline: U64 = 0
+    candidate: OptionalRecord[SignedState] = None
+    final_split: Maybe[U64Pair] = None
 
     @property
     def total(self) -> int:
         return self.deposit_a + self.deposit_b
-
-    def encode(self) -> bytes:
-        w = (
-            Writer()
-            .fixed(self.channel_id, HASH_SIZE)
-            .fixed(self.party_a, ADDRESS_SIZE)
-            .fixed(self.party_b, ADDRESS_SIZE)
-            .u64(self.deposit_a)
-            .u64(self.deposit_b)
-            .u8(_STATUS_TAGS[self.status])
-            .u64(self.deadline)
-            .flag(self.candidate is not None)
-        )
-        if self.candidate is not None:
-            w.blob(self.candidate.encode())
-        w.flag(self.final_split is not None)
-        if self.final_split is not None:
-            w.u64(self.final_split[0]).u64(self.final_split[1])
-        return w.done()
-
-    @staticmethod
-    def read(r: Reader) -> "Channel":
-        channel_id = r.fixed(HASH_SIZE)
-        a = r.fixed(ADDRESS_SIZE)
-        b = r.fixed(ADDRESS_SIZE)
-        dep_a = r.u64()
-        dep_b = r.u64()
-        status = _STATUS_NAMES[r.u8()]
-        deadline = r.u64()
-        candidate = None
-        if r.flag():
-            sub = Reader(r.blob())
-            candidate = SignedState.read(sub)
-            sub.expect_end()
-        final = (r.u64(), r.u64()) if r.flag() else None
-        return Channel(channel_id, a, b, dep_a, dep_b, status, deadline, candidate, final)
 
 
 def channel_id_for(a: bytes, b: bytes, counter_a: int) -> bytes:

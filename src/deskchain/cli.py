@@ -520,7 +520,7 @@ def main(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         return command(StateDir(args.state_dir), args)
-    except DeskchainError as exc:
+    except (DeskchainError, OSError) as exc:  # OSError: an input file that cannot be read
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

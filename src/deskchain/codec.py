@@ -5,19 +5,38 @@ module: fixed field order, big-endian integers, length-prefixed byte strings.
 The encoding is injective by construction; decode(encode(x)) == x and
 encode(decode(b)) == b are asserted property-style in the test suite.
 
-Records whose wire form is just their fields in order declare it once, on
-the fields themselves: each annotation is one of the ``Annotated`` aliases
-below (``U64``, ``Bytes32``, ``Record[Program]``, ...), and ``wire_fields``
-turns a class's annotations into its ``(name, write, read, is_sig)`` schema.
+A record declares its wire form once, on its fields: it subclasses
+``WireRecord`` and annotates each field with one of the aliases below
+(``U64``, ``Bytes32``, ``Seq[Ratio]``, ``Record[Program]``, ...). Its wire
+form is those fields in declaration order, so reordering fields is a
+consensus change. ``wire_fields`` turns the annotations into the
+``(name, write, read, is_sig)`` schema that ``encode`` and ``read`` walk.
+Every tx kind (after its u8 tag) and every state record is written this
+way: Account, NameRecord, Channel, SignedState, OracleQuestion, Vote,
+StorageContract, MerkleProof, AZ, RewardPoolState, and the EpochReport with
+its AZFactors, UserContribution and WorkItem rows.
+
+Three types write their own bytes. ``BlockHeader`` puts ``miner`` before
+``entropy`` on the wire, and its PoW input ``base_bytes`` is a prefix of its
+encoding. ``Block`` holds txs of any kind, each read by its tag through
+``tx.decode_tx``. ``Program``'s layout depends on each opcode, which decides
+whether an argument follows it.
+
+Signing bytes follow one of two rules, each written once. A transaction
+signs its wire bytes with every ``Sig`` field zeroed
+(``tx.TxBase.signing_bytes``); a channel state signs its wire bytes with the
+``Sig`` fields left out (``channels.SignedState.signing_bytes``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
+from math import gcd
 from typing import Annotated, Any, Callable, get_type_hints
 
-from .crypto import SIG_SIZE
-from .errors import CodecError
+from .crypto import SIG_SIZE, ZERO_SIG
+from .errors import CodecError, LedgerError
 
 U64_MAX = 2**64 - 1
 I64_MIN = -(2**63)
@@ -143,22 +162,28 @@ class Reader:
 
 @dataclass(frozen=True)
 class FieldCodec:
-    """How one field is written and read; ``is_sig`` fields are zeroed in
-    signing bytes."""
+    """How one field is written and read; ``is_sig`` fields are the ones a
+    record's signing bytes zero or leave out."""
 
     write: Callable[[Writer, Any], Any]
     read: Callable[[Reader], Any]
     is_sig: bool = False
 
 
-def _write_i64s(w: Writer, values: tuple[int, ...]) -> None:
-    w.u32(len(values))
-    for v in values:
-        w.i64(v)
+def _split(hint) -> tuple[Any, FieldCodec]:
+    """The base type and codec of a field annotation. A bare WireRecord
+    class is that record's fields inline, with no length prefix."""
+    if isinstance(hint, type) and issubclass(hint, WireRecord):
+        return hint, FieldCodec(_write_inline, hint.read)
+    codec = next((m for m in getattr(hint, "__metadata__", ()) if isinstance(m, FieldCodec)), None)
+    if codec is None:
+        raise TypeError(f"no wire codec for {hint!r}")
+    return hint.__origin__, codec
 
 
-def _read_i64s(r: Reader) -> tuple[int, ...]:
-    return tuple(r.i64() for _ in range(r.u32()))
+def _write_inline(w: Writer, record) -> None:
+    data = record.encode()
+    w.fixed(data, len(data))
 
 
 def _write_record(w: Writer, record) -> None:
@@ -172,18 +197,26 @@ def _read_record(record_type, r: Reader):
     return record
 
 
-def _write_optional(w: Writer, record) -> None:
-    w.flag(record is not None)
-    if record is not None:
-        _write_record(w, record)
+def _write_ratio(w: Writer, f: Fraction) -> None:
+    w.u64(f.numerator).u64(f.denominator)
 
 
-def _read_optional(record_type, r: Reader):
-    return _read_record(record_type, r) if r.flag() else None
+def _read_ratio(r: Reader) -> Fraction:
+    num, den = r.u64(), r.u64()
+    if den == 0 or gcd(num, den) != 1:
+        raise CodecError(f"fraction {num}/{den} is not in lowest terms")
+    return Fraction(num, den)
+
+
+def _write_u64_pair(w: Writer, pair: tuple[int, int]) -> None:
+    a, b = pair
+    w.u64(a).u64(b)
 
 
 U8 = Annotated[int, FieldCodec(Writer.u8, Reader.u8)]
+U32 = Annotated[int, FieldCodec(Writer.u32, Reader.u32)]
 U64 = Annotated[int, FieldCodec(Writer.u64, Reader.u64)]
+I64 = Annotated[int, FieldCodec(Writer.i64, Reader.i64)]
 Bytes32 = Annotated[bytes, FieldCodec(lambda w, v: w.fixed(v, 32), lambda r: r.fixed(32))]
 Sig = Annotated[bytes, FieldCodec(
     lambda w, v: w.fixed(v, SIG_SIZE), lambda r: r.fixed(SIG_SIZE), is_sig=True
@@ -191,7 +224,62 @@ Sig = Annotated[bytes, FieldCodec(
 Blob = Annotated[bytes, FieldCodec(Writer.blob, Reader.blob)]
 Text = Annotated[str, FieldCodec(Writer.text, Reader.text)]
 Flag = Annotated[bool, FieldCodec(Writer.flag, Reader.flag)]
-I64s = Annotated[tuple[int, ...], FieldCodec(_write_i64s, _read_i64s)]
+Ratio = Annotated[Fraction, FieldCodec(_write_ratio, _read_ratio)]  # u64 numerator, u64 denominator
+U64Pair = Annotated[tuple[int, int], FieldCodec(_write_u64_pair, lambda r: (r.u64(), r.u64()))]
+
+
+class Tag:
+    """``Tag[a, b, ...]``: one of the listed names, as its u8 index."""
+
+    def __class_getitem__(cls, names: tuple):
+        index = {name: i for i, name in enumerate(names)}
+
+        def write(w: Writer, name) -> None:
+            if name not in index:
+                raise CodecError(f"{name!r} is not one of {names}")
+            w.u8(index[name])
+
+        def read(r: Reader):
+            i = r.u8()
+            if i >= len(names):
+                raise CodecError(f"tag {i} names none of {names}")
+            return names[i]
+
+        return Annotated[str, FieldCodec(write, read)]
+
+
+class Maybe:
+    """``Maybe[X]``: a flag, then X when the value is not None."""
+
+    def __class_getitem__(cls, alias):
+        base, codec = _split(alias)
+
+        def write(w: Writer, value) -> None:
+            w.flag(value is not None)
+            if value is not None:
+                codec.write(w, value)
+
+        def read(r: Reader):
+            return codec.read(r) if r.flag() else None
+
+        return Annotated[base | None, FieldCodec(write, read)]
+
+
+class Seq:
+    """``Seq[X]``: a u32 count, then each item as X writes it."""
+
+    def __class_getitem__(cls, alias):
+        base, codec = _split(alias)
+
+        def write(w: Writer, items) -> None:
+            w.u32(len(items))
+            for item in items:
+                codec.write(w, item)
+
+        def read(r: Reader) -> tuple:
+            return tuple(codec.read(r) for _ in range(r.u32()))
+
+        return Annotated[tuple[base, ...], FieldCodec(write, read)]
 
 
 class Record:
@@ -202,10 +290,27 @@ class Record:
 
 
 class OptionalRecord:
-    """``OptionalRecord[T]``: a flag, then ``Record[T]`` when the flag is set."""
+    """``OptionalRecord[T]``: ``Maybe[Record[T]]``."""
 
     def __class_getitem__(cls, record_type):
-        return Annotated[record_type | None, FieldCodec(_write_optional, partial(_read_optional, record_type))]
+        return Maybe[Record[record_type]]
+
+
+I64s = Seq[I64]
+_, _addresses = _split(Seq[Bytes32])
+
+
+def _read_address_set(r: Reader) -> frozenset[bytes]:
+    addresses = _addresses.read(r)
+    if any(a >= b for a, b in zip(addresses, addresses[1:])):
+        raise CodecError("address set is not strictly ascending")
+    return frozenset(addresses)
+
+
+# a set of 32-byte addresses, as a Seq in ascending order
+AddressSet = Annotated[frozenset[bytes], FieldCodec(
+    lambda w, v: _addresses.write(w, sorted(v)), _read_address_set
+)]
 
 
 def wire_fields(cls) -> tuple[tuple[str, Callable, Callable, bool], ...]:
@@ -213,8 +318,45 @@ def wire_fields(cls) -> tuple[tuple[str, Callable, Callable, bool], ...]:
     in declaration order, which is the wire order."""
     schema = []
     for name, hint in get_type_hints(cls, include_extras=True).items():
-        codec = next((m for m in getattr(hint, "__metadata__", ()) if isinstance(m, FieldCodec)), None)
-        if codec is None:
-            raise TypeError(f"{cls.__name__}.{name} has no wire codec")
+        try:
+            _, codec = _split(hint)
+        except TypeError as exc:
+            raise TypeError(f"{cls.__name__}.{name}: {exc}") from None
         schema.append((name, codec.write, codec.read, codec.is_sig))
     return tuple(schema)
+
+
+class WireRecord:
+    """A frozen dataclass whose wire form is its annotated fields, in
+    declaration order: ``encode`` writes them and ``read`` builds the record
+    from them. A class with a ``TAG`` writes it first, as a u8; whoever
+    reads the tagged union (``tx.decode_tx``) reads the tag."""
+
+    TAG = None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._FIELDS = wire_fields(cls)
+
+    def encode(self) -> bytes:
+        return self._encode("keep")
+
+    def _encode(self, sigs: str) -> bytes:
+        """The wire bytes with every Sig field kept, "zero"ed or "omit"ted."""
+        w = Writer() if self.TAG is None else Writer().u8(self.TAG)
+        for name, write, _, is_sig in self._FIELDS:
+            if not is_sig or sigs == "keep":
+                write(w, getattr(self, name))
+            elif sigs == "zero":
+                write(w, ZERO_SIG)
+        return w.done()
+
+    @classmethod
+    def read(cls, r: Reader):
+        """The record from its fields; a value the constructor rejects is a
+        CodecError, like any other malformed input."""
+        values = [read(r) for _, _, read, _ in cls._FIELDS]
+        try:
+            return cls(*values)
+        except LedgerError as exc:
+            raise CodecError(f"{cls.__name__}: {exc}") from exc

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import pow
-from .codec import Reader, Writer, check_amount
+from .codec import U64, Bytes32, Maybe, Reader, Tag, Text, WireRecord, Writer, check_amount
 from .crypto import ADDRESS_SIZE, HASH_SIZE, ZERO32, hash256
 from .errors import BlockError, LedgerError
 from .merkle import MerkleProof, merkle_verify
@@ -19,11 +19,10 @@ EXTERNAL = "external"
 CONTRACT = "contract"
 MAX_NAME_BYTES = 64
 
-_KIND_TAGS = {EXTERNAL: 0, CONTRACT: 1}
-_KIND_NAMES = {v: k for k, v in _KIND_TAGS.items()}
+_KINDS = (EXTERNAL, CONTRACT)
 
 
-class _Digested:
+class _Digested(WireRecord):
     """A frozen record whose leaf digest is computed once and kept.
 
     ``dataclasses.replace`` builds a new record, so an edit never sees the
@@ -42,71 +41,34 @@ class _Digested:
 
 @dataclass(frozen=True)
 class Account(_Digested):
-    address: bytes
-    balance: int
-    counter: int = 0
-    freshness: int = 0
-    kind: str = EXTERNAL
-    code_hash: bytes | None = None
+    address: Bytes32
+    balance: U64
+    counter: U64 = 0
+    freshness: U64 = 0
+    kind: Tag[_KINDS] = EXTERNAL
+    code_hash: Maybe[Bytes32] = None
 
     def __post_init__(self) -> None:
         if len(self.address) != ADDRESS_SIZE:
             raise LedgerError("BadFormat", "address must be 32 bytes")
         check_amount(self.balance, "balance")
-        if self.kind not in _KIND_TAGS:
+        if self.kind not in _KINDS:
             raise LedgerError("BadFormat", f"unknown account kind {self.kind!r}")
         if self.kind == EXTERNAL and self.code_hash is not None:
             raise LedgerError("BadFormat", "external accounts carry no code")
 
-    def encode(self) -> bytes:
-        w = (
-            Writer()
-            .fixed(self.address, ADDRESS_SIZE)
-            .u64(self.balance)
-            .u64(self.counter)
-            .u64(self.freshness)
-            .u8(_KIND_TAGS[self.kind])
-            .flag(self.code_hash is not None)
-        )
-        if self.code_hash is not None:
-            w.fixed(self.code_hash, HASH_SIZE)
-        return w.done()
-
-    @staticmethod
-    def read(r: Reader) -> "Account":
-        address = r.fixed(ADDRESS_SIZE)
-        balance = r.u64()
-        counter = r.u64()
-        freshness = r.u64()
-        kind = _KIND_NAMES[r.u8()]
-        code_hash = r.fixed(HASH_SIZE) if r.flag() else None
-        return Account(address, balance, counter, freshness, kind, code_hash)
-
 
 @dataclass(frozen=True)
 class NameRecord(_Digested):
-    name: str
-    target: bytes
-    owner: bytes
+    name: Text
+    target: Bytes32
+    owner: Bytes32
 
     def __post_init__(self) -> None:
         if len(self.name.encode("utf-8")) > MAX_NAME_BYTES or not self.name:
             raise LedgerError("BadFormat", "name must be 1..64 utf-8 bytes")
         if len(self.target) != 32:
             raise LedgerError("BadFormat", "name target must be 32 bytes")
-
-    def encode(self) -> bytes:
-        return (
-            Writer()
-            .text(self.name)
-            .fixed(self.target, 32)
-            .fixed(self.owner, ADDRESS_SIZE)
-            .done()
-        )
-
-    @staticmethod
-    def read(r: Reader) -> "NameRecord":
-        return NameRecord(r.text(), r.fixed(32), r.fixed(ADDRESS_SIZE))
 
 
 @dataclass(frozen=True)

@@ -19,27 +19,15 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .codec import Reader, Writer
-from .crypto import HASH_SIZE, ZERO32, hash256
+from .codec import U32, Bytes32, Seq, WireRecord
+from .crypto import ZERO32, hash256
 from .errors import LedgerError
 
 
 @dataclass(frozen=True)
-class MerkleProof:
-    leaf_index: int
-    siblings: tuple[bytes, ...]
-
-    def encode(self) -> bytes:
-        w = Writer().u32(self.leaf_index).u32(len(self.siblings))
-        for s in self.siblings:
-            w.fixed(s, HASH_SIZE)
-        return w.done()
-
-    @staticmethod
-    def read(r: Reader) -> "MerkleProof":
-        idx = r.u32()
-        n = r.u32()
-        return MerkleProof(idx, tuple(r.fixed(HASH_SIZE) for _ in range(n)))
+class MerkleProof(WireRecord):
+    leaf_index: U32
+    siblings: Seq[Bytes32]
 
 
 def proof_len(leaf_count: int) -> int:

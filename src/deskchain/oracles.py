@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .codec import Reader, Writer
-from .crypto import ADDRESS_SIZE, HASH_SIZE, ZERO32, hash256
+from .codec import U64, Bytes32, Flag, Seq, Tag, WireRecord
+from .crypto import ZERO32, hash256
 from .errors import LedgerError
 
 PH_OPEN = "open"
@@ -20,43 +20,33 @@ PH_CONTESTED = "contested"
 PH_RESOLVED = "resolved"
 PH_BURNED = "burned"
 
-_PHASE_TAGS = {PH_OPEN: 0, PH_ANSWERED: 1, PH_CONTESTED: 2, PH_RESOLVED: 3, PH_BURNED: 4}
-_PHASE_NAMES = {v: k for k, v in _PHASE_TAGS.items()}
-
 PENDING = "pending"
 BURNED = "burned"
 
 
 @dataclass(frozen=True)
-class Vote:
-    voter: bytes
-    bit: bool
-    weight: int  # stake snapshot when the ballot entered a block
-
-    def encode(self) -> bytes:
-        return Writer().fixed(self.voter, ADDRESS_SIZE).flag(self.bit).u64(self.weight).done()
-
-    @staticmethod
-    def read(r: Reader) -> "Vote":
-        return Vote(r.fixed(ADDRESS_SIZE), r.flag(), r.u64())
+class Vote(WireRecord):
+    voter: Bytes32
+    bit: Flag
+    weight: U64  # stake snapshot when the ballot entered a block
 
 
 @dataclass(frozen=True)
-class OracleQuestion:
-    question_id: bytes
-    asker: bytes
-    question_hash: bytes
-    start: int
-    end: int
-    deposit: int
-    phase: str = PH_OPEN
-    answer_bit: bool = False
-    answer_height: int = 0
-    counter_party: bytes = ZERO32
-    counter_deposit: int = 0
-    vote_end: int = 0
-    votes: tuple[Vote, ...] = ()
-    resolved_bit: bool = False
+class OracleQuestion(WireRecord):
+    question_id: Bytes32
+    asker: Bytes32
+    question_hash: Bytes32
+    start: U64
+    end: U64
+    deposit: U64
+    phase: Tag[PH_OPEN, PH_ANSWERED, PH_CONTESTED, PH_RESOLVED, PH_BURNED] = PH_OPEN
+    answer_bit: Flag = False
+    answer_height: U64 = 0
+    counter_party: Bytes32 = ZERO32
+    counter_deposit: U64 = 0
+    vote_end: U64 = 0
+    votes: Seq[Vote] = ()
+    resolved_bit: Flag = False
 
     def escrowed(self) -> int:
         """Deposits currently held by this question."""
@@ -65,50 +55,6 @@ class OracleQuestion:
         if self.phase == PH_CONTESTED:
             return self.deposit + self.counter_deposit
         return 0
-
-    def encode(self) -> bytes:
-        w = (
-            Writer()
-            .fixed(self.question_id, HASH_SIZE)
-            .fixed(self.asker, ADDRESS_SIZE)
-            .fixed(self.question_hash, HASH_SIZE)
-            .u64(self.start)
-            .u64(self.end)
-            .u64(self.deposit)
-            .u8(_PHASE_TAGS[self.phase])
-            .flag(self.answer_bit)
-            .u64(self.answer_height)
-            .fixed(self.counter_party, ADDRESS_SIZE)
-            .u64(self.counter_deposit)
-            .u64(self.vote_end)
-            .u32(len(self.votes))
-        )
-        for v in self.votes:
-            w.fixed(v.encode(), ADDRESS_SIZE + 1 + 8)
-        w.flag(self.resolved_bit)
-        return w.done()
-
-    @staticmethod
-    def read(r: Reader) -> "OracleQuestion":
-        question_id = r.fixed(HASH_SIZE)
-        asker = r.fixed(ADDRESS_SIZE)
-        question_hash = r.fixed(HASH_SIZE)
-        start = r.u64()
-        end = r.u64()
-        deposit = r.u64()
-        phase = _PHASE_NAMES[r.u8()]
-        answer_bit = r.flag()
-        answer_height = r.u64()
-        counter_party = r.fixed(ADDRESS_SIZE)
-        counter_deposit = r.u64()
-        vote_end = r.u64()
-        votes = tuple(Vote.read(r) for _ in range(r.u32()))
-        resolved_bit = r.flag()
-        return OracleQuestion(
-            question_id, asker, question_hash, start, end, deposit, phase,
-            answer_bit, answer_height, counter_party, counter_deposit,
-            vote_end, votes, resolved_bit,
-        )
 
 
 def question_id_for(asker: bytes, counter: int, question_hash: bytes) -> bytes:

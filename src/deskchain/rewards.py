@@ -11,45 +11,18 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .codec import Reader, Writer, check_amount
-from .crypto import ADDRESS_SIZE, HASH_SIZE, hash256
+from .codec import U64, AddressSet, Bytes32, Ratio, Record, Seq, WireRecord, check_amount
+from .crypto import hash256
 from .errors import LedgerError
 
 
-def _enc_fraction(w: Writer, f: Fraction) -> None:
-    w.u64(f.numerator).u64(f.denominator)
-
-
-def _read_fraction(r: Reader) -> Fraction:
-    num = r.u64()
-    den = r.u64()
-    if den == 0:
-        raise LedgerError("BadFormat", "fraction with zero denominator")
-    return Fraction(num, den)
-
-
 @dataclass(frozen=True)
-class RewardPoolState:
-    q: int = 0                 # incentive value function, base units
-    gamma_t: int = 0           # tokens distributed in the last epoch
-    pool_balance: int = 0      # replenished, not yet distributed
-    endowment: int = 0         # genesis eco-incentive fund, not yet drawn
-    epoch_index: int = 0
-
-    def encode(self) -> bytes:
-        return (
-            Writer()
-            .u64(self.q)
-            .u64(self.gamma_t)
-            .u64(self.pool_balance)
-            .u64(self.endowment)
-            .u64(self.epoch_index)
-            .done()
-        )
-
-    @staticmethod
-    def read(r: Reader) -> "RewardPoolState":
-        return RewardPoolState(r.u64(), r.u64(), r.u64(), r.u64(), r.u64())
+class RewardPoolState(WireRecord):
+    q: U64 = 0                 # incentive value function, base units
+    gamma_t: U64 = 0           # tokens distributed in the last epoch
+    pool_balance: U64 = 0      # replenished, not yet distributed
+    endowment: U64 = 0         # genesis eco-incentive fund, not yet drawn
+    epoch_index: U64 = 0
 
 
 def next_q(q: int, gamma_t: int, q_next: int, alpha: Fraction, mu: Fraction) -> int:
@@ -77,40 +50,17 @@ def replenish(pool: RewardPoolState, q_next: int, alpha: Fraction, mu: Fraction)
 
 
 @dataclass(frozen=True)
-class AZ:
-    az_id: bytes
-    owner: bytes
-    admins: frozenset[bytes]
-    members: frozenset[bytes]
-    referred: frozenset[bytes]
-    join_price: int
+class AZ(WireRecord):
+    az_id: Bytes32
+    owner: Bytes32
+    join_price: U64
+    admins: AddressSet
+    members: AddressSet
+    referred: AddressSet
 
     def __post_init__(self) -> None:
         if self.owner not in self.admins:
             raise LedgerError("BadFormat", "owner must be an admin")
-
-    def encode(self) -> bytes:
-        w = (
-            Writer()
-            .fixed(self.az_id, HASH_SIZE)
-            .fixed(self.owner, ADDRESS_SIZE)
-            .u64(self.join_price)
-        )
-        for group in (self.admins, self.members, self.referred):
-            w.u32(len(group))
-            for addr in sorted(group):
-                w.fixed(addr, ADDRESS_SIZE)
-        return w.done()
-
-    @staticmethod
-    def read(r: Reader) -> "AZ":
-        az_id = r.fixed(HASH_SIZE)
-        owner = r.fixed(ADDRESS_SIZE)
-        join_price = r.u64()
-        groups = []
-        for _ in range(3):
-            groups.append(frozenset(r.fixed(ADDRESS_SIZE) for _ in range(r.u32())))
-        return AZ(az_id, owner, *groups, join_price)
 
 
 def az_id_for(owner: bytes, counter: int) -> bytes:
@@ -121,20 +71,9 @@ def az_id_for(owner: bytes, counter: int) -> bytes:
 
 
 @dataclass(frozen=True)
-class AZFactors:
-    az_id: bytes
-    raw: tuple[int, ...]
-
-    def encode(self) -> bytes:
-        w = Writer().fixed(self.az_id, HASH_SIZE).u32(len(self.raw))
-        for v in self.raw:
-            w.u64(v)
-        return w.done()
-
-    @staticmethod
-    def read(r: Reader) -> "AZFactors":
-        az_id = r.fixed(HASH_SIZE)
-        return AZFactors(az_id, tuple(r.u64() for _ in range(r.u32())))
+class AZFactors(WireRecord):
+    az_id: Bytes32
+    raw: Seq[U64]
 
 
 def normalize_factors(rows: list[AZFactors]) -> dict[bytes, tuple[Fraction, ...]]:
@@ -196,35 +135,20 @@ def allocate_to_azs(gamma: int, values: list[tuple[bytes, Fraction]]) -> list[tu
 
 
 @dataclass(frozen=True)
-class WorkItem:
-    alpha: Fraction       # weight of this work content
-    s: Fraction           # normalized active-contribution value, in [0, 1]
-    beta: Fraction        # usage weight of this content
-    usage: tuple[Fraction, ...]  # normalized per-use values, each in [0, 1]
-
-    def encode(self) -> bytes:
-        w = Writer()
-        for f in (self.alpha, self.s, self.beta):
-            _enc_fraction(w, f)
-        w.u32(len(self.usage))
-        for c in self.usage:
-            _enc_fraction(w, c)
-        return w.done()
-
-    @staticmethod
-    def read(r: Reader) -> "WorkItem":
-        alpha, s, beta = (_read_fraction(r) for _ in range(3))
-        usage = tuple(_read_fraction(r) for _ in range(r.u32()))
-        return WorkItem(alpha, s, beta, usage)
+class WorkItem(WireRecord):
+    alpha: Ratio          # weight of this work content
+    s: Ratio              # normalized active-contribution value, in [0, 1]
+    beta: Ratio           # usage weight of this content
+    usage: Seq[Ratio]     # normalized per-use values, each in [0, 1]
 
 
 @dataclass(frozen=True)
-class UserContribution:
-    az_id: bytes
-    member: bytes
-    epsilon: Fraction
-    theta: Fraction
-    items: tuple[WorkItem, ...]
+class UserContribution(WireRecord):
+    az_id: Bytes32
+    member: Bytes32
+    epsilon: Ratio
+    theta: Ratio
+    items: Seq[Record[WorkItem]]
 
     def __post_init__(self) -> None:
         if self.epsilon < 0 or self.theta < 0:
@@ -232,28 +156,6 @@ class UserContribution:
         for item in self.items:
             if not 0 <= item.s <= 1 or any(not 0 <= c <= 1 for c in item.usage):
                 raise LedgerError("BadFormat", "normalized values must lie in [0, 1]")
-
-    def encode(self) -> bytes:
-        w = Writer().fixed(self.az_id, HASH_SIZE).fixed(self.member, ADDRESS_SIZE)
-        _enc_fraction(w, self.epsilon)
-        _enc_fraction(w, self.theta)
-        w.u32(len(self.items))
-        for item in self.items:
-            w.blob(item.encode())
-        return w.done()
-
-    @staticmethod
-    def read(r: Reader) -> "UserContribution":
-        az_id = r.fixed(HASH_SIZE)
-        member = r.fixed(ADDRESS_SIZE)
-        epsilon = _read_fraction(r)
-        theta = _read_fraction(r)
-        items = []
-        for _ in range(r.u32()):
-            sub = Reader(r.blob())
-            items.append(WorkItem.read(sub))
-            sub.expect_end()
-        return UserContribution(az_id, member, epsilon, theta, tuple(items))
 
 
 def poc_weight(c: UserContribution) -> Fraction:
@@ -279,7 +181,7 @@ def az_create(state, owner: bytes, join_price: int, counter: int, height: int, c
     # creation price feeds the eco-incentive endowment
     state.pool = replace(state.pool, endowment=state.pool.endowment + cfg.az_creation_price)
     state.azs[az_id] = AZ(
-        az_id, owner, frozenset({owner}), frozenset({owner}), frozenset(), join_price
+        az_id, owner, join_price, frozenset({owner}), frozenset({owner}), frozenset()
     )
     return az_id
 
@@ -315,45 +217,17 @@ def az_refer(state, member: bytes, user: bytes, az_id: bytes) -> None:
 
 
 @dataclass(frozen=True)
-class EpochReport:
-    epoch_index: int
-    factor_weights: tuple[Fraction, ...]
-    az_rows: tuple[AZFactors, ...]
-    user_rows: tuple[UserContribution, ...]
+class EpochReport(WireRecord):
+    epoch_index: U64
+    factor_weights: Seq[Ratio]
+    az_rows: Seq[Record[AZFactors]]
+    user_rows: Seq[Record[UserContribution]]
 
     def __post_init__(self) -> None:
         if any(w < 0 for w in self.factor_weights):
             raise LedgerError("BadFormat", "negative factor weight")
         if self.factor_weights and sum(self.factor_weights, Fraction(0)) != 1:
             raise LedgerError("BadFormat", "factor weights must sum to 1")
-
-    def encode(self) -> bytes:
-        w = Writer().u64(self.epoch_index).u32(len(self.factor_weights))
-        for f in self.factor_weights:
-            _enc_fraction(w, f)
-        w.u32(len(self.az_rows))
-        for row in self.az_rows:
-            w.blob(row.encode())
-        w.u32(len(self.user_rows))
-        for row in self.user_rows:
-            w.blob(row.encode())
-        return w.done()
-
-    @staticmethod
-    def read(r: Reader) -> "EpochReport":
-        epoch_index = r.u64()
-        weights = tuple(_read_fraction(r) for _ in range(r.u32()))
-        az_rows = []
-        for _ in range(r.u32()):
-            sub = Reader(r.blob())
-            az_rows.append(AZFactors.read(sub))
-            sub.expect_end()
-        user_rows = []
-        for _ in range(r.u32()):
-            sub = Reader(r.blob())
-            user_rows.append(UserContribution.read(sub))
-            sub.expect_end()
-        return EpochReport(epoch_index, weights, tuple(az_rows), tuple(user_rows))
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .codec import Reader, Writer
-from .crypto import ADDRESS_SIZE, HASH_SIZE, hash256
+from .codec import U64, Bytes32, Flag, WireRecord
+from .crypto import hash256
 from .errors import LedgerError
 from .merkle import MerkleProof, merkle_root, merkle_verify
 
@@ -27,43 +27,18 @@ def identity_transform(chunk: bytes, index: int) -> bytes:
 
 
 @dataclass(frozen=True)
-class StorageContract:
-    contract_id: bytes
-    payer: bytes
-    provider: bytes
-    data_root: bytes
-    chunk_count: int
-    chunk_size: int
-    challenge_period_n: int
-    reward_per_proof: int
-    escrow: int
-    last_paid_height: int = 0
-    closed: bool = False
-
-    def encode(self) -> bytes:
-        return (
-            Writer()
-            .fixed(self.contract_id, HASH_SIZE)
-            .fixed(self.payer, ADDRESS_SIZE)
-            .fixed(self.provider, ADDRESS_SIZE)
-            .fixed(self.data_root, HASH_SIZE)
-            .u64(self.chunk_count)
-            .u64(self.chunk_size)
-            .u64(self.challenge_period_n)
-            .u64(self.reward_per_proof)
-            .u64(self.escrow)
-            .u64(self.last_paid_height)
-            .flag(self.closed)
-            .done()
-        )
-
-    @staticmethod
-    def read(r: Reader) -> "StorageContract":
-        return StorageContract(
-            r.fixed(HASH_SIZE), r.fixed(ADDRESS_SIZE), r.fixed(ADDRESS_SIZE),
-            r.fixed(HASH_SIZE), r.u64(), r.u64(), r.u64(), r.u64(), r.u64(),
-            r.u64(), r.flag(),
-        )
+class StorageContract(WireRecord):
+    contract_id: Bytes32
+    payer: Bytes32
+    provider: Bytes32
+    data_root: Bytes32
+    chunk_count: U64
+    chunk_size: U64
+    challenge_period_n: U64
+    reward_per_proof: U64
+    escrow: U64
+    last_paid_height: U64 = 0
+    closed: Flag = False
 
 
 @dataclass(frozen=True)

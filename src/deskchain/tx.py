@@ -18,8 +18,7 @@ from dataclasses import dataclass, field, replace
 from . import channels, oracles, pow, rewards, storage
 from .channels import SignedState
 from .codec import (
-    U8, U64, Blob, Bytes32, Flag, I64s, OptionalRecord, Reader, Record, Sig, Text, Writer,
-    wire_fields,
+    U8, U64, Blob, Bytes32, Flag, I64s, OptionalRecord, Reader, Record, Sig, Text, WireRecord, Writer,
 )
 from .crypto import HASH_SIZE, ZERO32, ZERO_SIG, hash256, verify_sig
 from .errors import BlockError, CodecError, LedgerError, TxError
@@ -67,25 +66,13 @@ class _Revert(Exception):
 #
 # Encoding: u8 TAG, then each field as its annotation's codec writes it.
 # Fields encode in declaration order; reordering is a consensus change.
-# signing_bytes() is the same encoding with every Sig field zeroed.
+# The first field of every user kind is its sender, the fee payer.
 
 
-class TxBase:
-    def __init_subclass__(cls) -> None:
-        super().__init_subclass__()
-        cls._FIELDS = wire_fields(cls)
-
-    def encode(self) -> bytes:
-        return self._encode(with_sig=True)
-
+class TxBase(WireRecord):
     def signing_bytes(self) -> bytes:
-        return self._encode(with_sig=False)
-
-    def _encode(self, with_sig: bool) -> bytes:
-        w = Writer().u8(self.TAG)
-        for name, write, _, is_sig in self._FIELDS:
-            write(w, ZERO_SIG if is_sig and not with_sig else getattr(self, name))
-        return w.done()
+        """The wire bytes with every Sig field zeroed."""
+        return self._encode("zero")
 
 
 @dataclass(frozen=True)
@@ -363,11 +350,11 @@ GAS_KINDS = (ContractCreate, ContractCall)
 
 
 def encode_tx(tx) -> bytes:
-    return tx._encode(with_sig=True)
+    return tx.encode()
 
 
 def signing_bytes(tx) -> bytes:
-    return tx._encode(with_sig=False)
+    return tx.signing_bytes()
 
 
 def tx_hash(tx) -> bytes:
@@ -386,23 +373,16 @@ def decode_tx(data: bytes):
     cls = _BY_TAG.get(tag)
     if cls is None:
         raise CodecError(f"unknown tx tag {tag}")
-    tx = cls(*[read(r) for _, _, read, _ in cls._FIELDS])
+    tx = cls.read(r)
     r.expect_end()
     return tx
 
 
 def tx_sender(tx) -> bytes:
-    if isinstance(tx, ChannelOpen):
-        return tx.party_a
-    if isinstance(tx, (ContractCreate, NameClaim, AzCreate)):
-        return tx.owner
-    if isinstance(tx, ContractCall):
-        return tx.caller
-    if isinstance(tx, OracleRegister):
-        return tx.asker
-    if isinstance(tx, StorageCreate):
-        return tx.payer
-    return tx.sender
+    """A user kind's first field; an EpochTx has no sender."""
+    if isinstance(tx, EpochTx):
+        raise TypeError("an EpochTx has no sender")
+    return getattr(tx, tx._FIELDS[0][0])
 
 
 def created_id(tx) -> bytes | None:

@@ -60,6 +60,19 @@ def test_insufficient_funds_fails_1(workdir, capsys):
     assert "InsufficientFunds" in capsys.readouterr().err
 
 
+def test_missing_input_files_fail_1(workdir, capsys):
+    run(workdir, "genesis", "--config", str(workdir / "net.cfg"))
+    capsys.readouterr()
+    missing_code = str(workdir / "missing.asm")
+    assert run(workdir, "contract", "create", "--owner", "alice", "--code", missing_code) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing.asm" in err
+    missing_scenario = str(workdir / "missing.scn")
+    assert run(workdir, "sim", "run", missing_scenario, "--config", str(workdir / "net.cfg")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing.scn" in err
+
+
 def test_name_claim_resolve(workdir, capsys):
     run(workdir, "genesis", "--config", str(workdir / "net.cfg"))
     run(workdir, "name", "claim", "--owner", "alice", "--name", "plant-7", "--target", "bob")

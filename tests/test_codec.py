@@ -105,7 +105,7 @@ def _state_record_examples():
             b"\x06" * 32, b"\x07" * 32, b"\x08" * 32, 3, 9, 12, "contested",
             True, 5, b"\x09" * 32, 12, 15, (Vote(b"\x0a" * 32, False, 1000),), False,
         ),
-        "AZ": AZ(b"\x0b" * 32, b"\x0c" * 32, frozenset({b"\x0c" * 32}), frozenset({b"\x0c" * 32, b"\x0d" * 32}), frozenset(), 77),
+        "AZ": AZ(b"\x0b" * 32, b"\x0c" * 32, 77, frozenset({b"\x0c" * 32}), frozenset({b"\x0c" * 32, b"\x0d" * 32}), frozenset()),
         "RewardPoolState": RewardPoolState(5, 6, 7, 8, 9),
         "Account.external": Account(b"\x10" * 32, 1234, 3, 7),
         "Account.contract": Account(b"\x11" * 32, 0, 1, 2, "contract", b"\x12" * 32),
@@ -150,3 +150,41 @@ def test_state_records_round_trip():
         assert hashlib.sha256(encoded).hexdigest() == RECORD_DIGESTS[label], label
     signing = examples["SignedState"].signing_bytes()
     assert hashlib.sha256(signing).hexdigest() == RECORD_DIGESTS["SignedState.signing_bytes"]
+
+
+def test_record_decode_rejects_non_canonical_fractions_and_address_sets():
+    # a decoded record re-encodes to its own bytes, so the one encoding of
+    # a fraction is in lowest terms and an address set is strictly ascending
+    from fractions import Fraction
+
+    from deskchain.rewards import AZ, WorkItem
+
+    item = WorkItem(Fraction(1, 2), Fraction(0), Fraction(1), ()).encode()
+    unreduced = Writer().u64(2).u64(4).done() + item[16:]  # alpha = 2/4
+    with pytest.raises(CodecError):
+        WorkItem.read(Reader(unreduced))
+    a, b = b"\x01" * 32, b"\x02" * 32
+    az = AZ(b"\x0b" * 32, a, 5, frozenset({a}), frozenset({a, b}), frozenset()).encode()
+    swapped = az.replace(a + b, b + a)
+    for bad in (swapped, az.replace(a + b, a + a)):
+        with pytest.raises(CodecError):
+            AZ.read(Reader(bad))
+
+
+def test_only_layout_dependent_records_write_their_own_codec():
+    # every other record's wire form is its field annotations (codec.WireRecord)
+    import importlib
+    import inspect
+    import pkgutil
+
+    import deskchain
+    from deskchain.codec import WireRecord
+
+    own = set()
+    for info in pkgutil.walk_packages(deskchain.__path__, "deskchain."):
+        module = importlib.import_module(info.name)
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__ and cls is not WireRecord:
+                if "encode" in vars(cls) or "read" in vars(cls):
+                    own.add(name)
+    assert own == {"BlockHeader", "Block", "Program"}

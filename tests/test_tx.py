@@ -628,3 +628,19 @@ def test_decode_tx_rejects_a_nested_program_with_a_bad_header(bench):
     for bad in (bad_version, too_long):
         with pytest.raises(CodecError):
             txmod.decode_tx(bad)
+
+
+def test_decode_rejects_what_a_record_constructor_refuses():
+    from deskchain.ledger import Account
+
+    enc = txmod.EpochTx(EpochReport(1, (Fraction(1, 2), Fraction(1, 2)), (), ())).encode()
+    half = (1).to_bytes(8, "big") + (2).to_bytes(8, "big")
+    zero_denominator = enc.replace(half, (1).to_bytes(8, "big") + bytes(8), 1)
+    three_halves = enc.replace(half, (1).to_bytes(8, "big") + (1).to_bytes(8, "big"), 1)
+    for bad in (zero_denominator, three_halves):
+        with pytest.raises(CodecError):
+            txmod.decode_tx(bad)
+    account = Account(b"\x01" * 32, 5).encode()
+    kind_at = 32 + 3 * 8  # address, then balance, counter and freshness
+    with pytest.raises(CodecError):
+        Account.read(codec.Reader(account[:kind_at] + b"\x07" + account[kind_at + 1:]))
