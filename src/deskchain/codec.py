@@ -352,6 +352,15 @@ class WireRecord:
         return w.done()
 
     @classmethod
+    def decode(cls, data: bytes):
+        """One untagged record's whole encoding; trailing bytes are a
+        CodecError."""
+        r = Reader(data)
+        record = cls.read(r)
+        r.expect_end()
+        return record
+
+    @classmethod
     def read(cls, r: Reader):
         """The record from its fields; a value the constructor rejects is a
         CodecError, like any other malformed input."""

@@ -7,7 +7,7 @@ nonce) so a miner cannot grind it independently of the solution.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import pow
 from .codec import U64, Bytes32, Maybe, Reader, Tag, Text, WireRecord, Writer, check_amount
@@ -25,8 +25,7 @@ _KINDS = (EXTERNAL, CONTRACT)
 class _Digested(WireRecord):
     """A frozen record whose leaf digest is computed once and kept.
 
-    ``dataclasses.replace`` builds a new record, so an edit never sees the
-    old digest.
+    An edit builds a new record, so it never sees the old digest.
     """
 
     def digest(self) -> bytes:
@@ -221,7 +220,12 @@ def charge_maintenance(
     """
     if current_height < account.freshness:
         raise LedgerError("BadHeight", "maintenance into the past")
+    if current_height == account.freshness:
+        return account, 0, 0  # the same record, which keeps its cached digest
     charge = rate_per_block * (current_height - account.freshness)
     collected = min(account.balance, charge)
-    updated = replace(account, balance=account.balance - collected, freshness=current_height)
+    updated = Account(
+        account.address, account.balance - collected, account.counter, current_height,
+        account.kind, account.code_hash,
+    )
     return updated, collected, charge - collected

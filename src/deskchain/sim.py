@@ -266,9 +266,7 @@ class Simulation:
 
     def _on_propose(self, node: SimNode, src: str, payload: tuple) -> None:
         channel_id, ss_bytes, program_bytes = payload
-        from .codec import Reader
-
-        half = SignedState.read(Reader(ss_bytes))
+        half = SignedState.decode(ss_bytes)
         channel = node.state.channels.get(channel_id)
         if channel is None:
             self.log(node.name, "chan_ignore", reason="unknown_channel")
@@ -293,9 +291,7 @@ class Simulation:
 
     def _on_ack(self, node: SimNode, src: str, payload: tuple) -> None:
         channel_id, ss_bytes = payload
-        from .codec import Reader
-
-        full = SignedState.read(Reader(ss_bytes))
+        full = SignedState.decode(ss_bytes)
         channel = node.state.channels.get(channel_id)
         if channel is None or not channels.state_sigs_ok(channel, full):
             self.log(node.name, "chan_ignore", reason="bad_ack")

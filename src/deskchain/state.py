@@ -1,7 +1,13 @@
 """Aggregate chain state and its tree commitments.
 
-The state is an in-memory container of frozen records; cloning copies the
-dicts but shares the records, which makes per-transaction snapshots cheap.
+The state is an in-memory container of frozen records. A block is applied
+to one clone of its parent state, which copies the seven keyed stores but
+shares the records, so the parent survives for forks. Within that clone a
+transaction is rolled back through an undo journal, not another copy: while
+the journal is open, every write to a store logs the key's prior value, a
+savepoint is the journal's length plus the four scalar fields, and a
+rollback pops the log back to it. ``tx.apply_tx`` opens the journal and
+empties and closes it when it returns, so no stored state holds entries.
 Accounts and name records carry their cached leaf digest, so a shared
 record is encoded and hashed once however many states and roots use it;
 only the records a block replaces are hashed again.
@@ -17,7 +23,8 @@ account first settles the per-block fee accrued since its freshness height.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .channels import CLOSED, Channel
 from .codec import check_amount
@@ -32,17 +39,61 @@ from .storage import StorageContract
 from .vm import Program
 
 
+_ABSENT = object()  # the prior "value" of a key that a write added
+
+
+class StateDict(dict):
+    """One of ChainState's seven keyed stores.
+
+    While its state's journal is open, ``log`` is that journal, and item
+    assignment and ``del`` first append ``(self, key, prior value or
+    _ABSENT)`` to it. They are the only writes a store takes.
+    """
+
+    log: list | None = None
+
+    def __setitem__(self, key, value) -> None:
+        if self.log is not None:
+            self.log.append((self, key, self.get(key, _ABSENT)))
+        dict.__setitem__(self, key, value)
+
+    def __delitem__(self, key) -> None:
+        if self.log is not None:
+            self.log.append((self, key, self[key]))
+        dict.__delitem__(self, key)
+
+    def _unlogged(self, *args, **kwargs):
+        raise TypeError("a state store changes only by item assignment or del")
+
+    pop = popitem = setdefault = update = clear = __ior__ = _unlogged
+
+
+class Savepoint(NamedTuple):
+    """Where ``ChainState.rollback`` returns to: the journal's length plus
+    the scalar fields, which a write replaces instead of mutating."""
+
+    length: int
+    opened: bool  # this savepoint opened the journal, and its release closes it
+    pool: RewardPoolState
+    height: int
+    minted_total: int
+    burned_total: int
+
+
+_STORES = ("accounts", "names", "channels", "oracles", "storage_contracts", "azs", "code")
+
+
 @dataclass
 class ChainState:
     cfg: NetworkConfig
-    accounts: dict[bytes, Account]
-    names: dict[str, NameRecord]
-    channels: dict[bytes, Channel]
-    oracles: dict[bytes, OracleQuestion]
-    storage_contracts: dict[bytes, StorageContract]
-    azs: dict[bytes, AZ]
+    accounts: StateDict[bytes, Account]
+    names: StateDict[str, NameRecord]
+    channels: StateDict[bytes, Channel]
+    oracles: StateDict[bytes, OracleQuestion]
+    storage_contracts: StateDict[bytes, StorageContract]
+    azs: StateDict[bytes, AZ]
     pool: RewardPoolState
-    code: dict[bytes, Program]
+    code: StateDict[bytes, Program]
     height: int = 0
     genesis_total: int = 0
     minted_total: int = 0
@@ -50,7 +101,7 @@ class ChainState:
 
     @staticmethod
     def genesis(cfg: NetworkConfig) -> "ChainState":
-        accounts = {}
+        accounts = StateDict()
         for _, address, balance in cfg.genesis_accounts:
             if address in accounts:
                 raise LedgerError("BadFormat", "duplicate genesis account")
@@ -58,38 +109,69 @@ class ChainState:
         return ChainState(
             cfg=cfg,
             accounts=accounts,
-            names={},
-            channels={},
-            oracles={},
-            storage_contracts={},
-            azs={},
+            names=StateDict(),
+            channels=StateDict(),
+            oracles=StateDict(),
+            storage_contracts=StateDict(),
+            azs=StateDict(),
             pool=RewardPoolState(q=cfg.pool_q0, endowment=cfg.genesis_endowment),
-            code={},
+            code=StateDict(),
             genesis_total=cfg.genesis_total,
         )
 
     def clone(self) -> "ChainState":
+        """A copy of the stores sharing their records; its journal is closed."""
         return ChainState(
             cfg=self.cfg,
-            accounts=dict(self.accounts),
-            names=dict(self.names),
-            channels=dict(self.channels),
-            oracles=dict(self.oracles),
-            storage_contracts=dict(self.storage_contracts),
-            azs=dict(self.azs),
+            accounts=StateDict(self.accounts),
+            names=StateDict(self.names),
+            channels=StateDict(self.channels),
+            oracles=StateDict(self.oracles),
+            storage_contracts=StateDict(self.storage_contracts),
+            azs=StateDict(self.azs),
             pool=self.pool,
-            code=dict(self.code),
+            code=StateDict(self.code),
             height=self.height,
             genesis_total=self.genesis_total,
             minted_total=self.minted_total,
             burned_total=self.burned_total,
         )
 
-    def restore(self, snapshot: "ChainState") -> None:
-        """Roll back to ``snapshot``, taking ownership of it: this state adopts
-        the snapshot's dicts, so the caller must not use the snapshot again."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(snapshot, f.name))
+    # --- undo journal ---
+
+    def savepoint(self) -> Savepoint:
+        """Mark this point for ``rollback`` in O(1), opening the journal if
+        it is closed."""
+        log = self.accounts.log
+        opened = log is None
+        if opened:
+            log = []
+            self._attach(log)
+        return Savepoint(len(log), opened, self.pool, self.height, self.minted_total, self.burned_total)
+
+    def rollback(self, mark: Savepoint) -> None:
+        """Undo every write made since ``mark``, newest first."""
+        log = self.accounts.log
+        while len(log) > mark.length:
+            store, key, prior = log.pop()
+            if prior is _ABSENT:
+                dict.__delitem__(store, key)
+            else:
+                dict.__setitem__(store, key, prior)
+        self.pool, self.height = mark.pool, mark.height
+        self.minted_total, self.burned_total = mark.minted_total, mark.burned_total
+
+    def release(self, mark: Savepoint) -> None:
+        """Keep the writes made since ``mark``. Releasing the savepoint that
+        opened the journal empties and closes it; an inner one needs no
+        release."""
+        if mark.opened:
+            self.accounts.log.clear()
+            self._attach(None)
+
+    def _attach(self, log: list | None) -> None:
+        for name in _STORES:
+            getattr(self, name).log = log
 
     # --- account plumbing ---
 
@@ -98,7 +180,8 @@ class ChainState:
         updated, collected, _ = charge_maintenance(account, height, self.cfg.maintenance_rate)
         if collected:
             self.burned_total += collected
-        self.accounts[address] = updated
+        if updated is not account:
+            self.accounts[address] = updated
         return updated
 
     def touch(self, address: bytes, height: int) -> Account:
@@ -113,7 +196,9 @@ class ChainState:
             account = self._maintain(address, height)
         else:
             account = Account(address, 0, freshness=height)
-        account = replace(account, balance=account.balance + amount, freshness=height)
+        account = Account(
+            address, account.balance + amount, account.counter, height, account.kind, account.code_hash
+        )
         self.accounts[address] = account
         return account
 
@@ -123,7 +208,9 @@ class ChainState:
         if account is None or account.balance < amount:
             have = account.balance if account else 0
             raise LedgerError("InsufficientFunds", f"{have} < {amount}")
-        account = replace(account, balance=account.balance - amount, freshness=height)
+        account = Account(
+            address, account.balance - amount, account.counter, height, account.kind, account.code_hash
+        )
         self.accounts[address] = account
         return account
 

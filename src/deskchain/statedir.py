@@ -142,9 +142,7 @@ class StateDir:
             r = Reader(fh.read())
         states = []
         for _ in range(r.u32()):
-            sub = Reader(r.blob())
-            states.append(SignedState.read(sub))
-            sub.expect_end()
+            states.append(SignedState.decode(r.blob()))
         programs = {}
         for _ in range(r.u32()):
             program = Program.decode(r.blob())

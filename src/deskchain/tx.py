@@ -14,6 +14,7 @@ include transactions without simulating their full outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 from . import channels, oracles, pow, rewards, storage
 from .channels import SignedState
@@ -22,7 +23,7 @@ from .codec import (
 )
 from .crypto import HASH_SIZE, ZERO32, ZERO_SIG, hash256, verify_sig
 from .errors import BlockError, CodecError, LedgerError, TxError
-from .ledger import Block, BlockHeader, CONTRACT, NameRecord, expected_entropy
+from .ledger import Account, Block, BlockHeader, CONTRACT, NameRecord, expected_entropy
 from .merkle import MerkleProof, tree_root
 from .state import ChainState
 from .vm import HALTED, Program, VmEnv, execute
@@ -493,8 +494,6 @@ def _apply_inner(state: ChainState, tx, ctx: ApplyCtx) -> int:
         if address in state.accounts:
             raise LedgerError("AddressCollision", address.hex())
         state.debit(tx.owner, tx.deposit + tx.amount, height)
-        from .ledger import Account
-
         code_hash = tx.code.code_hash()
         state.accounts[address] = Account(
             address, tx.deposit + tx.amount, freshness=height, kind=CONTRACT,
@@ -626,15 +625,19 @@ def apply_tx(state: ChainState, tx, ctx: ApplyCtx) -> Receipt:
     """Mutates state; raises TxError if the transaction is inapplicable.
 
     Transactional: on any raise the state is exactly as it was, so callers
-    may probe candidates and skip failures without replay divergence.
+    may probe candidates and skip failures without replay divergence. The
+    outermost call opens the state's undo journal, rolls back through it on
+    a raise, and empties and closes it before returning.
     """
     check_tx(state, tx, ctx.cfg)
-    outer = state.clone()
+    start = state.savepoint()
     try:
         return _apply_checked(state, tx, ctx)
     except Exception:
-        state.restore(outer)
+        state.rollback(start)
         raise
+    finally:
+        state.release(start)
 
 
 def _apply_checked(state: ChainState, tx, ctx: ApplyCtx) -> Receipt:
@@ -652,22 +655,18 @@ def _apply_checked(state: ChainState, tx, ctx: ApplyCtx) -> Receipt:
     state.touch(sender, height)
     if state.accounts[sender].balance < fee:
         raise TxError("InsufficientForFee", "fee exceeds balance after maintenance")
-    snapshot = state.clone()
-
-    def charge_envelope() -> None:
-        state.debit(sender, fee, height)
-        account = state.accounts[sender]
-        state.accounts[sender] = replace(account, counter=tx.counter)
-        state.credit(ctx.miner, fee, height)
-
-    charge_envelope()
+    payer = state.debit(sender, fee, height)
+    state.accounts[sender] = Account(
+        sender, payer.balance, tx.counter, payer.freshness, payer.kind, payer.code_hash
+    )
+    state.credit(ctx.miner, fee, height)
+    charged = state.savepoint()  # a revert keeps the fee and the counter bump
     try:
         gas_used = _apply_inner(state, tx, ctx)
     except (_Revert, LedgerError) as exc:
         if isinstance(exc, LedgerError) and exc.code in NON_REVERTIBLE:
             raise
-        state.restore(snapshot)
-        charge_envelope()
+        state.rollback(charged)
         reverted_gas = tx.gas if isinstance(tx, GAS_KINDS) else 0
         reason = exc.code if isinstance(exc, LedgerError) else exc.reason
         return Receipt(this_hash, REVERTED, reverted_gas, fee, fee, reason)
@@ -791,8 +790,6 @@ def build_block(
 
 
 def _mempool_order(tx):
-    from fractions import Fraction
-
     size = len(encode_tx(tx))
     density = Fraction(effective_fee(tx), size) if size else Fraction(0)
     return (-density, tx_hash(tx))

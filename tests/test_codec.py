@@ -152,6 +152,14 @@ def test_state_records_round_trip():
     assert hashlib.sha256(signing).hexdigest() == RECORD_DIGESTS["SignedState.signing_bytes"]
 
 
+def test_record_decode_rejects_trailing_bytes():
+    for label, record in _state_record_examples().items():
+        encoded = record.encode()
+        assert type(record).decode(encoded) == record, label
+        with pytest.raises(CodecError, match="trailing"):
+            type(record).decode(encoded + b"junk")
+
+
 def test_record_decode_rejects_non_canonical_fractions_and_address_sets():
     # a decoded record re-encodes to its own bytes, so the one encoding of
     # a fraction is in lowest terms and an address set is strictly ascending

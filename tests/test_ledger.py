@@ -1,9 +1,10 @@
+import copy
 import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deskchain import tx as txmod
+from deskchain import channels, oracles, rewards, storage, tx as txmod
 from deskchain.codec import Reader
 from deskchain.crypto import KeyPair, ZERO32
 from deskchain.errors import BlockError, LedgerError
@@ -12,9 +13,10 @@ from deskchain.ledger import (
     validate_header, verify_light,
 )
 from deskchain.merkle import merkle_prove, merkle_root
-from deskchain.state import ChainState
+from deskchain.state import _STORES, ChainState
+from deskchain.vm import assemble
 
-from conftest import make_cfg
+from conftest import Bench, make_cfg
 
 
 def test_account_encode_round_trip():
@@ -275,3 +277,113 @@ def test_state_roots_match_a_from_scratch_reference(n_accounts, n_names, edits):
         assert txmod.state_roots(state) == _reference_roots(state)
     for snapshot, roots in held:
         assert txmod.state_roots(snapshot) == roots == _reference_roots(snapshot)
+
+
+def _deep_fields(state) -> dict:
+    """Every field of the state, deep-copied, with each store as a plain dict."""
+    return {
+        f.name: copy.deepcopy(dict(value) if isinstance(value, dict) else value)
+        for f in dataclasses.fields(state)
+        for value in [getattr(state, f.name)]
+    }
+
+
+_PROGRAMS = [assemble(f"PUSH {n}\nSTOP") for n in range(4)]
+_JOURNAL_OPS = st.lists(
+    st.tuples(
+        st.sampled_from([
+            "savepoint", "rollback", "release", "credit", "debit", "touch", "drain", "delete", "name",
+            "channel_open", "channel_close", "oracle", "storage", "az", "code", "pool", "burn", "mint",
+        ]),
+        st.integers(0, 11),
+        st.integers(0, 3 * 10**6),
+    ),
+    max_size=50,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10), st.integers(0, 2), _JOURNAL_OPS)
+def test_rollback_returns_every_field_to_its_savepoint(n_funded, n_empty, ops):
+    cfg = make_cfg("maintenance.rate = 3\n")
+    state = ChainState.genesis(cfg)
+    addrs = [bytes([i + 1]) * 32 for i in range(12)]
+    for a in addrs[:n_funded]:
+        state.credit(a, 10**6 + a[0], 0)
+    for a in addrs[n_funded:n_funded + n_empty]:
+        state.credit(a, 0, 0)  # deletable at once
+    marks = []  # (savepoint, deep copy taken at it, roots at it), oldest first
+    for height, (op, i, amount) in enumerate(ops, start=1):
+        state.height = height
+        address, other = addrs[i], addrs[(i + 1) % len(addrs)]
+        try:
+            if op == "savepoint":
+                marks.append((state.savepoint(), _deep_fields(state), txmod.state_roots(state)))
+            elif op == "rollback" and marks:
+                del marks[i % len(marks) + 1:]  # a rollback voids every later savepoint
+                mark, before, roots = marks[-1]
+                state.rollback(mark)
+                assert _deep_fields(state) == before
+                assert txmod.state_roots(state) == roots == _reference_roots(state)
+            elif op == "release" and marks:
+                state.release(marks[0][0])
+                marks.clear()
+                assert all(getattr(state, name).log is None for name in _STORES)
+            elif op == "credit":
+                state.credit(address, amount, height)
+            elif op == "debit":
+                state.debit(address, amount, height)
+            elif op == "touch":
+                state.touch(address, height)
+            elif op == "drain":
+                state.debit(address, state.touch(address, height).balance, height)
+            elif op == "delete":
+                empty = sorted(a for a, account in state.accounts.items() if account.balance == 0)
+                state.delete_account(empty[i % len(empty)] if empty else address)
+            elif op == "name":
+                state.names[f"n{i % 5}"] = NameRecord(f"n{i % 5}", address, other)
+            elif op == "channel_open":
+                channels.open_channel(state, address, other, amount % 1000, amount % 777, height, height)
+            elif op == "channel_close" and state.channels:
+                channel = state.channels[sorted(state.channels)[i % len(state.channels)]]
+                channels.cooperative_close(state, channel.channel_id, channels.nonce_zero_state(channel), height)
+            elif op == "oracle":
+                oracles.register(state, address, bytes([i]) * 32, height, height + 1 + i % 3, height, height, cfg)
+            elif op == "storage":
+                storage.create_contract(state, address, other, bytes([i]) * 32, 2, 16, 1, 1, amount % 1000,
+                                        height, height)
+            elif op == "az":
+                rewards.az_create(state, address, amount % 100, height, height, cfg)
+            elif op == "code":
+                program = _PROGRAMS[i % len(_PROGRAMS)]
+                state.code[program.code_hash()] = program
+            elif op == "pool":
+                state.pool = dataclasses.replace(state.pool, endowment=state.pool.endowment + amount)
+            elif op == "burn":
+                state.burn(amount)
+            elif op == "mint":
+                state.mint(address, amount, height)
+        except LedgerError:
+            pass  # a failed edit may leave partial writes; only a rollback undoes them
+        assert txmod.state_roots(state) == _reference_roots(state)
+    if marks:
+        mark, before, _ = marks[0]
+        state.rollback(mark)
+        state.release(mark)
+        assert _deep_fields(state) == before
+    assert all(getattr(state, name).log is None for name in _STORES)
+
+
+def test_apply_tx_undoes_the_fee_envelope_of_an_address_collision():
+    bench = Bench(make_cfg("maintenance.rate = 3\n"), height=5)  # the touch burns maintenance too
+    alice = bench.key("alice")
+    counter = bench.counter("alice")
+    address = txmod.contract_address(alice.address, counter)
+    bench.state.accounts[address] = Account(address, 0)
+    tx = txmod.ContractCreate(alice.address, assemble("PUSH 1\nSTOP"), 1, 10, 0, 5, 2, (), 10, counter)
+    before = _deep_fields(bench.state)
+    with pytest.raises(LedgerError) as err:
+        bench.apply(tx, alice)
+    assert err.value.code == "AddressCollision"
+    assert _deep_fields(bench.state) == before
+    assert all(getattr(bench.state, name).log is None for name in _STORES)

@@ -6,7 +6,7 @@ import pytest
 
 from deskchain import channels, config, sim
 from deskchain.crypto import KeyPair
-from deskchain.errors import ScenarioError
+from deskchain.errors import CodecError, ScenarioError
 
 from conftest import SCENARIO_DIR
 
@@ -149,6 +149,23 @@ def test_double_sign_registry_catches_conflicts():
     simulation._register_signed(node, one)
     with pytest.raises(Exception):
         simulation._register_signed(node, two)
+
+
+def test_channel_messages_with_trailing_bytes_are_rejected():
+    simulation = sim.Simulation(CFG, seed=3)
+    text = "0 mine alice\n2 channel-open alice alice bob 1dsd 1dsd as ch\n4 mine alice\n"
+    simulation.run_scenario(text, SCENARIO_DIR)
+    channel_id = simulation.handles["ch"]
+    channel = simulation.nodes["bob"].state.channels[channel_id]
+    a, b = KeyPair.from_name("alice"), KeyPair.from_name("bob")
+    half = channels.sign_state(
+        channels.make_update(channel, channels.nonce_zero_state(channel), (1_500_000, 500_000)), a, "a"
+    )
+    full = channels.sign_state(half, b, "b")
+    with pytest.raises(CodecError, match="trailing"):
+        simulation._on_propose(simulation.nodes["bob"], "alice", (channel_id, half.encode() + b"junk", b""))
+    with pytest.raises(CodecError, match="trailing"):
+        simulation._on_ack(simulation.nodes["alice"], "bob", (channel_id, full.encode() + b"junk"))
 
 
 def test_event_log_format():

@@ -2,7 +2,8 @@ import os
 
 import pytest
 
-from deskchain import tx as txmod
+from deskchain import channels, tx as txmod
+from deskchain.codec import Writer
 from deskchain.crypto import KeyPair
 from deskchain.errors import CodecError, DeskchainError
 from deskchain.ledger import Block, BlockHeader
@@ -75,3 +76,16 @@ def test_mempool_reports_a_torn_or_padded_record(tmp_path):
     path.write_bytes(data[:offset] + len(padded).to_bytes(4, "big") + padded)
     with pytest.raises(CodecError, match=f"mempool.bin: record 1 at byte {offset}: 2 trailing"):
         sd.mempool()
+
+
+def test_channel_states_rejects_a_padded_state(tmp_path):
+    sd = StateDir(str(tmp_path))
+    alice, bob = KeyPair.from_name("alice").address, KeyPair.from_name("bob").address
+    channel = channels.Channel(b"\x01" * 32, alice, bob, 60, 40)
+    ss = channels.nonce_zero_state(channel)
+    sd.write_channel_states(channel.channel_id, [ss], {})
+    assert sd.channel_states(channel.channel_id) == ([ss], {})
+    padded = Writer().u32(1).blob(ss.encode() + b"\0").u32(0).done()
+    (tmp_path / f"channel_{channel.channel_id.hex()}.bin").write_bytes(padded)
+    with pytest.raises(CodecError, match="trailing"):
+        sd.channel_states(channel.channel_id)

@@ -12,6 +12,7 @@ from deskchain.channels import SignedState
 from deskchain.crypto import ZERO_SIG, KeyPair
 from deskchain.errors import BlockError, CodecError, TxError
 from deskchain.ledger import CONTRACT, Block
+from deskchain.state import _STORES, ChainState
 from deskchain.merkle import MerkleProof
 from deskchain.rewards import AZFactors, EpochReport, UserContribution, WorkItem
 from deskchain.vm import MAX_PROGRAM_LEN, Program, assemble
@@ -527,6 +528,30 @@ def test_apply_block_encodes_each_tx_once(monkeypatch):
     _, receipts = txmod.apply_block(state, fresh)
     assert sorted(r.status for r in receipts) == ["applied", "applied", "reverted"]
     assert len(calls) == len(fresh.transactions)
+
+
+def test_apply_block_clones_once_and_keeps_no_journal(monkeypatch):
+    # a tx rolls back through the undo journal; only the block copies the state
+    cfg = make_cfg()
+    state, genesis = txmod.genesis_block(cfg)
+    miner = KeyPair.from_name("miner").address
+    alice, bob, carol = (KeyPair.from_name(n) for n in ("alice", "bob", "carol"))
+    txs = [
+        txmod.sign_tx(txmod.Spend(alice.address, bob.address, 123, 7, 1), alice),
+        txmod.sign_tx(txmod.Spend(bob.address, alice.address, 10**12, 5, 1), bob),  # reverts
+        txmod.sign_tx(txmod.DataOnly(carol.address, b"log", 2, 1), carol),
+        txmod.sign_tx(txmod.Spend(alice.address, carol.address, 9, 3, 2), alice),
+    ]
+    block = txmod.build_block(state, txs, miner, genesis.header)
+    assert len(block.transactions) == 4
+    fresh = Block.read(codec.Reader(block.encode()))
+    calls = []
+    clone = ChainState.clone
+    monkeypatch.setattr(ChainState, "clone", lambda self: calls.append(self) or clone(self))
+    applied, receipts = txmod.apply_block(state, fresh)
+    assert sorted(r.status for r in receipts) == ["applied", "applied", "applied", "reverted"]
+    assert calls == [state]
+    assert all(getattr(applied, name).log is None for name in _STORES)
 
 
 def test_apply_block_stale_root_rejected():
