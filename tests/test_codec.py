@@ -196,3 +196,61 @@ def test_only_layout_dependent_records_write_their_own_codec():
                 if "encode" in vars(cls) or "read" in vars(cls):
                     own.add(name)
     assert own == {"BlockHeader", "Block", "Program"}
+
+
+def _layout_examples(tmp_path):
+    # built by keyword or from assembly text, so no example depends on the
+    # constructor's positional order
+    from deskchain.channels import SignedState
+    from deskchain.ledger import BlockHeader
+    from deskchain.statedir import StateDir
+    from deskchain.vm import assemble
+
+    header = BlockHeader(
+        height=7, prev_hash=b"\x21" * 32, tx_root=b"\x22" * 32, account_root=b"\x23" * 32,
+        name_root=b"\x24" * 32, wormhole_root=b"\x25" * 32, oracle_open_root=b"\x26" * 32,
+        oracle_answer_root=b"\x27" * 32, proof_root=b"\x28" * 32, entropy=b"\x29" * 32,
+        miner=b"\x2a" * 32, pow_nonce=2**40 + 3, pow_cycle=(5, 17, 2**33, 255),
+    )
+    every_op = assemble(
+        "PUSH -9223372036854775808\nPOP\nDUP\nSWAP\nADD\nSUB\nMUL\nDIV\nLT\nEQ\nNOT\n"
+        "SELECT\nHASH\nSIGOK\nBALANCE\nSTORE 65535\nLOAD 0\nSTOP\nFAIL\nPUSH 42"
+    )
+    split = assemble("PUSH 3\nPUSH -1\nSTOP")
+    states = [
+        SignedState(b"\x31" * 32, 0, 60, 40),
+        SignedState(b"\x31" * 32, 3, 30, 70, split.code_hash(), (9, -9), b"\x32" * 64, b"\x33" * 64),
+    ]
+    channel_id = b"\x31" * 32
+    sd = StateDir(str(tmp_path))
+    sd.write_channel_states(channel_id, states, {p.code_hash(): p for p in (every_op, split)})
+    channel_file = (tmp_path / f"channel_{channel_id.hex()}.bin").read_bytes()
+    return header, every_op, split, states, sd, channel_file
+
+
+# sha256 of the bytes of the three layouts whose codec is not a plain field list
+LAYOUT_DIGESTS = {
+    "BlockHeader": "74a7d54eb1f1942401a611f8cd0e2a7bc68596c4cebf9d50bd092c685c8463b2",
+    "BlockHeader.base_bytes": "642f431a38ef64e0aead5c5eb12dac63795d0f4e233dcb6581cd77f756c32b35",
+    "Program": "6904a796df315b8e63f97aa095cb2c5baba9bce6de2d5fc1d81ab4051574383e",
+    "channel file": "77a95cab44a118d8d657565bc5132b3e3e2187fdb929063d26719fb1e74a0645",
+}
+
+
+def test_header_program_and_channel_file_bytes_are_pinned(tmp_path):
+    from deskchain.ledger import BlockHeader
+    from deskchain.vm import Program
+
+    header, every_op, split, states, sd, channel_file = _layout_examples(tmp_path)
+    for label, data in (
+        ("BlockHeader", header.encode()),
+        ("BlockHeader.base_bytes", header.base_bytes()),
+        ("Program", every_op.encode()),
+        ("channel file", channel_file),
+    ):
+        assert hashlib.sha256(data).hexdigest() == LAYOUT_DIGESTS[label], label
+    assert len(header.base_bytes()) == 8 + 9 * 32
+    assert header.encode().startswith(header.base_bytes())
+    assert BlockHeader.read(Reader(header.encode())) == header
+    assert Program.decode(every_op.encode()) == every_op
+    assert sd.channel_states(b"\x31" * 32) == (states, {p.code_hash(): p for p in (every_op, split)})

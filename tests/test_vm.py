@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deskchain import templates
-from deskchain.errors import LedgerError, VmFailure
+from deskchain.codec import Writer
+from deskchain.errors import CodecError, LedgerError, VmFailure
 from deskchain.vm import (
-    FAILED, HALTED, OUT_OF_GAS, OUT_OF_SPACE, Instr, Program, VmEnv, assemble,
+    FAILED, HALTED, OPS, OUT_OF_GAS, OUT_OF_SPACE, Instr, Program, VmEnv, assemble,
     disassemble, eval_pure, execute,
 )
 
@@ -217,3 +218,17 @@ def test_templates_round_trip_binary():
     for name, program in templates.TEMPLATES.items():
         assert Program.decode(program.encode()) == program
         assert assemble(disassemble(program)) == program
+
+
+def test_program_decode_rejects_malformed_input():
+    stop = Writer().u8(OPS.index("STOP")).done()
+    pops = bytes([OPS.index("POP")]) * 65_537
+    for bad in (
+        Writer().u8(2).u32(1).done() + stop,  # vm_version 2
+        Writer().u8(1).u32(1).u8(len(OPS)).done(),  # opcode 19
+        Writer().u8(1).u32(65_537).done() + pops,  # one past the length cap
+        Writer().u8(1).u32(1).u8(OPS.index("PUSH")).done() + b"\0" * 7,  # truncated immediate
+    ):
+        with pytest.raises(CodecError):
+            Program.decode(bad)
+    assert Program.decode(Writer().u8(1).u32(1).done() + stop) == assemble("STOP")
