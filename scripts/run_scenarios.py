@@ -19,7 +19,9 @@ def main() -> int:
     started = time.time()
     for path in sorted(glob.glob(os.path.join(ROOT, "*.scn"))):
         t0 = time.time()
-        result = sim.run(cfg, open(path).read(), seed=seed, base_dir=ROOT)
+        with open(path) as fh:
+            text = fh.read()
+        result = sim.run(cfg, text, seed=seed, base_dir=ROOT)
         state = result.state
         sources, sinks = state.conservation_sides()
         ok = "ok " if sources == sinks else "BAD"

@@ -14,13 +14,13 @@ consensus change. ``wire_fields`` turns the annotations into the
 Every tx kind (after its u8 tag) and every state record is written this
 way: Account, NameRecord, Channel, SignedState, OracleQuestion, Vote,
 StorageContract, MerkleProof, AZ, RewardPoolState, and the EpochReport with
-its AZFactors, UserContribution and WorkItem rows.
+its AZFactors, UserContribution and WorkItem rows. So are ``BlockHeader``
+(its PoW input ``base_bytes`` is the prefix of its encoding up to
+``miner``), ``Program`` (a version byte, then ``Seq[vm.Op]``, where each
+opcode decides whether an argument follows it) and the CLI's channel file.
 
-Three types write their own bytes. ``BlockHeader`` puts ``miner`` before
-``entropy`` on the wire, and its PoW input ``base_bytes`` is a prefix of its
-encoding. ``Block`` holds txs of any kind, each read by its tag through
-``tx.decode_tx``. ``Program``'s layout depends on each opcode, which decides
-whether an argument follows it.
+One type writes its own bytes: ``Block``, whose txs are of any kind, each
+read by its u8 tag through ``tx.decode_tx``.
 
 Signing bytes follow one of two rules, each written once. A transaction
 signs its wire bytes with every ``Sig`` field zeroed
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import gcd
 from typing import Annotated, Any, Callable, get_type_hints
 
@@ -190,13 +189,6 @@ def _write_record(w: Writer, record) -> None:
     w.blob(record.encode())
 
 
-def _read_record(record_type, r: Reader):
-    sub = Reader(r.blob())
-    record = record_type.read(sub)
-    sub.expect_end()
-    return record
-
-
 def _write_ratio(w: Writer, f: Fraction) -> None:
     w.u64(f.numerator).u64(f.denominator)
 
@@ -286,7 +278,7 @@ class Record:
     """``Record[T]``: a nested T, as a blob that must read exactly to its end."""
 
     def __class_getitem__(cls, record_type):
-        return Annotated[record_type, FieldCodec(_write_record, partial(_read_record, record_type))]
+        return Annotated[record_type, FieldCodec(_write_record, lambda r: record_type.decode(r.blob()))]
 
 
 class OptionalRecord:

@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import pow
-from .codec import U64, Bytes32, Maybe, Reader, Tag, Text, WireRecord, Writer, check_amount
-from .crypto import ADDRESS_SIZE, HASH_SIZE, ZERO32, hash256
+from .codec import U64, Bytes32, Maybe, Reader, Seq, Tag, Text, WireRecord, Writer, check_amount
+from .crypto import ADDRESS_SIZE, ZERO32, hash256
 from .errors import BlockError, LedgerError
 from .merkle import MerkleProof, merkle_verify
 
@@ -20,6 +20,7 @@ CONTRACT = "contract"
 MAX_NAME_BYTES = 64
 
 _KINDS = (EXTERNAL, CONTRACT)
+_BASE_SIZE = 8 + 9 * 32  # BlockHeader.height, prev_hash, the seven roots and miner
 
 
 class _Digested(WireRecord):
@@ -71,60 +72,28 @@ class NameRecord(_Digested):
 
 
 @dataclass(frozen=True)
-class BlockHeader:
-    height: int
-    prev_hash: bytes
-    tx_root: bytes
-    account_root: bytes
-    name_root: bytes
-    wormhole_root: bytes
-    oracle_open_root: bytes
-    oracle_answer_root: bytes
-    proof_root: bytes
-    entropy: bytes
-    miner: bytes
-    pow_nonce: int
-    pow_cycle: tuple[int, ...]
+class BlockHeader(WireRecord):
+    height: U64
+    prev_hash: Bytes32
+    tx_root: Bytes32
+    account_root: Bytes32
+    name_root: Bytes32
+    wormhole_root: Bytes32
+    oracle_open_root: Bytes32
+    oracle_answer_root: Bytes32
+    proof_root: Bytes32
+    miner: Bytes32  # the last field of base_bytes
+    entropy: Bytes32
+    pow_nonce: U64
+    pow_cycle: Seq[U64]
 
     def base_bytes(self) -> bytes:
-        """PoW input: everything the miner fixes before searching."""
-        return (
-            Writer()
-            .u64(self.height)
-            .fixed(self.prev_hash, HASH_SIZE)
-            .fixed(self.tx_root, HASH_SIZE)
-            .fixed(self.account_root, HASH_SIZE)
-            .fixed(self.name_root, HASH_SIZE)
-            .fixed(self.wormhole_root, HASH_SIZE)
-            .fixed(self.oracle_open_root, HASH_SIZE)
-            .fixed(self.oracle_answer_root, HASH_SIZE)
-            .fixed(self.proof_root, HASH_SIZE)
-            .fixed(self.miner, ADDRESS_SIZE)
-            .done()
-        )
+        """PoW input: everything the miner fixes before searching, which is
+        the encoding up to and including ``miner``."""
+        return self.encode()[:_BASE_SIZE]
 
     def base_hash(self) -> bytes:
         return hash256(self.base_bytes())
-
-    def encode(self) -> bytes:
-        w = Writer()
-        w.fixed(self.base_bytes(), len(self.base_bytes()))
-        w.fixed(self.entropy, 32)
-        w.u64(self.pow_nonce)
-        w.u32(len(self.pow_cycle))
-        for e in self.pow_cycle:
-            w.u64(e)
-        return w.done()
-
-    @staticmethod
-    def read(r: Reader) -> "BlockHeader":
-        height = r.u64()
-        fields = [r.fixed(HASH_SIZE) for _ in range(7 + 1)]  # prev + 7 roots
-        miner = r.fixed(ADDRESS_SIZE)
-        entropy = r.fixed(32)
-        pow_nonce = r.u64()
-        cycle = tuple(r.u64() for _ in range(r.u32()))
-        return BlockHeader(height, *fields, entropy, miner, pow_nonce, cycle)
 
     def block_hash(self) -> bytes:
         return hash256(self.encode())
@@ -152,7 +121,7 @@ class Block:
     def read(r: Reader) -> "Block":
         from .tx import decode_tx  # deferred: tx depends on ledger types
 
-        header = BlockHeader.read(Reader(r.blob()))
+        header = BlockHeader.decode(r.blob())
         txs = tuple(decode_tx(r.blob()) for _ in range(r.u32()))
         return Block(header, txs)
 

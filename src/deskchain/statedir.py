@@ -7,9 +7,10 @@ states) are replaced atomically: a failed write leaves the old file whole."""
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 
 from . import tx as txmod
-from .codec import Reader, Writer
+from .codec import Record, Seq, WireRecord
 from .config import NetworkConfig, load_config
 from .crypto import KeyPair
 from .errors import CodecError, DeskchainError
@@ -33,6 +34,15 @@ def _write_atomic(path: str, data: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+@dataclass(frozen=True)
+class _ChannelFile(WireRecord):
+    """``channel_<id>.bin``: one endpoint's signed states, then the programs
+    they name, in code-hash order."""
+
+    states: Seq[Record[SignedState]]
+    programs: Seq[Record[Program]]
 
 
 class StateDir:
@@ -139,24 +149,11 @@ class StateDir:
         if not os.path.exists(path):
             return [], {}
         with open(path, "rb") as fh:
-            r = Reader(fh.read())
-        states = []
-        for _ in range(r.u32()):
-            states.append(SignedState.decode(r.blob()))
-        programs = {}
-        for _ in range(r.u32()):
-            program = Program.decode(r.blob())
-            programs[program.code_hash()] = program
-        r.expect_end()
-        return states, programs
+            saved = _ChannelFile.decode(fh.read())
+        return list(saved.states), {program.code_hash(): program for program in saved.programs}
 
     def write_channel_states(
         self, channel_id: bytes, states: list[SignedState], programs: dict[bytes, Program]
     ) -> None:
-        w = Writer().u32(len(states))
-        for ss in states:
-            w.blob(ss.encode())
-        w.u32(len(programs))
-        for key in sorted(programs):
-            w.blob(programs[key].encode())
-        _write_atomic(self.path(f"channel_{channel_id.hex()}.bin"), w.done())
+        saved = _ChannelFile(tuple(states), tuple(programs[key] for key in sorted(programs)))
+        _write_atomic(self.path(f"channel_{channel_id.hex()}.bin"), saved.encode())

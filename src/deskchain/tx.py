@@ -162,7 +162,11 @@ class ChannelOpen(TxBase):
 
 
 @dataclass(frozen=True)
-class ChannelCloseCoop(TxBase):
+class _ChannelTx(TxBase):
+    """The wire shape the four channel-settling kinds share. A ChannelClose
+    with no ``state`` settles at the original deposits; ChannelFinalize
+    leaves ``state`` unused."""
+
     sender: Bytes32
     channel_id: Bytes32
     state: OptionalRecord[SignedState]
@@ -170,42 +174,25 @@ class ChannelCloseCoop(TxBase):
     fee: U64
     counter: U64
     sig: Sig = ZERO_SIG
+
+
+@dataclass(frozen=True)
+class ChannelCloseCoop(_ChannelTx):
     TAG = 7
 
 
 @dataclass(frozen=True)
-class ChannelClose(TxBase):
-    sender: Bytes32
-    channel_id: Bytes32
-    state: OptionalRecord[SignedState]  # None settles at the original deposits
-    program: OptionalRecord[Program]
-    fee: U64
-    counter: U64
-    sig: Sig = ZERO_SIG
+class ChannelClose(_ChannelTx):
     TAG = 8
 
 
 @dataclass(frozen=True)
-class ChannelChallenge(TxBase):
-    sender: Bytes32
-    channel_id: Bytes32
-    state: OptionalRecord[SignedState]
-    program: OptionalRecord[Program]
-    fee: U64
-    counter: U64
-    sig: Sig = ZERO_SIG
+class ChannelChallenge(_ChannelTx):
     TAG = 9
 
 
 @dataclass(frozen=True)
-class ChannelFinalize(TxBase):
-    sender: Bytes32
-    channel_id: Bytes32
-    state: OptionalRecord[SignedState]  # unused; kept for the shared wire shape
-    program: OptionalRecord[Program]
-    fee: U64
-    counter: U64
-    sig: Sig = ZERO_SIG
+class ChannelFinalize(_ChannelTx):
     TAG = 10
 
 
@@ -354,10 +341,6 @@ def encode_tx(tx) -> bytes:
     return tx.encode()
 
 
-def signing_bytes(tx) -> bytes:
-    return tx.signing_bytes()
-
-
 def tx_hash(tx) -> bytes:
     """hash256 of the wire bytes, kept on the frozen tx after the first call."""
     try:
@@ -412,7 +395,7 @@ def data_only_cost(payload_len: int, gas_price: int) -> int:
 
 
 def sign_tx(tx, keypair):
-    return replace(tx, sig=keypair.sign(signing_bytes(tx)))
+    return replace(tx, sig=keypair.sign(tx.signing_bytes()))
 
 
 # --- checking ----------------------------------------------------------
@@ -446,7 +429,7 @@ def check_tx(state: ChainState, tx, cfg) -> None:
             raise TxError("SpendToContract", "contract accounts take no spends")
 
     sender = tx_sender(tx)
-    msg = signing_bytes(tx)
+    msg = tx.signing_bytes()
     if tx.sig == ZERO_SIG:
         raise TxError("MissingSignature", "unsigned transaction")
     if not verify_sig(sender, msg, tx.sig):

@@ -10,8 +10,9 @@ results are returned, never applied.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Annotated
 
-from .codec import I64_MAX, I64_MIN, Reader, Writer
+from .codec import I64_MAX, I64_MIN, U8, FieldCodec, Reader, Seq, WireRecord, Writer
 from .errors import CodecError, LedgerError, VmFailure
 from .crypto import hash256
 
@@ -52,10 +53,35 @@ class Instr:
         return self.op
 
 
+def _write_op(w: Writer, ins: Instr) -> None:
+    w.u8(_OPCODE[ins.op])
+    if ins.op in _HAS_IMM:
+        w.i64(ins.arg)
+    elif ins.op in _HAS_IDX:
+        w.u16(ins.arg)
+
+
+def _read_op(r: Reader) -> Instr:
+    code = r.u8()
+    if code >= len(OPS):
+        raise CodecError(f"bad opcode {code}")
+    op = OPS[code]
+    if op in _HAS_IMM:
+        return Instr(op, r.i64())
+    if op in _HAS_IDX:
+        return Instr(op, r.u16())
+    return Instr(op)
+
+
+# one instruction: a u8 opcode, then an i64 immediate for PUSH or a u16
+# store index for STORE and LOAD
+Op = Annotated[Instr, FieldCodec(_write_op, _read_op)]
+
+
 @dataclass(frozen=True)
-class Program:
-    instructions: tuple[Instr, ...]
-    vm_version: int = 1
+class Program(WireRecord):
+    vm_version: U8
+    instructions: Seq[Op]
 
     def __post_init__(self) -> None:
         if self.vm_version != 1:
@@ -65,45 +91,6 @@ class Program:
 
     def uses_env(self) -> bool:
         return any(i.op in ENV_OPS for i in self.instructions)
-
-    def encode(self) -> bytes:
-        w = Writer().u8(self.vm_version).u32(len(self.instructions))
-        for ins in self.instructions:
-            w.u8(_OPCODE[ins.op])
-            if ins.op in _HAS_IMM:
-                w.i64(ins.arg)
-            elif ins.op in _HAS_IDX:
-                w.u16(ins.arg)
-        return w.done()
-
-    @staticmethod
-    def read(r: Reader) -> "Program":
-        version = r.u8()
-        if version != 1:
-            raise CodecError(f"vm_version must be 1, got {version}")
-        count = r.u32()
-        if count > MAX_PROGRAM_LEN:
-            raise CodecError(f"program of {count} instructions exceeds {MAX_PROGRAM_LEN}")
-        instrs = []
-        for _ in range(count):
-            code = r.u8()
-            if code >= len(OPS):
-                raise CodecError(f"bad opcode {code}")
-            op = OPS[code]
-            if op in _HAS_IMM:
-                instrs.append(Instr(op, r.i64()))
-            elif op in _HAS_IDX:
-                instrs.append(Instr(op, r.u16()))
-            else:
-                instrs.append(Instr(op))
-        return Program(tuple(instrs), version)
-
-    @staticmethod
-    def decode(data: bytes) -> "Program":
-        r = Reader(data)
-        p = Program.read(r)
-        r.expect_end()
-        return p
 
     def code_hash(self) -> bytes:
         return hash256(self.encode())
@@ -124,7 +111,7 @@ def assemble(text: str) -> Program:
         if wants_arg != (len(parts) == 2) or len(parts) > 2:
             raise LedgerError("BadFormat", f"asm line {line_no}: bad operands")
         instrs.append(Instr(op, int(parts[1], 10)) if wants_arg else Instr(op))
-    return Program(tuple(instrs))
+    return Program(1, tuple(instrs))
 
 
 def disassemble(program: Program) -> str:

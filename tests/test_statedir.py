@@ -28,7 +28,7 @@ def _two_block_chain(sd):
     alice, bob = KeyPair.from_name("alice"), KeyPair.from_name("bob").address
     spend = txmod.sign_tx(txmod.Spend(alice.address, bob, 5, 1, 1), alice)
     blocks = [
-        Block(BlockHeader(h, *[bytes([h]) * 32] * 8, bytes(32), alice.address, h, (1, 2)), txs)
+        Block(BlockHeader(h, *[bytes([h]) * 32] * 8, alice.address, bytes(32), h, (1, 2)), txs)
         for h, txs in ((0, ()), (1, (spend,)))
     ]
     for block in blocks:
@@ -46,6 +46,22 @@ def test_blocks_rejects_a_padded_record(tmp_path):
         (tmp_path / "chain.bin").read_bytes()[:offset] + len(padded).to_bytes(4, "big") + padded
     )
     with pytest.raises(CodecError, match=f"record 1 at byte {offset}: 3 trailing bytes"):
+        sd.blocks()
+
+
+def test_blocks_rejects_a_padded_header(tmp_path):
+    # one block has one encoding: its header blob must read to its end
+    sd = StateDir(str(tmp_path))
+    first, second = _two_block_chain(sd)
+    header = second.header.encode()
+    encoded = second.encode()
+    padded = Writer().blob(header + b"\0" * 4).done() + encoded[4 + len(header):]
+    with pytest.raises(CodecError, match="4 trailing bytes"):
+        Block.decode(padded)
+    offset = 4 + len(first.encode())
+    chain = tmp_path / "chain.bin"
+    chain.write_bytes(chain.read_bytes()[:offset] + len(padded).to_bytes(4, "big") + padded)
+    with pytest.raises(CodecError, match=f"record 1 at byte {offset}: 4 trailing bytes"):
         sd.blocks()
 
 

@@ -142,12 +142,12 @@ def test_gas_monotonicity(gas_small, extra):
 
 def test_program_length_cap():
     with pytest.raises(LedgerError):
-        Program(tuple(Instr("POP") for _ in range(65_537)))
+        Program(1, tuple(Instr("POP") for _ in range(65_537)))
 
 
 def test_vm_version_must_be_one():
     with pytest.raises(LedgerError):
-        Program((Instr("STOP"),), vm_version=2)
+        Program(2, (Instr("STOP"),))
 
 
 def test_assembler_round_trip():
