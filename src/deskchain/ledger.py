@@ -1,16 +1,18 @@
 """Chain data model: accounts, names, headers, blocks.
 
-Headers commit to seven state-tree roots plus entropy; the PoW input is the
-header encoding *without* the solution-derived fields (entropy, nonce,
-cycle), and entropy is pinned separately as H(prev_entropy || miner ||
-nonce) so a miner cannot grind it independently of the solution.
+Headers commit to seven tree roots, the block's transaction count and
+entropy; the PoW input is the header encoding *without* the
+solution-derived fields (entropy, nonce, cycle), and entropy is pinned
+separately as H(prev_entropy || miner || nonce) so a miner cannot grind it
+independently of the solution. The transaction count is the leaf count a
+light client checks a ``tx_root`` inclusion proof against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from . import pow
-from .codec import U64, Bytes32, Maybe, Reader, Seq, Tag, Text, WireRecord, Writer, check_amount
+from .codec import U32, U64, Bytes32, Maybe, Reader, Seq, Tag, Text, WireRecord, Writer, check_amount
 from .crypto import ADDRESS_SIZE, ZERO32, hash256
 from .errors import BlockError, LedgerError
 from .merkle import MerkleProof, merkle_verify
@@ -20,7 +22,7 @@ CONTRACT = "contract"
 MAX_NAME_BYTES = 64
 
 _KINDS = (EXTERNAL, CONTRACT)
-_BASE_SIZE = 8 + 9 * 32  # BlockHeader.height, prev_hash, the seven roots and miner
+_BASE_SIZE = 8 + 4 + 9 * 32  # BlockHeader.height, prev_hash, tx_count, the seven roots and miner
 
 
 class _Digested(WireRecord):
@@ -76,6 +78,7 @@ class BlockHeader(WireRecord):
     height: U64
     prev_hash: Bytes32
     tx_root: Bytes32
+    tx_count: U32
     account_root: Bytes32
     name_root: Bytes32
     wormhole_root: Bytes32
@@ -175,8 +178,7 @@ def verify_light(headers: list[BlockHeader], tx_bytes: bytes, proof: MerkleProof
     for prev, nxt in zip(headers, headers[1:]):
         if not header_ok(nxt, prev, cfg):
             return False
-    leaf_count = 1 << len(proof.siblings)
-    return merkle_verify(headers[-1].tx_root, tx_bytes, proof, leaf_count)
+    return merkle_verify(headers[-1].tx_root, tx_bytes, proof, headers[-1].tx_count)
 
 
 def charge_maintenance(

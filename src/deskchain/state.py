@@ -8,13 +8,26 @@ the journal is open, every write to a store logs the key's prior value, a
 savepoint is the journal's length plus the four scalar fields, and a
 rollback pops the log back to it. ``tx.apply_tx`` opens the journal and
 empties and closes it when it returns, so no stored state holds entries.
-Accounts and name records carry their cached leaf digest, so a shared
-record is encoded and hashed once however many states and roots use it;
-only the records a block replaces are hashed again.
 Seven Merkle roots commit the state: accounts, names, a combined wormhole
 tree (channels, storage contracts, AZs, and the reward pool, i.e. all
 contract-ish objects), two oracle trees split by liveness, plus the
-per-block transaction and possession-proof trees.
+per-block transaction and possession-proof trees. Every tree has the
+RFC 6962 shape of ``merkle``.
+
+The account and name trees are position-stable and kept across blocks:
+  - a key takes a leaf slot when the block that creates it ends, and keeps
+    it for good; a block's new keys take the next slots in ascending key
+    order, never in write order, so a miner that drops a candidate after
+    it created an account and a replaying node agree, and a creation rolled
+    back within the block takes no slot;
+  - while a key with a slot is absent (a deleted account), its leaf digest
+    is ``EMPTY_LEAF``, the all-zero hash;
+  - every store write records its key in the store's ``written`` set, and
+    a root sets only those keys' leaves and rehashes only their paths;
+  - a clone copies the slot maps and level lists but shares the node bytes.
+Accounts and name records carry their cached leaf digest, so a shared
+record is encoded and hashed once however many states and roots use it.
+The wormhole and oracle trees are small and are rebuilt in key order.
 
 Conservation is a hard invariant: genesis total + minted coinbase must
 always equal circulating balances + locks + deposits + pool funds + burned.
@@ -29,10 +42,10 @@ from typing import NamedTuple
 from .channels import CLOSED, Channel
 from .codec import check_amount
 from .config import NetworkConfig
-from .crypto import hash256
+from .crypto import ZERO32, hash256
 from .errors import LedgerError
 from .ledger import Account, NameRecord, charge_maintenance
-from .merkle import tree_root
+from .merkle import MerkleLevels, tree_root
 from .oracles import OracleQuestion
 from .rewards import AZ, RewardPoolState
 from .storage import StorageContract
@@ -45,27 +58,101 @@ _ABSENT = object()  # the prior "value" of a key that a write added
 class StateDict(dict):
     """One of ChainState's seven keyed stores.
 
-    While its state's journal is open, ``log`` is that journal, and item
-    assignment and ``del`` first append ``(self, key, prior value or
-    _ABSENT)`` to it. They are the only writes a store takes.
+    Item assignment and ``del`` are the only writes a store takes. Each adds
+    its key to ``written``, the keys written since the store was made or
+    cloned (a rollback leaves them there). While the state's journal is
+    open, ``log`` is that journal, and each write first appends ``(self,
+    key, prior value or _ABSENT)`` to it.
     """
 
     log: list | None = None
 
+    def __init__(self, *args) -> None:
+        dict.__init__(self, *args)
+        self.written: set = set()
+
     def __setitem__(self, key, value) -> None:
         if self.log is not None:
             self.log.append((self, key, self.get(key, _ABSENT)))
+        self.written.add(key)
         dict.__setitem__(self, key, value)
 
     def __delitem__(self, key) -> None:
         if self.log is not None:
             self.log.append((self, key, self[key]))
+        self.written.add(key)
         dict.__delitem__(self, key)
 
     def _unlogged(self, *args, **kwargs):
         raise TypeError("a state store changes only by item assignment or del")
 
     pop = popitem = setdefault = update = clear = __ior__ = _unlogged
+
+
+EMPTY_LEAF = ZERO32  # the leaf digest of a slot whose key is absent
+
+
+class _Slots:
+    """The leaf slots of one store's tree: keys in creation order.
+
+    ``index`` holds the keys that got their slot in an earlier block; a key
+    keeps it for good, and while the key is absent its leaf is
+    ``EMPTY_LEAF``. ``fresh`` holds the keys present now with no slot yet,
+    in ascending order; they take the next slots, so a block's new keys are
+    placed by key, never by write order, and a creation rolled back before
+    the block ends takes none. ``held`` is the record (or None) behind each
+    leaf, so a leaf is set again only when its record is a new object.
+    """
+
+    __slots__ = ("index", "fresh", "held", "tree")
+
+    def __init__(self) -> None:
+        self.index: dict = {}
+        self.fresh: list = []
+        self.held: list = []
+        self.tree = MerkleLevels()
+
+    def sync(self, store: StateDict) -> MerkleLevels:
+        """Bring the leaves up to date with the keys ``store`` wrote."""
+        index, held, tree = self.index, self.held, self.tree
+        fresh = []
+        for key in store.written:
+            record = store.get(key)
+            slot = index.get(key)
+            if slot is None:
+                if record is not None:
+                    fresh.append(key)
+            elif held[slot] is not record:
+                held[slot] = record
+                tree.set(slot, EMPTY_LEAF if record is None else record.digest())
+        fresh.sort()
+        end = len(index) + len(fresh)
+        if end < len(held):
+            del held[end:]
+            tree.truncate(end)
+        for slot, key in enumerate(fresh, len(index)):
+            record = store[key]
+            if slot == len(held):
+                held.append(record)
+            elif held[slot] is record:
+                continue
+            else:
+                held[slot] = record
+            tree.set(slot, record.digest())
+        self.fresh = fresh
+        return tree
+
+    def fork(self, store: StateDict) -> "_Slots":
+        """The slots of a clone of ``store``'s state: this state's fresh keys
+        have slots there."""
+        self.sync(store)
+        child = _Slots()
+        child.index = dict(self.index)
+        for key in self.fresh:
+            child.index[key] = len(child.index)
+        child.held = list(self.held)
+        child.tree = self.tree.copy()
+        return child
 
 
 class Savepoint(NamedTuple):
@@ -99,6 +186,12 @@ class ChainState:
     minted_total: int = 0
     burned_total: int = 0
 
+    def __post_init__(self) -> None:
+        # the account and name trees' slots: not fields, since a rollback
+        # leaves them be and they follow from the records and the blocks
+        self._account_slots = _Slots()
+        self._name_slots = _Slots()
+
     @staticmethod
     def genesis(cfg: NetworkConfig) -> "ChainState":
         accounts = StateDict()
@@ -120,8 +213,12 @@ class ChainState:
         )
 
     def clone(self) -> "ChainState":
-        """A copy of the stores sharing their records; its journal is closed."""
-        return ChainState(
+        """A copy of the stores sharing their records; its journal is closed.
+
+        The copy starts a new block: the keys this state created have leaf
+        slots there. It copies the slot maps and tree levels and shares their
+        node bytes, so this state's roots stay as they were."""
+        child = ChainState(
             cfg=self.cfg,
             accounts=StateDict(self.accounts),
             names=StateDict(self.names),
@@ -136,6 +233,9 @@ class ChainState:
             minted_total=self.minted_total,
             burned_total=self.burned_total,
         )
+        child._account_slots = self._account_slots.fork(self.accounts)
+        child._name_slots = self._name_slots.fork(self.names)
+        return child
 
     # --- undo journal ---
 
@@ -238,10 +338,10 @@ class ChainState:
     # --- commitments ---
 
     def account_root(self) -> bytes:
-        return tree_root([self.accounts[k].digest() for k in sorted(self.accounts)])
+        return tree_root(self._account_slots.sync(self.accounts))
 
     def name_root(self) -> bytes:
-        return tree_root([self.names[k].digest() for k in sorted(self.names)])
+        return tree_root(self._name_slots.sync(self.names))
 
     def wormhole_root(self) -> bytes:
         items = [b"C" + self.channels[k].encode() for k in sorted(self.channels)]
@@ -286,13 +386,22 @@ class ChainState:
         return sources, sinks
 
     def check_invariants(self) -> None:
+        """Conservation over the whole state; the key and freshness rules
+        over the keys written since the parent (every key at genesis). That
+        is exact: a record no one wrote passed them when it was written, and
+        the height only grows."""
         sources, sinks = self.conservation_sides()
         if sources != sinks:
             raise LedgerError("Conservation", f"{sources} != {sinks}")
-        for name, record in self.names.items():
-            if record.name != name:
+        genesis = self.height == 0
+        for name in self.names if genesis else self.names.written:
+            record = self.names.get(name)
+            if record is not None and record.name != name:
                 raise LedgerError("BadFormat", f"name key mismatch for {name!r}")
-        for address, account in self.accounts.items():
+        for address in self.accounts if genesis else self.accounts.written:
+            account = self.accounts.get(address)
+            if account is None:
+                continue
             if account.address != address:
                 raise LedgerError("BadFormat", "account key mismatch")
             if account.freshness > self.height:

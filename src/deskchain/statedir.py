@@ -149,7 +149,11 @@ class StateDir:
         if not os.path.exists(path):
             return [], {}
         with open(path, "rb") as fh:
-            saved = _ChannelFile.decode(fh.read())
+            data = fh.read()
+        try:
+            saved = _ChannelFile.decode(data)
+        except CodecError as exc:
+            raise CodecError(f"{path}: {exc}") from exc
         return list(saved.states), {program.code_hash(): program for program in saved.programs}
 
     def write_channel_states(

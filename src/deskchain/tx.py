@@ -680,6 +680,8 @@ def state_roots(state: ChainState) -> dict[str, bytes]:
 def apply_block(state: ChainState, block: Block) -> tuple[ChainState, list[Receipt]]:
     """Pure block transition; the header must already be validated."""
     header = block.header
+    if header.tx_count != len(block.transactions):
+        raise BlockError("RootMismatch", "tx_count")
     cfg = state.cfg
     work = state.clone()
     work.height = header.height
@@ -752,6 +754,7 @@ def build_block(
         height=height,
         prev_hash=prev_hash,
         tx_root=tree_root([tx_hash(t) for t in included]),
+        tx_count=len(included),
         proof_root=tree_root([hash256(leaf) for leaf in ctx.proof_leaves]),
         miner=miner,
         **roots,

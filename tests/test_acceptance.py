@@ -438,7 +438,7 @@ def test_criterion_11_light_client():
     assert verify_light(headers, tx_bytes[0], proof, cfg)
 
     rejected = tried = 0
-    int_fields = {"height": 1, "pow_nonce": 1}
+    int_fields = {"height": 1, "tx_count": 1, "pow_nonce": 1}
     byte_fields = (
         "prev_hash", "tx_root", "account_root", "name_root", "wormhole_root",
         "oracle_open_root", "oracle_answer_root", "proof_root", "entropy", "miner",
@@ -479,21 +479,21 @@ def test_criterion_11_light_client():
 # sha256 of each fixture's seed-7 event log. A change that keeps behaviour
 # (a refactor of the codec or the node) must leave every digest unchanged.
 EVENT_LOG_DIGESTS = {
-    "channels_coop.scn": "e3652c5824d12259c262fbab7d2c51cb89bf3bd27e4449640310ac7f52387459",
-    "channels_dispute.scn": "9f0abd46f12b947423ea0634cecae5568f5062cd920d857f4b015cdccc47229a",
-    "channels_htlc.scn": "87f4872602008b862bd2ac3a1a5d3f8978a593d665d507fc1616143466de385c",
-    "contracts.scn": "469fe7c2cfca803a156f1b2c7c2926f8b6d39d23549dfb5baf34d01d7bb4238f",
-    "crash_restart.scn": "8c9cbbe4a039a793d0e3f467aba09f69e35767ec0e5a7bc5ac836cbed444d25b",
-    "faults.scn": "0176c2d9816889b009053b63220f7ba4364e9d664361e471a64b158792f99a5c",
-    "maintenance_delete.scn": "1656d1a21177684c72ad19f5f436891ea36db0a9a89553e38afba4134152cfcc",
-    "mixed.scn": "e72435acc1e9d6b79b28cf14e6c59a8a39f2a4af37fc4a5cebc349dcd2dd6417",
-    "names.scn": "edb78f579d18e983a4f6ecd2f696e648d64d2c02ffeae8d6d2a4585cdd469fa6",
-    "oracle_accept.scn": "806a670533c776e86db5c35d764d335f00024f51a753033cab4056f2b773d442",
-    "oracle_burn.scn": "243cf5dfaa631d38c3947960a80a0abde21023da5c364ca826066e9e2779caaa",
-    "oracle_contest.scn": "d04f99c3f1c9c322340409e4ccf617b6ed160470120bab2ecbd59c46d48b4a0e",
-    "rewards_epoch.scn": "e333134ddd46f674ee47c3a26d38515fb876d9402be8d4f58e5a3aac6cbedfcd",
-    "spends.scn": "42d52c3d321e3e75651c0634a0ed3a7ff163330f00e44c37905892d54405d04d",
-    "storage.scn": "22481ee8054ce28b60f42d69b3f3f773b4ea41e885cfc954f1d858e71cfe7641",
+    "channels_coop.scn": "ea3742d2f0619361d282250083f3657674a7a01e5bbd20bb40673c24355f5593",
+    "channels_dispute.scn": "58c61958407ca893da2f36ba4dbcf1e0d01d6c0d98ba5b695357a5347086b9e5",
+    "channels_htlc.scn": "3ddddc3c7437a1c28192568ef47a6ad4daaa1af963368b075884d4ad5db19353",
+    "contracts.scn": "c6c9887c14ec59f4f4495f412c9da1213ab1e5656b388a184fcd5673c8489ab9",
+    "crash_restart.scn": "f587bc54a48691215494296a41161694d698ddc9bc72d4240922c22bfce9033e",
+    "faults.scn": "faa331aa1a0342d22782a875121c57fb23a055d23cc7a3e7002d920494e8ab4b",
+    "maintenance_delete.scn": "ae5de37465137b4d6bf7d0ae94331232f56ba44968cc1d2805613056c6f1c9a0",
+    "mixed.scn": "919a22ace5aabfd9680f3711afa6e23486267fb7a1ea098d9a447acee9f09918",
+    "names.scn": "5fed20f7e0c44c8b23157028970f45916812d5e3c5a9b7de6afecd4b483dfea0",
+    "oracle_accept.scn": "e47ff486eae86fc714255ff86125c8e5835e956ad17a70d881d810568babd485",
+    "oracle_burn.scn": "5f6f43b186d02f4213c9133db9a81eca10ec024c771be0f0c0ff5875eeac1be5",
+    "oracle_contest.scn": "eb8e6e92843e70e1cba4cd432b4f9eaec8b8553f75e49a18d80d16a05a0fadda",
+    "rewards_epoch.scn": "f9b0c46d54f63754620da0d4f5d2cc2466cbcf28d3a29e2709082eec049426e9",
+    "spends.scn": "efa52dfb4d51b4e96c2e0d2ef2214307c8f45d5c70ea9f5f0490046092ba62e4",
+    "storage.scn": "fdfcc5fabc583f356ecf5227f733c155d75595d6dd0494eb14c0d0d3612750b3",
 }
 
 

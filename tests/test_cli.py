@@ -286,10 +286,10 @@ send --from bob --to alice --amount 1dsd
 """
 
 CLI_FLOW_DIGESTS = {
-    "stdout": "6951140285cc0517af433d7a25b998cf4e456917b58f9ca7a31d6eb174be426c",
+    "stdout": "2c1fd7f7f402d82aa7e39e9fdfab931331eccef3e33cc6922c8e3df44290705f",
     # the first finalize exits 1: bob's challenge already settled that channel
     "exit_codes": "0000000000000000000000001000000000000",
-    "chain.bin": "02f9f957f11d25be8bd4a8646538fcab5c44971d098161d1126fff32d70a16e4",
+    "chain.bin": "04c0620067e55fa79a413e7cd8e25b864e8223e8e20336fa3a44d07b6673679b",
     "mempool.bin": "229c8772091838927460d53a8114b228fdd1d86371b042204052f2f671d7e659",
 }
 

@@ -207,7 +207,7 @@ def _layout_examples(tmp_path):
     from deskchain.vm import assemble
 
     header = BlockHeader(
-        height=7, prev_hash=b"\x21" * 32, tx_root=b"\x22" * 32, account_root=b"\x23" * 32,
+        height=7, prev_hash=b"\x21" * 32, tx_root=b"\x22" * 32, tx_count=2**32 - 2, account_root=b"\x23" * 32,
         name_root=b"\x24" * 32, wormhole_root=b"\x25" * 32, oracle_open_root=b"\x26" * 32,
         oracle_answer_root=b"\x27" * 32, proof_root=b"\x28" * 32, entropy=b"\x29" * 32,
         miner=b"\x2a" * 32, pow_nonce=2**40 + 3, pow_cycle=(5, 17, 2**33, 255),
@@ -230,8 +230,8 @@ def _layout_examples(tmp_path):
 
 # sha256 of the bytes of the three layouts whose codec is not a plain field list
 LAYOUT_DIGESTS = {
-    "BlockHeader": "74a7d54eb1f1942401a611f8cd0e2a7bc68596c4cebf9d50bd092c685c8463b2",
-    "BlockHeader.base_bytes": "642f431a38ef64e0aead5c5eb12dac63795d0f4e233dcb6581cd77f756c32b35",
+    "BlockHeader": "23738ba362c30b37d73347bc1c67635c3b437ed63f30fc2aba0fc9124adafcc0",
+    "BlockHeader.base_bytes": "9c8ce16afc47f40973558dd334510199adbea01a52c6e7e3a778a2095b2db138",
     "Program": "6904a796df315b8e63f97aa095cb2c5baba9bce6de2d5fc1d81ab4051574383e",
     "channel file": "77a95cab44a118d8d657565bc5132b3e3e2187fdb929063d26719fb1e74a0645",
 }
@@ -249,7 +249,7 @@ def test_header_program_and_channel_file_bytes_are_pinned(tmp_path):
         ("channel file", channel_file),
     ):
         assert hashlib.sha256(data).hexdigest() == LAYOUT_DIGESTS[label], label
-    assert len(header.base_bytes()) == 8 + 9 * 32
+    assert len(header.base_bytes()) == 8 + 4 + 9 * 32
     assert header.encode().startswith(header.base_bytes())
     assert BlockHeader.read(Reader(header.encode())) == header
     assert Program.decode(every_op.encode()) == every_op

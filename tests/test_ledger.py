@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,7 @@ from deskchain.ledger import (
     Account, NameRecord, charge_maintenance, expected_entropy, header_ok,
     validate_header, verify_light,
 )
-from deskchain.merkle import merkle_prove, merkle_root
+from deskchain.merkle import merkle_prove
 from deskchain.state import _STORES, ChainState
 from deskchain.vm import assemble
 
@@ -212,29 +213,46 @@ def test_resolve_name(cfg):
     assert state.resolve_name("plant-7") == b"\x0a" * 32
 
 
-def _reference_roots(state) -> dict[str, bytes]:
+def _rfc6962_root(digests: list[bytes]) -> bytes:
+    """RFC 6962 §2.1 over leaf digests, by raw sha256; zero for no leaves."""
+    if not digests:
+        return ZERO32
+    if len(digests) == 1:
+        return hashlib.sha256(b"\x00" + digests[0]).digest()
+    k = 1 << (len(digests) - 1).bit_length() - 1
+    return hashlib.sha256(b"\x01" + _rfc6962_root(digests[:k]) + _rfc6962_root(digests[k:])).digest()
+
+
+def _reference_roots(state, slots=None) -> dict[str, bytes]:
     """The five state roots from scratch: each record copied (so no cached
-    digest comes along) and its raw encoding hashed by merkle_root."""
+    digest comes along) and its raw encoding hashed into an RFC 6962 tree.
 
-    def root(records):
-        leaves = [dataclasses.replace(r).encode() for r in records]
-        return merkle_root(leaves) if leaves else ZERO32
+    ``slots`` maps "accounts" and "names" to the keys that got a leaf slot
+    in an earlier block, in slot order; an absent one is the all-zero
+    digest, and the keys with no slot follow in ascending order."""
+    slots = slots or {}
 
-    def prefixed(tag, records):
-        return [tag + r.encode() for r in records]
+    def h(record, tag=b""):
+        return hashlib.sha256(tag + dataclasses.replace(record).encode()).digest()
 
-    def by_key(records):
-        return [records[k] for k in sorted(records)]
+    def slotted(store):
+        order = list(slots.get(store, ()))
+        records = getattr(state, store)
+        order += sorted(set(records) - set(order))
+        return [h(records[k]) if k in records else ZERO32 for k in order]
 
-    oracles = by_key(state.oracles)
-    wormhole = (prefixed(b"C", by_key(state.channels)) + prefixed(b"S", by_key(state.storage_contracts))
-                + prefixed(b"Z", by_key(state.azs)) + [b"P" + state.pool.encode()])
+    def by_key(records, tag=b""):
+        return [h(records[k], tag) for k in sorted(records)]
+
+    oracles = [state.oracles[k] for k in sorted(state.oracles)]
+    wormhole = (by_key(state.channels, b"C") + by_key(state.storage_contracts, b"S")
+                + by_key(state.azs, b"Z") + [h(state.pool, b"P")])
     return {
-        "account_root": root(by_key(state.accounts)),
-        "name_root": root(by_key(state.names)),
-        "wormhole_root": merkle_root(wormhole),
-        "oracle_open_root": root([q for q in oracles if q.phase in ("open", "answered", "contested")]),
-        "oracle_answer_root": root([q for q in oracles if q.phase in ("resolved", "burned")]),
+        "account_root": _rfc6962_root(slotted("accounts")),
+        "name_root": _rfc6962_root(slotted("names")),
+        "wormhole_root": _rfc6962_root(wormhole),
+        "oracle_open_root": _rfc6962_root([h(q) for q in oracles if q.phase in ("open", "answered", "contested")]),
+        "oracle_answer_root": _rfc6962_root([h(q) for q in oracles if q.phase in ("resolved", "burned")]),
     }
 
 
@@ -372,6 +390,105 @@ def test_rollback_returns_every_field_to_its_savepoint(n_funded, n_empty, ops):
         state.release(mark)
         assert _deep_fields(state) == before
     assert all(getattr(state, name).log is None for name in _STORES)
+
+
+_SLOT_OPS = st.lists(
+    st.tuples(
+        st.sampled_from([
+            "credit", "debit", "drain", "delete", "name", "unname",
+            "savepoint", "rollback", "release", "clone", "switch", "roots",
+        ]),
+        st.integers(0, 11),
+        st.integers(0, 3 * 10**6),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 8), _SLOT_OPS)
+def test_incremental_roots_match_a_slot_order_reference(n_funded, ops):
+    """Position-stable account and name leaves against a from-scratch model.
+
+    A model is the keys holding a leaf slot in one state, in slot order: a
+    clone starts a block, so there the keys its parent created take the
+    next slots in ascending order, and no key ever loses its slot."""
+    cfg = make_cfg("maintenance.rate = 3\n")
+    addrs = [hashlib.sha256(bytes([i])).digest() for i in range(12)]  # creation order is not key order
+    state = ChainState.genesis(cfg)
+    for a in addrs[:n_funded]:
+        state.credit(a, 10**6 + a[0], 0)
+    states, models, marks = [state], [{"accounts": [], "names": []}], [[]]
+    cur = 0
+    for height, (op, i, amount) in enumerate(ops, start=1):
+        state, model = states[cur], models[cur]
+        state.height = height
+        address, other = addrs[i], addrs[(i + 5) % len(addrs)]
+        try:
+            if op == "credit":
+                state.credit(address, amount, height)
+            elif op == "debit":
+                state.debit(address, amount, height)
+            elif op == "drain":
+                state.debit(address, state.touch(address, height).balance, height)
+            elif op == "delete":
+                empty = sorted(a for a, account in state.accounts.items() if account.balance == 0)
+                state.delete_account(empty[i % len(empty)] if empty else address)
+            elif op == "name":
+                state.names[f"n{i % 5}"] = NameRecord(f"n{i % 5}", address, other)
+            elif op == "unname" and state.names:
+                del state.names[sorted(state.names)[i % len(state.names)]]
+            elif op == "savepoint":
+                marks[cur].append((state.savepoint(), txmod.state_roots(state)))
+            elif op == "rollback" and marks[cur]:
+                del marks[cur][i % len(marks[cur]) + 1:]
+                mark, roots = marks[cur][-1]
+                state.rollback(mark)
+                assert txmod.state_roots(state) == roots  # rolled-back creations took no slot
+            elif op == "release" and marks[cur]:
+                state.release(marks[cur][0][0])
+                marks[cur].clear()
+            elif op == "clone":
+                states.append(state.clone())
+                models.append({
+                    name: order + sorted(set(getattr(state, name)) - set(order))
+                    for name, order in model.items()
+                })
+                marks.append([])
+            elif op == "switch":
+                cur = i % len(states)
+            elif op == "roots":
+                assert txmod.state_roots(state) == txmod.state_roots(state)
+        except LedgerError:
+            pass  # a failed edit may leave partial writes; the roots must still follow them
+        assert txmod.state_roots(states[cur]) == _reference_roots(states[cur], models[cur])
+    for state, model in zip(states, models):
+        assert txmod.state_roots(state) == _reference_roots(state, model)
+
+
+def test_check_invariants_reads_the_keys_written_since_the_parent(cfg):
+    state, _ = txmod.genesis_block(cfg)
+    alice, bob = (KeyPair.from_name(n).address for n in ("alice", "bob"))
+    state.check_invariants()
+    block = state.clone()
+    block.height = 1
+    block.names["plant-7"] = NameRecord("plant-7", alice, bob)
+    block.check_invariants()
+    for store, key, record, code in (
+        ("accounts", alice, dataclasses.replace(state.accounts[alice], address=bob), "BadFormat"),
+        ("accounts", alice, dataclasses.replace(state.accounts[alice], freshness=2), "BadHeight"),
+        ("names", "plant-8", NameRecord("plant-7", alice, bob), "BadFormat"),
+    ):
+        work = block.clone()
+        getattr(work, store)[key] = record  # stored under the wrong key, or beyond the height
+        with pytest.raises(LedgerError) as err:
+            work.check_invariants()
+        assert err.value.code == code
+    # genesis has no parent, so every key is checked there
+    genesis = ChainState.genesis(cfg).clone()
+    dict.__setitem__(genesis.accounts, alice, dataclasses.replace(genesis.accounts[alice], address=bob))
+    with pytest.raises(LedgerError, match="account key mismatch"):
+        genesis.check_invariants()
 
 
 def test_apply_tx_undoes_the_fee_envelope_of_an_address_collision():

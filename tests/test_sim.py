@@ -218,7 +218,7 @@ _UNCOVERED_SCENARIO = """\
 27 mine alice 2
 """
 
-UNCOVERED_EVENT_LOG_DIGEST = "f111f4bae75713a2c18c7ee5cc2682d6088608b8621c2eff7646bbd1c6af30ea"
+UNCOVERED_EVENT_LOG_DIGEST = "343c0b4bb156fcac60bc2ed3bf77f0437b85ef2ca73188f1b1d13643e5b70450"
 
 
 def test_uncovered_verbs_are_pinned(tmp_path):

@@ -28,7 +28,8 @@ def _two_block_chain(sd):
     alice, bob = KeyPair.from_name("alice"), KeyPair.from_name("bob").address
     spend = txmod.sign_tx(txmod.Spend(alice.address, bob, 5, 1, 1), alice)
     blocks = [
-        Block(BlockHeader(h, *[bytes([h]) * 32] * 8, alice.address, bytes(32), h, (1, 2)), txs)
+        Block(BlockHeader(h, *[bytes([h]) * 32] * 2, len(txs), *[bytes([h]) * 32] * 6, alice.address, bytes(32), h,
+                          (1, 2)), txs)
         for h, txs in ((0, ()), (1, (spend,)))
     ]
     for block in blocks:
@@ -103,5 +104,6 @@ def test_channel_states_rejects_a_padded_state(tmp_path):
     assert sd.channel_states(channel.channel_id) == ([ss], {})
     padded = Writer().u32(1).blob(ss.encode() + b"\0").u32(0).done()
     (tmp_path / f"channel_{channel.channel_id.hex()}.bin").write_bytes(padded)
-    with pytest.raises(CodecError, match="trailing"):
+    # the error names the file, as torn or padded chain.bin and mempool.bin records do
+    with pytest.raises(CodecError, match=f"channel_{channel.channel_id.hex()}.bin: 1 trailing bytes"):
         sd.channel_states(channel.channel_id)

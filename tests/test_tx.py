@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from deskchain import codec, pow, tx as txmod
 from deskchain.channels import SignedState
 from deskchain.crypto import ZERO_SIG, KeyPair
-from deskchain.errors import BlockError, CodecError, TxError
+from deskchain.errors import BlockError, CodecError, LedgerError, TxError
 from deskchain.ledger import CONTRACT, Block
 from deskchain.state import _STORES, ChainState
 from deskchain.merkle import MerkleProof
@@ -563,6 +563,48 @@ def test_apply_block_stale_root_rejected():
     with pytest.raises(BlockError) as err:
         txmod.apply_block(state, dataclasses.replace(block, header=bad_header))
     assert err.value.code == "RootMismatch"
+
+
+def test_apply_block_rejects_a_wrong_tx_count():
+    cfg = make_cfg()
+    state, genesis = txmod.genesis_block(cfg)
+    alice, bob = KeyPair.from_name("alice"), KeyPair.from_name("bob")
+    spend = txmod.sign_tx(txmod.Spend(alice.address, bob.address, 5, 1, 1), alice)
+    block = txmod.build_block(state, [spend], KeyPair.from_name("miner").address, genesis.header)
+    assert block.header.tx_count == 1
+    for count in (0, 2):
+        bad_header = dataclasses.replace(block.header, tx_count=count)
+        with pytest.raises(BlockError, match="tx_count"):
+            txmod.apply_block(state, dataclasses.replace(block, header=bad_header))
+
+
+def test_a_block_built_past_a_dropped_fresh_account_replays_to_its_roots(monkeypatch):
+    """build_block drops a candidate after it credited a fresh account; the
+    rolled-back key takes no leaf slot, so apply_block, which never sees
+    it, computes the header's roots. The dropped key sorts before the kept
+    fresh key, so a slot or an empty leaf left for it would move the root."""
+    cfg = make_cfg()
+    state, genesis = txmod.genesis_block(cfg)
+    alice, bob = KeyPair.from_name("alice"), KeyPair.from_name("bob")
+    dropped_to, kept_to = b"\x00" * 31 + b"\x01", b"\xff" * 31 + b"\x01"
+    dropped = txmod.sign_tx(txmod.Spend(alice.address, dropped_to, 5, 50, 1), alice)
+    kept = txmod.sign_tx(txmod.Spend(bob.address, kept_to, 5, 1, 1), bob)
+    apply_inner = txmod._apply_inner
+
+    def failing_after_the_credit(st, t, ctx):
+        gas = apply_inner(st, t, ctx)
+        if t == dropped:
+            assert dropped_to in st.accounts
+            raise LedgerError("BadFormat", "dropped after crediting a fresh account")
+        return gas
+
+    monkeypatch.setattr(txmod, "_apply_inner", failing_after_the_credit)
+    block = txmod.build_block(state, [kept, dropped], KeyPair.from_name("miner").address, genesis.header)
+    monkeypatch.undo()
+    assert block.transactions == (kept,)
+    applied, _ = txmod.apply_block(state, block)
+    assert dropped_to not in applied.accounts and kept_to in applied.accounts
+    assert applied.account_root() == block.header.account_root
 
 
 def test_fee_identity_randomized(bench):
