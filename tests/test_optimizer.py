@@ -565,6 +565,43 @@ def test_optimizer_cli_stdout_is_pinned(tmp_path, capsys, name, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == CLI_STDOUT_DIGESTS[name], out
 
 
+def _bp_pin_graphs():
+    """The CLI test's one-variable graph, then 20 seeded random trees in the
+    text format: shuffled names (so the root lands anywhere), edges written
+    in either orientation, and ``repr`` floats over four decades."""
+    texts = ["var x 2\nunary x 1 3\n"]
+    rng = random.Random("bp-pin")
+    for _ in range(20):
+        names = rng.sample("abcdefgh", rng.randrange(1, 9))
+        domains = {v: rng.randrange(2, 5) for v in names}
+        draw = lambda k: " ".join(repr(10 ** rng.uniform(-2, 2)) for _ in range(k))
+        lines = [f"var {v} {k}" for v, k in domains.items()]
+        lines += [f"unary {v} {draw(k)}" for v, k in domains.items()]
+        for i in range(1, len(names)):
+            u, v = names[rng.randrange(i)], names[i]
+            if rng.random() < 0.5:
+                u, v = v, u
+            lines.append(f"edge {u} {v} {draw(domains[u] * domains[v])}")
+        texts.append("\n".join(lines) + "\n")
+    return texts
+
+
+BP_STDOUT_DIGEST = "e50a4956fb025cca4471160908c95051059b58d437d1f06183b203595842f8d0"
+
+
+def test_optimizer_bp_stdout_is_pinned(tmp_path, capsys):
+    from deskchain.cli import main
+
+    out = []
+    for k, text in enumerate(_bp_pin_graphs()):
+        path = tmp_path / f"g{k}.graph"
+        path.write_text(text)
+        assert main(["optimizer", "bp", "--graph", str(path)]) == 0
+        out.append(capsys.readouterr().out)
+    joined = "".join(out)
+    assert hashlib.sha256(joined.encode()).hexdigest() == BP_STDOUT_DIGEST, joined
+
+
 # --- training against the dict-based reference loop ---
 
 
