@@ -55,7 +55,6 @@ def _load(sd: StateDir) -> Node:
 
 def _submit(sd: StateDir, node: Node, t) -> None:
     state = node.state
-    txmod.check_tx(state, t, state.cfg)
     # refuse transactions that would revert against the next block; mined
     # blocks still honor fee-paying reverts, this is purely front-end care
     probe_ctx = txmod.ApplyCtx(
@@ -302,10 +301,9 @@ def cmd_epoch(sd: StateDir, args) -> int:
 
 def cmd_optimizer(sd: StateDir, args) -> int:
     if args.action == "bp":
-        graph = load_factor_graph(args.graph)
-        for var in sorted(graph.domains):
-            values = " ".join(f"{p:.9f}" for p in bp_marginals(graph)[var])
-            print(f"{var}: {values}")
+        marginals = bp_marginals(load_factor_graph(args.graph))
+        for var in sorted(marginals):
+            print(f"{var}: " + " ".join(f"{p:.9f}" for p in marginals[var]))
         return 0
     mdp = load_mdp(args.mdp)
     q = QTable(alpha=None, gamma_d=args.gamma, epsilon=args.epsilon)

@@ -25,8 +25,6 @@ Factor graph:
 """
 from __future__ import annotations
 
-import numpy as np
-
 from ..errors import LedgerError
 from .bp import TreeFactorGraph
 from .mdp import DeviceGroupMdp
@@ -92,24 +90,22 @@ def parse_mdp(text: str) -> DeviceGroupMdp:
 
 def parse_factor_graph(text: str) -> TreeFactorGraph:
     domains: dict[str, int] = {}
-    unaries: dict[str, np.ndarray] = {}
-    edges: list[tuple[str, str, np.ndarray]] = []
+    unaries: dict[str, tuple[float, ...]] = {}
+    edges: list[tuple[str, str, tuple[tuple[float, ...], ...]]] = []
     for line_no, parts in _lines(text):
         key = parts[0]
         try:
             if key == "var":
                 domains[parts[1]] = int(parts[2])
             elif key == "unary":
-                unaries[parts[1]] = np.array([float(v) for v in parts[2:]])
+                unaries[parts[1]] = tuple(float(v) for v in parts[2:])
             elif key == "edge":
                 u, v = parts[1], parts[2]
                 values = [float(x) for x in parts[3:]]
-                shape = (domains[u], domains[v])
-                if len(values) != shape[0] * shape[1]:
-                    raise LedgerError(
-                        "BadFormat", f"edge ({u}, {v}) wants {shape[0] * shape[1]} values"
-                    )
-                edges.append((u, v, np.array(values).reshape(shape)))
+                rows, cols = domains[u], domains[v]
+                if len(values) != rows * cols:
+                    raise LedgerError("BadFormat", f"edge ({u}, {v}) wants {rows * cols} values")
+                edges.append((u, v, tuple(tuple(values[i * cols:(i + 1) * cols]) for i in range(rows))))
             else:
                 raise LedgerError("BadFormat", f"graph line {line_no}: unknown key {key!r}")
         except (ValueError, IndexError, KeyError) as exc:

@@ -82,8 +82,8 @@ class DeviceGroupMdp:
             if len(matrix) != self.n_states:
                 raise LedgerError("BadFormat", "transition matrix shape")
             for row in matrix:
-                if len(row) != self.n_states or any(p < 0 for p in row):
-                    raise LedgerError("BadFormat", "transition row shape")
+                if len(row) != self.n_states or not all(0 <= p <= 1 for p in row):
+                    raise LedgerError("BadFormat", "transition row needs one probability in [0, 1] per state")
                 if abs(sum(row) - 1.0) > 1e-12:
                     raise LedgerError("BadFormat", f"row sums to {sum(row)!r}")
         for row in self.capacity:

@@ -1,10 +1,12 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
 from deskchain.cli import main
 
-from conftest import SCENARIO_DIR
+from conftest import REPO_ROOT, SCENARIO_DIR
 
 NET_CFG = """
 pow.edge_bits = 8
@@ -31,6 +33,15 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["definitely-not-a-command"])
     assert err.value.code == 2
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # a fresh interpreter: this one has numpy loaded by other tests
+    path = os.pathsep.join([os.path.join(REPO_ROOT, "src"), os.environ.get("PYTHONPATH", "")])
+    subprocess.run(
+        [sys.executable, "-c", "import deskchain.cli, sys; assert 'numpy' not in sys.modules"],
+        env={**os.environ, "PYTHONPATH": path}, check=True, timeout=60,
+    )
 
 
 def test_keygen_prints_address(workdir, capsys):
@@ -176,6 +187,14 @@ def test_optimizer_bp_cli(workdir, tmp_path, capsys):
     graph.write_text("var x 2\nunary x 1 3\n")
     assert main(["optimizer", "bp", "--graph", str(graph)]) == 0
     assert capsys.readouterr().out.strip() == "x: 0.250000000 0.750000000"
+
+
+def test_optimizer_bp_cli_rejects_an_infinite_potential(tmp_path, capsys):
+    graph = tmp_path / "g.graph"
+    graph.write_text("var x 2\nunary x inf 1\n")
+    assert main(["optimizer", "bp", "--graph", str(graph)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "BadFormat" in captured.err
 
 
 def test_optimizer_train_cli(tmp_path, capsys):

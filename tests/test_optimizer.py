@@ -295,7 +295,7 @@ def _brute_marginals(graph):
         for v in names:
             weight *= graph.unaries[v][a[v]]
         for u, v, pot in graph.edges:
-            weight *= pot[a[u], a[v]]
+            weight *= pot[a[u]][a[v]]
         for v in names:
             out[v][a[v]] += weight
     return {v: x / x.sum() for v, x in out.items()}
@@ -339,7 +339,7 @@ def test_bp_marginals_sum_to_one():
         (("x", "y", np.full((3, 2), 0.5)),),
     )
     for marginal in bp_marginals(g).values():
-        assert abs(marginal.sum() - 1.0) <= 1e-12
+        assert abs(math.fsum(marginal) - 1.0) <= 1e-12
 
 
 def test_bp_random_trees_match_brute_force():
@@ -366,6 +366,22 @@ def test_bp_random_trees_match_brute_force():
             np.testing.assert_allclose(got[v], want[v], atol=1e-9)
 
 
+def test_bp_reads_tuples_and_numpy_arrays_alike():
+    rng = random.Random(7)
+    domains = {"a": 2, "b": 3, "c": 4}
+    unaries = {v: tuple(rng.uniform(0.1, 3.0) for _ in range(k)) for v, k in domains.items()}
+    edges = tuple(
+        (u, v, tuple(tuple(rng.uniform(0.1, 3.0) for _ in range(domains[v])) for _ in range(domains[u])))
+        for u, v in (("b", "a"), ("a", "c"))
+    )
+    as_tuples = bp_marginals(TreeFactorGraph(domains, unaries, edges))
+    as_arrays = bp_marginals(TreeFactorGraph(
+        domains, {v: np.array(x) for v, x in unaries.items()},
+        tuple((u, v, np.array(pot)) for u, v, pot in edges),
+    ))
+    assert {v: m.tobytes() for v, m in as_tuples.items()} == {v: m.tobytes() for v, m in as_arrays.items()}
+
+
 def test_bp_rejects_non_trees():
     square = TreeFactorGraph(
         {"a": 2, "b": 2, "c": 2},
@@ -386,6 +402,12 @@ def test_bp_rejects_non_trees():
     )
     with pytest.raises(LedgerError):
         bp_marginals(disconnected)
+
+
+def test_bp_rejects_a_variable_without_states():
+    with pytest.raises(LedgerError) as err:
+        parse_factor_graph("var a 0\nvar b 2\nunary a\nunary b 1 1\nedge a b\n")
+    assert err.value.code == "BadFormat"
 
 
 def test_bp_rejects_nonpositive_potentials():
@@ -423,7 +445,7 @@ def test_parse_mdp_missing_rows():
 def test_parse_factor_graph():
     g = parse_factor_graph("var a 2\nvar b 3\nunary a 1 2\nunary b 1 1 1\nedge a b 1 2 3 4 5 6\n")
     assert g.domains == {"a": 2, "b": 3}
-    assert g.edges[0][2].shape == (2, 3)
+    assert g.edges[0][2] == ((1.0, 2.0, 3.0), (4.0, 5.0, 6.0))
     got = bp_marginals(g)
     want = _brute_marginals(g)
     for v in g.domains:
@@ -563,6 +585,16 @@ def test_optimizer_cli_stdout_is_pinned(tmp_path, capsys, name, argv):
     assert main(argv + ["--mdp", str(path)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == CLI_STDOUT_DIGESTS[name], out
+
+
+def test_optimizer_train_cli_rejects_a_nan_probability(tmp_path, capsys):
+    from deskchain.cli import main
+
+    path = tmp_path / "m.mdp"
+    path.write_text(_CLI_MDP.replace("transition run 0 0.7 0.3 0.0", "transition run 0 nan 0.3 0.7"))
+    assert main(["optimizer", "train", "--compare-vi", "--mdp", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "BadFormat" in captured.err
 
 
 def _bp_pin_graphs():
