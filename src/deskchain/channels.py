@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 from .codec import U64, Bytes32, I64s, Maybe, OptionalRecord, Sig, Tag, U64Pair, WireRecord, check_amount
 from .crypto import ZERO_SIG, hash256, verify_sig
-from .errors import LedgerError, VmFailure
+from .errors import DeskchainError, LedgerError, VmFailure
 from .vm import Program, eval_pure
 
 OPEN = "open"
@@ -140,6 +140,26 @@ class ChannelEndpoint:
     def program_for(self, ss: SignedState | None) -> Program | None:
         """The program ``ss`` settles by, if it names one this holder has."""
         return self.programs.get(ss.contract_hash) if ss and ss.contract_hash else None
+
+    def settlement(
+        self, action: str, channel: Channel | None, nonce: int | None = None
+    ) -> tuple[SignedState | None, Program | None]:
+        """The state and program a ``tx.SETTLE_KINDS[action]`` tx carries.
+
+        A close or challenge carries the latest recorded state, or for a
+        close the one ``nonce`` picks, with the program that state names; a
+        close with no recorded state settles at the deposits. A close-coop
+        carries the state alone, and a finalize only the program the
+        on-chain ``channel``'s candidate names.
+        """
+        if action == "finalize":
+            return None, self.program_for(channel.candidate if channel else None)
+        ss = self.latest() if nonce is None else self.by_nonce(nonce)
+        if ss is None and nonce is not None:
+            raise DeskchainError(f"no recorded state with nonce {nonce}")
+        if ss is None and action != "close":
+            raise DeskchainError(f"no doubly signed state to {action} with")
+        return ss, None if action == "close-coop" else self.program_for(ss)
 
     def propose(
         self, channel: Channel, balances: tuple[int, int], program: Program | None = None,

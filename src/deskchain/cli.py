@@ -184,23 +184,10 @@ def cmd_channel(sd: StateDir, args) -> int:
         print(f"channel={channel_id.hex()} nonce={full.nonce} balances={full.balance_a},{full.balance_b}")
         return 0
 
-    ss = endpoint.latest()
-    if args.action == "close" and args.nonce is not None:
-        ss = endpoint.by_nonce(args.nonce)
-        if ss is None:
-            raise DeskchainError(f"no recorded state with nonce {args.nonce}")
-    if args.action == "close-coop":
-        if ss is None:
-            raise DeskchainError("no doubly signed state recorded")
-        fields = (txmod.ChannelCloseCoop, channel_id, ss, None)
-    elif args.action == "finalize":
-        fields = (txmod.ChannelFinalize, channel_id, None, endpoint.program_for(channel.candidate))
-    elif args.action == "challenge" and ss is None:
-        raise DeskchainError("nothing recorded to challenge with")
-    else:
-        kind = txmod.ChannelClose if args.action == "close" else txmod.ChannelChallenge
-        fields = (kind, channel_id, ss, endpoint.program_for(ss))
-    _submit(sd, node, node.make(sd.key(args.sender), *fields, fee=parse_amount(args.fee)))
+    ss, program = endpoint.settlement(args.action, channel, getattr(args, "nonce", None))
+    kind = txmod.SETTLE_KINDS[args.action]
+    t = node.make(sd.key(args.sender), kind, channel_id, ss, program, fee=parse_amount(args.fee))
+    _submit(sd, node, t)
     return 0
 
 
@@ -220,12 +207,6 @@ def _owner_names(sd: StateDir, cfg, channel) -> tuple[str, str]:
         raise DeskchainError("channel party key not present in state dir") from exc
 
 
-_ORACLE_KINDS = {
-    "answer": txmod.OracleAnswer, "counter": txmod.OracleCounter,
-    "vote": txmod.OracleVote, "resolve": txmod.OracleResolve,
-}
-
-
 def cmd_oracle(sd: StateDir, args) -> int:
     node = _load(sd)
     if args.action == "read":
@@ -241,7 +222,7 @@ def cmd_oracle(sd: StateDir, args) -> int:
         print(f"question={txmod.created_id(t).hex()}")
     else:
         bit = (args.bit == "yes",) if args.action in ("answer", "vote") else ()
-        kind = _ORACLE_KINDS[args.action]
+        kind = txmod.ORACLE_KINDS[args.action]
         t = node.make(sd.key(args.sender), kind, args.question_id, *bit, fee=fee)
     _submit(sd, node, t)
     return 0
@@ -420,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--balance-b", required=True)
     c.add_argument("--contract", default="")
     c.add_argument("--cstate", default="")
-    for action in ("close-coop", "close", "challenge", "finalize"):
+    for action in txmod.SETTLE_KINDS:
         c = psub.add_parser(action)
         c.add_argument("--channel", type=_hex, required=True)
         c.add_argument("--sender", type=_account, required=True)
@@ -436,16 +417,12 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--start", type=int, required=True)
     c.add_argument("--end", type=int, required=True)
     c.add_argument("--fee", default="1")
-    for action in ("answer", "vote"):
+    for action in txmod.ORACLE_KINDS:
         c = psub.add_parser(action)
         c.add_argument("--sender", type=_account, required=True)
         c.add_argument("--question-id", type=_hex, required=True)
-        c.add_argument("--bit", choices=("yes", "no"), required=True)
-        c.add_argument("--fee", default="1")
-    for action in ("counter", "resolve"):
-        c = psub.add_parser(action)
-        c.add_argument("--sender", type=_account, required=True)
-        c.add_argument("--question-id", type=_hex, required=True)
+        if action in ("answer", "vote"):
+            c.add_argument("--bit", choices=("yes", "no"), required=True)
         c.add_argument("--fee", default="1")
     c = psub.add_parser("read")
     c.add_argument("--question-id", type=_hex, required=True)

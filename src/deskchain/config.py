@@ -12,7 +12,7 @@ parsed exactly via Fraction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .codec import check_amount
@@ -122,12 +122,11 @@ _FRACTION_KEYS = {
 }
 
 
-def parse_config(text: str, base: NetworkConfig | None = None) -> NetworkConfig:
+def parse_config(text: str) -> NetworkConfig:
     from .crypto import KeyPair  # local import to keep config standalone
 
-    cfg = base or NetworkConfig()
     updates: dict[str, object] = {}
-    accounts: list[tuple[str, bytes, int]] = list(cfg.genesis_accounts)
+    accounts: list[tuple[str, bytes, int]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -157,10 +156,9 @@ def parse_config(text: str, base: NetworkConfig | None = None) -> NetworkConfig:
             accounts.append((name, KeyPair.from_name(name).address, parse_amount(amount)))
         else:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
-    updates["genesis_accounts"] = tuple(accounts)
-    return replace(cfg, **updates)
+    return NetworkConfig(genesis_accounts=tuple(accounts), **updates)
 
 
-def load_config(path: str, base: NetworkConfig | None = None) -> NetworkConfig:
+def load_config(path: str) -> NetworkConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), base)
+        return parse_config(fh.read())

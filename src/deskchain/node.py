@@ -1,7 +1,8 @@
 """One node's duties, shared by the CLI and the simulator.
 
 A node builds on one tip (its state and header) and keeps a mempool keyed
-by tx hash. It numbers and signs the transactions it makes, mines the next
+by tx hash, admitting only the transactions the tip passes through
+check_tx. It numbers and signs the transactions it makes, mines the next
 block with the epoch-boundary system transaction, and drops from its
 mempool every transaction the tip has already passed.
 """
@@ -39,6 +40,16 @@ class Node:
         if cosigner is not None:
             t = replace(t, sig_b=cosigner.sign(t.signing_bytes()))
         return txmod.sign_tx(t, keypair)
+
+    def admit(self, t) -> bool:
+        """Pool ``t`` unless it is pooled already (False); raises TxError
+        when the tip cannot take it."""
+        h = txmod.tx_hash(t)
+        if h in self.mempool:
+            return False
+        txmod.check_tx(self.state, t, self.state.cfg)
+        self.mempool[h] = t
+        return True
 
     def build_next_block(self, miner: bytes) -> Block | None:
         """Mine the mempool onto the tip; None when the PoW budget runs out.

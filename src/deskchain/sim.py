@@ -179,39 +179,33 @@ class Simulation:
     def _watch_channels(self, node: SimNode) -> None:
         if not self.cfg.sim_auto_challenge:
             return
-        state = node.state
         height = node.header.height
         for channel_id, endpoint in node.endpoints.items():
-            channel = state.channels.get(channel_id)
-            if channel is None or channel.status != channels.CLOSING:
+            channel = node.state.channels.get(channel_id)
+            if channel is None or channel.status != channels.CLOSING or height >= channel.deadline:
                 continue
-            if height >= channel.deadline:
-                continue
-            candidate = channel.candidate
             mine = endpoint.latest()
-            if mine is None or candidate is None or mine.nonce <= candidate.nonce:
+            if mine is None or mine.nonce <= channel.candidate.nonce:
                 continue
-            key = (channel_id, candidate.nonce)
+            key = (channel_id, channel.candidate.nonce)
             if key in node.challenged:
                 continue
             node.challenged.add(key)
             challenge = node.make(
-                node.keypair, txmod.ChannelChallenge, channel_id, mine,
-                endpoint.program_for(mine), fee=1,
+                node.keypair, txmod.ChannelChallenge, channel_id,
+                *endpoint.settlement("challenge", channel), fee=1,
             )
             self.log(node.name, "auto_challenge", chan=channel_id.hex()[:16], nonce=mine.nonce)
             self.submit_tx(node, challenge)
 
     def submit_tx(self, node: SimNode, t) -> None:
         h = txmod.tx_hash(t)
-        if h in node.mempool:
-            return
         try:
-            txmod.check_tx(node.state, t, self.cfg)
+            if not node.admit(t):
+                return
         except TxError as exc:
             self.log(node.name, "tx_rejected", reason=exc.code, hash=h.hex()[:16])
             raise
-        node.mempool[h] = t
         self.log(node.name, "tx", kind=type(t).__name__, hash=h.hex()[:16])
         self.broadcast(node.name, TX, (t.encode(),))
 
@@ -337,12 +331,9 @@ class Simulation:
             if isinstance(t, txmod.EpochTx):
                 return  # system txs are assembled locally, never gossiped
             try:
-                txmod.check_tx(node.state, t, self.cfg)
+                node.admit(t)
             except TxError:
-                return
-            h = txmod.tx_hash(t)
-            if h not in node.mempool:
-                node.mempool[h] = t
+                pass  # a peer's tx this tip cannot take is not pooled
         elif kind == CHAN_PROPOSE:
             self._on_propose(node, src, payload)
         elif kind == CHAN_ACK:
@@ -552,17 +543,22 @@ class Simulation:
                 txmod.ChannelOpen, self._addr(args[2]), parse_amount(args[3]),
                 parse_amount(args[4]), cosigner=KeyPair.from_name(args[2]),
             )
-        if cmd in ("channel-close-coop", "channel-close", "channel-challenge", "channel-finalize"):
-            return self._channel_tx(node, line_no, cmd, self._handle(args[1], line_no), opts, fee)
+        family, _, action = cmd.partition("-")
+        if family == "channel" and action in txmod.SETTLE_KINDS:
+            channel_id = self._handle(args[1], line_no)
+            if action == "finalize":  # settles the on-chain candidate; needs no endpoint
+                endpoint = node.endpoints.get(channel_id) or ChannelEndpoint(channel_id)
+            else:
+                endpoint = self.endpoint_for(node, channel_id)
+            nonce = int(opts["nonce"]) if action == "close" and "nonce" in opts else None
+            ss, program = endpoint.settlement(action, node.state.channels.get(channel_id), nonce)
+            return node.make(node.keypair, txmod.SETTLE_KINDS[action], channel_id, ss, program, fee=fee)
         if cmd == "oracle-ask":
             question_hash = hash256(args[2].encode("utf-8"))
             return make(txmod.OracleRegister, question_hash, int(args[3]), int(args[4]))
-        if cmd in ("oracle-answer", "oracle-vote"):
-            kind = txmod.OracleAnswer if cmd == "oracle-answer" else txmod.OracleVote
-            return make(kind, self._handle(args[2], line_no), {"yes": True, "no": False}[args[3]])
-        if cmd in ("oracle-counter", "oracle-resolve"):
-            kind = txmod.OracleCounter if cmd == "oracle-counter" else txmod.OracleResolve
-            return make(kind, self._handle(args[2], line_no))
+        if family == "oracle" and action in txmod.ORACLE_KINDS:
+            bit = ({"yes": True, "no": False}[args[3]],) if action in ("answer", "vote") else ()
+            return make(txmod.ORACLE_KINDS[action], self._handle(args[2], line_no), *bit)
         if cmd == "storage-commit":
             chunk_size = int(args[4])
             chunks, root = storage.commit_data(self._read_data(args[3], line_no), chunk_size)
@@ -590,34 +586,6 @@ class Simulation:
         if cmd == "az-refer":
             return make(txmod.AzRefer, self._addr(args[2]), self._handle(args[3], line_no))
         raise ScenarioError(line_no, f"unknown command {cmd!r}")
-
-    def _channel_tx(
-        self, node: SimNode, line_no: int, cmd: str, channel_id: bytes, opts: dict, fee: int,
-    ):
-        """A close, challenge or finalize signed by the node's own key."""
-        if cmd == "channel-finalize":
-            channel = node.state.channels.get(channel_id)
-            candidate = channel.candidate if channel else None
-            program = None
-            if candidate and candidate.contract_hash:  # only then is an endpoint needed
-                program = self.endpoint_for(node, channel_id).program_for(candidate)
-            return node.make(
-                node.keypair, txmod.ChannelFinalize, channel_id, None, program, fee=fee
-            )
-        endpoint = self.endpoint_for(node, channel_id)
-        ss = endpoint.latest()
-        if cmd == "channel-close" and "nonce" in opts:
-            ss = endpoint.by_nonce(int(opts["nonce"]))
-            if ss is None:
-                raise ScenarioError(line_no, f"no recorded state with nonce {opts['nonce']}")
-        if cmd == "channel-close-coop":
-            if ss is None:
-                raise ScenarioError(line_no, "no signed state to close with")
-            return node.make(node.keypair, txmod.ChannelCloseCoop, channel_id, ss, None, fee=fee)
-        if cmd == "channel-challenge" and ss is None:
-            raise ScenarioError(line_no, "nothing better to challenge with")
-        kind = txmod.ChannelClose if cmd == "channel-close" else txmod.ChannelChallenge
-        return node.make(node.keypair, kind, channel_id, ss, endpoint.program_for(ss), fee=fee)
 
     def _resolve_target(self, token: str, line_no: int) -> bytes:
         if token.startswith("hex:"):

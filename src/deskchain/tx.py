@@ -335,6 +335,15 @@ TX_KINDS = (
 )
 _BY_TAG = {cls.TAG: cls for cls in TX_KINDS}
 GAS_KINDS = (ContractCreate, ContractCall)
+# the CLI's `channel <action>` and `oracle <action>` verbs, and the DSL's
+# `channel-<action>` and `oracle-<action>`, name these kinds
+SETTLE_KINDS = {
+    "close-coop": ChannelCloseCoop, "close": ChannelClose,
+    "challenge": ChannelChallenge, "finalize": ChannelFinalize,
+}
+ORACLE_KINDS = {
+    "answer": OracleAnswer, "counter": OracleCounter, "vote": OracleVote, "resolve": OracleResolve,
+}
 
 
 def encode_tx(tx) -> bytes:
@@ -677,39 +686,50 @@ def state_roots(state: ChainState) -> dict[str, bytes]:
     }
 
 
+def _execute(state: ChainState, txs, miner: bytes, height: int, prev_hash: bytes, strict: bool):
+    """The block transition both the miner and the validator run: clone the
+    parent, mint the coinbase, apply ``txs`` in order, and commit.
+
+    An inapplicable tx (a ``LedgerError``, or a ``CodecError`` raised while
+    applying) makes a ``strict`` caller, the validator, reject the block
+    with ``BadTx``; the miner drops the tx instead. Returns the new state,
+    the txs applied, their receipts and the header's commitment fields.
+    """
+    cfg = state.cfg
+    work = state.clone()
+    work.height = height
+    ctx = ApplyCtx(miner=miner, height=height, cfg=cfg, prev_block_hash=prev_hash)
+    included: list = []
+    receipts: list[Receipt] = []
+    if height > 0:
+        work.mint(miner, pow.coinbase(height, cfg), height)
+    for tx in txs:
+        try:
+            receipts.append(apply_tx(work, tx, ctx))
+        except (LedgerError, CodecError) as exc:
+            if strict:
+                raise BlockError("BadTx", f"{exc}") from exc
+            continue
+        included.append(tx)
+    commitments = dict(
+        tx_root=tree_root([tx_hash(t) for t in included]),
+        proof_root=tree_root([hash256(leaf) for leaf in ctx.proof_leaves]),
+        **state_roots(work),
+    )
+    return work, included, receipts, commitments
+
+
 def apply_block(state: ChainState, block: Block) -> tuple[ChainState, list[Receipt]]:
     """Pure block transition; the header must already be validated."""
     header = block.header
     if header.tx_count != len(block.transactions):
         raise BlockError("RootMismatch", "tx_count")
-    cfg = state.cfg
-    work = state.clone()
-    work.height = header.height
-    ctx = ApplyCtx(
-        miner=header.miner,
-        height=header.height,
-        cfg=cfg,
-        prev_block_hash=header.prev_hash,
+    if header.height == 0 and block.transactions:
+        raise BlockError("BadFormat", "genesis carries no transactions")
+    work, _, receipts, commitments = _execute(
+        state, block.transactions, header.miner, header.height, header.prev_hash, strict=True
     )
-    receipts: list[Receipt] = []
-    if header.height == 0:
-        if block.transactions:
-            raise BlockError("BadFormat", "genesis carries no transactions")
-    else:
-        work.mint(header.miner, pow.coinbase(header.height, cfg), header.height)
-        for tx in block.transactions:
-            try:
-                receipts.append(apply_tx(work, tx, ctx))
-            except TxError as exc:
-                raise BlockError("BadTx", f"{exc}") from exc
-            except LedgerError as exc:
-                raise BlockError("BadTx", f"{exc}") from exc
-
-    if header.tx_root != tree_root([tx_hash(t) for t in block.transactions]):
-        raise BlockError("RootMismatch", "tx_root")
-    if header.proof_root != tree_root([hash256(leaf) for leaf in ctx.proof_leaves]):
-        raise BlockError("RootMismatch", "proof_root")
-    for name, value in state_roots(work).items():
+    for name, value in commitments.items():
         if getattr(header, name) != value:
             raise BlockError("RootMismatch", name)
     work.check_invariants()
@@ -717,52 +737,26 @@ def apply_block(state: ChainState, block: Block) -> tuple[ChainState, list[Recei
 
 
 def build_block(
-    state: ChainState,
-    candidate_txs: list,
-    miner: bytes,
-    prev_header: BlockHeader | None,
-    nonce_budget: int | None = None,
+    state: ChainState, candidate_txs: list, miner: bytes, prev_header: BlockHeader | None
 ) -> Block | None:
     """Assemble and mine the next block.
 
-    Candidate transactions are taken in (fee density, tx hash) order;
-    inapplicable ones are dropped. Returns None if the PoW search exhausts
-    its budget.
+    Candidate transactions are taken in (fee density, tx hash) order, the
+    epoch tx last; inapplicable ones are dropped. Returns None if the PoW
+    search exhausts its budget.
     """
     cfg = state.cfg
     height = 0 if prev_header is None else prev_header.height + 1
-    work = state.clone()
-    work.height = height
     prev_hash = ZERO32 if prev_header is None else prev_header.block_hash()
-    ctx = ApplyCtx(miner=miner, height=height, cfg=cfg, prev_block_hash=prev_hash)
-
-    included: list = []
-    if height > 0:
-        work.mint(miner, pow.coinbase(height, cfg), height)
-        user_txs = [t for t in candidate_txs if not isinstance(t, EpochTx)]
-        system_txs = [t for t in candidate_txs if isinstance(t, EpochTx)]
-        user_txs.sort(key=_mempool_order)
-        for tx in user_txs + system_txs:
-            try:
-                apply_tx(work, tx, ctx)
-            except (LedgerError, CodecError):
-                continue
-            included.append(tx)
-
-    roots = state_roots(work)
+    user = sorted((t for t in candidate_txs if not isinstance(t, EpochTx)), key=_mempool_order)
+    system = [t for t in candidate_txs if isinstance(t, EpochTx)]
+    txs = user + system if height > 0 else []
+    _, included, _, commitments = _execute(state, txs, miner, height, prev_hash, strict=False)
     header_base = dict(
-        height=height,
-        prev_hash=prev_hash,
-        tx_root=tree_root([tx_hash(t) for t in included]),
-        tx_count=len(included),
-        proof_root=tree_root([hash256(leaf) for leaf in ctx.proof_leaves]),
-        miner=miner,
-        **roots,
+        height=height, prev_hash=prev_hash, tx_count=len(included), miner=miner, **commitments
     )
     probe = BlockHeader(entropy=ZERO32, pow_nonce=0, pow_cycle=(), **header_base)
-    params = pow.PowParams.from_config(cfg)
-    budget = nonce_budget if nonce_budget is not None else cfg.pow_nonce_budget
-    solution = pow.solve(probe.base_hash(), params, budget)
+    solution = pow.solve(probe.base_hash(), pow.PowParams.from_config(cfg), cfg.pow_nonce_budget)
     if solution is None:
         return None
     prev_entropy = ZERO32 if prev_header is None else prev_header.entropy
