@@ -10,12 +10,13 @@ base-unit amounts. Exit codes: 0 ok, 1 protocol/scenario error, 2 usage.
 from __future__ import annotations
 
 import argparse
+import glob
 import os
 import sys
 
 from . import channels, oracles, rewards, sim, storage, templates, tx as txmod
 from .channels import ChannelEndpoint
-from .config import NetworkConfig, load_config, parse_amount
+from .config import NetworkConfig, load_config, parse_amount, parse_ints
 from .crypto import hash256
 from .errors import DeskchainError
 from .merkle import merkle_prove, merkle_root
@@ -80,9 +81,10 @@ def cmd_genesis(sd: StateDir, args) -> int:
     sd.write_config(text)
     cfg = sd.config()
     state, block = txmod.genesis_block(cfg)
-    chain_path = sd.path("chain.bin")
-    if os.path.exists(chain_path):
-        os.remove(chain_path)
+    # a new network starts with no chain, mempool or channel states
+    for name in ("chain.bin", "mempool.bin", *glob.glob("channel_*.bin", root_dir=sd.root)):
+        if os.path.exists(sd.path(name)):
+            os.remove(sd.path(name))
     sd.append_block(block)
     for name, address, balance in cfg.genesis_accounts:
         sd.keygen(name)
@@ -121,7 +123,7 @@ def cmd_send(sd: StateDir, args) -> int:
 
 def cmd_contract(sd: StateDir, args) -> int:
     node = _load(sd)
-    call_data = tuple(int(v) for v in args.call_data.split(",") if v)
+    call_data = parse_ints(args.call_data)
     fee = args.gas * args.gas_price
     if args.action == "create":
         program = templates.load_program(args.code, asm_prefix="")
@@ -175,7 +177,7 @@ def cmd_channel(sd: StateDir, args) -> int:
         program = templates.load_program(args.contract, asm_prefix="") if args.contract else None
         unsigned = endpoint.propose(
             channel, (parse_amount(args.balance_a), parse_amount(args.balance_b)), program,
-            tuple(int(v) for v in args.cstate.split(",") if v),
+            parse_ints(args.cstate),
         )
         full = channels.sign_state(unsigned, sd.key(name_a), "a")
         full = channels.sign_state(full, sd.key(name_b), "b")

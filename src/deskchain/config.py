@@ -27,12 +27,21 @@ class ConfigError(DeskchainError):
 
 def parse_amount(text: str) -> int:
     t = text.strip().lower()
-    if t.endswith("dsd"):
-        frac = Fraction(t[:-3]) * BASE_UNITS_PER_DSD
-        if frac.denominator != 1:
-            raise ConfigError(f"amount {text!r} is not a whole number of base units")
-        return check_amount(int(frac), text)
-    return check_amount(int(t, 10), text)
+    try:
+        frac = Fraction(t[:-3]) * BASE_UNITS_PER_DSD if t.endswith("dsd") else Fraction(int(t, 10))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad amount {text!r}") from exc
+    if frac.denominator != 1:
+        raise ConfigError(f"amount {text!r} is not a whole number of base units")
+    return check_amount(int(frac), text)
+
+
+def parse_ints(text: str) -> tuple[int, ...]:
+    """Comma-separated integers, as call data and contract states are given."""
+    try:
+        return tuple(int(v) for v in text.split(",") if v)
+    except ValueError as exc:
+        raise ConfigError(f"bad integer list {text!r}") from exc
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -134,28 +143,33 @@ def parse_config(text: str) -> NetworkConfig:
         if "=" not in line:
             raise ConfigError(f"line {line_no}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in _INT_KEYS:
-            updates[_INT_KEYS[key]] = int(value, 10)
-        elif key in _AMOUNT_KEYS:
-            updates[_AMOUNT_KEYS[key]] = parse_amount(value)
-        elif key in _FRACTION_KEYS:
-            updates[_FRACTION_KEYS[key]] = parse_fraction(value)
-        elif key == "pow.target_hex":
-            target = bytes.fromhex(value)
-            if len(target) != 32:
-                raise ConfigError(f"line {line_no}: target must be 32 bytes of hex")
-            updates["pow_target"] = target
-        elif key == "sim.auto_challenge":
-            updates["sim_auto_challenge"] = value.lower() in ("1", "true", "yes")
-        elif key == "genesis.account":
-            # "<name> <amount>"; the address derives from the name's keypair
-            parts = value.split()
-            if len(parts) != 2:
-                raise ConfigError(f"line {line_no}: genesis.account wants 'name amount'")
-            name, amount = parts
-            accounts.append((name, KeyPair.from_name(name).address, parse_amount(amount)))
-        else:
-            raise ConfigError(f"line {line_no}: unknown key {key!r}")
+        try:
+            if key in _INT_KEYS:
+                updates[_INT_KEYS[key]] = int(value, 10)
+            elif key in _AMOUNT_KEYS:
+                updates[_AMOUNT_KEYS[key]] = parse_amount(value)
+            elif key in _FRACTION_KEYS:
+                updates[_FRACTION_KEYS[key]] = parse_fraction(value)
+            elif key == "pow.target_hex":
+                target = bytes.fromhex(value)
+                if len(target) != 32:
+                    raise ConfigError("target must be 32 bytes of hex")
+                updates["pow_target"] = target
+            elif key == "sim.auto_challenge":
+                updates["sim_auto_challenge"] = value.lower() in ("1", "true", "yes")
+            elif key == "genesis.account":
+                # "<name> <amount>"; the address derives from the name's keypair
+                parts = value.split()
+                if len(parts) != 2:
+                    raise ConfigError("genesis.account wants 'name amount'")
+                name, amount = parts
+                accounts.append((name, KeyPair.from_name(name).address, parse_amount(amount)))
+            else:
+                raise ConfigError(f"unknown key {key!r}")
+        except ValueError as exc:  # int() or bytes.fromhex()
+            raise ConfigError(f"line {line_no}: bad {key} value {value!r}") from exc
+        except DeskchainError as exc:
+            raise ConfigError(f"line {line_no}: {exc}") from exc
     return NetworkConfig(genesis_accounts=tuple(accounts), **updates)
 
 

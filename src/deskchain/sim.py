@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import channels, rewards, storage, templates, tx as txmod
 from .channels import ChannelEndpoint, SignedState
-from .config import NetworkConfig, parse_amount, parse_fraction
+from .config import ConfigError, NetworkConfig, parse_amount, parse_fraction, parse_ints
 from .crypto import KeyPair, hash256
 from .errors import BlockError, DeskchainError, LedgerError, ScenarioError, TxError
 from .ledger import Block, validate_header
@@ -494,7 +494,10 @@ class Simulation:
         elif cmd == "epoch-factors":
             with open(os.path.join(self.base_dir, args[1]), "r", encoding="utf-8") as fh:
                 text = fh.read()
-            report = parse_factors(text, node.state.pool.epoch_index + 1, self.handles)
+            try:
+                report = parse_factors(text, node.state.pool.epoch_index + 1, self.handles)
+            except ScenarioError as exc:  # its line number is the factors file's
+                raise ScenarioError(line_no, f"{args[1]} line {exc.line_no}: {exc.message}") from exc
             node.staged_epoch = report
             self.log(node.name, "epoch_staged", azs=len(report.az_rows))
         elif cmd == "advance-epoch":
@@ -526,14 +529,14 @@ class Simulation:
         if cmd == "contract-create":
             program = templates.load_program(args[2], self.base_dir)
             gas, gas_price = int(args[5]), int(args[6])
-            call_data = tuple(int(v) for v in opts.get("call", "").split(",") if v)
+            call_data = parse_ints(opts.get("call", ""))
             return make(
                 txmod.ContractCreate, program, 1, parse_amount(args[3]), parse_amount(args[4]),
                 gas, gas_price, call_data, fee=gas * gas_price,
             )
         if cmd == "contract-call":
             gas, gas_price = int(args[4]), int(args[5])
-            call_data = tuple(int(v) for v in opts.get("call", "").split(",") if v)
+            call_data = parse_ints(opts.get("call", ""))
             return make(
                 txmod.ContractCall, self._handle(args[2], line_no), parse_amount(args[3]),
                 gas, gas_price, call_data, fee=gas * gas_price,
@@ -620,58 +623,71 @@ class Simulation:
 def parse_factors(text: str, epoch_index: int, handles: dict[str, bytes]) -> rewards.EpochReport:
     """Factor measurement file -> EpochReport.
 
-    Lines: `weights w1 w2 ...`, `az <handle> raw1 raw2 ...`,
-    `user <handle> <name> eps E theta T`, then `item alpha A s S beta B
-    usage c1 c2 ...` rows attaching to the preceding user.
+    Lines: `weights w1 w2 ...`, `az <zone> raw1 raw2 ...`,
+    `user <zone> <name> eps E theta T`, then `item alpha A s S beta B
+    usage c1 c2 ...` rows attaching to the preceding user. A zone is a
+    key of ``handles`` or a 64-hex AZ id; a malformed line raises
+    ScenarioError with its line number.
     """
     weights: tuple = ()
     az_rows: list[rewards.AZFactors] = []
     users: list[dict] = []
+
+    def zone(token: str) -> bytes:
+        if token in handles:
+            return handles[token]
+        if len(token) != 64:
+            raise ValueError(f"unknown zone {token!r}: not a handle or a 64-hex id")
+        return bytes.fromhex(token)
+
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         key = parts[0]
-        if key == "weights":
-            weights = tuple(parse_fraction(v) for v in parts[1:])
-        elif key == "az":
-            az_id = handles.get(parts[1]) or bytes.fromhex(parts[1])
-            az_rows.append(rewards.AZFactors(az_id, tuple(int(v) for v in parts[2:])))
-        elif key == "user":
-            az_id = handles.get(parts[1]) or bytes.fromhex(parts[1])
-            member = KeyPair.from_name(parts[2]).address
-            kv = dict(zip(parts[3::2], parts[4::2]))
-            users.append(
-                dict(
-                    az_id=az_id, member=member,
-                    epsilon=parse_fraction(kv.get("eps", "1")),
-                    theta=parse_fraction(kv.get("theta", "1")),
-                    items=[],
+        try:
+            if key == "weights":
+                weights = tuple(parse_fraction(v) for v in parts[1:])
+            elif key == "az":
+                az_id = zone(parts[1])
+                az_rows.append(rewards.AZFactors(az_id, tuple(int(v) for v in parts[2:])))
+            elif key == "user":
+                az_id = zone(parts[1])
+                member = KeyPair.from_name(parts[2]).address
+                kv = dict(zip(parts[3::2], parts[4::2]))
+                users.append(
+                    dict(
+                        az_id=az_id, member=member,
+                        epsilon=parse_fraction(kv.get("eps", "1")),
+                        theta=parse_fraction(kv.get("theta", "1")),
+                        items=[],
+                    )
                 )
-            )
-        elif key == "item":
-            if not users:
-                raise ScenarioError(line_no, "item line before any user line")
-            tokens = parts[1:]
-            kv = {}
-            i = 0
-            while i < len(tokens):
-                if tokens[i] == "usage":
-                    kv["usage"] = tokens[i + 1 :]
-                    break
-                kv[tokens[i]] = tokens[i + 1]
-                i += 2
-            users[-1]["items"].append(
-                rewards.WorkItem(
-                    alpha=parse_fraction(kv.get("alpha", "1")),
-                    s=parse_fraction(kv.get("s", "0")),
-                    beta=parse_fraction(kv.get("beta", "1")),
-                    usage=tuple(parse_fraction(v) for v in kv.get("usage", [])),
+            elif key == "item":
+                if not users:
+                    raise ScenarioError(line_no, "item line before any user line")
+                tokens = parts[1:]
+                kv = {}
+                i = 0
+                while i < len(tokens):
+                    if tokens[i] == "usage":
+                        kv["usage"] = tokens[i + 1 :]
+                        break
+                    kv[tokens[i]] = tokens[i + 1]
+                    i += 2
+                users[-1]["items"].append(
+                    rewards.WorkItem(
+                        alpha=parse_fraction(kv.get("alpha", "1")),
+                        s=parse_fraction(kv.get("s", "0")),
+                        beta=parse_fraction(kv.get("beta", "1")),
+                        usage=tuple(parse_fraction(v) for v in kv.get("usage", [])),
+                    )
                 )
-            )
-        else:
-            raise ScenarioError(line_no, f"unknown factors key {key!r}")
+            else:
+                raise ScenarioError(line_no, f"unknown factors key {key!r}")
+        except (ValueError, IndexError, ConfigError) as exc:
+            raise ScenarioError(line_no, f"{key}: {exc}") from exc
     user_rows = tuple(
         rewards.UserContribution(
             u["az_id"], u["member"], u["epsilon"], u["theta"], tuple(u["items"])

@@ -3,8 +3,8 @@ import dataclasses
 import pytest
 
 from deskchain import channels, templates, tx as txmod
-from deskchain.channels import SignedState
-from deskchain.errors import LedgerError
+from deskchain.channels import ChannelEndpoint, SignedState
+from deskchain.errors import DeskchainError, LedgerError
 from deskchain.vm import assemble
 
 from conftest import Bench, make_cfg
@@ -317,3 +317,51 @@ def test_signed_state_encoding_round_trip():
     ss = SignedState(b"\x01" * 32, 9, 1, 2, b"\x02" * 32, (3, -4, 5), b"\x0a" * 64, b"\x0b" * 64)
     assert SignedState.read(Reader(ss.encode())) == ss
     assert ss.signing_bytes() != ss.encode()
+
+
+def _endpoint(*nonces):
+    """A holder of plain states at ``nonces`` and, one nonce later, a state
+    that settles by the payment-split program, on a channel closing on it."""
+    program = templates.PAYMENT_SPLIT
+    cid = b"\x01" * 32
+    history = [SignedState(cid, n, 4 * DSD, 4 * DSD) for n in nonces]
+    history.append(SignedState(cid, len(nonces) + 1, 3 * DSD, 5 * DSD, program.code_hash(), (1,)))
+    channel = channels.Channel(
+        cid, b"\x0a" * 32, b"\x0b" * 32, 4 * DSD, 4 * DSD, channels.CLOSING, 9, history[-1]
+    )
+    return ChannelEndpoint(cid, history=history, programs={program.code_hash(): program}), channel
+
+
+@pytest.mark.parametrize("action, carries_program", [
+    ("close", True), ("challenge", True), ("close-coop", False),
+])
+def test_settlement_carries_the_latest_state_by_default(action, carries_program):
+    endpoint, channel = _endpoint(1)
+    latest = endpoint.latest()
+    program = templates.PAYMENT_SPLIT if carries_program else None
+    assert endpoint.settlement(action, channel) == (latest, program)
+
+
+def test_settlement_close_picks_a_state_by_nonce():
+    endpoint, channel = _endpoint(1, 2)
+    assert endpoint.settlement("close", channel, nonce=1) == (endpoint.history[0], None)
+    assert endpoint.settlement("close", channel, nonce=3) == (endpoint.history[2], templates.PAYMENT_SPLIT)
+    with pytest.raises(DeskchainError, match="^no recorded state with nonce 7$"):
+        endpoint.settlement("close", channel, nonce=7)
+
+
+@pytest.mark.parametrize("action", ["close-coop", "challenge"])
+def test_settlement_without_a_recorded_state_needs_one_for(action):
+    endpoint = ChannelEndpoint(b"\x01" * 32)
+    with pytest.raises(DeskchainError, match=f"^no doubly signed state to {action} with$"):
+        endpoint.settlement(action, None)
+    # a unilateral close with nothing recorded settles at the deposits
+    assert endpoint.settlement("close", None) == (None, None)
+
+
+def test_settlement_finalize_takes_the_candidates_program():
+    endpoint, channel = _endpoint()
+    assert endpoint.settlement("finalize", channel) == (None, templates.PAYMENT_SPLIT)
+    # no on-chain channel, or a holder without the program: nothing to add
+    assert endpoint.settlement("finalize", None) == (None, None)
+    assert ChannelEndpoint(channel.channel_id).settlement("finalize", channel) == (None, None)

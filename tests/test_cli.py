@@ -84,6 +84,54 @@ def test_missing_input_files_fail_1(workdir, capsys):
     assert err.startswith("error: ") and "missing.scn" in err
 
 
+_HEX_ZONE = "0a" * 32
+
+
+@pytest.mark.parametrize("argv, text, named", [
+    (["send", "--from", "alice", "--to", "bob", "--amount", "abc"], "", "'abc'"),
+    (["genesis", "--config", "{file}"], NET_CFG + "pow.edge_bits = x\n", "line 8"),
+    (["genesis", "--config", "{file}"], NET_CFG + "pow.target_hex = zz\n", "line 8"),
+    (["contract", "create", "--owner", "alice", "--code", "template:payment-split",
+      "--call-data", "1,x"], "", "'1,x'"),
+    (["channel", "update", "--channel", "{channel}", "--balance-a", "1dsd",
+      "--balance-b", "2dsd", "--cstate", "7,seven"], "", "'7,seven'"),
+    (["epoch", "run", "--factors", "{file}", "--gamma", "1001"],
+     "weights 1\naz zz 10\n", "'zz'"),
+    (["epoch", "run", "--factors", "{file}", "--gamma", "1001"],
+     f"weights 1\naz {_HEX_ZONE} x\n", "line 2"),
+    (["epoch", "run", "--factors", os.path.join(SCENARIO_DIR, "epoch1.factors"),
+      "--gamma", "1dsd"], "", "unknown zone 'plant'"),
+], ids=["amount", "config-int", "config-hex", "call-data", "cstate", "zone-id", "factor", "readme"])
+def test_a_malformed_number_is_an_error_not_a_traceback(workdir, capsys, argv, text, named):
+    run(workdir, "genesis", "--config", str(workdir / "net.cfg"))
+    run(workdir, "channel", "open", "--a", "alice", "--b", "bob",
+        "--deposit-a", "2dsd", "--deposit-b", "1dsd")
+    channel = capsys.readouterr().out.split("channel=")[1].split()[0]
+    run(workdir, "mine", "--miner", "alice")
+    (workdir / "input").write_text(text)
+    capsys.readouterr()
+    assert run(workdir, *(a.format(file=workdir / "input", channel=channel) for a in argv)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err, err
+
+
+def test_genesis_over_a_used_state_dir_drops_the_old_mempool_and_channels(workdir, capsys):
+    run(workdir, "genesis", "--config", str(workdir / "net.cfg"))
+    run(workdir, "channel", "open", "--a", "alice", "--b", "bob",
+        "--deposit-a", "2dsd", "--deposit-b", "1dsd")
+    channel = capsys.readouterr().out.split("channel=")[1].split()[0]
+    run(workdir, "mine", "--miner", "alice")
+    assert run(workdir, "channel", "update", "--channel", channel,
+               "--balance-a", "1dsd", "--balance-b", "2dsd") == 0
+    assert run(workdir, "send", "--from", "alice", "--to", "bob", "--amount", "5dsd") == 0
+    assert run(workdir, "genesis", "--config", str(workdir / "net.cfg")) == 0
+    capsys.readouterr()
+    assert run(workdir, "mine", "--miner", "bob") == 0
+    out = capsys.readouterr().out
+    assert out.startswith("block height=1 ") and "tx=" not in out, out
+    assert sorted(os.listdir(workdir / "state")) == ["chain.bin", "config.cfg", "keys", "mempool.bin"]
+
+
 def test_name_claim_resolve(workdir, capsys):
     run(workdir, "genesis", "--config", str(workdir / "net.cfg"))
     run(workdir, "name", "claim", "--owner", "alice", "--name", "plant-7", "--target", "bob")

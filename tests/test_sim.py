@@ -85,6 +85,29 @@ def test_htlc_scenario_settles_by_template():
     assert channel.final_split == (0, 10_000_000)
 
 
+def test_finalizing_without_an_endpoint_creates_none():
+    # carol is no party: she finalizes the hash-timelock channel by the
+    # program the chain registered at the close, holding no endpoint
+    with open(os.path.join(SCENARIO_DIR, "channels_htlc.scn"), "r", encoding="utf-8") as fh:
+        text = fh.read().replace("channel-finalize bob", "channel-finalize carol")
+    text += "36 crash carol\n37 restart carol\n"
+    simulation = sim.Simulation(CFG, 7)
+    result = simulation.run_scenario(text, SCENARIO_DIR)
+    assert simulation.nodes["carol"].endpoints == {}
+    assert "node=carol ev=restart channels=0" in result.event_log
+    assert "node=carol ev=tx kind=ChannelFinalize" in result.event_log
+    assert result.state.channels[result.handles["ch1"]].final_split == (0, 10_000_000)
+
+
+def test_a_bad_factors_file_names_its_line_at_the_scenario_line(tmp_path):
+    (tmp_path / "bad.factors").write_text("weights 1\naz nowhere 3\n")
+    with pytest.raises(ScenarioError) as err:
+        sim.run(CFG, "0 mine alice\n1 epoch-factors alice bad.factors\n", seed=7, base_dir=str(tmp_path))
+    assert str(err.value) == (
+        "line 2: bad.factors line 2: az: unknown zone 'nowhere': not a handle or a 64-hex id"
+    )
+
+
 def test_oracle_contest_scenario_challenger_wins():
     result = run_file("oracle_contest.scn")
     question = result.state.oracles[result.handles["q1"]]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deskchain import codec, pow, tx as txmod
+from deskchain.config import parse_config
 from deskchain.channels import SignedState
 from deskchain.crypto import ZERO_SIG, KeyPair
 from deskchain.errors import BlockError, CodecError, LedgerError, TxError
@@ -684,6 +685,23 @@ def test_build_block_skips_inapplicable_and_replays(bench):
     assert len(block.transactions) == 1
     replayed, receipts = txmod.apply_block(state, block)  # roots must match
     assert receipts[0].status == "applied"
+
+
+def test_miner_and_validator_agree_on_a_codec_error_at_apply():
+    # both balances sit at the u64 ceiling, so crediting the spend overflows
+    u64_max = (1 << 64) - 1
+    cfg = parse_config(f"pow.edge_bits = 8\ngenesis.account = rich {u64_max}\n"
+                       f"genesis.account = richer {u64_max}\n")
+    state, genesis = txmod.genesis_block(cfg)
+    rich, richer = KeyPair.from_name("rich"), KeyPair.from_name("richer")
+    overflow = txmod.sign_tx(txmod.Spend(rich.address, richer.address, 1, 1, 1), rich)
+    miner = KeyPair.from_name("miner").address
+    block = txmod.build_block(state, [overflow], miner, genesis.header)
+    assert block.transactions == ()
+    header = dataclasses.replace(block.header, tx_count=1)
+    with pytest.raises(BlockError) as err:
+        txmod.apply_block(state, Block(header, (overflow,)))
+    assert err.value.code == "BadTx" and "u64" in str(err.value)
 
 
 def test_decode_tx_rejects_a_nested_program_with_a_bad_header(bench):
