@@ -16,7 +16,7 @@ import sys
 
 from . import channels, oracles, rewards, sim, storage, templates, tx as txmod
 from .channels import ChannelEndpoint
-from .config import NetworkConfig, load_config, parse_amount, parse_ints
+from .config import NetworkConfig, load_config, parse_amount, parse_config, parse_ints
 from .crypto import hash256
 from .errors import DeskchainError
 from .merkle import merkle_prove, merkle_root
@@ -78,9 +78,9 @@ def cmd_keygen(sd: StateDir, args) -> int:
 def cmd_genesis(sd: StateDir, args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         text = fh.read()
-    sd.write_config(text)
-    cfg = sd.config()
+    cfg = parse_config(text)  # a bad config leaves the state dir as it was
     state, block = txmod.genesis_block(cfg)
+    sd.write_config(text)
     # a new network starts with no chain, mempool or channel states
     for name in ("chain.bin", "mempool.bin", *glob.glob("channel_*.bin", root_dir=sd.root)):
         if os.path.exists(sd.path(name)):

@@ -132,6 +132,19 @@ def test_genesis_over_a_used_state_dir_drops_the_old_mempool_and_channels(workdi
     assert sorted(os.listdir(workdir / "state")) == ["chain.bin", "config.cfg", "keys", "mempool.bin"]
 
 
+def test_a_bad_genesis_config_leaves_the_state_dir_as_it_was(workdir, capsys):
+    assert run(workdir, "genesis", "--config", str(workdir / "net.cfg")) == 0
+    config = (workdir / "state" / "config.cfg").read_bytes()
+    (workdir / "bad.cfg").write_text(NET_CFG + "pow.target_hex = zz\n")
+    capsys.readouterr()
+    assert run(workdir, "genesis", "--config", str(workdir / "bad.cfg")) == 1
+    assert "line 8" in capsys.readouterr().err
+    assert (workdir / "state" / "config.cfg").read_bytes() == config
+    assert run(workdir, "send", "--from", "alice", "--to", "bob", "--amount", "5dsd", "--fee", "9") == 0
+    assert run(workdir, "mine", "--miner", "bob") == 0
+    assert "status=applied" in capsys.readouterr().out
+
+
 def test_name_claim_resolve(workdir, capsys):
     run(workdir, "genesis", "--config", str(workdir / "net.cfg"))
     run(workdir, "name", "claim", "--owner", "alice", "--name", "plant-7", "--target", "bob")

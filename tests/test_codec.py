@@ -254,3 +254,95 @@ def test_header_program_and_channel_file_bytes_are_pinned(tmp_path):
     assert BlockHeader.read(Reader(header.encode())) == header
     assert Program.decode(every_op.encode()) == every_op
     assert sd.channel_states(b"\x31" * 32) == (states, {p.code_hash(): p for p in (every_op, split)})
+
+
+def _wire_record_classes():
+    # every WireRecord subclass with fields, found as the test above finds classes
+    import importlib
+    import inspect
+    import pkgutil
+
+    import deskchain
+    from deskchain.codec import WireRecord
+
+    found = {}
+    for info in pkgutil.walk_packages(deskchain.__path__, "deskchain."):
+        module = importlib.import_module(info.name)
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if issubclass(cls, WireRecord) and cls is not WireRecord and cls._FIELDS:
+                found[cls.__qualname__] = cls
+    return [found[name] for name in sorted(found)]
+
+
+def _encodable(cls):
+    """A ``cls`` whose every field encodes, built past the constructor: each
+    field holds what its codec reads from zero bytes, or an encodable nested
+    record, or 1 for a ratio."""
+    import typing
+    from fractions import Fraction
+
+    from deskchain.codec import WireRecord
+
+    hints = typing.get_type_hints(cls, include_extras=True)
+    record = object.__new__(cls)
+    for name, _, read, _ in cls._FIELDS:
+        base = getattr(hints[name], "__origin__", hints[name])
+        if base is Fraction:
+            value = Fraction(1)
+        elif isinstance(base, type) and issubclass(base, WireRecord):
+            value = _encodable(base)
+        else:
+            value = read(Reader(bytes(64)))
+        object.__setattr__(record, name, value)
+    return record
+
+
+def _bad_values(hint):
+    from deskchain import codec
+
+    if hint == codec.U8:
+        return [-1, 2**8]
+    if hint == codec.U32:
+        return [-1, 2**32]
+    if hint == codec.U64:
+        return [-1, 2**64]
+    if hint == codec.I64:
+        return [2**63]
+    if hint == codec.Bytes32:
+        return [b"\x01" * 31, b"\x01" * 33]
+    if hint == codec.Sig:
+        return [b"\x01" * 63]
+    if getattr(hint, "__origin__", None) is str and hint != codec.Text:  # a Tag[...]
+        return ["no-such-name"]
+    return []
+
+
+def test_every_fixed_width_field_rejects_what_it_cannot_encode():
+    import copy
+    import typing
+
+    checked = 0
+    for cls in _wire_record_classes():
+        good = _encodable(cls)
+        good.encode()
+        hints = typing.get_type_hints(cls, include_extras=True)
+        for name, _, _, is_sig in cls._FIELDS:
+            for value in _bad_values(hints[name]):
+                bad = copy.copy(good)
+                object.__setattr__(bad, name, value)
+                forms = [bad.encode]
+                if hasattr(bad, "signing_bytes") and not is_sig:
+                    forms.append(bad.signing_bytes)
+                for form in forms:
+                    with pytest.raises(CodecError):
+                        form()
+                    checked += 1
+    assert checked > 300
+
+
+def test_every_proper_prefix_of_a_record_is_a_codec_error():
+    for label, record in _state_record_examples().items():
+        encoded = record.encode()
+        for cut in range(len(encoded)):
+            with pytest.raises(CodecError):
+                type(record).decode(encoded[:cut])

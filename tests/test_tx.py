@@ -480,6 +480,21 @@ def test_decode_tx_round_trips_and_rejects_malformed_bytes(tx):
                 txmod.decode_tx(dataclasses.replace(tx, **{name: _Padded(record)}).encode())
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of([_kind_strategy(cls) for cls in txmod.TX_KINDS]), st.data())
+def test_decode_tx_accepts_only_its_own_encodings(tx, data):
+    # decoding is canonical: whatever decode_tx accepts re-encodes to itself,
+    # so a decoded tx may keep the hash of the bytes it came from
+    enc = bytearray(tx.encode())
+    for _ in range(data.draw(st.integers(1, 3))):
+        enc[data.draw(st.integers(0, len(enc) - 1))] = data.draw(st.integers(0, 255))
+    try:
+        decoded = txmod.decode_tx(bytes(enc))
+    except CodecError:
+        return
+    assert txmod.encode_tx(decoded) == enc
+
+
 def test_apply_block_empty_only_coinbase():
     cfg = make_cfg()
     state, genesis = txmod.genesis_block(cfg)
