@@ -10,7 +10,8 @@ A record declares its wire form once, on its fields: it subclasses
 (``U64``, ``Bytes32``, ``Seq[Ratio]``, ``Record[Program]``, ...). Its wire
 form is those fields in declaration order, so reordering fields is a
 consensus change. ``wire_fields`` turns the annotations into the
-``(name, write, read, is_sig)`` schema that ``encode`` and ``read`` walk.
+``(name, write, read, is_sig)`` schema; ``encode`` and ``read`` run plans
+compiled from it at first use, one ``struct`` call per fixed-width run.
 Every tx kind (after its u8 tag) and every state record is written this
 way: Account, NameRecord, Channel, SignedState, OracleQuestion, Vote,
 StorageContract, MerkleProof, AZ, RewardPoolState, and the EpochReport with
@@ -29,6 +30,7 @@ signs its wire bytes with every ``Sig`` field zeroed
 """
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -100,7 +102,8 @@ class Writer:
         return self.blob(s.encode("utf-8"))
 
     def flag(self, b: bool) -> "Writer":
-        return self.u8(1 if b else 0)
+        self._parts.append(b"\x01" if b else b"\x00")
+        return self
 
     def done(self) -> bytes:
         return b"".join(self._parts)
@@ -167,22 +170,19 @@ class FieldCodec:
     write: Callable[[Writer, Any], Any]
     read: Callable[[Reader], Any]
     is_sig: bool = False
+    fmt: str = ""  # a fixed-width field's struct format
+    names: tuple = ()  # the values a Tag or Flag byte indexes
 
 
 def _split(hint) -> tuple[Any, FieldCodec]:
     """The base type and codec of a field annotation. A bare WireRecord
     class is that record's fields inline, with no length prefix."""
     if isinstance(hint, type) and issubclass(hint, WireRecord):
-        return hint, FieldCodec(_write_inline, hint.read)
+        return hint, FieldCodec(lambda w, record: w._parts.append(record.encode()), hint.read)
     codec = next((m for m in getattr(hint, "__metadata__", ()) if isinstance(m, FieldCodec)), None)
     if codec is None:
         raise TypeError(f"no wire codec for {hint!r}")
     return hint.__origin__, codec
-
-
-def _write_inline(w: Writer, record) -> None:
-    data = record.encode()
-    w.fixed(data, len(data))
 
 
 def _write_record(w: Writer, record) -> None:
@@ -205,17 +205,16 @@ def _write_u64_pair(w: Writer, pair: tuple[int, int]) -> None:
     w.u64(a).u64(b)
 
 
-U8 = Annotated[int, FieldCodec(Writer.u8, Reader.u8)]
-U32 = Annotated[int, FieldCodec(Writer.u32, Reader.u32)]
-U64 = Annotated[int, FieldCodec(Writer.u64, Reader.u64)]
-I64 = Annotated[int, FieldCodec(Writer.i64, Reader.i64)]
-Bytes32 = Annotated[bytes, FieldCodec(lambda w, v: w.fixed(v, 32), lambda r: r.fixed(32))]
-Sig = Annotated[bytes, FieldCodec(
-    lambda w, v: w.fixed(v, SIG_SIZE), lambda r: r.fixed(SIG_SIZE), is_sig=True
-)]
+U8 = Annotated[int, FieldCodec(Writer.u8, Reader.u8, fmt="B")]
+U32 = Annotated[int, FieldCodec(Writer.u32, Reader.u32, fmt="I")]
+U64 = Annotated[int, FieldCodec(Writer.u64, Reader.u64, fmt="Q")]
+I64 = Annotated[int, FieldCodec(Writer.i64, Reader.i64, fmt="q")]
+Bytes32 = Annotated[bytes, FieldCodec(lambda w, v: w.fixed(v, 32), lambda r: r.fixed(32), fmt="32s")]
+Sig = Annotated[bytes, FieldCodec(lambda w, v: w.fixed(v, SIG_SIZE), lambda r: r.fixed(SIG_SIZE),
+                                  is_sig=True, fmt=f"{SIG_SIZE}s")]
 Blob = Annotated[bytes, FieldCodec(Writer.blob, Reader.blob)]
 Text = Annotated[str, FieldCodec(Writer.text, Reader.text)]
-Flag = Annotated[bool, FieldCodec(Writer.flag, Reader.flag)]
+Flag = Annotated[bool, FieldCodec(Writer.flag, Reader.flag, fmt="?", names=(False, True))]
 Ratio = Annotated[Fraction, FieldCodec(_write_ratio, _read_ratio)]  # u64 numerator, u64 denominator
 U64Pair = Annotated[tuple[int, int], FieldCodec(_write_u64_pair, lambda r: (r.u64(), r.u64()))]
 
@@ -237,7 +236,7 @@ class Tag:
                 raise CodecError(f"tag {i} names none of {names}")
             return names[i]
 
-        return Annotated[str, FieldCodec(write, read)]
+        return Annotated[str, FieldCodec(write, read, fmt="B", names=names)]
 
 
 class Maybe:
@@ -318,6 +317,59 @@ def wire_fields(cls) -> tuple[tuple[str, Callable, Callable, bool], ...]:
     return tuple(schema)
 
 
+def _compile(cls, mode: str) -> Callable:
+    """Generate and keep ``cls``'s encoder for Sig fields "keep", "zero" or
+    "omit", or its reader ("read"), as ``dataclasses`` generates methods. As
+    ``struct`` pads, a Bytes32's or Sig's length is checked; a reader fills
+    the record's ``__dict__``, as its ``__init__`` would, then ``__post_init__``."""
+    reading = mode == "read"
+    env = {"cls": cls, "Writer": Writer, "ZERO_SIG": ZERO_SIG, "new": object.__new__}
+    run = [("B", str(cls.TAG))] if cls.TAG is not None and not reading else []
+    lines, sizes, args = [], [], []
+
+    def flush() -> None:
+        if run:
+            key, values = f"s{len(lines)}", ", ".join(v for _, v in run)
+            env[key] = packer = struct.Struct(">" + "".join(fmt for fmt, _ in run))
+            lines.extend([f"{values}, = {key}.unpack_from(r._data, r._pos)", f"r._pos += {packer.size}"]
+                         if reading else [f"p({key}.pack({values}))"])
+            run.clear()
+
+    hints = get_type_hints(cls, include_extras=True)
+    for i, (name, _, _, is_sig) in enumerate(cls._FIELDS):
+        codec, value = _split(hints[name])[1], f"v{i}" if reading else f"self.{name}"
+        if is_sig and mode == "omit":
+            continue
+        env[f"n{i}"] = codec.names  # a Tag's or Flag's byte indexes its names
+        if not codec.fmt:
+            flush()
+            env[f"c{i}"] = codec.read if reading else codec.write
+            lines.append(f"v{i} = c{i}(r)" if reading else f"c{i}(w, {value})")
+        elif reading:
+            run.append((codec.fmt.replace("?", "B"), value))
+            value = f"n{i}[{value}]" if codec.names else value
+        elif is_sig and mode == "zero":
+            run.append((codec.fmt, "ZERO_SIG"))
+        else:  # a Flag packs as "?", a Tag as its index
+            run.append((codec.fmt, f"n{i}.index({value})" if codec.fmt == "B" and codec.names else value))
+            if codec.fmt.endswith("s"):
+                sizes.append(f"len({value}) != {codec.fmt[:-1]}")
+        args.append(value)
+    flush()
+    if reading:
+        post = ["o.__post_init__()"] if hasattr(cls, "__post_init__") else []
+        lines += ["o = new(cls)", "d = o.__dict__", *(f"d[{n!r}] = {a}" for (n, *_), a in zip(cls._FIELDS, args)),
+                  *post, "return o"]
+    elif any(line.startswith("c") for line in lines):
+        lines = ["w = Writer()", "p = w._parts.append", *lines, "return w.done()"]
+    else:  # fixed-width fields only: one pack, or no bytes at all
+        lines = [lines[0].replace("p(", "return (", 1) if lines else 'return b""']
+    lines[:0] = [f"if {' or '.join(sizes)}: raise ValueError"] if sizes else []
+    exec(f"def plan({'r' if reading else 'self'}):\n    " + "\n    ".join(lines), env)
+    cls._plans[mode] = plan = env["plan"]
+    return plan
+
+
 class WireRecord:
     """A frozen dataclass whose wire form is its annotated fields, in
     declaration order: ``encode`` writes them and ``read`` builds the record
@@ -329,19 +381,23 @@ class WireRecord:
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._FIELDS = wire_fields(cls)
+        cls._plans = {}  # mode -> plan, compiled at first use (see _compile)
 
     def encode(self) -> bytes:
         return self._encode("keep")
 
     def _encode(self, sigs: str) -> bytes:
         """The wire bytes with every Sig field kept, "zero"ed or "omit"ted."""
-        w = Writer() if self.TAG is None else Writer().u8(self.TAG)
-        for name, write, _, is_sig in self._FIELDS:
-            if not is_sig or sigs == "keep":
-                write(w, getattr(self, name))
-            elif sigs == "zero":
-                write(w, ZERO_SIG)
-        return w.done()
+        try:
+            return (self._plans.get(sigs) or _compile(type(self), sigs))(self)
+        except Exception as exc:  # name the first field that fails through its own codec
+            for name, write, _, is_sig in self._FIELDS:
+                try:
+                    if not is_sig or sigs == "keep":
+                        write(Writer(), getattr(self, name))
+                except Exception as field_exc:
+                    raise CodecError(f"{type(self).__name__}.{name}: {field_exc}") from exc
+            raise CodecError(f"{type(self).__name__}: {exc!r}") from exc
 
     @classmethod
     def decode(cls, data: bytes):
@@ -354,10 +410,13 @@ class WireRecord:
 
     @classmethod
     def read(cls, r: Reader):
-        """The record from its fields; a value the constructor rejects is a
-        CodecError, like any other malformed input."""
-        values = [read(r) for _, _, read, _ in cls._FIELDS]
+        """The record from its fields; short input, an unnamed tag byte or a
+        value the constructor rejects is a CodecError, like any malformed input."""
         try:
-            return cls(*values)
+            return (cls._plans.get("read") or _compile(cls, "read"))(r)
+        except struct.error:
+            raise CodecError("unexpected end of input") from None
+        except IndexError:
+            raise CodecError(f"{cls.__name__}: a tag or flag byte names no value") from None
         except LedgerError as exc:
             raise CodecError(f"{cls.__name__}: {exc}") from exc

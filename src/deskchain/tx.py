@@ -361,6 +361,9 @@ def tx_hash(tx) -> bytes:
 
 
 def decode_tx(data: bytes):
+    """The tx that ``data`` encodes. Decoding is canonical (``encode_tx``
+    of the result is ``data``), so the tx keeps ``hash256(data)`` as its
+    hash and is never re-encoded to get it."""
     r = Reader(data)
     tag = r.u8()
     cls = _BY_TAG.get(tag)
@@ -368,6 +371,7 @@ def decode_tx(data: bytes):
         raise CodecError(f"unknown tx tag {tag}")
     tx = cls.read(r)
     r.expect_end()
+    object.__setattr__(tx, "_hash", hash256(data))
     return tx
 
 

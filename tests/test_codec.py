@@ -334,7 +334,7 @@ def test_every_fixed_width_field_rejects_what_it_cannot_encode():
                 if hasattr(bad, "signing_bytes") and not is_sig:
                     forms.append(bad.signing_bytes)
                 for form in forms:
-                    with pytest.raises(CodecError):
+                    with pytest.raises(CodecError, match=rf"^{cls.__name__}\.{name}: "):
                         form()
                     checked += 1
     assert checked > 300
@@ -346,3 +346,27 @@ def test_every_proper_prefix_of_a_record_is_a_codec_error():
         for cut in range(len(encoded)):
             with pytest.raises(CodecError):
                 type(record).decode(encoded[:cut])
+
+
+def test_importing_the_cli_compiles_no_codec_plan():
+    # plans are compiled at a class's first encode or read, so start-up pays
+    # for none of them; a fresh interpreter, as other tests have encoded
+    import os
+    import subprocess
+    import sys
+
+    from conftest import REPO_ROOT
+
+    script = (
+        "import deskchain.cli\n"
+        "from deskchain.codec import WireRecord\n"
+        "todo, seen = [WireRecord], 0\n"
+        "while todo:\n"
+        "    cls = todo.pop()\n"
+        "    todo += cls.__subclasses__()\n"
+        "    seen += 1\n"
+        "    assert not vars(cls).get('_plans'), cls\n"
+        "assert seen > 40, seen\n"
+    )
+    path = os.pathsep.join([os.path.join(REPO_ROOT, "src"), os.environ.get("PYTHONPATH", "")])
+    subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path}, check=True, timeout=60)

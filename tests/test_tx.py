@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from deskchain import codec, pow, tx as txmod
 from deskchain.config import parse_config
 from deskchain.channels import SignedState
-from deskchain.crypto import ZERO_SIG, KeyPair
+from deskchain.crypto import ZERO_SIG, KeyPair, hash256
 from deskchain.errors import BlockError, CodecError, LedgerError, TxError
 from deskchain.ledger import CONTRACT, Block
 from deskchain.state import _STORES, ChainState
@@ -525,7 +525,9 @@ def test_apply_block_conservation_with_spend():
     )
 
 
-def test_apply_block_encodes_each_tx_once(monkeypatch):
+def test_apply_block_encodes_no_decoded_tx(monkeypatch):
+    # a decoded tx keeps the hash of the bytes it came from, so no tx is
+    # encoded at all, let alone twice
     cfg = make_cfg()
     state, genesis = txmod.genesis_block(cfg)
     miner = KeyPair.from_name("miner").address
@@ -538,12 +540,13 @@ def test_apply_block_encodes_each_tx_once(monkeypatch):
     block = txmod.build_block(state, txs, miner, genesis.header)
     assert len(block.transactions) == 3
     fresh = Block.read(codec.Reader(block.encode()))  # txs as a replay decodes them
+    assert [txmod.tx_hash(t) for t in fresh.transactions] == [hash256(t.encode()) for t in block.transactions]
     calls = []
     encode_tx = txmod.encode_tx
     monkeypatch.setattr(txmod, "encode_tx", lambda tx: calls.append(tx) or encode_tx(tx))
     _, receipts = txmod.apply_block(state, fresh)
     assert sorted(r.status for r in receipts) == ["applied", "applied", "reverted"]
-    assert len(calls) == len(fresh.transactions)
+    assert calls == []
 
 
 def test_apply_block_clones_once_and_keeps_no_journal(monkeypatch):
