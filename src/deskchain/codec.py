@@ -42,6 +42,7 @@ from .errors import CodecError, LedgerError
 U64_MAX = 2**64 - 1
 I64_MIN = -(2**63)
 I64_MAX = 2**63 - 1
+_BAD_VALUE = (CodecError, struct.error, TypeError, ValueError, AttributeError)  # encoding a bad value
 
 
 def check_amount(n: int, what: str = "amount") -> int:
@@ -325,7 +326,7 @@ def _compile(cls, mode: str) -> Callable:
     reading = mode == "read"
     env = {"cls": cls, "Writer": Writer, "ZERO_SIG": ZERO_SIG, "new": object.__new__}
     run = [("B", str(cls.TAG))] if cls.TAG is not None and not reading else []
-    lines, sizes, args = [], [], []
+    lines, sizes, fills = [], [], []
 
     def flush() -> None:
         if run:
@@ -354,12 +355,11 @@ def _compile(cls, mode: str) -> Callable:
             run.append((codec.fmt, f"n{i}.index({value})" if codec.fmt == "B" and codec.names else value))
             if codec.fmt.endswith("s"):
                 sizes.append(f"len({value}) != {codec.fmt[:-1]}")
-        args.append(value)
+        fills.append(f"d[{name!r}] = {value}")
     flush()
     if reading:
         post = ["o.__post_init__()"] if hasattr(cls, "__post_init__") else []
-        lines += ["o = new(cls)", "d = o.__dict__", *(f"d[{n!r}] = {a}" for (n, *_), a in zip(cls._FIELDS, args)),
-                  *post, "return o"]
+        lines += ["o = new(cls)", "d = o.__dict__", *fills, *post, "return o"]
     elif any(line.startswith("c") for line in lines):
         lines = ["w = Writer()", "p = w._parts.append", *lines, "return w.done()"]
     else:  # fixed-width fields only: one pack, or no bytes at all
@@ -390,12 +390,12 @@ class WireRecord:
         """The wire bytes with every Sig field kept, "zero"ed or "omit"ted."""
         try:
             return (self._plans.get(sigs) or _compile(type(self), sigs))(self)
-        except Exception as exc:  # name the first field that fails through its own codec
+        except _BAD_VALUE as exc:  # name the first field that fails through its own codec
             for name, write, _, is_sig in self._FIELDS:
                 try:
                     if not is_sig or sigs == "keep":
                         write(Writer(), getattr(self, name))
-                except Exception as field_exc:
+                except _BAD_VALUE as field_exc:
                     raise CodecError(f"{type(self).__name__}.{name}: {field_exc}") from exc
             raise CodecError(f"{type(self).__name__}: {exc!r}") from exc
 
