@@ -1,11 +1,8 @@
 #!/usr/bin/env python3
-"""Time five codec paths and print one JSON line of microseconds per call,
-each the median of ``--repeat`` timeit runs of ``--number`` calls.
+"""Print one JSON line of microseconds per call for five codec paths, each
+the median of ``--repeat`` timeit runs of ``--number`` calls.
 
     python scripts/codec_timeit.py [--repeat 7] [--number 20000]
-
-The paths: ``Account.encode``, ``encode_tx`` and ``decode_tx`` of a signed
-``Spend``, that spend's ``signing_bytes``, and ``BlockHeader.encode``.
 """
 import argparse
 import json
@@ -29,8 +26,8 @@ def main() -> None:
     args = parser.parse_args()
     alice, bob = KeyPair.from_name("alice"), KeyPair.from_name("bob")
     spend = txmod.sign_tx(txmod.Spend(alice.address, bob.address, 5 * 10**6, 9, 1), alice)
-    header = BlockHeader(97, *[bytes([i]) * 32 for i in range(2)], 24, *[bytes([i]) * 32 for i in range(2, 10)],
-                         2**40 + 3, tuple(range(1000, 1008)))
+    roots = [bytes([i]) * 32 for i in range(10)]
+    header = BlockHeader(97, *roots[:2], 24, *roots[2:], 2**40 + 3, tuple(range(1000, 1008)))
     paths = {
         "account_encode": Account(alice.address, 10**9, 3, 7).encode,
         "spend_encode_tx": partial(txmod.encode_tx, spend),
@@ -38,9 +35,8 @@ def main() -> None:
         "signing_bytes": spend.signing_bytes,
         "header_encode": header.encode,
     }
-    us = {name: statistics.median(timeit.repeat(fn, repeat=args.repeat, number=args.number)) / args.number * 1e6
-          for name, fn in paths.items()}
-    print(json.dumps({name: round(v, 3) for name, v in us.items()}))
+    runs = {name: timeit.repeat(fn, repeat=args.repeat, number=args.number) for name, fn in paths.items()}
+    print(json.dumps({name: round(statistics.median(t) / args.number * 1e6, 3) for name, t in runs.items()}))
 
 
 if __name__ == "__main__":

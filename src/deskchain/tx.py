@@ -419,7 +419,7 @@ def check_tx(state: ChainState, tx, cfg) -> None:
     if isinstance(tx, EpochTx):
         return  # system txs carry no envelope; apply_epoch validates them
     try:
-        tx_hash(tx)  # encoding exercises every range check in the codec
+        tx_hash(tx)  # encoding runs every range check; a decoded tx passed them on decode
     except (CodecError, LedgerError) as exc:
         raise TxError("BadFormat", str(exc)) from exc
     if isinstance(tx, GAS_KINDS):
