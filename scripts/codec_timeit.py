@@ -1,10 +1,6 @@
 #!/usr/bin/env python3
 """Print one JSON line of microseconds per call for five codec paths, each
-the median of ``--repeat`` timeit runs of ``--number`` calls.
-
-    python scripts/codec_timeit.py [--repeat 7] [--number 20000]
-"""
-import argparse
+the median of REPEAT timeit runs of NUMBER calls."""
 import json
 import os
 import statistics
@@ -18,12 +14,10 @@ from deskchain import tx as txmod
 from deskchain.crypto import KeyPair
 from deskchain.ledger import Account, BlockHeader
 
+REPEAT, NUMBER = 7, 20000
+
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeat", type=int, default=7)
-    parser.add_argument("--number", type=int, default=20000)
-    args = parser.parse_args()
     alice, bob = KeyPair.from_name("alice"), KeyPair.from_name("bob")
     spend = txmod.sign_tx(txmod.Spend(alice.address, bob.address, 5 * 10**6, 9, 1), alice)
     roots = [bytes([i]) * 32 for i in range(10)]
@@ -35,8 +29,8 @@ def main() -> None:
         "signing_bytes": spend.signing_bytes,
         "header_encode": header.encode,
     }
-    runs = {name: timeit.repeat(fn, repeat=args.repeat, number=args.number) for name, fn in paths.items()}
-    print(json.dumps({name: round(statistics.median(t) / args.number * 1e6, 3) for name, t in runs.items()}))
+    runs = {name: timeit.repeat(fn, repeat=REPEAT, number=NUMBER) for name, fn in paths.items()}
+    print(json.dumps({name: round(statistics.median(t) / NUMBER * 1e6, 3) for name, t in runs.items()}))
 
 
 if __name__ == "__main__":

@@ -103,8 +103,7 @@ class Writer:
         return self.blob(s.encode("utf-8"))
 
     def flag(self, b: bool) -> "Writer":
-        self._parts.append(b"\x01" if b else b"\x00")
-        return self
+        return self.u8(1 if b else 0)
 
     def done(self) -> bytes:
         return b"".join(self._parts)
@@ -320,38 +319,46 @@ def wire_fields(cls) -> tuple[tuple[str, Callable, Callable, bool], ...]:
 
 def _compile(cls, mode: str) -> Callable:
     """Generate and keep ``cls``'s encoder for Sig fields "keep", "zero" or
-    "omit", or its reader ("read"), as ``dataclasses`` generates methods. As
-    ``struct`` pads, a Bytes32's or Sig's length is checked; a reader fills
-    the record's ``__dict__``, as its ``__init__`` would, then ``__post_init__``."""
+    "omit", or its reader ("read"), as ``dataclasses`` generates methods; a
+    reader fills the record's ``__dict__``, then runs ``__post_init__``."""
     reading = mode == "read"
-    env = {"cls": cls, "Writer": Writer, "ZERO_SIG": ZERO_SIG, "new": object.__new__}
+    env = {"cls": cls, "Writer": Writer, "CodecError": CodecError, "ZERO_SIG": ZERO_SIG, "new": object.__new__}
     run = [("B", str(cls.TAG))] if cls.TAG is not None and not reading else []
-    lines, sizes, fills = [], [], []
+    lines, packs, sizes, checks, fills = [], [], [], [], []
 
     def flush() -> None:
         if run:
-            key, values = f"s{len(lines)}", ", ".join(v for _, v in run)
+            key = f"s{len(lines)}"
+            values = ", ".join(value for _, value in run)
             env[key] = packer = struct.Struct(">" + "".join(fmt for fmt, _ in run))
-            lines.extend([f"{values}, = {key}.unpack_from(r._data, r._pos)", f"r._pos += {packer.size}"]
-                         if reading else [f"p({key}.pack({values}))"])
-            run.clear()
+            if reading:
+                unpack = f"{values}, = {key}.unpack_from(r._data, r._pos)"
+                lines.extend([unpack, f"r._pos += {packer.size}", *checks])
+            else:
+                packs.append(f"{key}.pack({values})")
+                lines.append(f"p({packs[-1]})")
+            del run[:], checks[:]
 
     hints = get_type_hints(cls, include_extras=True)
     for i, (name, _, _, is_sig) in enumerate(cls._FIELDS):
-        codec, value = _split(hints[name])[1], f"v{i}" if reading else f"self.{name}"
         if is_sig and mode == "omit":
             continue
+        codec = _split(hints[name])[1]
+        value = f"v{i}" if reading else f"self.{name}"
         env[f"n{i}"] = codec.names  # a Tag's or Flag's byte indexes its names
         if not codec.fmt:
             flush()
             env[f"c{i}"] = codec.read if reading else codec.write
             lines.append(f"v{i} = c{i}(r)" if reading else f"c{i}(w, {value})")
-        elif reading:
+        elif reading:  # a Tag or Flag byte past its names is malformed
             run.append((codec.fmt.replace("?", "B"), value))
-            value = f"n{i}[{value}]" if codec.names else value
+            if codec.names:
+                checks.append(f"if {value} >= {len(codec.names)}: raise CodecError("
+                              f"f'{cls.__name__}.{name}: byte {{{value}}} names none of {{n{i}}}')")
+                value = f"n{i}[{value}]"
         elif is_sig and mode == "zero":
             run.append((codec.fmt, "ZERO_SIG"))
-        else:  # a Flag packs as "?", a Tag as its index
+        else:  # a Flag packs as "?", a Tag as its index; struct pads a short Bytes32 or Sig
             run.append((codec.fmt, f"n{i}.index({value})" if codec.fmt == "B" and codec.names else value))
             if codec.fmt.endswith("s"):
                 sizes.append(f"len({value}) != {codec.fmt[:-1]}")
@@ -360,14 +367,13 @@ def _compile(cls, mode: str) -> Callable:
     if reading:
         post = ["o.__post_init__()"] if hasattr(cls, "__post_init__") else []
         lines += ["o = new(cls)", "d = o.__dict__", *fills, *post, "return o"]
-    elif any(line.startswith("c") for line in lines):
+    elif len(packs) < len(lines):  # some field writes through its codec callable
         lines = ["w = Writer()", "p = w._parts.append", *lines, "return w.done()"]
-    else:  # fixed-width fields only: one pack, or no bytes at all
-        lines = [lines[0].replace("p(", "return (", 1) if lines else 'return b""']
+    else:  # fixed-width fields only, so one run: its pack is the whole encoding
+        lines = [f"return {packs[0]}" if packs else 'return b""']
     lines[:0] = [f"if {' or '.join(sizes)}: raise ValueError"] if sizes else []
     exec(f"def plan({'r' if reading else 'self'}):\n    " + "\n    ".join(lines), env)
-    cls._plans[mode] = plan = env["plan"]
-    return plan
+    return cls._plans.setdefault(mode, env["plan"])
 
 
 class WireRecord:
@@ -388,8 +394,9 @@ class WireRecord:
 
     def _encode(self, sigs: str) -> bytes:
         """The wire bytes with every Sig field kept, "zero"ed or "omit"ted."""
+        plan = self._plans.get(sigs) or _compile(type(self), sigs)
         try:
-            return (self._plans.get(sigs) or _compile(type(self), sigs))(self)
+            return plan(self)
         except _BAD_VALUE as exc:  # name the first field that fails through its own codec
             for name, write, _, is_sig in self._FIELDS:
                 try:
@@ -412,11 +419,10 @@ class WireRecord:
     def read(cls, r: Reader):
         """The record from its fields; short input, an unnamed tag byte or a
         value the constructor rejects is a CodecError, like any malformed input."""
+        plan = cls._plans.get("read") or _compile(cls, "read")
         try:
-            return (cls._plans.get("read") or _compile(cls, "read"))(r)
+            return plan(r)
         except struct.error:
             raise CodecError("unexpected end of input") from None
-        except IndexError:
-            raise CodecError(f"{cls.__name__}: a tag or flag byte names no value") from None
         except LedgerError as exc:
             raise CodecError(f"{cls.__name__}: {exc}") from exc

@@ -348,6 +348,31 @@ def test_every_proper_prefix_of_a_record_is_a_codec_error():
                 type(record).decode(encoded[:cut])
 
 
+def test_a_tag_or_flag_byte_past_its_names_is_a_codec_error_naming_the_field():
+    import copy
+    import typing
+
+    from deskchain import codec
+
+    checked = 0
+    for cls in _wire_record_classes():
+        good = _encodable(cls)
+        hints = typing.get_type_hints(cls, include_extras=True)
+        for name, _, _, _ in cls._FIELDS:
+            names = codec._split(hints[name])[1].names  # a Tag's or Flag's
+            if not names:
+                continue
+            other = copy.copy(good)
+            object.__setattr__(other, name, names[1])
+            data, flipped = good.encode()[cls.TAG is not None:], other.encode()[cls.TAG is not None:]
+            (at,) = [i for i, (a, b) in enumerate(zip(data, flipped)) if a != b]
+            bad = data[:at] + b"\xff" + data[at + 1:]
+            with pytest.raises(CodecError, match=rf"^{cls.__name__}\.{name}: byte 255 names none of "):
+                cls.read(Reader(bad))
+            checked += 1
+    assert checked >= 9
+
+
 def test_importing_the_cli_compiles_no_codec_plan():
     # plans are compiled at a class's first encode or read, so start-up pays
     # for none of them; a fresh interpreter, as other tests have encoded
