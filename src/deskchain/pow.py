@@ -6,14 +6,19 @@ edges whose sorted-edge digest clears the difficulty target. Verification
 re-derives only the claimed edges, so it runs in O(cycle_len).
 
 Each graph has one keyed blake2b state (key header_hash || nonce), copied
-for every endpoint. The solver tries ascending nonces; per graph it walks
-the edges in index order over parent links, kept in two flat lists and
-labelled with the edge index that made them. For each edge (a in U, b in
-V) both root paths are walked once. Different roots: the edge links the
-trees. Same root: the edge closes a cycle through the two paths up to
-where they meet; with exactly cycle_len distinct edges, a digest that
-clears the target and a passing verify, that is the solution, and
-otherwise the edge is dropped.
+for every endpoint to hash the message (edge index, side byte). The
+messages of the last two graph sizes solved are kept, so a solve reuses
+them for every nonce, and each side's digests are unpacked as one array.
+The solver tries ascending nonces; per graph it walks the edges in index
+order over parent links, kept in two flat lists and labelled with the edge
+index that made them. An edge (a in U, b in V) joining two roots, the
+common case early in a graph, links them at once. Otherwise a's root path
+is listed only when a has a parent, and b is walked to its root without a
+list. Different roots: the edge links the trees. Same root: b's path is
+listed too, and the edge closes a cycle through the two paths up to where
+they meet; with exactly cycle_len distinct edges, a digest that clears the
+target and a passing verify, that is the solution, and otherwise the edge
+is dropped.
 
 The link is not a true reroot. If a's root path is a=x0->x1->...->xk with
 k >= 1, x0..x(k-1) lose their parent links, the old root xk is hung under
@@ -28,8 +33,10 @@ strategy, is the normative part.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
-import struct
+import sys
+from array import array
 from dataclasses import dataclass
 
 from .codec import Writer
@@ -63,23 +70,36 @@ class CuckooSolution:
 
 def derive_edge(header_hash: bytes, nonce: int, edge_index: int, edge_bits: int) -> tuple[int, int]:
     """Endpoints (u, v) of one edge; u lies in partition U, v in V."""
-    (u,), (v,) = _endpoints(header_hash, nonce, edge_bits, (edge_index,))
+    (u,), (v,) = _endpoints(header_hash, nonce, edge_bits, _messages((edge_index,)))
     return u, v
 
 
-def _endpoints(header_hash: bytes, nonce: int, edge_bits: int, indices) -> list[list[int]]:
-    """[us, vs] for the given edges of one graph: the 8-byte blake2b of
-    (edge index, side byte) under the graph's keyed state, masked to a side."""
+def _messages(indices) -> tuple[tuple[bytes, ...], ...]:
+    """The hashed messages (edge index, side byte) of the given edges, per side."""
+    return tuple(tuple([idx.to_bytes(8, "big") + side for idx in indices]) for side in (b"\x00", b"\x01"))
+
+
+@functools.lru_cache(maxsize=2)  # a whole graph's _messages, per edge count
+def _graph_messages(n_edges: int) -> tuple[tuple[bytes, ...], ...]:
+    return _messages(range(n_edges))
+
+
+def _endpoints(header_hash: bytes, nonce: int, edge_bits: int, messages) -> list[list[int]]:
+    """[us, vs] for the edges whose _messages are given: the 8-byte blake2b
+    of each message under the graph's keyed state, masked to a side."""
     mask = (1 << (edge_bits - 1)) - 1
-    keyed = hashlib.blake2b(digest_size=8, key=header_hash + nonce.to_bytes(8, "big"))
+    copy = hashlib.blake2b(digest_size=8, key=header_hash + nonce.to_bytes(8, "big")).copy
     sides = []
-    for side in (b"\x00", b"\x01"):
+    for side in messages:
         digests = bytearray()
-        for idx in indices:
-            h = keyed.copy()
-            h.update(idx.to_bytes(8, "big") + side)
+        for m in side:
+            h = copy()
+            h.update(m)
             digests += h.digest()
-        sides.append([x & mask for (x,) in struct.iter_unpack(">Q", digests)])
+        words = array("Q", digests)
+        if sys.byteorder == "little":  # the digests are read big-endian
+            words.byteswap()
+        sides.append([x & mask for x in words])
     return sides
 
 
@@ -95,6 +115,8 @@ def meets_target(digest: bytes, target: bytes) -> bool:
 
 
 def verify(header_hash: bytes, solution: CuckooSolution, params: PowParams) -> bool:
+    if not 0 <= solution.nonce < 1 << 64:  # the header's u64 field
+        return False
     edges = solution.edges
     if len(edges) != params.cycle_len:
         return False
@@ -105,7 +127,7 @@ def verify(header_hash: bytes, solution: CuckooSolution, params: PowParams) -> b
         return False
     # Each node must touch exactly two of the claimed edges and the edges
     # must chain into one closed walk.
-    endpoints = list(zip(*_endpoints(header_hash, solution.nonce, params.edge_bits, edges)))
+    endpoints = list(zip(*_endpoints(header_hash, solution.nonce, params.edge_bits, _messages(edges))))
     incidence: dict[tuple[int, int], list[int]] = {}
     for i, (u, v) in enumerate(endpoints):
         incidence.setdefault((0, u), []).append(i)
@@ -140,31 +162,45 @@ def solve(
     """
     n_edges = 1 << params.edge_bits
     half = n_edges >> 1
+    messages = _graph_messages(n_edges)
     for nonce in range(nonce_budget):
         if stop is not None and stop():
             return None
-        us, vs = _endpoints(header_hash, nonce, params.edge_bits, range(n_edges))
+        us, vs = _endpoints(header_hash, nonce, params.edge_bits, messages)
         # node u of U is u and node v of V is half + v; parent -1 marks a root
         parent = [-1] * n_edges
         via = [0] * n_edges
-        for idx in range(n_edges):
-            a = us[idx]
-            b = half + vs[idx]
-            pa = [a]
-            while (x := parent[pa[-1]]) >= 0:
-                pa.append(x)
-            pb = [b]
-            while (x := parent[pb[-1]]) >= 0:
-                pb.append(x)
-            if pa[-1] != pb[-1]:
-                if len(pa) > 1:  # the link rule in the module docstring
+        for idx, a, b in zip(range(n_edges), us, vs):
+            b += half
+            x = parent[a]
+            if x < 0:
+                if parent[b] < 0:  # two roots: link at once
+                    parent[a] = b
+                    via[a] = idx
+                    continue
+                pa = None
+                root = a
+            else:
+                pa = [a, x]
+                while (x := parent[x]) >= 0:
+                    pa.append(x)
+                root = pa[-1]
+            rb = b
+            while (x := parent[rb]) >= 0:
+                rb = x
+            if rb != root:
+                if pa:  # the link rule in the module docstring
                     for x in pa[1:-1]:
                         parent[x] = -1
-                    parent[pa[-1]] = pa[-2]
-                    via[pa[-1]] = via[a]
+                    parent[root] = pa[-2]
+                    via[root] = via[a]
                 parent[a] = b
                 via[a] = idx
                 continue
+            pa = pa or [a]
+            pb = [b]
+            while (x := parent[pb[-1]]) >= 0:
+                pb.append(x)
             ia, ib = len(pa) - 1, len(pb) - 1
             while ia and ib and pa[ia - 1] == pb[ib - 1]:
                 ia -= 1

@@ -111,25 +111,37 @@ def test_solve_deterministic_across_runs():
 
 
 def test_solve_interruptible():
+    # stop is polled once before every nonce tried, so a caller can count
+    # graphs by its polls
     h = hash256(b"interrupt")
     calls = []
 
-    def stop():
-        calls.append(1)
-        return True
+    def poll(k=None):
+        def stop():
+            calls.append(1)
+            return len(calls) == k
+        return stop
 
-    assert pow.solve(h, PARAMS, nonce_budget=100, stop=stop) is None
-    assert len(calls) == 1
-
-    # polled once before every nonce tried, so a caller can count graphs
-    def never():
-        calls.append(1)
-        return False
+    for k in (1, 3):  # a stop that returns True at poll k ends the search there
+        calls.clear()
+        assert pow.solve(h, PARAMS, nonce_budget=100, stop=poll(k)) is None
+        assert len(calls) == k
 
     calls.clear()
-    solution = pow.solve(h, PARAMS, nonce_budget=200, stop=never)
+    solution = pow.solve(h, PARAMS, nonce_budget=200, stop=poll())
     assert solution is not None
     assert len(calls) == solution.nonce + 1
+
+    calls.clear()  # a miss polls once per nonce of the budget
+    hard = pow.PowParams(edge_bits=8, cycle_len=8, target=b"\x00" * 32)
+    assert pow.solve(h, hard, nonce_budget=5, stop=poll()) is None
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("nonce", [-1, 1 << 64])
+def test_nonce_outside_u64_rejected(nonce):
+    h = hash256(b"nonce-range")
+    assert pow.verify(h, pow.CuckooSolution(nonce, tuple(range(8))), pow.PowParams(8, 8)) is False
 
 
 def test_coinbase_schedule():
@@ -286,3 +298,58 @@ def test_budget_ends_search_before_a_later_solution():
     header = _pin_headers(8, 33)[32]  # its pinned solution is at nonce 2
     assert pow.solve(header, params, 3).nonce == 2
     assert pow.solve(header, params, 2) is None
+
+
+def _reference_solve(header_hash, params, nonce_budget):
+    """The solver loop as it stood before bulk derivation and the root fast
+    path, deriving each edge with pow.derive_edge: pow.solve must match it."""
+    n_edges = 1 << params.edge_bits
+    half = n_edges >> 1
+    for nonce in range(nonce_budget):
+        edges = [pow.derive_edge(header_hash, nonce, idx, params.edge_bits) for idx in range(n_edges)]
+        parent = [-1] * n_edges
+        via = [0] * n_edges
+        for idx, (a, v) in enumerate(edges):
+            b = half + v
+            pa = [a]
+            while (x := parent[pa[-1]]) >= 0:
+                pa.append(x)
+            pb = [b]
+            while (x := parent[pb[-1]]) >= 0:
+                pb.append(x)
+            if pa[-1] != pb[-1]:
+                if len(pa) > 1:
+                    for x in pa[1:-1]:
+                        parent[x] = -1
+                    parent[pa[-1]] = pa[-2]
+                    via[pa[-1]] = via[a]
+                parent[a] = b
+                via[a] = idx
+                continue
+            ia, ib = len(pa) - 1, len(pb) - 1
+            while ia and ib and pa[ia - 1] == pb[ib - 1]:
+                ia -= 1
+                ib -= 1
+            if ia + ib + 1 != params.cycle_len:
+                continue
+            cycle = tuple(sorted([idx] + [via[x] for x in pa[:ia]] + [via[x] for x in pb[:ib]]))
+            if len(set(cycle)) != params.cycle_len:
+                continue
+            if pow.meets_target(pow.solution_digest(header_hash, cycle), params.target):
+                candidate = pow.CuckooSolution(nonce, cycle)
+                if pow.verify(header_hash, candidate, params):
+                    return candidate
+    return None
+
+
+@pytest.mark.parametrize("edge_bits", range(5, 11))
+def test_solve_matches_reference(edge_bits):
+    found = 0
+    for cycle_len in (4, 6, 8, 10):
+        for target in (b"\xff" * 32, b"\x30" + b"\xff" * 31):
+            params = pow.PowParams(edge_bits, cycle_len, target)
+            header = hash256(b"reference" + bytes([edge_bits, cycle_len, target[0]]))
+            expected = _reference_solve(header, params, 4)
+            assert pow.solve(header, params, 4) == expected
+            found += expected is not None
+    assert found  # each graph size compares at least one solution
