@@ -59,8 +59,7 @@ def _submit(sd: StateDir, node: Node, t) -> None:
     # refuse transactions that would revert against the next block; mined
     # blocks still honor fee-paying reverts, this is purely front-end care
     probe_ctx = txmod.ApplyCtx(
-        miner=txmod.tx_sender(t), height=state.height + 1, cfg=state.cfg,
-        prev_block_hash=node.header.block_hash(),
+        miner=txmod.tx_sender(t), height=state.height + 1, prev_block_hash=node.header.block_hash(),
     )
     receipt = txmod.apply_tx(state.clone(), t, probe_ctx)
     if receipt.status == txmod.REVERTED:
@@ -346,8 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="deskchain", description="desk-scale PoW ledger with wormhole channels"
     )
     parser.add_argument("--state-dir", default=".deskchain", help="working directory")
-    parser.add_argument("--config", help="network config file (stateless commands)")
-    parser.add_argument("--seed", type=int, default=0, help="simulation seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("keygen");  p.add_argument("name")

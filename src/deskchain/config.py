@@ -85,8 +85,6 @@ class NetworkConfig:
     sim_latency_min: int = 1
     sim_latency_max: int = 3
     sim_drop_rate: Fraction = Fraction(0)
-    sim_max_events: int = 100_000
-    sim_auto_challenge: bool = True
     # genesis: (name, address, balance); names are simulator/CLI handles
     genesis_accounts: tuple[tuple[str, bytes, int], ...] = ()
     genesis_endowment: int = 0
@@ -110,7 +108,6 @@ _INT_KEYS = {
     "vm.pure_space": "pure_space",
     "sim.latency_min": "sim_latency_min",
     "sim.latency_max": "sim_latency_max",
-    "sim.max_events": "sim_max_events",
 }
 
 _AMOUNT_KEYS = {
@@ -155,8 +152,6 @@ def parse_config(text: str) -> NetworkConfig:
                 if len(target) != 32:
                     raise ConfigError("target must be 32 bytes of hex")
                 updates["pow_target"] = target
-            elif key == "sim.auto_challenge":
-                updates["sim_auto_challenge"] = value.lower() in ("1", "true", "yes")
             elif key == "genesis.account":
                 # "<name> <amount>"; the address derives from the name's keypair
                 parts = value.split()

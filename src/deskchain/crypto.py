@@ -1,11 +1,10 @@
 """Digest and signature primitives.
 
-The network digest is SHA-256 over canonical encodings. Signatures are
-deliberately pluggable: protocol logic only ever calls ``scheme.verify``.
-The shipped scheme is a *transparent* test scheme (the signature embeds the
-32-byte private seed), which makes key handling trivial in the simulator
-while still rejecting wrong keys and tampered messages. Do not mistake it
-for cryptography.
+The network digest is SHA-256 over canonical encodings. Signatures use
+one *transparent* test scheme (the signature embeds the 32-byte private
+seed), which makes key handling trivial in the simulator while still
+rejecting wrong keys and tampered messages; protocol logic checks them
+only through ``verify_sig``. Do not mistake it for cryptography.
 """
 from __future__ import annotations
 
@@ -50,25 +49,11 @@ class KeyPair:
         return KeyPair(hash256(b"dsd/key" + name.encode("utf-8")))
 
 
-class TransparentScheme:
-    """Stateless verifier for KeyPair signatures."""
-
-    name = "transparent-test-scheme"
-
-    @staticmethod
-    def verify(address: bytes, message: bytes, sig: bytes) -> bool:
-        if len(sig) != SIG_SIZE:
-            return False
-        seed, tag = sig[:32], sig[32:]
-        if address_of_seed(seed) != address:
-            return False
-        return hash256(b"dsd/sig" + seed + hash256(message)) == tag
-
-
-# Module-level default; swap for a real scheme by assigning another object
-# with the same verify(address, message, sig) surface.
-SCHEME = TransparentScheme()
-
-
 def verify_sig(address: bytes, message: bytes, sig: bytes) -> bool:
-    return SCHEME.verify(address, message, sig)
+    """True iff ``sig`` is ``KeyPair.sign(message)`` by the key of ``address``."""
+    if len(sig) != SIG_SIZE:
+        return False
+    seed, tag = sig[:32], sig[32:]
+    if address_of_seed(seed) != address:
+        return False
+    return hash256(b"dsd/sig" + seed + hash256(message)) == tag

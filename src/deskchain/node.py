@@ -47,7 +47,7 @@ class Node:
         h = txmod.tx_hash(t)
         if h in self.mempool:
             return False
-        txmod.check_tx(self.state, t, self.state.cfg)
+        txmod.check_tx(self.state, t)
         self.mempool[h] = t
         return True
 

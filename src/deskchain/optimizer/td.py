@@ -173,14 +173,8 @@ def value_iteration(mdp: DeviceGroupMdp, gamma_d: float, tol: float = 1e-12, max
 
 
 def greedy_policy(q, mdp: DeviceGroupMdp) -> dict[State, Action]:
+    """``best_action`` in every state of a QTable or a value-iteration dict."""
+    if not isinstance(q, QTable):
+        q = QTable(values=q)
     actions = list(mdp.actions())
-    if isinstance(q, QTable):
-        return {s: best_action(q, s, actions) for s in mdp.states()}
-    out = {}
-    for s in mdp.states():
-        best = actions[0]
-        for a in actions[1:]:
-            if q[(s, a)] > q[(s, best)]:
-                best = a
-        out[s] = best
-    return out
+    return {s: best_action(q, s, actions) for s in mdp.states()}

@@ -9,6 +9,10 @@ only through simulated messages, so runs are bit-reproducible per seed.
 Scenario scripts are line-oriented: `time command args...`, '#' comments.
 Amounts accept base units or a dsd suffix. Commands that mint identifiers
 take a trailing `as handle` clause; later commands refer to the handle.
+
+A run processes at most ``MAX_EVENTS`` events; the scenario's `budget N`
+command is the one way to set another limit. Every node watches its
+channels and challenges any close it holds a newer signed state for.
 """
 from __future__ import annotations
 
@@ -34,6 +38,8 @@ TX = "tx"
 CHAN_PROPOSE = "chan_propose"
 CHAN_ACK = "chan_ack"
 COMMAND = "command"
+
+MAX_EVENTS = 100_000
 
 
 class SimNode(Node):
@@ -91,7 +97,7 @@ class Simulation:
         self.handles: dict[str, bytes] = {}
         self.partitions: list[set[str]] = []
         self.events_processed = 0
-        self.budget = cfg.sim_max_events
+        self.budget = MAX_EVENTS
         genesis_state, genesis = txmod.genesis_block(cfg)
         self.genesis = genesis
         self.nodes: dict[str, SimNode] = {}
@@ -177,8 +183,6 @@ class Simulation:
         return current
 
     def _watch_channels(self, node: SimNode) -> None:
-        if not self.cfg.sim_auto_challenge:
-            return
         height = node.header.height
         for channel_id, endpoint in node.endpoints.items():
             channel = node.state.channels.get(channel_id)
@@ -433,8 +437,8 @@ class Simulation:
         if not argv:
             return
         cmd, *rest = argv
-        args, opts, handle = self._opts(rest)
         try:
+            args, opts, handle = self._opts(rest)
             self._exec(line_no, cmd, args, opts, handle)
         except ScenarioError as exc:
             if exc.line_no == 0:  # raised by a helper that cannot see the line

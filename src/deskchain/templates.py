@@ -69,8 +69,9 @@ HASH_TIMELOCK = assemble(
     """
 )
 
-# total calls price -> provider earns min(total, calls*price)
-METERED_API = assemble(
+# total calls price -> provider earns min(total, calls*price); the storage
+# payout is the same program over escrow proofs_ok reward_per_proof
+METERED_API = STORAGE_PAYOUT = assemble(
     """
     ; stack in: total calls_made price_per_call
     STORE 2
@@ -86,32 +87,6 @@ METERED_API = assemble(
     LOAD 0
     LT        ; cost < total
     SELECT    ; b = min(cost, total)
-    STORE 4
-    LOAD 0
-    LOAD 4
-    SUB
-    LOAD 4
-    STOP
-    """
-)
-
-# escrow proofs_ok reward -> provider earns min(escrow, proofs_ok*reward)
-STORAGE_PAYOUT = assemble(
-    """
-    ; stack in: escrow proofs_ok reward_per_proof
-    STORE 2
-    STORE 1
-    STORE 0
-    LOAD 1
-    LOAD 2
-    MUL
-    STORE 3
-    LOAD 0
-    LOAD 3
-    LOAD 3
-    LOAD 0
-    LT
-    SELECT
     STORE 4
     LOAD 0
     LOAD 4

@@ -57,12 +57,6 @@ def contract_address(owner: bytes, counter: int) -> bytes:
     return hash256(owner + counter.to_bytes(8, "big"))
 
 
-class _Revert(Exception):
-    def __init__(self, reason: str):
-        self.reason = reason
-        super().__init__(reason)
-
-
 # --- transaction kinds -------------------------------------------------
 #
 # Encoding: u8 TAG, then each field as its annotation's codec writes it.
@@ -414,7 +408,7 @@ def sign_tx(tx, keypair):
 # --- checking ----------------------------------------------------------
 
 
-def check_tx(state: ChainState, tx, cfg) -> None:
+def check_tx(state: ChainState, tx) -> None:
     """Format, signature, and counter checks; raises TxError."""
     if isinstance(tx, EpochTx):
         return  # system txs carry no envelope; apply_epoch validates them
@@ -468,7 +462,6 @@ def check_tx(state: ChainState, tx, cfg) -> None:
 class ApplyCtx:
     miner: bytes
     height: int
-    cfg: object
     prev_block_hash: bytes = ZERO32
     proof_leaves: list = field(default_factory=list)
 
@@ -480,7 +473,7 @@ def _register_program(state: ChainState, program: Program | None) -> None:
 
 def _apply_inner(state: ChainState, tx, ctx: ApplyCtx) -> int:
     """Kind-specific value movement. Returns VM gas used (0 for non-VM)."""
-    height, cfg = ctx.height, ctx.cfg
+    height, cfg = ctx.height, state.cfg
     if isinstance(tx, Spend):
         state.debit(tx.sender, tx.amount, height)
         state.credit(tx.recipient, tx.amount, height)
@@ -499,7 +492,7 @@ def _apply_inner(state: ChainState, tx, ctx: ApplyCtx) -> int:
         env = _call_env(state, tx.owner, address)
         result = execute(tx.code, list(tx.call_data), env, tx.gas, cfg.pure_space)
         if result.status != HALTED:
-            raise _Revert(result.status)
+            raise LedgerError(result.status)
         return result.gas_used
     if isinstance(tx, ContractCall):
         state.debit(tx.caller, tx.amount, height)
@@ -512,14 +505,14 @@ def _apply_inner(state: ChainState, tx, ctx: ApplyCtx) -> int:
             env = _call_env(state, tx.caller, tx.contract)
             result = execute(program, list(tx.call_data), env, tx.gas, cfg.pure_space)
             if result.status != HALTED:
-                raise _Revert(result.status)
+                raise LedgerError(result.status)
             return result.gas_used
         return 0
     if isinstance(tx, DataOnly):
         return len(tx.payload)  # payload is inert; its cost was the fee
     if isinstance(tx, NameClaim):
         if tx.name in state.names:
-            raise _Revert("NameTaken")
+            raise LedgerError("NameTaken")
         state.names[tx.name] = NameRecord(tx.name, tx.target, tx.owner)
         return 0
     if isinstance(tx, AccountDelete):
@@ -625,7 +618,7 @@ def apply_tx(state: ChainState, tx, ctx: ApplyCtx) -> Receipt:
     outermost call opens the state's undo journal, rolls back through it on
     a raise, and empties and closes it before returning.
     """
-    check_tx(state, tx, ctx.cfg)
+    check_tx(state, tx)
     start = state.savepoint()
     try:
         return _apply_checked(state, tx, ctx)
@@ -639,9 +632,9 @@ def apply_tx(state: ChainState, tx, ctx: ApplyCtx) -> Receipt:
 def _apply_checked(state: ChainState, tx, ctx: ApplyCtx) -> Receipt:
     this_hash = tx_hash(tx)
     if isinstance(tx, EpochTx):
-        if ctx.height == 0 or ctx.height % ctx.cfg.blocks_per_epoch != 0:
+        if ctx.height == 0 or ctx.height % state.cfg.blocks_per_epoch != 0:
             raise TxError("BadFormat", f"epoch tx at non-boundary height {ctx.height}")
-        rewards.apply_epoch(state, tx.report, ctx.height, ctx.cfg)
+        rewards.apply_epoch(state, tx.report, ctx.height, state.cfg)
         return Receipt(this_hash, APPLIED, 0, 0, 0)
 
     sender = tx_sender(tx)
@@ -659,13 +652,12 @@ def _apply_checked(state: ChainState, tx, ctx: ApplyCtx) -> Receipt:
     charged = state.savepoint()  # a revert keeps the fee and the counter bump
     try:
         gas_used = _apply_inner(state, tx, ctx)
-    except (_Revert, LedgerError) as exc:
-        if isinstance(exc, LedgerError) and exc.code in NON_REVERTIBLE:
+    except LedgerError as exc:
+        if exc.code in NON_REVERTIBLE:
             raise
         state.rollback(charged)
         reverted_gas = tx.gas if isinstance(tx, GAS_KINDS) else 0
-        reason = exc.code if isinstance(exc, LedgerError) else exc.reason
-        return Receipt(this_hash, REVERTED, reverted_gas, fee, fee, reason)
+        return Receipt(this_hash, REVERTED, reverted_gas, fee, fee, exc.code)
 
     if isinstance(tx, GAS_KINDS):
         refund = (tx.gas - gas_used) * tx.gas_price
@@ -699,14 +691,13 @@ def _execute(state: ChainState, txs, miner: bytes, height: int, prev_hash: bytes
     with ``BadTx``; the miner drops the tx instead. Returns the new state,
     the txs applied, their receipts and the header's commitment fields.
     """
-    cfg = state.cfg
     work = state.clone()
     work.height = height
-    ctx = ApplyCtx(miner=miner, height=height, cfg=cfg, prev_block_hash=prev_hash)
+    ctx = ApplyCtx(miner=miner, height=height, prev_block_hash=prev_hash)
     included: list = []
     receipts: list[Receipt] = []
     if height > 0:
-        work.mint(miner, pow.coinbase(height, cfg), height)
+        work.mint(miner, pow.coinbase(height, state.cfg), height)
     for tx in txs:
         try:
             receipts.append(apply_tx(work, tx, ctx))

@@ -70,10 +70,7 @@ class Bench:
     def apply(self, tx, signer: KeyPair | None = None, prev_block_hash: bytes = b"\x00" * 32):
         if signer is not None:
             tx = sign_tx(tx, signer)
-        ctx = ApplyCtx(
-            miner=self.miner.address, height=self.height, cfg=self.cfg,
-            prev_block_hash=prev_block_hash,
-        )
+        ctx = ApplyCtx(miner=self.miner.address, height=self.height, prev_block_hash=prev_block_hash)
         self.state.height = self.height
         return apply_tx(self.state, tx, ctx)
 

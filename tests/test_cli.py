@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -30,9 +31,17 @@ def run(workdir, *argv):
 
 
 def test_usage_error_exits_2(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["definitely-not-a-command"])
-    assert err.value.code == 2
+    scenario = os.path.join(SCENARIO_DIR, "spends.scn")
+    cfg = os.path.join(SCENARIO_DIR, "net.cfg")
+    for argv in (
+        ["definitely-not-a-command"],
+        # --seed and --config belong to the subcommands that read them
+        ["--seed", "5", "sim", "run", scenario, "--config", cfg],
+        ["--config", "x", "storage", "quote", "--bytes", "1"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2, argv
 
 
 def test_cli_import_leaves_numpy_unloaded():
@@ -275,6 +284,10 @@ def test_optimizer_train_cli(tmp_path, capsys):
     assert "vi_policy_match=3/3" in out
 
 
+# stdout of `sim run spends.scn --config net.cfg --seed 5`
+SIM_RUN_SEED_5_DIGEST = "4afa337c27606613a1b131daf55f9db6c3a4775da4ca4bc5b6cf2ef0ce6d08a7"
+
+
 def test_sim_run_cli_deterministic(capsys):
     scenario = os.path.join(SCENARIO_DIR, "spends.scn")
     cfg = os.path.join(SCENARIO_DIR, "net.cfg")
@@ -284,6 +297,9 @@ def test_sim_run_cli_deterministic(capsys):
     second = capsys.readouterr().out
     assert first == second
     assert "final_state_root=" in first
+    assert main(["sim", "run", scenario, "--config", cfg, "--seed", "5"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SIM_RUN_SEED_5_DIGEST, out
 
 
 def test_optimizer_evaluate_cli(tmp_path, capsys):

@@ -61,6 +61,10 @@ def test_scenario_error_carries_line_number():
         run("0 mine alice\n1 mine bob\n2 channel-update alice hex:" + "ab" * 32 + " 6dsd 4dsd\n")
     assert err.value.line_no == 3
     assert str(err.value) == "line 3: channel unknown at proposer"
+    # an `as` with no handle after it
+    with pytest.raises(ScenarioError) as err:
+        run("0 mine alice\n1 az-create alice 5dsd as\n")
+    assert err.value.line_no == 2
 
 
 def test_budget_exhaustion_detected():

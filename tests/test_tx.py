@@ -31,26 +31,26 @@ def spend(bench, frm, to, amount, fee, counter=None):
 
 def test_check_tx_happy_path(bench):
     tx = txmod.sign_tx(spend(bench, "alice", "bob", 100, 5), bench.key("alice"))
-    txmod.check_tx(bench.state, tx, bench.cfg)
+    txmod.check_tx(bench.state, tx)
 
 
 def test_counter_off_by_one(bench):
     tx = txmod.sign_tx(spend(bench, "alice", "bob", 100, 5, counter=2), bench.key("alice"))
     with pytest.raises(TxError) as err:
-        txmod.check_tx(bench.state, tx, bench.cfg)
+        txmod.check_tx(bench.state, tx)
     assert err.value.code == "BadCounter"
 
 
 def test_wrong_key_signature(bench):
     tx = txmod.sign_tx(spend(bench, "alice", "bob", 100, 5), bench.key("bob"))
     with pytest.raises(TxError) as err:
-        txmod.check_tx(bench.state, tx, bench.cfg)
+        txmod.check_tx(bench.state, tx)
     assert err.value.code == "BadSignature"
 
 
 def test_unsigned_rejected(bench):
     with pytest.raises(TxError) as err:
-        txmod.check_tx(bench.state, spend(bench, "alice", "bob", 100, 5), bench.cfg)
+        txmod.check_tx(bench.state, spend(bench, "alice", "bob", 100, 5))
     assert err.value.code == "MissingSignature"
 
 
@@ -58,7 +58,7 @@ def test_tampered_body_breaks_signature(bench):
     tx = txmod.sign_tx(spend(bench, "alice", "bob", 100, 5), bench.key("alice"))
     tampered = dataclasses.replace(tx, amount=101)
     with pytest.raises(TxError) as err:
-        txmod.check_tx(bench.state, tampered, bench.cfg)
+        txmod.check_tx(bench.state, tampered)
     assert err.value.code == "BadSignature"
 
 
@@ -69,7 +69,7 @@ def test_fee_must_match_gas_product(bench):
         fee=29, counter=1,
     )
     with pytest.raises(TxError) as err:
-        txmod.check_tx(bench.state, txmod.sign_tx(tx, kp), bench.cfg)
+        txmod.check_tx(bench.state, txmod.sign_tx(tx, kp))
     assert err.value.code == "BadFormat"
 
 
@@ -157,7 +157,7 @@ def test_spend_to_contract_rejected(bench):
     kp = bench.key("bob")
     tx = txmod.Spend(kp.address, address, 100, 5, 1)
     with pytest.raises(TxError) as err:
-        txmod.check_tx(bench.state, txmod.sign_tx(tx, kp), bench.cfg)
+        txmod.check_tx(bench.state, txmod.sign_tx(tx, kp))
     assert err.value.code == "SpendToContract"
 
 
