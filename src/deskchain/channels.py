@@ -97,11 +97,6 @@ def make_update(
     )
 
 
-def check_update_order(prev: SignedState, new: SignedState) -> None:
-    if new.nonce != prev.nonce + 1:
-        raise LedgerError("NonMonotonicNonce", f"{prev.nonce} -> {new.nonce}")
-
-
 def sign_state(ss: SignedState, keypair, side: str) -> SignedState:
     sig = keypair.sign(ss.signing_bytes())
     if side == "a":

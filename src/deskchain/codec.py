@@ -10,8 +10,8 @@ A record declares its wire form once, on its fields: it subclasses
 (``U64``, ``Bytes32``, ``Seq[Ratio]``, ``Record[Program]``, ...). Its wire
 form is those fields in declaration order, so reordering fields is a
 consensus change. ``wire_fields`` turns the annotations into the
-``(name, write, read, is_sig)`` schema; ``encode`` and ``read`` run plans
-compiled from it at first use, one ``struct`` call per fixed-width run.
+``(name, FieldCodec)`` schema; ``encode`` and ``read`` run plans compiled
+from it at first use, one ``struct`` call per fixed-width run.
 Every tx kind (after its u8 tag) and every state record is written this
 way: Account, NameRecord, Channel, SignedState, OracleQuestion, Vote,
 StorageContract, MerkleProof, AZ, RewardPoolState, and the EpochReport with
@@ -304,16 +304,15 @@ AddressSet = Annotated[frozenset[bytes], FieldCodec(
 )]
 
 
-def wire_fields(cls) -> tuple[tuple[str, Callable, Callable, bool], ...]:
-    """``(name, write, read, is_sig)`` for each annotated field of ``cls``,
-    in declaration order, which is the wire order."""
+def wire_fields(cls) -> tuple[tuple[str, FieldCodec], ...]:
+    """``(name, codec)`` for each annotated field of ``cls``, in declaration
+    order, which is the wire order."""
     schema = []
     for name, hint in get_type_hints(cls, include_extras=True).items():
         try:
-            _, codec = _split(hint)
+            schema.append((name, _split(hint)[1]))
         except TypeError as exc:
             raise TypeError(f"{cls.__name__}.{name}: {exc}") from None
-        schema.append((name, codec.write, codec.read, codec.is_sig))
     return tuple(schema)
 
 
@@ -339,11 +338,9 @@ def _compile(cls, mode: str) -> Callable:
                 lines.append(f"p({packs[-1]})")
             del run[:], checks[:]
 
-    hints = get_type_hints(cls, include_extras=True)
-    for i, (name, _, _, is_sig) in enumerate(cls._FIELDS):
-        if is_sig and mode == "omit":
+    for i, (name, codec) in enumerate(cls._FIELDS):
+        if codec.is_sig and mode == "omit":
             continue
-        codec = _split(hints[name])[1]
         value = f"v{i}" if reading else f"self.{name}"
         env[f"n{i}"] = codec.names  # a Tag's or Flag's byte indexes its names
         if not codec.fmt:
@@ -356,7 +353,7 @@ def _compile(cls, mode: str) -> Callable:
                 checks.append(f"if {value} >= {len(codec.names)}: raise CodecError("
                               f"f'{cls.__name__}.{name}: byte {{{value}}} names none of {{n{i}}}')")
                 value = f"n{i}[{value}]"
-        elif is_sig and mode == "zero":
+        elif codec.is_sig and mode == "zero":
             run.append((codec.fmt, "ZERO_SIG"))
         else:  # a Flag packs as "?", a Tag as its index; struct pads a short Bytes32 or Sig
             run.append((codec.fmt, f"n{i}.index({value})" if codec.fmt == "B" and codec.names else value))
@@ -398,10 +395,10 @@ class WireRecord:
         try:
             return plan(self)
         except _BAD_VALUE as exc:  # name the first field that fails through its own codec
-            for name, write, _, is_sig in self._FIELDS:
+            for name, codec in self._FIELDS:
                 try:
-                    if not is_sig or sigs == "keep":
-                        write(Writer(), getattr(self, name))
+                    if not codec.is_sig or sigs == "keep":
+                        codec.write(Writer(), getattr(self, name))
                 except _BAD_VALUE as field_exc:
                     raise CodecError(f"{type(self).__name__}.{name}: {field_exc}") from exc
             raise CodecError(f"{type(self).__name__}: {exc!r}") from exc

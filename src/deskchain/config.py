@@ -110,6 +110,15 @@ _INT_KEYS = {
     "sim.latency_max": "sim_latency_max",
 }
 
+# int keys with a floor: a 0 divides by zero later, a negative latency runs
+# the simulator's clock backwards
+_INT_MINIMUM = {
+    "coinbase.halving_blocks": 1,
+    "storage.retrieval_unit": 1,
+    "epoch.blocks": 1,
+    "sim.latency_min": 0,
+}
+
 _AMOUNT_KEYS = {
     "coinbase.initial": "coinbase_initial",
     "maintenance.rate": "maintenance_rate",
@@ -133,6 +142,7 @@ def parse_config(text: str) -> NetworkConfig:
 
     updates: dict[str, object] = {}
     accounts: list[tuple[str, bytes, int]] = []
+    last_latency_line = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -142,7 +152,11 @@ def parse_config(text: str) -> NetworkConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         try:
             if key in _INT_KEYS:
-                updates[_INT_KEYS[key]] = int(value, 10)
+                updates[_INT_KEYS[key]] = n = int(value, 10)
+                if n < _INT_MINIMUM.get(key, n):
+                    raise ConfigError(f"{key} must be at least {_INT_MINIMUM[key]}, got {n}")
+                if key.startswith("sim.latency_"):
+                    last_latency_line = line_no
             elif key in _AMOUNT_KEYS:
                 updates[_AMOUNT_KEYS[key]] = parse_amount(value)
             elif key in _FRACTION_KEYS:
@@ -165,7 +179,13 @@ def parse_config(text: str) -> NetworkConfig:
             raise ConfigError(f"line {line_no}: bad {key} value {value!r}") from exc
         except DeskchainError as exc:
             raise ConfigError(f"line {line_no}: {exc}") from exc
-    return NetworkConfig(genesis_accounts=tuple(accounts), **updates)
+    cfg = NetworkConfig(genesis_accounts=tuple(accounts), **updates)
+    if cfg.sim_latency_min > cfg.sim_latency_max:
+        raise ConfigError(
+            f"line {last_latency_line}: sim.latency_min {cfg.sim_latency_min} "
+            f"exceeds sim.latency_max {cfg.sim_latency_max}"
+        )
+    return cfg
 
 
 def load_config(path: str) -> NetworkConfig:

@@ -222,7 +222,7 @@ def sample_next(uniform, devices: DeviceRows) -> int:
     return nxt
 
 
-def three_state_fixture(arrival_rate: float = 1.0) -> DeviceGroupMdp:
+def three_state_fixture() -> DeviceGroupMdp:
     """One device, three wear states (fresh/worn/broken), run vs repair.
 
     Running serves while the device lasts; repairing serves nothing for a
@@ -239,5 +239,5 @@ def three_state_fixture(arrival_rate: float = 1.0) -> DeviceGroupMdp:
         transitions=(run, repair),
         capacity=((1, 1, 0), (0, 0, 0)),
         arrival_kind=CONSTANT,
-        arrival_rate=arrival_rate,
+        arrival_rate=1.0,
     )

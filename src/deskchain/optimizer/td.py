@@ -24,6 +24,9 @@ from .mdp import POISSON, Action, DeviceGroupMdp, State, sample_next
 ON_POLICY = "on_policy"
 OFF_POLICY = "off_policy"
 
+VI_TOL = 1e-12  # value iteration stops once no Q value moves by this much
+VI_MAX_ITER = 1_000_000
+
 
 @dataclass
 class QTable:
@@ -143,7 +146,7 @@ def train(
     return q
 
 
-def value_iteration(mdp: DeviceGroupMdp, gamma_d: float, tol: float = 1e-12, max_iter: int = 1_000_000) -> dict[tuple[State, Action], float]:
+def value_iteration(mdp: DeviceGroupMdp, gamma_d: float) -> dict[tuple[State, Action], float]:
     """Bellman-optimality fixed point over the enumerated joint MDP."""
     mdp.require_tabular()
     states = list(mdp.states())
@@ -157,7 +160,7 @@ def value_iteration(mdp: DeviceGroupMdp, gamma_d: float, tol: float = 1e-12, max
         for a in actions
     }
     q = {(s, a): 0.0 for s in states for a in actions}
-    for _ in range(max_iter):
+    for _ in range(VI_MAX_ITER):
         delta = 0.0
         new_q = {}
         value = {s: max(q[(s, a)] for a in actions) for s in states}
@@ -167,9 +170,9 @@ def value_iteration(mdp: DeviceGroupMdp, gamma_d: float, tol: float = 1e-12, max
                 new_q[(s, a)] = v
                 delta = max(delta, abs(v - q[(s, a)]))
         q = new_q
-        if delta < tol:
+        if delta < VI_TOL:
             return q
-    raise LedgerError("NoConvergence", f"value iteration after {max_iter} sweeps")
+    raise LedgerError("NoConvergence", f"value iteration after {VI_MAX_ITER} sweeps")
 
 
 def greedy_policy(q, mdp: DeviceGroupMdp) -> dict[State, Action]:

@@ -226,23 +226,6 @@ def coinbase(height: int, cfg) -> int:
     return cfg.coinbase_initial >> halvings
 
 
-def emission_through(height: int, cfg) -> int:
-    """Closed-form sum of coinbase(1..height)."""
-    total = 0
-    period = cfg.coinbase_halving_blocks
-    k = 0
-    remaining = height
-    while remaining > 0:
-        reward = cfg.coinbase_initial >> k
-        if reward == 0:
-            break
-        span = min(period, remaining)
-        total += span * reward
-        remaining -= span
-        k += 1
-    return total
-
-
 def stake_weight(state, address: bytes) -> int:
     """On-chain balance in base units; locked deposits do not count."""
     account = state.accounts.get(address)

@@ -125,13 +125,15 @@ def largest_remainder(total: int, weights: list[Fraction], tie_keys: list) -> li
     return floors
 
 
-def allocate_to_azs(gamma: int, values: list[tuple[bytes, Fraction]]) -> list[tuple[bytes, int]]:
-    ids = [az_id for az_id, _ in values]
-    amounts = largest_remainder(gamma, [v for _, v in values], ids)
+def allocate(total: int, weighted: list[tuple[bytes, Fraction]]) -> list[tuple[bytes, int]]:
+    """``total`` split over (id, weight) pairs: POV over AZs, POC over an
+    AZ's members; remainder ties go to the lower id."""
+    ids = [key for key, _ in weighted]
+    amounts = largest_remainder(total, [w for _, w in weighted], ids)
     return list(zip(ids, amounts))
 
 
-# --- POC: per-user contribution weight and allocation ---
+# --- POC: per-user contribution weight ---
 
 
 @dataclass(frozen=True)
@@ -162,12 +164,6 @@ def poc_weight(c: UserContribution) -> Fraction:
     active = sum((item.alpha * item.s for item in c.items), Fraction(0))
     used = sum((item.beta * sum(item.usage, Fraction(0)) for item in c.items), Fraction(0))
     return c.epsilon * active + c.theta * used
-
-
-def allocate_to_users(gamma_az: int, weights: list[tuple[bytes, Fraction]]) -> list[tuple[bytes, int]]:
-    members = [m for m, _ in weights]
-    amounts = largest_remainder(gamma_az, [w for _, w in weights], members)
-    return list(zip(members, amounts))
 
 
 # --- AZ lifecycle (on-chain transitions) ---
@@ -250,7 +246,7 @@ def compute_epoch(report: EpochReport, gamma: int) -> EpochResult:
     total_value = sum((v for _, v in values), Fraction(0))
     if gamma == 0 or total_value == 0:
         return EpochResult(report.epoch_index, gamma, tuple(values), (), (), 0)
-    az_allocs = allocate_to_azs(gamma, values)
+    az_allocs = allocate(gamma, values)
     payouts: list[tuple[bytes, bytes, int]] = []
     distributed = 0
     by_az: dict[bytes, list[UserContribution]] = {}
@@ -263,7 +259,7 @@ def compute_epoch(report: EpochReport, gamma: int) -> EpochResult:
         weights = [(row.member, poc_weight(row)) for row in rows]
         if not weights or all(w == 0 for _, w in weights):
             continue  # nobody to pay; the allocation stays in the pool
-        for member, amount in allocate_to_users(alloc, weights):
+        for member, amount in allocate(alloc, weights):
             if amount:
                 payouts.append((az_id, member, amount))
                 distributed += amount

@@ -65,6 +65,11 @@ class SimNode(Node):
     def address(self) -> bytes:
         return self.keypair.address
 
+    def rank(self, h: bytes) -> tuple[int, bytes]:
+        """Fork choice: the lowest rank wins, so the higher block, then the
+        lower block hash."""
+        return -self.blocks[h].header.height, h
+
     def chain(self) -> list[Block]:
         """Genesis to tip."""
         out = [self.blocks[self.tip]]
@@ -164,23 +169,13 @@ class Simulation:
             height=block.header.height, hash=h.hex()[:16], txs=len(block.transactions),
             origin=origin,
         )
-        best = self._better_tip(node.tip, h, node)
-        if best != node.tip:
-            node.tip = best
-            node.set_tip(node.states[best], node.blocks[best].header)
-            self.log(node.name, "tip", height=node.header.height, hash=best.hex()[:16])
+        if node.rank(h) < node.rank(node.tip):
+            node.tip = h
+            node.set_tip(new_state, block.header)
+            self.log(node.name, "tip", height=node.header.height, hash=h.hex()[:16])
             self._watch_channels(node)
         for orphan in node.orphans.pop(h, []):
             self.accept_block(node, orphan, origin="orphan")
-
-    def _better_tip(self, current: bytes, candidate: bytes, node: SimNode) -> bytes:
-        ch = node.blocks[current].header
-        nh = node.blocks[candidate].header
-        if (nh.height, candidate) == (ch.height, current):
-            return current
-        if nh.height > ch.height or (nh.height == ch.height and candidate < current):
-            return candidate
-        return current
 
     def _watch_channels(self, node: SimNode) -> None:
         height = node.header.height
@@ -371,20 +366,12 @@ class Simulation:
         return self._result()
 
     def _result(self) -> SimResult:
-        best_name = None
-        best_key = None
-        for name in sorted(self.nodes):
-            node = self.nodes[name]
-            key = (-node.header.height, node.tip)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_name = name
-        node = self.nodes[best_name]
+        node = min((self.nodes[name] for name in sorted(self.nodes)), key=lambda n: n.rank(n.tip))
         chain = node.chain()
         receipts = []
         for block in chain:
             receipts.extend(node.receipts[block.header.block_hash()])
-        self.log(best_name, "final", height=node.header.height, root=node.tip.hex())
+        self.log(node.name, "final", height=node.header.height, root=node.tip.hex())
         return SimResult(
             final_tip=node.tip,
             final_state_root=hash256(b"".join(txmod.state_roots(node.state).values())),

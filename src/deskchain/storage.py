@@ -1,7 +1,6 @@
 """Decentralized storage contracts and the compute spot-check primitive.
 
-Data is chunked, optionally transformed by a pluggable keyed cipher
-(identity in tests), and committed as a Merkle root. Every
+Data is chunked and committed as a Merkle root. Every
 challenge_period_n blocks the previous block hash picks one chunk index;
 a provider earns reward_per_proof for a verified possession proof of that
 exact chunk. Retrieval is priced per started 64 KiB unit and paid through
@@ -18,13 +17,6 @@ from .errors import LedgerError
 from .merkle import MerkleProof, merkle_root, merkle_verify
 
 DEFAULT_CHUNK_SIZE = 65_536
-
-Transform = Callable[[bytes, int], bytes]
-
-
-def identity_transform(chunk: bytes, index: int) -> bytes:
-    return chunk
-
 
 @dataclass(frozen=True)
 class StorageContract(WireRecord):
@@ -72,11 +64,9 @@ def chunk_data(data: bytes, chunk_size: int) -> list[bytes]:
     return chunks
 
 
-def commit_data(
-    data: bytes, chunk_size: int = DEFAULT_CHUNK_SIZE, transform: Transform = identity_transform
-) -> tuple[list[bytes], bytes]:
-    """Returns (transformed chunks, data_root)."""
-    chunks = [transform(c, i) for i, c in enumerate(chunk_data(data, chunk_size))]
+def commit_data(data: bytes, chunk_size: int = DEFAULT_CHUNK_SIZE) -> tuple[list[bytes], bytes]:
+    """Returns (chunks, data_root)."""
+    chunks = chunk_data(data, chunk_size)
     return chunks, merkle_root(chunks)
 
 

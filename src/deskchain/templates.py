@@ -3,7 +3,8 @@
 Each template is a pure program that reads its inputs from the initial
 stack and leaves exactly [amount_a, amount_b] behind; the two outputs must
 sum to the channel total or settlement falls back to the last agreed
-balances. Helpers build the matching contract_state vectors.
+balances. A contract_state is a template's inputs in the order its
+comment lists them; ``hash_timelock_state`` builds the hash-timelock's.
 """
 from __future__ import annotations
 
@@ -127,17 +128,5 @@ def vm_hash_int(x: int) -> int:
     return int.from_bytes(digest[:8], "big", signed=True)
 
 
-def payment_split_state(total: int, ratio_a: int, ratio_b: int) -> list[int]:
-    return [total, ratio_a, ratio_b]
-
-
 def hash_timelock_state(total: int, preimage: int, deadline: int, height: int) -> list[int]:
     return [total, vm_hash_int(preimage), deadline, height, preimage]
-
-
-def metered_api_state(total: int, calls_made: int, price_per_call: int) -> list[int]:
-    return [total, calls_made, price_per_call]
-
-
-def storage_payout_state(escrow: int, proofs_ok: int, reward_per_proof: int) -> list[int]:
-    return [escrow, proofs_ok, reward_per_proof]

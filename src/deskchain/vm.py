@@ -114,10 +114,6 @@ def assemble(text: str) -> Program:
     return Program(1, tuple(instrs))
 
 
-def disassemble(program: Program) -> str:
-    return "\n".join(str(i) for i in program.instructions) + "\n"
-
-
 class VmEnv:
     """Read-only chain views handed to on-chain contract runs."""
 
@@ -142,7 +138,6 @@ class VmResult:
     stack_top: int | None
     gas_used: int
     space_peak: int
-    balance_effects: tuple = ()
     stack: tuple[int, ...] = field(default=(), repr=False)
 
 
@@ -177,14 +172,11 @@ def execute(
         return stack.pop()
 
     def result(status: str) -> VmResult:
-        # no instruction disburses funds in v1, so effects stay empty;
-        # the field is part of the result contract regardless
         return VmResult(
             status=status,
             stack_top=stack[-1] if stack else None,
             gas_used=gas_used,
             space_peak=space_peak,
-            balance_effects=(),
             stack=tuple(stack),
         )
 

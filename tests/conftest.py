@@ -82,3 +82,18 @@ class Bench:
 @pytest.fixture
 def bench(cfg) -> Bench:
     return Bench(cfg)
+
+
+# contract_state vectors for the stock templates, in each one's input order
+
+
+def payment_split_state(total: int, ratio_a: int, ratio_b: int) -> list[int]:
+    return [total, ratio_a, ratio_b]
+
+
+def metered_api_state(total: int, calls_made: int, price_per_call: int) -> list[int]:
+    return [total, calls_made, price_per_call]
+
+
+def storage_payout_state(escrow: int, proofs_ok: int, reward_per_proof: int) -> list[int]:
+    return [escrow, proofs_ok, reward_per_proof]

@@ -248,10 +248,10 @@ def test_criterion_05_reward_exactness():
             values.append((bytes([i]) * 32, Fraction(rng.randrange(0, 100), rng.randrange(1, 20))))
         if all(v == 0 for _, v in values):
             values[0] = (values[0][0], Fraction(1))
-        allocations = rewards.allocate_to_azs(gamma, values)
+        allocations = rewards.allocate(gamma, values)
         assert sum(v for _, v in allocations) == gamma
         scale = Fraction(rng.randrange(1, 50), rng.randrange(1, 7))
-        scaled = rewards.allocate_to_azs(gamma, [(az, v * scale) for az, v in values])
+        scaled = rewards.allocate(gamma, [(az, v * scale) for az, v in values])
         assert scaled == allocations
         for az_id, alloc in allocations:
             n_users = rng.randint(1, 5)
@@ -261,7 +261,7 @@ def test_criterion_05_reward_exactness():
             ]
             if all(w == 0 for _, w in weights):
                 weights[0] = (weights[0][0], Fraction(1))
-            payouts = rewards.allocate_to_users(alloc, weights)
+            payouts = rewards.allocate(alloc, weights)
             assert sum(v for _, v in payouts) == alloc
     elapsed = time.time() - started
     report(5, elapsed < 5.0,

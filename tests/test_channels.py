@@ -7,7 +7,7 @@ from deskchain.channels import ChannelEndpoint, SignedState
 from deskchain.errors import DeskchainError, LedgerError
 from deskchain.vm import assemble
 
-from conftest import Bench, make_cfg
+from conftest import Bench, make_cfg, payment_split_state
 
 DSD = 1_000_000
 
@@ -73,10 +73,6 @@ def test_make_update_validations(bench):
     with pytest.raises(LedgerError) as err:
         channels.make_update(channel, zero, (7 * DSD, 4 * DSD))
     assert err.value.code == "BalanceSumMismatch"
-    nxt = channels.make_update(channel, ss, (5 * DSD, 5 * DSD))
-    with pytest.raises(LedgerError) as err:
-        channels.check_update_order(nxt, nxt)
-    assert err.value.code == "NonMonotonicNonce"
 
 
 def test_cooperative_close(bench):
@@ -212,7 +208,7 @@ def test_settle_split_payment_template(cfg):
     program = templates.PAYMENT_SPLIT
     candidate = SignedState(
         b"\x01" * 32, 3, 4 * DSD, 4 * DSD,
-        program.code_hash(), tuple(templates.payment_split_state(8 * DSD, 3, 1)),
+        program.code_hash(), tuple(payment_split_state(8 * DSD, 3, 1)),
     )
     split = channels.settle_split(candidate, 8 * DSD, program, cfg)
     assert split == (6 * DSD, 2 * DSD)

@@ -285,14 +285,14 @@ def _encodable(cls):
 
     hints = typing.get_type_hints(cls, include_extras=True)
     record = object.__new__(cls)
-    for name, _, read, _ in cls._FIELDS:
+    for name, codec in cls._FIELDS:
         base = getattr(hints[name], "__origin__", hints[name])
         if base is Fraction:
             value = Fraction(1)
         elif isinstance(base, type) and issubclass(base, WireRecord):
             value = _encodable(base)
         else:
-            value = read(Reader(bytes(64)))
+            value = codec.read(Reader(bytes(64)))
         object.__setattr__(record, name, value)
     return record
 
@@ -326,12 +326,12 @@ def test_every_fixed_width_field_rejects_what_it_cannot_encode():
         good = _encodable(cls)
         good.encode()
         hints = typing.get_type_hints(cls, include_extras=True)
-        for name, _, _, is_sig in cls._FIELDS:
+        for name, codec in cls._FIELDS:
             for value in _bad_values(hints[name]):
                 bad = copy.copy(good)
                 object.__setattr__(bad, name, value)
                 forms = [bad.encode]
-                if hasattr(bad, "signing_bytes") and not is_sig:
+                if hasattr(bad, "signing_bytes") and not codec.is_sig:
                     forms.append(bad.signing_bytes)
                 for form in forms:
                     with pytest.raises(CodecError, match=rf"^{cls.__name__}\.{name}: "):
@@ -350,16 +350,12 @@ def test_every_proper_prefix_of_a_record_is_a_codec_error():
 
 def test_a_tag_or_flag_byte_past_its_names_is_a_codec_error_naming_the_field():
     import copy
-    import typing
-
-    from deskchain import codec
 
     checked = 0
     for cls in _wire_record_classes():
         good = _encodable(cls)
-        hints = typing.get_type_hints(cls, include_extras=True)
-        for name, _, _, _ in cls._FIELDS:
-            names = codec._split(hints[name])[1].names  # a Tag's or Flag's
+        for name, codec in cls._FIELDS:
+            names = codec.names  # a Tag's or Flag's
             if not names:
                 continue
             other = copy.copy(good)

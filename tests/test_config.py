@@ -1,6 +1,8 @@
 import os
 import re
 
+import pytest
+
 from deskchain import config
 from deskchain.config import ConfigError, parse_config
 
@@ -28,3 +30,20 @@ def test_readme_config_keys_are_the_keys_parse_config_accepts():
     assert listed == tables | {"pow.target_hex", "genesis.account"}
     assert all(_accepted(key) for key in listed)
     assert not any(_accepted(key) for key in ("no.such_key", "sim.max_events", "sim.auto_challenge"))
+
+
+@pytest.mark.parametrize("bad, least", [
+    ("epoch.blocks = 0", "epoch.blocks = 1"),
+    ("coinbase.halving_blocks = 0", "coinbase.halving_blocks = 1"),
+    ("storage.retrieval_unit = 0", "storage.retrieval_unit = 1"),
+    ("sim.latency_min = -5", "sim.latency_min = 0"),
+    ("sim.latency_min = 3", "sim.latency_min = 2"),  # net.cfg sets sim.latency_max = 2
+    ("sim.latency_max = 0", "sim.latency_max = 1"),  # under net.cfg's sim.latency_min = 1
+])
+def test_a_value_a_later_command_cannot_run_with_is_rejected_at_its_line(bad, least):
+    with open(os.path.join(REPO_ROOT, "scenarios", "net.cfg"), encoding="utf-8") as fh:
+        text = fh.read()
+    line_no = len(text.splitlines()) + 1
+    with pytest.raises(ConfigError, match=rf"^line {line_no}: "):
+        parse_config(f"{text}{bad}\n")
+    parse_config(f"{text}{least}\n")

@@ -65,13 +65,13 @@ def test_normalize_min_max():
 
 
 def test_allocate_exact_proportions():
-    out = rewards.allocate_to_azs(1000, [(b"\x01" * 32, F(1)), (b"\x02" * 32, F(3))])
+    out = rewards.allocate(1000, [(b"\x01" * 32, F(1)), (b"\x02" * 32, F(3))])
     assert [a for _, a in out] == [250, 750]
 
 
 def test_allocate_largest_remainder_tie_break():
     ids = [bytes([i]) * 32 for i in (3, 1, 2)]
-    out = rewards.allocate_to_azs(100, [(ids[0], F(1)), (ids[1], F(1)), (ids[2], F(1))])
+    out = rewards.allocate(100, [(ids[0], F(1)), (ids[1], F(1)), (ids[2], F(1))])
     got = dict(out)
     # each floor share is 33; the leftover unit goes to the lowest AZ id
     assert got[ids[1]] == 34
@@ -82,13 +82,13 @@ def test_allocate_largest_remainder_tie_break():
 def test_allocate_scale_invariance():
     values = [(bytes([i]) * 32, F(i + 1, 7)) for i in range(4)]
     scaled = [(az, v * 10) for az, v in values]
-    assert rewards.allocate_to_azs(997, values) == rewards.allocate_to_azs(997, scaled)
+    assert rewards.allocate(997, values) == rewards.allocate(997, scaled)
 
 
 def test_allocation_monotonicity():
     ids = [bytes([i]) * 32 for i in range(3)]
-    base = rewards.allocate_to_azs(1000, [(ids[0], F(1)), (ids[1], F(2)), (ids[2], F(3))])
-    bumped = rewards.allocate_to_azs(1000, [(ids[0], F(2)), (ids[1], F(2)), (ids[2], F(3))])
+    base = rewards.allocate(1000, [(ids[0], F(1)), (ids[1], F(2)), (ids[2], F(3))])
+    bumped = rewards.allocate(1000, [(ids[0], F(2)), (ids[1], F(2)), (ids[2], F(3))])
     assert dict(bumped)[ids[0]] >= dict(base)[ids[0]]
 
 
@@ -120,9 +120,9 @@ def test_poc_rejects_out_of_range():
 
 def test_allocate_to_users_examples():
     a, b = b"\x0a" * 32, b"\x0b" * 32
-    out = rewards.allocate_to_users(90, [(a, F(1)), (b, F(2))])
+    out = rewards.allocate(90, [(a, F(1)), (b, F(2))])
     assert dict(out) == {a: 30, b: 60}
-    solo = rewards.allocate_to_users(77, [(a, F(5))])
+    solo = rewards.allocate(77, [(a, F(5))])
     assert dict(solo) == {a: 77}
 
 
@@ -137,7 +137,7 @@ def test_allocate_to_users_exact_sum_random():
         if all(w == 0 for _, w in weights):
             weights[0] = (weights[0][0], F(1))
         gamma = rng.randrange(0, 100_000)
-        out = rewards.allocate_to_users(gamma, weights)
+        out = rewards.allocate(gamma, weights)
         assert sum(v for _, v in out) == gamma
 
 

@@ -195,6 +195,23 @@ def test_channel_messages_with_trailing_bytes_are_rejected():
         simulation._on_ack(simulation.nodes["alice"], "bob", (channel_id, full.encode() + b"junk"))
 
 
+def test_a_proposal_that_skips_a_nonce_is_ignored():
+    simulation = sim.Simulation(CFG, seed=3)
+    text = "0 mine alice\n2 channel-open alice alice bob 1dsd 1dsd as ch\n4 mine alice\n"
+    simulation.run_scenario(text, SCENARIO_DIR)
+    channel_id = simulation.handles["ch"]
+    bob = simulation.nodes["bob"]
+    channel = bob.state.channels[channel_id]
+    one = channels.make_update(channel, channels.nonce_zero_state(channel), (1_500_000, 500_000))
+    two = channels.sign_state(
+        channels.make_update(channel, one, (500_000, 1_500_000)), KeyPair.from_name("alice"), "a"
+    )
+    assert simulation.endpoint_for(bob, channel_id).latest_nonce() == 0
+    simulation.dispatch(sim.CHAN_PROPOSE, ("alice", "bob", (channel_id, two.encode(), b"")))
+    assert simulation.log_lines[-1].endswith("node=bob ev=chan_ignore reason=bad_nonce nonce=2")
+    assert simulation.endpoint_for(bob, channel_id).latest_nonce() == 0
+
+
 def test_event_log_format():
     result = run("0 mine alice\n")
     lines = result.event_log.strip().splitlines()

@@ -3,7 +3,9 @@ import pytest
 from deskchain import storage, tx as txmod
 from deskchain.crypto import hash256
 from deskchain.errors import LedgerError
-from deskchain.merkle import merkle_prove, merkle_root
+from deskchain.merkle import merkle_prove
+
+from conftest import storage_payout_state
 
 
 
@@ -22,13 +24,6 @@ def test_commit_deterministic_and_sensitive():
     _, root3 = storage.commit_data(b"hellp world", 4)
     assert root1 == root2
     assert root1 != root3
-
-
-def test_commit_applies_transform():
-    flip = lambda chunk, i: bytes(b ^ 0xFF for b in chunk)
-    chunks, root = storage.commit_data(b"abcd", 2, transform=flip)
-    assert chunks[0] == bytes(b ^ 0xFF for b in b"ab")
-    assert root == merkle_root(chunks)
 
 
 def test_empty_data_rejected():
@@ -288,7 +283,7 @@ def test_spot_check_acceptance_settles_channel(bench):
     channel = bench.state.channels[channel_id]
 
     program = templates.STORAGE_PAYOUT
-    cstate = templates.storage_payout_state(escrow=1000, proofs_ok=1, reward_per_proof=600)
+    cstate = storage_payout_state(escrow=1000, proofs_ok=1, reward_per_proof=600)
     ss = channels.make_update(
         channel, channels.nonce_zero_state(channel), (900, 100),
         program.code_hash(), tuple(cstate),

@@ -466,7 +466,7 @@ def test_decode_tx_round_trips_and_rejects_malformed_bytes(tx):
     decoded = txmod.decode_tx(enc)
     assert decoded == tx
     assert decoded.encode() == enc
-    sigs = {name: ZERO_SIG for name, _, _, is_sig in tx._FIELDS if is_sig}
+    sigs = {name: ZERO_SIG for name, codec in tx._FIELDS if codec.is_sig}
     assert tx.signing_bytes() == dataclasses.replace(tx, **sigs).encode()
     for cut in range(len(enc)):
         with pytest.raises(CodecError):

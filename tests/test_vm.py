@@ -8,8 +8,14 @@ from deskchain.codec import Writer
 from deskchain.errors import CodecError, LedgerError, VmFailure
 from deskchain.vm import (
     FAILED, HALTED, OPS, OUT_OF_GAS, OUT_OF_SPACE, Instr, Program, VmEnv, assemble,
-    disassemble, eval_pure, execute,
+    eval_pure, execute,
 )
+
+from conftest import metered_api_state, payment_split_state, storage_payout_state
+
+
+def disassemble(program: Program) -> str:
+    return "\n".join(str(i) for i in program.instructions) + "\n"
 
 
 def run(src, call_data=(), gas=1000, space=100, env=None):
@@ -83,7 +89,6 @@ def test_purity_env_never_mutated():
     env = VmEnv(balance_of=lambda h: lookups.append(h) or 7, sig_ok=None)
     out = run("PUSH 1\nBALANCE\nPOP\nSTOP", env=env)
     assert out.status == HALTED
-    assert out.balance_effects == ()
     assert lookups == [1]
 
 
@@ -93,7 +98,7 @@ def test_identity_program_returns_state():
 
 def test_eval_pure_deterministic():
     program = templates.PAYMENT_SPLIT
-    state = templates.payment_split_state(1000, 1, 3)
+    state = payment_split_state(1000, 1, 3)
     assert eval_pure(program, list(state)) == eval_pure(program, list(state))
 
 
@@ -188,7 +193,7 @@ def test_comments_and_blank_lines():
 
 def test_payment_split_example():
     out = eval_pure(
-        templates.PAYMENT_SPLIT, templates.payment_split_state(8_000_000, 3, 1)
+        templates.PAYMENT_SPLIT, payment_split_state(8_000_000, 3, 1)
     )
     assert out == [6_000_000, 2_000_000]
 
@@ -205,12 +210,12 @@ def test_hash_timelock_claim_and_refund():
 
 
 def test_metered_api_capped_by_total():
-    assert eval_pure(templates.METERED_API, templates.metered_api_state(500, 7, 60)) == [80, 420]
-    assert eval_pure(templates.METERED_API, templates.metered_api_state(500, 100, 60)) == [0, 500]
+    assert eval_pure(templates.METERED_API, metered_api_state(500, 7, 60)) == [80, 420]
+    assert eval_pure(templates.METERED_API, metered_api_state(500, 100, 60)) == [0, 500]
 
 
 def test_storage_payout_template():
-    out = eval_pure(templates.STORAGE_PAYOUT, templates.storage_payout_state(1000, 3, 100))
+    out = eval_pure(templates.STORAGE_PAYOUT, storage_payout_state(1000, 3, 100))
     assert out == [700, 300]
 
 
