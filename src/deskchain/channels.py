@@ -21,7 +21,6 @@ CLOSING = "closing"
 CLOSED = "closed"
 
 
-@dataclass(frozen=True)
 class SignedState(WireRecord):
     channel_id: Bytes32
     nonce: U64
@@ -37,7 +36,6 @@ class SignedState(WireRecord):
         return self._encode("omit")
 
 
-@dataclass(frozen=True)
 class Channel(WireRecord):
     channel_id: Bytes32
     party_a: Bytes32

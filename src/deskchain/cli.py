@@ -65,7 +65,7 @@ def _submit(sd: StateDir, node: Node, t) -> None:
     if receipt.status == txmod.REVERTED:
         raise DeskchainError(f"transaction would revert: {receipt.reason}")
     sd.add_to_mempool(t)
-    print(f"tx={txmod.tx_hash(t).hex()}")
+    print(f"tx={t.digest().hex()}")
 
 
 def cmd_keygen(sd: StateDir, args) -> int:

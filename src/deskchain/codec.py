@@ -5,13 +5,16 @@ module: fixed field order, big-endian integers, length-prefixed byte strings.
 The encoding is injective by construction; decode(encode(x)) == x and
 encode(decode(b)) == b are asserted property-style in the test suite.
 
-A record declares its wire form once, on its fields: it subclasses
-``WireRecord`` and annotates each field with one of the aliases below
-(``U64``, ``Bytes32``, ``Seq[Ratio]``, ``Record[Program]``, ...). Its wire
-form is those fields in declaration order, so reordering fields is a
-consensus change. ``wire_fields`` turns the annotations into the
-``(name, FieldCodec)`` schema; ``encode`` and ``read`` run plans compiled
-from it at first use, one ``struct`` call per fixed-width run.
+A record is declared once, by its fields: it subclasses ``WireRecord`` and
+annotates each field with one of the aliases below (``U64``, ``Bytes32``,
+``Seq[Ratio]``, ``Record[Program]``, ...), and the base class makes it a
+frozen dataclass of those fields. Its wire form is the fields in
+declaration order, so reordering fields is a consensus change.
+``wire_fields`` turns the annotations into the ``(name, FieldCodec)``
+schema; ``encode`` and ``read`` run plans compiled from it at first use,
+one ``struct`` call per fixed-width run. A record's identity is
+``digest()``, hash256 of its encoding, kept on the record after the first
+call.
 Every tx kind (after its u8 tag) and every state record is written this
 way: Account, NameRecord, Channel, SignedState, OracleQuestion, Vote,
 StorageContract, MerkleProof, AZ, RewardPoolState, and the EpochReport with
@@ -36,7 +39,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Annotated, Any, Callable, get_type_hints
 
-from .crypto import SIG_SIZE, ZERO_SIG
+from .crypto import SIG_SIZE, ZERO_SIG, hash256
 from .errors import CodecError, LedgerError
 
 U64_MAX = 2**64 - 1
@@ -374,20 +377,34 @@ def _compile(cls, mode: str) -> Callable:
 
 
 class WireRecord:
-    """A frozen dataclass whose wire form is its annotated fields, in
-    declaration order: ``encode`` writes them and ``read`` builds the record
-    from them. A class with a ``TAG`` writes it first, as a u8; whoever
-    reads the tagged union (``tx.decode_tx``) reads the tag."""
+    """The base of every record: a subclass is made a frozen dataclass of
+    its annotated fields, and its wire form is those fields in declaration
+    order: ``encode`` writes them and ``read`` builds the record from them.
+    A class with a ``TAG`` writes it first, as a u8; whoever reads the
+    tagged union (``tx.decode_tx``) reads the tag."""
 
     TAG = None
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
+        dataclass(frozen=True)(cls)
         cls._FIELDS = wire_fields(cls)
         cls._plans = {}  # mode -> plan, compiled at first use (see _compile)
 
     def encode(self) -> bytes:
         return self._encode("keep")
+
+    def digest(self) -> bytes:
+        """hash256 of ``encode()``: the record's identity, as its tx hash,
+        block hash, code hash or state-tree leaf. It is kept after the first
+        call, which is sound because the record is frozen; an edit builds a
+        new record, which never sees the old digest."""
+        try:
+            return self._digest  # not via __dict__, which would build one per record
+        except AttributeError:
+            digest = hash256(self.encode())
+            object.__setattr__(self, "_digest", digest)
+            return digest
 
     def _encode(self, sigs: str) -> bytes:
         """The wire bytes with every Sig field kept, "zero"ed or "omit"ted."""

@@ -110,12 +110,18 @@ _INT_KEYS = {
     "sim.latency_max": "sim_latency_max",
 }
 
-# int keys with a floor: a 0 divides by zero later, a negative latency runs
-# the simulator's clock backwards
+# int keys with a floor: a 0 divides by zero later, a 0 countdown or vote
+# window closes a dispute before anyone can act, a meter below 1 runs no
+# contract, and a negative window or latency runs the clock backwards
 _INT_MINIMUM = {
     "coinbase.halving_blocks": 1,
+    "channel.countdown_blocks": 1,
+    "oracle.challenge_window": 0,
+    "oracle.vote_window": 1,
     "storage.retrieval_unit": 1,
     "epoch.blocks": 1,
+    "vm.pure_gas": 1,
+    "vm.pure_space": 1,
     "sim.latency_min": 0,
 }
 
@@ -160,7 +166,9 @@ def parse_config(text: str) -> NetworkConfig:
             elif key in _AMOUNT_KEYS:
                 updates[_AMOUNT_KEYS[key]] = parse_amount(value)
             elif key in _FRACTION_KEYS:
-                updates[_FRACTION_KEYS[key]] = parse_fraction(value)
+                updates[_FRACTION_KEYS[key]] = f = parse_fraction(value)
+                if key == "sim.drop_rate" and not 0 <= f <= 1:
+                    raise ConfigError(f"sim.drop_rate must be in [0, 1], got {f}")
             elif key == "pow.target_hex":
                 target = bytes.fromhex(value)
                 if len(target) != 32:

@@ -6,6 +6,10 @@ solution-derived fields (entropy, nonce, cycle), and entropy is pinned
 separately as H(prev_entropy || miner || nonce) so a miner cannot grind it
 independently of the solution. The transaction count is the leaf count a
 light client checks a ``tx_root`` inclusion proof against.
+
+Accounts, names and headers are ``codec.WireRecord``s, so each is a frozen
+record whose ``digest()`` (its state-tree leaf, or a header's block hash) is
+computed once and kept.
 """
 from __future__ import annotations
 
@@ -25,24 +29,7 @@ _KINDS = (EXTERNAL, CONTRACT)
 _BASE_SIZE = 8 + 4 + 9 * 32  # BlockHeader.height, prev_hash, tx_count, the seven roots and miner
 
 
-class _Digested(WireRecord):
-    """A frozen record whose leaf digest is computed once and kept.
-
-    An edit builds a new record, so it never sees the old digest.
-    """
-
-    def digest(self) -> bytes:
-        """hash256 of ``encode()``: this record's leaf digest in its state tree."""
-        try:
-            return self._digest  # not via __dict__, which would build one per record
-        except AttributeError:
-            digest = hash256(self.encode())
-            object.__setattr__(self, "_digest", digest)
-            return digest
-
-
-@dataclass(frozen=True)
-class Account(_Digested):
+class Account(WireRecord):
     address: Bytes32
     balance: U64
     counter: U64 = 0
@@ -60,8 +47,7 @@ class Account(_Digested):
             raise LedgerError("BadFormat", "external accounts carry no code")
 
 
-@dataclass(frozen=True)
-class NameRecord(_Digested):
+class NameRecord(WireRecord):
     name: Text
     target: Bytes32
     owner: Bytes32
@@ -73,7 +59,6 @@ class NameRecord(_Digested):
             raise LedgerError("BadFormat", "name target must be 32 bytes")
 
 
-@dataclass(frozen=True)
 class BlockHeader(WireRecord):
     height: U64
     prev_hash: Bytes32
@@ -99,7 +84,7 @@ class BlockHeader(WireRecord):
         return hash256(self.base_bytes())
 
     def block_hash(self) -> bytes:
-        return hash256(self.encode())
+        return self.digest()
 
 
 def expected_entropy(prev_entropy: bytes, miner: bytes, pow_nonce: int) -> bytes:

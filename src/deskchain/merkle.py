@@ -24,14 +24,12 @@ leaves it was told changed.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 from .codec import U32, Bytes32, Seq, WireRecord
 from .crypto import ZERO32, hash256
 from .errors import LedgerError
 
 
-@dataclass(frozen=True)
 class MerkleProof(WireRecord):
     leaf_index: U32
     siblings: Seq[Bytes32]

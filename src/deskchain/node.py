@@ -19,7 +19,7 @@ class Node:
     def __init__(self, state: ChainState, header: BlockHeader, mempool=()):
         self.state = state
         self.header = header
-        self.mempool: dict[bytes, object] = {txmod.tx_hash(t): t for t in mempool}
+        self.mempool: dict[bytes, object] = {t.digest(): t for t in mempool}
         # the next boundary block's report; dropped at that boundary either way
         self.staged_epoch: rewards.EpochReport | None = None
 
@@ -44,7 +44,7 @@ class Node:
     def admit(self, t) -> bool:
         """Pool ``t`` unless it is pooled already (False); raises TxError
         when the tip cannot take it."""
-        h = txmod.tx_hash(t)
+        h = t.digest()
         if h in self.mempool:
             return False
         txmod.check_tx(self.state, t)

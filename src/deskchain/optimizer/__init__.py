@@ -3,11 +3,11 @@ grid, tabular SARSA and Q-learning over a factored device-group MDP, and
 exact sum-product inference on tree factor graphs."""
 
 from .mdp import DeviceGroupMdp, ReturnParams, discounted_return
-from .td import QTable, greedy_policy, q_update, sarsa_update, train, value_iteration
+from .td import QTable, greedy_policy, train, value_iteration
 from .bp import TreeFactorGraph, bp_marginals
 
 __all__ = [
     "DeviceGroupMdp", "ReturnParams", "discounted_return",
-    "QTable", "greedy_policy", "q_update", "sarsa_update", "train", "value_iteration",
+    "QTable", "greedy_policy", "train", "value_iteration",
     "TreeFactorGraph", "bp_marginals",
 ]

@@ -9,9 +9,8 @@ QTable bit for bit.
 are per-state lists indexed by joint action, the argmax is the first
 maximum (ties go to the lowest action tuple, as in ``best_action``), and
 next states come from ``sample_next`` in mdp.py, the rule
-``DeviceGroupMdp.step`` uses. The single-step functions below
-(``q_update``, ``sarsa_update``, ``best_action``, ``max_q``) compute the
-same updates on a ``QTable``.
+``DeviceGroupMdp.step`` uses. ``best_action`` is that argmax on a
+``QTable``, which ``greedy_policy`` reads a policy from.
 """
 from __future__ import annotations
 
@@ -51,24 +50,6 @@ def best_action(q: QTable, s: State, actions: list[Action]) -> Action:
         if v > best_v:
             best, best_v = a, v
     return best
-
-
-def max_q(q: QTable, s: State, actions: list[Action]) -> float:
-    return max(q.get(s, a) for a in actions)
-
-
-def sarsa_update(q: QTable, s: State, a: Action, r: float, s2: State, a2: Action, alpha: float | None = None) -> QTable:
-    step = q.alpha if alpha is None else alpha
-    delta = r + q.gamma_d * q.get(s2, a2) - q.get(s, a)
-    q.set(s, a, q.get(s, a) + step * delta)
-    return q
-
-
-def q_update(q: QTable, s: State, a: Action, r: float, s2: State, actions: list[Action], alpha: float | None = None) -> QTable:
-    step = q.alpha if alpha is None else alpha
-    delta = r + q.gamma_d * max_q(q, s2, actions) - q.get(s, a)
-    q.set(s, a, q.get(s, a) + step * delta)
-    return q
 
 
 def train(

@@ -8,7 +8,7 @@ escrow exactly: returned + burned = escrowed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .codec import U64, Bytes32, Flag, Seq, Tag, WireRecord
 from .crypto import ZERO32, hash256
@@ -24,14 +24,12 @@ PENDING = "pending"
 BURNED = "burned"
 
 
-@dataclass(frozen=True)
 class Vote(WireRecord):
     voter: Bytes32
     bit: Flag
     weight: U64  # stake snapshot when the ballot entered a block
 
 
-@dataclass(frozen=True)
 class OracleQuestion(WireRecord):
     question_id: Bytes32
     asker: Bytes32

@@ -16,7 +16,6 @@ from .crypto import hash256
 from .errors import LedgerError
 
 
-@dataclass(frozen=True)
 class RewardPoolState(WireRecord):
     q: U64 = 0                 # incentive value function, base units
     gamma_t: U64 = 0           # tokens distributed in the last epoch
@@ -49,7 +48,6 @@ def replenish(pool: RewardPoolState, q_next: int, alpha: Fraction, mu: Fraction)
     )
 
 
-@dataclass(frozen=True)
 class AZ(WireRecord):
     az_id: Bytes32
     owner: Bytes32
@@ -70,7 +68,6 @@ def az_id_for(owner: bytes, counter: int) -> bytes:
 # --- POV: per-AZ value and allocation ---
 
 
-@dataclass(frozen=True)
 class AZFactors(WireRecord):
     az_id: Bytes32
     raw: Seq[U64]
@@ -136,7 +133,6 @@ def allocate(total: int, weighted: list[tuple[bytes, Fraction]]) -> list[tuple[b
 # --- POC: per-user contribution weight ---
 
 
-@dataclass(frozen=True)
 class WorkItem(WireRecord):
     alpha: Ratio          # weight of this work content
     s: Ratio              # normalized active-contribution value, in [0, 1]
@@ -144,7 +140,6 @@ class WorkItem(WireRecord):
     usage: Seq[Ratio]     # normalized per-use values, each in [0, 1]
 
 
-@dataclass(frozen=True)
 class UserContribution(WireRecord):
     az_id: Bytes32
     member: Bytes32
@@ -212,7 +207,6 @@ def az_refer(state, member: bytes, user: bytes, az_id: bytes) -> None:
 # --- the epoch batch ---
 
 
-@dataclass(frozen=True)
 class EpochReport(WireRecord):
     epoch_index: U64
     factor_weights: Seq[Ratio]

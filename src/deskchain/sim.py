@@ -198,7 +198,7 @@ class Simulation:
             self.submit_tx(node, challenge)
 
     def submit_tx(self, node: SimNode, t) -> None:
-        h = txmod.tx_hash(t)
+        h = t.digest()
         try:
             if not node.admit(t):
                 return

@@ -25,9 +25,10 @@ The account and name trees are position-stable and kept across blocks:
   - every store write records its key in the store's ``written`` set, and
     a root sets only those keys' leaves and rehashes only their paths;
   - a clone copies the slot maps and level lists but shares the node bytes.
-Accounts and name records carry their cached leaf digest, so a shared
-record is encoded and hashed once however many states and roots use it.
-The wormhole and oracle trees are small and are rebuilt in key order.
+A leaf is its record's ``digest()``, which every ``codec.WireRecord``
+computes once and keeps, so a shared account, name or oracle question is
+encoded and hashed once however many states and roots use it. The wormhole
+and oracle trees are small and are rebuilt in key order.
 
 Conservation is a hard invariant: genesis total + minted coinbase must
 always equal circulating balances + locks + deposits + pool funds + burned.
@@ -194,23 +195,17 @@ class ChainState:
 
     @staticmethod
     def genesis(cfg: NetworkConfig) -> "ChainState":
-        accounts = StateDict()
-        for _, address, balance in cfg.genesis_accounts:
-            if address in accounts:
-                raise LedgerError("BadFormat", "duplicate genesis account")
-            accounts[address] = Account(address, balance)
-        return ChainState(
+        state = ChainState(
             cfg=cfg,
-            accounts=accounts,
-            names=StateDict(),
-            channels=StateDict(),
-            oracles=StateDict(),
-            storage_contracts=StateDict(),
-            azs=StateDict(),
             pool=RewardPoolState(q=cfg.pool_q0, endowment=cfg.genesis_endowment),
-            code=StateDict(),
             genesis_total=cfg.genesis_total,
+            **{name: StateDict() for name in _STORES},
         )
+        for _, address, balance in cfg.genesis_accounts:
+            if address in state.accounts:
+                raise LedgerError("BadFormat", "duplicate genesis account")
+            state.accounts[address] = Account(address, balance)
+        return state
 
     def clone(self) -> "ChainState":
         """A copy of the stores sharing their records; its journal is closed.
@@ -220,18 +215,12 @@ class ChainState:
         node bytes, so this state's roots stay as they were."""
         child = ChainState(
             cfg=self.cfg,
-            accounts=StateDict(self.accounts),
-            names=StateDict(self.names),
-            channels=StateDict(self.channels),
-            oracles=StateDict(self.oracles),
-            storage_contracts=StateDict(self.storage_contracts),
-            azs=StateDict(self.azs),
             pool=self.pool,
-            code=StateDict(self.code),
             height=self.height,
             genesis_total=self.genesis_total,
             minted_total=self.minted_total,
             burned_total=self.burned_total,
+            **{name: StateDict(getattr(self, name)) for name in _STORES},
         )
         child._account_slots = self._account_slots.fork(self.accounts)
         child._name_slots = self._name_slots.fork(self.names)
@@ -352,11 +341,11 @@ class ChainState:
 
     def oracle_open_root(self) -> bytes:
         live = [k for k in sorted(self.oracles) if self.oracles[k].phase in ("open", "answered", "contested")]
-        return tree_root([hash256(self.oracles[k].encode()) for k in live])
+        return tree_root([self.oracles[k].digest() for k in live])
 
     def oracle_answer_root(self) -> bytes:
         done = [k for k in sorted(self.oracles) if self.oracles[k].phase in ("resolved", "burned")]
-        return tree_root([hash256(self.oracles[k].encode()) for k in done])
+        return tree_root([self.oracles[k].digest() for k in done])
 
     # --- invariants ---
 

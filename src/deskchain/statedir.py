@@ -7,7 +7,6 @@ states) are replaced atomically: a failed write leaves the old file whole."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from . import tx as txmod
 from .codec import Record, Seq, WireRecord
@@ -36,7 +35,6 @@ def _write_atomic(path: str, data: bytes) -> None:
         raise
 
 
-@dataclass(frozen=True)
 class _ChannelFile(WireRecord):
     """``channel_<id>.bin``: one endpoint's signed states, then the programs
     they name, in code-hash order."""

@@ -18,7 +18,7 @@ from .merkle import MerkleProof, merkle_root, merkle_verify
 
 DEFAULT_CHUNK_SIZE = 65_536
 
-@dataclass(frozen=True)
+
 class StorageContract(WireRecord):
     contract_id: Bytes32
     payer: Bytes32

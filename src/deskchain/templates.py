@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import os
 
-from .crypto import hash256
 from .errors import DeskchainError
-from .vm import Program, assemble
+from .vm import Program, assemble, hash_int
 
 # total ratio_a ratio_b -> a = total*ratio_a // (ratio_a+ratio_b), b = rest
 PAYMENT_SPLIT = assemble(
@@ -122,11 +121,5 @@ def load_program(token: str, base_dir: str = "", asm_prefix: str = "asm:") -> Pr
         return assemble(fh.read())
 
 
-def vm_hash_int(x: int) -> int:
-    """The HASH instruction's mapping, for building hashlocks off-VM."""
-    digest = hash256(x.to_bytes(8, "big", signed=True))
-    return int.from_bytes(digest[:8], "big", signed=True)
-
-
 def hash_timelock_state(total: int, preimage: int, deadline: int, height: int) -> list[int]:
-    return [total, vm_hash_int(preimage), deadline, height, preimage]
+    return [total, hash_int(preimage), deadline, height, preimage]

@@ -70,7 +70,6 @@ class TxBase(WireRecord):
         return self._encode("zero")
 
 
-@dataclass(frozen=True)
 class Spend(TxBase):
     sender: Bytes32
     recipient: Bytes32
@@ -81,7 +80,6 @@ class Spend(TxBase):
     TAG = 0
 
 
-@dataclass(frozen=True)
 class ContractCreate(TxBase):
     owner: Bytes32
     code: Record[Program]
@@ -97,7 +95,6 @@ class ContractCreate(TxBase):
     TAG = 1
 
 
-@dataclass(frozen=True)
 class ContractCall(TxBase):
     caller: Bytes32
     contract: Bytes32
@@ -111,7 +108,6 @@ class ContractCall(TxBase):
     TAG = 2
 
 
-@dataclass(frozen=True)
 class DataOnly(TxBase):
     sender: Bytes32
     payload: Blob
@@ -121,7 +117,6 @@ class DataOnly(TxBase):
     TAG = 3
 
 
-@dataclass(frozen=True)
 class NameClaim(TxBase):
     owner: Bytes32
     name: Text
@@ -132,7 +127,6 @@ class NameClaim(TxBase):
     TAG = 4
 
 
-@dataclass(frozen=True)
 class AccountDelete(TxBase):
     sender: Bytes32
     target: Bytes32
@@ -142,7 +136,6 @@ class AccountDelete(TxBase):
     TAG = 5
 
 
-@dataclass(frozen=True)
 class ChannelOpen(TxBase):
     party_a: Bytes32
     party_b: Bytes32
@@ -155,7 +148,6 @@ class ChannelOpen(TxBase):
     TAG = 6
 
 
-@dataclass(frozen=True)
 class _ChannelTx(TxBase):
     """The wire shape the four channel-settling kinds share. A ChannelClose
     with no ``state`` settles at the original deposits; ChannelFinalize
@@ -170,27 +162,22 @@ class _ChannelTx(TxBase):
     sig: Sig = ZERO_SIG
 
 
-@dataclass(frozen=True)
 class ChannelCloseCoop(_ChannelTx):
     TAG = 7
 
 
-@dataclass(frozen=True)
 class ChannelClose(_ChannelTx):
     TAG = 8
 
 
-@dataclass(frozen=True)
 class ChannelChallenge(_ChannelTx):
     TAG = 9
 
 
-@dataclass(frozen=True)
 class ChannelFinalize(_ChannelTx):
     TAG = 10
 
 
-@dataclass(frozen=True)
 class OracleRegister(TxBase):
     asker: Bytes32
     question_hash: Bytes32
@@ -202,7 +189,6 @@ class OracleRegister(TxBase):
     TAG = 11
 
 
-@dataclass(frozen=True)
 class OracleAnswer(TxBase):
     sender: Bytes32
     question_id: Bytes32
@@ -213,7 +199,6 @@ class OracleAnswer(TxBase):
     TAG = 12
 
 
-@dataclass(frozen=True)
 class OracleCounter(TxBase):
     sender: Bytes32
     question_id: Bytes32
@@ -223,7 +208,6 @@ class OracleCounter(TxBase):
     TAG = 13
 
 
-@dataclass(frozen=True)
 class OracleVote(TxBase):
     sender: Bytes32
     question_id: Bytes32
@@ -234,7 +218,6 @@ class OracleVote(TxBase):
     TAG = 14
 
 
-@dataclass(frozen=True)
 class OracleResolve(TxBase):
     sender: Bytes32
     question_id: Bytes32
@@ -244,7 +227,6 @@ class OracleResolve(TxBase):
     TAG = 15
 
 
-@dataclass(frozen=True)
 class StorageCreate(TxBase):
     payer: Bytes32
     provider: Bytes32
@@ -260,7 +242,6 @@ class StorageCreate(TxBase):
     TAG = 16
 
 
-@dataclass(frozen=True)
 class StorageProof(TxBase):
     sender: Bytes32             # the provider claiming the reward
     contract_id: Bytes32
@@ -272,7 +253,6 @@ class StorageProof(TxBase):
     TAG = 17
 
 
-@dataclass(frozen=True)
 class StorageClose(TxBase):
     sender: Bytes32
     contract_id: Bytes32
@@ -282,7 +262,6 @@ class StorageClose(TxBase):
     TAG = 18
 
 
-@dataclass(frozen=True)
 class AzCreate(TxBase):
     owner: Bytes32
     join_price: U64
@@ -292,7 +271,6 @@ class AzCreate(TxBase):
     TAG = 19
 
 
-@dataclass(frozen=True)
 class AzJoin(TxBase):
     sender: Bytes32
     az_id: Bytes32
@@ -302,7 +280,6 @@ class AzJoin(TxBase):
     TAG = 20
 
 
-@dataclass(frozen=True)
 class AzRefer(TxBase):
     sender: Bytes32
     user: Bytes32
@@ -313,7 +290,6 @@ class AzRefer(TxBase):
     TAG = 21
 
 
-@dataclass(frozen=True)
 class EpochTx(TxBase):
     """System transaction applied at epoch boundary blocks; unsigned."""
 
@@ -344,20 +320,10 @@ def encode_tx(tx) -> bytes:
     return tx.encode()
 
 
-def tx_hash(tx) -> bytes:
-    """hash256 of the wire bytes, kept on the frozen tx after the first call."""
-    try:
-        return tx._hash
-    except AttributeError:
-        digest = hash256(encode_tx(tx))
-        object.__setattr__(tx, "_hash", digest)
-        return digest
-
-
 def decode_tx(data: bytes):
     """The tx that ``data`` encodes. Decoding is canonical (``encode_tx``
     of the result is ``data``), so the tx keeps ``hash256(data)`` as its
-    hash and is never re-encoded to get it."""
+    ``digest()`` and is never re-encoded to get it."""
     r = Reader(data)
     tag = r.u8()
     cls = _BY_TAG.get(tag)
@@ -365,7 +331,7 @@ def decode_tx(data: bytes):
         raise CodecError(f"unknown tx tag {tag}")
     tx = cls.read(r)
     r.expect_end()
-    object.__setattr__(tx, "_hash", hash256(data))
+    object.__setattr__(tx, "_digest", hash256(data))
     return tx
 
 
@@ -413,7 +379,7 @@ def check_tx(state: ChainState, tx) -> None:
     if isinstance(tx, EpochTx):
         return  # system txs carry no envelope; apply_epoch validates them
     try:
-        tx_hash(tx)  # encoding runs every range check; a decoded tx passed them on decode
+        tx.digest()  # encoding runs every range check; a decoded tx passed them on decode
     except (CodecError, LedgerError) as exc:
         raise TxError("BadFormat", str(exc)) from exc
     if isinstance(tx, GAS_KINDS):
@@ -630,7 +596,7 @@ def apply_tx(state: ChainState, tx, ctx: ApplyCtx) -> Receipt:
 
 
 def _apply_checked(state: ChainState, tx, ctx: ApplyCtx) -> Receipt:
-    this_hash = tx_hash(tx)
+    this_hash = tx.digest()
     if isinstance(tx, EpochTx):
         if ctx.height == 0 or ctx.height % state.cfg.blocks_per_epoch != 0:
             raise TxError("BadFormat", f"epoch tx at non-boundary height {ctx.height}")
@@ -707,7 +673,7 @@ def _execute(state: ChainState, txs, miner: bytes, height: int, prev_hash: bytes
             continue
         included.append(tx)
     commitments = dict(
-        tx_root=tree_root([tx_hash(t) for t in included]),
+        tx_root=tree_root([t.digest() for t in included]),
         proof_root=tree_root([hash256(leaf) for leaf in ctx.proof_leaves]),
         **state_roots(work),
     )
@@ -767,7 +733,7 @@ def build_block(
 def _mempool_order(tx):
     size = len(encode_tx(tx))
     density = Fraction(effective_fee(tx), size) if size else Fraction(0)
-    return (-density, tx_hash(tx))
+    return (-density, tx.digest())
 
 
 def genesis_block(cfg) -> tuple[ChainState, Block]:

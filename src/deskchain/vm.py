@@ -78,7 +78,6 @@ def _read_op(r: Reader) -> Instr:
 Op = Annotated[Instr, FieldCodec(_write_op, _read_op)]
 
 
-@dataclass(frozen=True)
 class Program(WireRecord):
     vm_version: U8
     instructions: Seq[Op]
@@ -93,7 +92,7 @@ class Program(WireRecord):
         return any(i.op in ENV_OPS for i in self.instructions)
 
     def code_hash(self) -> bytes:
-        return hash256(self.encode())
+        return self.digest()
 
 
 def assemble(text: str) -> Program:
@@ -112,6 +111,13 @@ def assemble(text: str) -> Program:
             raise LedgerError("BadFormat", f"asm line {line_no}: bad operands")
         instrs.append(Instr(op, int(parts[1], 10)) if wants_arg else Instr(op))
     return Program(1, tuple(instrs))
+
+
+def hash_int(x: int) -> int:
+    """The HASH instruction: the first 8 bytes of hash256 of ``x``, both as
+    big-endian signed 64-bit integers."""
+    digest = hash256(x.to_bytes(8, "big", signed=True))
+    return int.from_bytes(digest[:8], "big", signed=True)
 
 
 class VmEnv:
@@ -233,8 +239,7 @@ def execute(
                 cond, t, f = pop(), pop(), pop()
                 push(t if cond != 0 else f)
             elif op == "HASH":
-                digest = hash256(pop().to_bytes(8, "big", signed=True))
-                push(int.from_bytes(digest[:8], "big", signed=True))
+                push(hash_int(pop()))
             elif op == "SIGOK":
                 b, a = pop(), pop()
                 push(1 if env.sig_ok(a, b) else 0)

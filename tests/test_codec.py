@@ -297,6 +297,43 @@ def _encodable(cls):
     return record
 
 
+def test_a_record_subclass_needs_no_decorator():
+    # WireRecord makes each subclass a frozen dataclass of its annotated fields
+    import dataclasses
+
+    from deskchain.codec import U64, Bytes32, Maybe, WireRecord
+
+    class Pair(WireRecord):
+        left: U64
+        right: Bytes32
+        extra: Maybe[U64] = None
+
+    a = Pair(1, b"\x02" * 32)
+    assert a == Pair(left=1, right=b"\x02" * 32, extra=None) and a != Pair(1, b"\x02" * 32, 3)
+    assert hash(a) == hash(Pair(1, b"\x02" * 32))
+    assert repr(a).endswith(f".Pair(left=1, right={a.right!r}, extra=None)")
+    assert [f.name for f in dataclasses.fields(Pair)] == [name for name, _ in Pair._FIELDS]
+    assert Pair.decode(a.encode()) == a and Pair.decode(Pair(7, a.right, 9).encode()).extra == 9
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.left = 2
+    assert dataclasses.replace(a, left=2) == Pair(2, a.right)
+
+
+def test_a_record_digest_is_the_hash_of_its_encoding_kept_once():
+    from deskchain.crypto import hash256
+
+    classes = _wire_record_classes()
+    assert len(classes) >= 40
+    for cls in classes:
+        record = _encodable(cls)
+        digest = record.digest()
+        assert digest == hash256(record.encode()), cls.__name__
+        assert record.digest() is digest, cls.__name__  # kept, not recomputed
+        for name in ("block_hash", "code_hash"):  # BlockHeader's and Program's names for it
+            if callable(getattr(cls, name, None)):
+                assert getattr(record, name)() == digest, cls.__name__
+
+
 def _bad_values(hint):
     from deskchain import codec
 

@@ -39,6 +39,17 @@ def test_readme_config_keys_are_the_keys_parse_config_accepts():
     ("sim.latency_min = -5", "sim.latency_min = 0"),
     ("sim.latency_min = 3", "sim.latency_min = 2"),  # net.cfg sets sim.latency_max = 2
     ("sim.latency_max = 0", "sim.latency_max = 1"),  # under net.cfg's sim.latency_min = 1
+    ("channel.countdown_blocks = 0", "channel.countdown_blocks = 1"),
+    ("oracle.vote_window = -3", "oracle.vote_window = 1"),
+    ("oracle.vote_window = 0", "oracle.vote_window = 1"),
+    ("oracle.challenge_window = -1", "oracle.challenge_window = 0"),
+    ("vm.pure_gas = -1", "vm.pure_gas = 1"),
+    ("vm.pure_gas = 0", "vm.pure_gas = 1"),
+    ("vm.pure_space = -1", "vm.pure_space = 1"),
+    ("vm.pure_space = 0", "vm.pure_space = 1"),
+    ("sim.drop_rate = 2", "sim.drop_rate = 1"),
+    ("sim.drop_rate = 11/10", "sim.drop_rate = 1"),
+    ("sim.drop_rate = -1/2", "sim.drop_rate = 0"),
 ])
 def test_a_value_a_later_command_cannot_run_with_is_rejected_at_its_line(bad, least):
     with open(os.path.join(REPO_ROOT, "scenarios", "net.cfg"), encoding="utf-8") as fh:

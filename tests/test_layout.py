@@ -1,6 +1,7 @@
 """Every top-level name in ``src/deskchain`` serves the program, not only the
 tests: some file under ``src/``, ``scripts/`` or ``perfbench/`` refers to it
-outside its own definition (a use, an attribute access or an import)."""
+outside its own definition (a use, an attribute access or an import). A
+package ``__init__.py`` that re-exports a name does not use it."""
 import ast
 import os
 from collections import Counter
@@ -8,8 +9,9 @@ from collections import Counter
 from conftest import REPO_ROOT
 
 # protocol functions only tests call today: the light client's proof check,
-# the compute spot check, and the pinned edge derivation
-KEPT_FOR_TESTS = {"verify_light", "spot_check", "derive_edge"}
+# the compute spot check, the pinned edge derivation, and the paper's
+# semi-Markov return approximation
+KEPT_FOR_TESTS = {"verify_light", "spot_check", "derive_edge", "discounted_return"}
 
 
 def _references(node) -> Counter:
@@ -46,7 +48,9 @@ def test_no_name_in_src_is_referenced_only_by_tests():
                     with open(path, encoding="utf-8") as fh:
                         trees[path] = ast.parse(fh.read(), path)
     everywhere = Counter()
-    for tree in trees.values():
+    for path, tree in trees.items():
+        if os.path.basename(path) == "__init__.py":
+            tree = ast.Module([n for n in tree.body if not isinstance(n, ast.ImportFrom)], [])
         everywhere.update(_references(tree))
     package = os.path.join(REPO_ROOT, "src", "deskchain")
     unreferenced = {

@@ -11,8 +11,7 @@ from hypothesis import given, settings, strategies as st
 from deskchain.errors import LedgerError
 from deskchain.optimizer import (
     DeviceGroupMdp, QTable, ReturnParams, TreeFactorGraph, bp_marginals,
-    discounted_return, greedy_policy, q_update, sarsa_update, train,
-    value_iteration,
+    discounted_return, greedy_policy, train, value_iteration,
 )
 from deskchain.optimizer.files import parse_factor_graph, parse_mdp
 from deskchain.optimizer.mdp import MAX_JOINT_PAIRS, MAX_JOINT_STATES, three_state_fixture
@@ -652,6 +651,26 @@ def _reference_step(mdp, rng, state, action):
                 break
         nxt.append(pick)
     return tuple(nxt), r
+
+
+# the single-step update rules on a QTable: SARSA bootstraps on the action
+# taken next, Q-learning on the greedy maximum
+def max_q(q, s, actions):
+    return max(q.get(s, a) for a in actions)
+
+
+def sarsa_update(q, s, a, r, s2, a2, alpha=None):
+    step = q.alpha if alpha is None else alpha
+    delta = r + q.gamma_d * q.get(s2, a2) - q.get(s, a)
+    q.set(s, a, q.get(s, a) + step * delta)
+    return q
+
+
+def q_update(q, s, a, r, s2, actions, alpha=None):
+    step = q.alpha if alpha is None else alpha
+    delta = r + q.gamma_d * max_q(q, s2, actions) - q.get(s, a)
+    q.set(s, a, q.get(s, a) + step * delta)
+    return q
 
 
 def _reference_train(mdp, q, episodes, seed, mode, steps_per_episode, epsilon_schedule):
