@@ -108,13 +108,12 @@ def sign_state(ss: SignedState, keypair, side: str) -> SignedState:
 class ChannelEndpoint:
     """One holder's durable view of one channel: the doubly signed states in
     nonce order and the programs they name. A simulated party keeps its
-    ``side`` and a volatile half-signed ``pending`` proposal; the CLI's state
-    directory holds both parties' keys and leaves ``side`` unset."""
+    ``side``; the CLI's state directory holds both parties' keys and leaves
+    ``side`` unset."""
 
     channel_id: bytes
     side: str | None = None  # "a" or "b"
     history: list[SignedState] = field(default_factory=list)
-    pending: SignedState | None = None
     programs: dict[bytes, Program] = field(default_factory=dict)
 
     def latest(self) -> SignedState | None:

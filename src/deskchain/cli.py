@@ -55,16 +55,14 @@ def _load(sd: StateDir) -> Node:
 
 
 def _submit(sd: StateDir, node: Node, t) -> None:
-    state = node.state
     # refuse transactions that would revert against the next block; mined
     # blocks still honor fee-paying reverts, this is purely front-end care
-    probe_ctx = txmod.ApplyCtx(
-        miner=txmod.tx_sender(t), height=state.height + 1, prev_block_hash=node.header.block_hash(),
-    )
-    receipt = txmod.apply_tx(state.clone(), t, probe_ctx)
+    probe = node.state.clone()
+    probe.height += 1
+    receipt = txmod.apply_tx(probe, t, txmod.tx_sender(t), node.header.block_hash())
     if receipt.status == txmod.REVERTED:
         raise DeskchainError(f"transaction would revert: {receipt.reason}")
-    sd.add_to_mempool(t)
+    sd.write_mempool([*node.mempool.values(), t])
     print(f"tx={t.digest().hex()}")
 
 

@@ -136,6 +136,8 @@ _AMOUNT_KEYS = {
     "genesis.endowment": "genesis_endowment",
 }
 
+# rates in [0, 1]: a learning rate or discount outside it moves the
+# pool's Q away from its target, a drop rate outside it is no probability
 _FRACTION_KEYS = {
     "pool.alpha": "pool_alpha",
     "pool.mu": "pool_mu",
@@ -167,8 +169,8 @@ def parse_config(text: str) -> NetworkConfig:
                 updates[_AMOUNT_KEYS[key]] = parse_amount(value)
             elif key in _FRACTION_KEYS:
                 updates[_FRACTION_KEYS[key]] = f = parse_fraction(value)
-                if key == "sim.drop_rate" and not 0 <= f <= 1:
-                    raise ConfigError(f"sim.drop_rate must be in [0, 1], got {f}")
+                if not 0 <= f <= 1:
+                    raise ConfigError(f"{key} must be in [0, 1], got {f}")
             elif key == "pow.target_hex":
                 target = bytes.fromhex(value)
                 if len(target) != 32:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-HASH_SIZE = 32
 SIG_SIZE = 64
 ADDRESS_SIZE = 32
 

@@ -168,20 +168,19 @@ def verify_light(headers: list[BlockHeader], tx_bytes: bytes, proof: MerkleProof
 
 def charge_maintenance(
     account: Account, current_height: int, rate_per_block: int
-) -> tuple[Account, int, int]:
-    """Lazy per-block fee since last touch.
+) -> tuple[Account, int]:
+    """Lazy per-block fee since last touch, floored at the balance.
 
-    Returns (updated account, collected, shortfall). Collected goes to burn
-    accounting; shortfall is the uncollectable part of the charge.
+    Returns (updated account, collected); collected goes to burn accounting.
     """
     if current_height < account.freshness:
         raise LedgerError("BadHeight", "maintenance into the past")
     if current_height == account.freshness:
-        return account, 0, 0  # the same record, which keeps its cached digest
+        return account, 0  # the same record, which keeps its cached digest
     charge = rate_per_block * (current_height - account.freshness)
     collected = min(account.balance, charge)
     updated = Account(
         account.address, account.balance - collected, account.counter, current_height,
         account.kind, account.code_hash,
     )
-    return updated, collected, charge - collected
+    return updated, collected

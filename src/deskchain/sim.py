@@ -250,7 +250,6 @@ class Simulation:
         endpoint = self.endpoint_for(node, channel_id)
         unsigned = endpoint.propose(channel, balances, contract, contract_state)
         half = channels.sign_state(unsigned, node.keypair, endpoint.side)
-        endpoint.pending = half
         peer = channel.party_b if endpoint.side == "a" else channel.party_a
         peer_name = self._name_of(peer)
         payload = (channel_id, half.encode(), contract.encode() if contract else b"")
@@ -289,8 +288,6 @@ class Simulation:
         if channel is None or not channels.state_sigs_ok(channel, full):
             self.log(node.name, "chan_ignore", reason="bad_ack")
             return
-        endpoint = self.endpoint_for(node, channel_id)
-        endpoint.pending = None
         self._register_signed(node, full)
         self.log(node.name, "chan_ack", chan=channel_id.hex()[:16], nonce=full.nonce)
 
@@ -458,8 +455,6 @@ class Simulation:
         if cmd == "crash":
             node.online = False
             node.mempool.clear()
-            for endpoint in node.endpoints.values():
-                endpoint.pending = None  # volatile half-signed state is lost
             self.log(node.name, "crash")
             return
         if cmd == "restart":

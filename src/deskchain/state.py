@@ -266,7 +266,7 @@ class ChainState:
 
     def _maintain(self, address: bytes, height: int) -> Account:
         account = self.accounts[address]
-        updated, collected, _ = charge_maintenance(account, height, self.cfg.maintenance_rate)
+        updated, collected = charge_maintenance(account, height, self.cfg.maintenance_rate)
         if collected:
             self.burned_total += collected
         if updated is not account:

@@ -135,11 +135,6 @@ class StateDir:
             parts.append(len(enc).to_bytes(4, "big") + enc)
         _write_atomic(self.path("mempool.bin"), b"".join(parts))
 
-    def add_to_mempool(self, t) -> None:
-        txs = self.mempool()
-        txs.append(t)
-        self.write_mempool(txs)
-
     # --- channel endpoints ---
 
     def channel_states(self, channel_id: bytes) -> tuple[list[SignedState], dict[bytes, Program]]:

@@ -4,14 +4,15 @@ Data is chunked and committed as a Merkle root. Every
 challenge_period_n blocks the previous block hash picks one chunk index;
 a provider earns reward_per_proof for a verified possession proof of that
 exact chunk. Retrieval is priced per started 64 KiB unit and paid through
-superseding channel updates.
+superseding channel updates. A block's ``proof_root`` commits one
+``ProofLeaf`` per possession proof it applied.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .codec import U64, Bytes32, Flag, WireRecord
+from .codec import U32, U64, Bytes32, Flag, WireRecord
 from .crypto import hash256
 from .errors import LedgerError
 from .merkle import MerkleProof, merkle_root, merkle_verify
@@ -31,6 +32,16 @@ class StorageContract(WireRecord):
     escrow: U64
     last_paid_height: U64 = 0
     closed: Flag = False
+
+
+class ProofLeaf(WireRecord):
+    """One paid possession proof: the chunk index proved for a contract at
+    a height, and the hash of the chunk shown."""
+
+    contract_id: Bytes32
+    height: U64
+    leaf_index: U32
+    chunk_hash: Bytes32
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ Application follows a six-step discipline: (1) format/signature/counter
 checks, (2) escrow of deposit+fee+amount, (3) fee = gas*gas_price deducted
 and the counter bumped, (4) value moved and contract code run, (5) on
 failure everything is rolled back except the fee, which the miner keeps,
-(6) on success unused gas is refunded at gas_price.
+(6) on success unused gas is refunded at gas_price. ``apply_tx`` reads the
+height from ``ChainState.height`` and takes as plain arguments the miner the
+fee credits and the parent block hash a storage challenge is drawn from.
 
 check_tx failures make a transaction inapplicable (an honest miner never
 includes it; a block carrying one is invalid). Failures after that point
@@ -13,20 +15,20 @@ include transactions without simulating their full outcome.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import channels, oracles, pow, rewards, storage
 from .channels import SignedState
 from .codec import (
-    U8, U64, Blob, Bytes32, Flag, I64s, OptionalRecord, Reader, Record, Sig, Text, WireRecord, Writer,
+    U8, U64, Blob, Bytes32, Flag, I64s, OptionalRecord, Reader, Record, Sig, Text, WireRecord,
 )
-from .crypto import HASH_SIZE, ZERO32, ZERO_SIG, hash256, verify_sig
+from .crypto import ZERO32, ZERO_SIG, hash256, verify_sig
 from .errors import BlockError, CodecError, LedgerError, TxError
 from .ledger import Account, Block, BlockHeader, CONTRACT, NameRecord, expected_entropy
 from .merkle import MerkleProof, tree_root
 from .state import ChainState
-from .vm import HALTED, Program, VmEnv, execute
+from .vm import HALTED, Program, execute
 
 APPLIED = "applied"
 REVERTED = "reverted"
@@ -41,15 +43,14 @@ class Receipt:
     tx_hash: bytes
     status: str
     gas_used: int
-    fee_paid: int
-    miner_credit: int
+    fee_paid: int  # the miner's credit too
     reason: str = ""  # revert diagnostics; not part of any commitment
 
     def render(self) -> str:
         tail = f" reason={self.reason}" if self.reason else ""
         return (
             f"tx={self.tx_hash.hex()} status={self.status} "
-            f"gas_used={self.gas_used} fee={self.fee_paid} miner={self.miner_credit}{tail}"
+            f"gas_used={self.gas_used} fee={self.fee_paid} miner={self.fee_paid}{tail}"
         )
 
 
@@ -424,22 +425,14 @@ def check_tx(state: ChainState, tx) -> None:
 # --- application -------------------------------------------------------
 
 
-@dataclass
-class ApplyCtx:
-    miner: bytes
-    height: int
-    prev_block_hash: bytes = ZERO32
-    proof_leaves: list = field(default_factory=list)
-
-
 def _register_program(state: ChainState, program: Program | None) -> None:
     if program is not None:
         state.code[program.code_hash()] = program
 
 
-def _apply_inner(state: ChainState, tx, ctx: ApplyCtx) -> int:
+def _apply_inner(state: ChainState, tx, prev_hash: bytes) -> int:
     """Kind-specific value movement. Returns VM gas used (0 for non-VM)."""
-    height, cfg = ctx.height, state.cfg
+    height, cfg = state.height, state.cfg
     if isinstance(tx, Spend):
         state.debit(tx.sender, tx.amount, height)
         state.credit(tx.recipient, tx.amount, height)
@@ -455,8 +448,8 @@ def _apply_inner(state: ChainState, tx, ctx: ApplyCtx) -> int:
             code_hash=code_hash,
         )
         state.code[code_hash] = tx.code
-        env = _call_env(state, tx.owner, address)
-        result = execute(tx.code, list(tx.call_data), env, tx.gas, cfg.pure_space)
+        balance_of = _call_env(state, tx.owner, address)
+        result = execute(tx.code, list(tx.call_data), balance_of, tx.gas, cfg.pure_space)
         if result.status != HALTED:
             raise LedgerError(result.status)
         return result.gas_used
@@ -468,8 +461,8 @@ def _apply_inner(state: ChainState, tx, ctx: ApplyCtx) -> int:
             program = state.code.get(target.code_hash)
             if program is None:
                 raise LedgerError("BadFormat", "contract code missing from store")
-            env = _call_env(state, tx.caller, tx.contract)
-            result = execute(program, list(tx.call_data), env, tx.gas, cfg.pure_space)
+            balance_of = _call_env(state, tx.caller, tx.contract)
+            result = execute(program, list(tx.call_data), balance_of, tx.gas, cfg.pure_space)
             if result.status != HALTED:
                 raise LedgerError(result.status)
             return result.gas_used
@@ -540,17 +533,7 @@ def _apply_inner(state: ChainState, tx, ctx: ApplyCtx) -> int:
         )
         return 0
     if isinstance(tx, StorageProof):
-        storage.prove_and_pay(
-            state, tx.contract_id, tx.chunk, tx.proof, height, ctx.prev_block_hash
-        )
-        ctx.proof_leaves.append(
-            Writer()
-            .fixed(tx.contract_id, HASH_SIZE)
-            .u64(height)
-            .u32(tx.proof.leaf_index)
-            .fixed(hash256(tx.chunk), HASH_SIZE)
-            .done()
-        )
+        storage.prove_and_pay(state, tx.contract_id, tx.chunk, tx.proof, height, prev_hash)
         return 0
     if isinstance(tx, StorageClose):
         storage.close_contract(state, tx.contract_id, tx.sender, height)
@@ -567,17 +550,20 @@ def _apply_inner(state: ChainState, tx, ctx: ApplyCtx) -> int:
     raise LedgerError("BadFormat", f"unhandled tx kind {type(tx).__name__}")
 
 
-def _call_env(state: ChainState, caller: bytes, contract: bytes) -> VmEnv:
+def _call_env(state: ChainState, caller: bytes, contract: bytes):
+    """BALANCE's view: handle 0 is the caller, 1 the contract, others hold 0."""
+
     def balance_of(handle: int) -> int:
         address = {0: caller, 1: contract}.get(handle)
         account = state.accounts.get(address) if address else None
         return account.balance if account else 0
 
-    return VmEnv(balance_of=balance_of, sig_ok=None)
+    return balance_of
 
 
-def apply_tx(state: ChainState, tx, ctx: ApplyCtx) -> Receipt:
-    """Mutates state; raises TxError if the transaction is inapplicable.
+def apply_tx(state: ChainState, tx, miner: bytes, prev_hash: bytes) -> Receipt:
+    """Apply ``tx`` at ``state.height`` in a block ``miner`` mines on ``prev_hash``;
+    mutates state and raises TxError if the transaction is inapplicable.
 
     Transactional: on any raise the state is exactly as it was, so callers
     may probe candidates and skip failures without replay divergence. The
@@ -587,7 +573,7 @@ def apply_tx(state: ChainState, tx, ctx: ApplyCtx) -> Receipt:
     check_tx(state, tx)
     start = state.savepoint()
     try:
-        return _apply_checked(state, tx, ctx)
+        return _apply_checked(state, tx, miner, prev_hash)
     except Exception:
         state.rollback(start)
         raise
@@ -595,17 +581,17 @@ def apply_tx(state: ChainState, tx, ctx: ApplyCtx) -> Receipt:
         state.release(start)
 
 
-def _apply_checked(state: ChainState, tx, ctx: ApplyCtx) -> Receipt:
+def _apply_checked(state: ChainState, tx, miner: bytes, prev_hash: bytes) -> Receipt:
     this_hash = tx.digest()
+    height = state.height
     if isinstance(tx, EpochTx):
-        if ctx.height == 0 or ctx.height % state.cfg.blocks_per_epoch != 0:
-            raise TxError("BadFormat", f"epoch tx at non-boundary height {ctx.height}")
-        rewards.apply_epoch(state, tx.report, ctx.height, state.cfg)
-        return Receipt(this_hash, APPLIED, 0, 0, 0)
+        if height == 0 or height % state.cfg.blocks_per_epoch != 0:
+            raise TxError("BadFormat", f"epoch tx at non-boundary height {height}")
+        rewards.apply_epoch(state, tx.report, height, state.cfg)
+        return Receipt(this_hash, APPLIED, 0, 0)
 
     sender = tx_sender(tx)
     fee = effective_fee(tx)
-    height = ctx.height
 
     state.touch(sender, height)
     if state.accounts[sender].balance < fee:
@@ -614,25 +600,24 @@ def _apply_checked(state: ChainState, tx, ctx: ApplyCtx) -> Receipt:
     state.accounts[sender] = Account(
         sender, payer.balance, tx.counter, payer.freshness, payer.kind, payer.code_hash
     )
-    state.credit(ctx.miner, fee, height)
+    state.credit(miner, fee, height)
     charged = state.savepoint()  # a revert keeps the fee and the counter bump
     try:
-        gas_used = _apply_inner(state, tx, ctx)
+        gas_used = _apply_inner(state, tx, prev_hash)
     except LedgerError as exc:
         if exc.code in NON_REVERTIBLE:
             raise
         state.rollback(charged)
         reverted_gas = tx.gas if isinstance(tx, GAS_KINDS) else 0
-        return Receipt(this_hash, REVERTED, reverted_gas, fee, fee, exc.code)
+        return Receipt(this_hash, REVERTED, reverted_gas, fee, exc.code)
 
     if isinstance(tx, GAS_KINDS):
         refund = (tx.gas - gas_used) * tx.gas_price
         if refund:
-            state.debit(ctx.miner, refund, height)
+            state.debit(miner, refund, height)
             state.credit(sender, refund, height)
-        net = gas_used * tx.gas_price
-        return Receipt(this_hash, APPLIED, gas_used, net, net)
-    return Receipt(this_hash, APPLIED, gas_used, fee, fee)
+        return Receipt(this_hash, APPLIED, gas_used, gas_used * tx.gas_price)
+    return Receipt(this_hash, APPLIED, gas_used, fee)
 
 
 # --- blocks ------------------------------------------------------------
@@ -655,26 +640,31 @@ def _execute(state: ChainState, txs, miner: bytes, height: int, prev_hash: bytes
     An inapplicable tx (a ``LedgerError``, or a ``CodecError`` raised while
     applying) makes a ``strict`` caller, the validator, reject the block
     with ``BadTx``; the miner drops the tx instead. Returns the new state,
-    the txs applied, their receipts and the header's commitment fields.
+    the txs applied, their receipts and the header's commitment fields;
+    ``proof_root`` commits a ``storage.ProofLeaf`` per applied StorageProof.
     """
     work = state.clone()
     work.height = height
-    ctx = ApplyCtx(miner=miner, height=height, prev_block_hash=prev_hash)
     included: list = []
     receipts: list[Receipt] = []
     if height > 0:
         work.mint(miner, pow.coinbase(height, state.cfg), height)
     for tx in txs:
         try:
-            receipts.append(apply_tx(work, tx, ctx))
+            receipts.append(apply_tx(work, tx, miner, prev_hash))
         except (LedgerError, CodecError) as exc:
             if strict:
                 raise BlockError("BadTx", f"{exc}") from exc
             continue
         included.append(tx)
+    proved = [
+        storage.ProofLeaf(t.contract_id, height, t.proof.leaf_index, hash256(t.chunk)).digest()
+        for t, r in zip(included, receipts)
+        if isinstance(t, StorageProof) and r.status == APPLIED
+    ]
     commitments = dict(
         tx_root=tree_root([t.digest() for t in included]),
-        proof_root=tree_root([hash256(leaf) for leaf in ctx.proof_leaves]),
+        proof_root=tree_root(proved),
         **state_roots(work),
     )
     return work, included, receipts, commitments

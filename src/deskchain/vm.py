@@ -1,16 +1,17 @@
 """Deterministic stack machine with dual metering.
 
-Every instruction costs exactly one gas unit; space is the running maximum
-of stack depth plus occupied store cells and is a hard limit rather than a
-priced resource. Values are 64-bit signed integers; any overflow, bad
-division, or stack underflow traps the run with status "failed". The
-machine is a pure function of its inputs: balance views are read-only and
-results are returned, never applied.
+Every instruction costs exactly one gas unit; space, the stack depth plus
+occupied store cells, is a hard limit rather than a priced resource.
+Values are 64-bit signed integers; any overflow, bad division, or stack
+underflow traps the run with status "failed". The machine is a pure
+function of its inputs: the one chain view, BALANCE's ``balance_of``, is
+read-only, and results are returned, never applied. SIGOK is a reserved
+opcode with no signature view behind it, so it always traps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Annotated
+from dataclasses import dataclass
+from typing import Annotated, Callable
 
 from .codec import I64_MAX, I64_MIN, U8, FieldCodec, Reader, Seq, WireRecord, Writer
 from .errors import CodecError, LedgerError, VmFailure
@@ -120,31 +121,11 @@ def hash_int(x: int) -> int:
     return int.from_bytes(digest[:8], "big", signed=True)
 
 
-class VmEnv:
-    """Read-only chain views handed to on-chain contract runs."""
-
-    def __init__(self, balance_of=None, sig_ok=None):
-        self._balance_of = balance_of
-        self._sig_ok = sig_ok
-
-    def balance(self, handle: int) -> int:
-        if self._balance_of is None:
-            raise VmFailure(FAILED, "no balance view in this context")
-        return self._balance_of(handle)
-
-    def sig_ok(self, a: int, b: int) -> bool:
-        if self._sig_ok is None:
-            raise VmFailure(FAILED, "no signature view in this context")
-        return self._sig_ok(a, b)
-
-
 @dataclass(frozen=True)
 class VmResult:
     status: str
-    stack_top: int | None
     gas_used: int
-    space_peak: int
-    stack: tuple[int, ...] = field(default=(), repr=False)
+    stack: tuple[int, ...]
 
 
 class _Trap(Exception):
@@ -154,15 +135,15 @@ class _Trap(Exception):
 def execute(
     program: Program,
     call_data: list[int],
-    env: VmEnv | None,
+    balance_of: Callable[[int], int] | None,
     gas_limit: int,
     space_limit: int,
 ) -> VmResult:
-    env = env or VmEnv()
+    """Run ``program`` on ``call_data`` pushed in order. BALANCE reads
+    ``balance_of(handle)``; with ``balance_of=None`` it traps."""
     stack: list[int] = []
     store: dict[int, int] = {}
     gas_used = 0
-    space_peak = 0
 
     def check_range(v: int) -> int:
         if not I64_MIN <= v <= I64_MAX:
@@ -178,21 +159,14 @@ def execute(
         return stack.pop()
 
     def result(status: str) -> VmResult:
-        return VmResult(
-            status=status,
-            stack_top=stack[-1] if stack else None,
-            gas_used=gas_used,
-            space_peak=space_peak,
-            stack=tuple(stack),
-        )
+        return VmResult(status, gas_used, tuple(stack))
 
     try:
         for v in call_data:
             push(v)
     except _Trap:
         return result(FAILED)
-    space_peak = len(stack)
-    if space_peak > space_limit:
+    if len(stack) > space_limit:
         return result(OUT_OF_SPACE)
 
     for ins in program.instructions:
@@ -241,10 +215,11 @@ def execute(
             elif op == "HASH":
                 push(hash_int(pop()))
             elif op == "SIGOK":
-                b, a = pop(), pop()
-                push(1 if env.sig_ok(a, b) else 0)
+                raise _Trap("no signature view")
             elif op == "BALANCE":
-                push(env.balance(pop()))
+                if balance_of is None:
+                    raise _Trap("no balance view")
+                push(balance_of(pop()))
             elif op == "STORE":
                 store[ins.arg] = pop()
             elif op == "LOAD":
@@ -253,20 +228,14 @@ def execute(
                 return result(HALTED)
             elif op == "FAIL":
                 return result(FAILED)
-        except (_Trap, VmFailure):
+        except _Trap:
             return result(FAILED)
-        space_peak = max(space_peak, len(stack) + len(store))
         if len(stack) + len(store) > space_limit:
             return result(OUT_OF_SPACE)
     return result(HALTED)  # fell off the end of the code
 
 
-def eval_pure(
-    program: Program,
-    state_in: list[int],
-    gas_limit: int = 100_000,
-    space_limit: int = 4_096,
-) -> list[int]:
+def eval_pure(program: Program, state_in: list[int], gas_limit: int, space_limit: int) -> list[int]:
     """Channel-contract evaluation: state in on the stack, final stack out.
 
     Raises VmFailure unless the run halts cleanly; contracts that peek at

@@ -5,7 +5,7 @@ import pytest
 from deskchain.config import NetworkConfig, parse_config
 from deskchain.crypto import KeyPair
 from deskchain.state import ChainState
-from deskchain.tx import ApplyCtx, apply_tx, sign_tx
+from deskchain.tx import apply_tx, sign_tx
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCENARIO_DIR = os.path.join(REPO_ROOT, "scenarios")
@@ -70,9 +70,8 @@ class Bench:
     def apply(self, tx, signer: KeyPair | None = None, prev_block_hash: bytes = b"\x00" * 32):
         if signer is not None:
             tx = sign_tx(tx, signer)
-        ctx = ApplyCtx(miner=self.miner.address, height=self.height, prev_block_hash=prev_block_hash)
         self.state.height = self.height
-        return apply_tx(self.state, tx, ctx)
+        return apply_tx(self.state, tx, self.miner.address, prev_block_hash)
 
     def conservation_ok(self) -> bool:
         sources, sinks = self.state.conservation_sides()

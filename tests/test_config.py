@@ -50,6 +50,10 @@ def test_readme_config_keys_are_the_keys_parse_config_accepts():
     ("sim.drop_rate = 2", "sim.drop_rate = 1"),
     ("sim.drop_rate = 11/10", "sim.drop_rate = 1"),
     ("sim.drop_rate = -1/2", "sim.drop_rate = 0"),
+    ("pool.alpha = 3", "pool.alpha = 1"),
+    ("pool.alpha = -1", "pool.alpha = 0"),
+    ("pool.mu = -2", "pool.mu = 0"),
+    ("pool.mu = 2", "pool.mu = 1"),
 ])
 def test_a_value_a_later_command_cannot_run_with_is_rejected_at_its_line(bad, least):
     with open(os.path.join(REPO_ROOT, "scenarios", "net.cfg"), encoding="utf-8") as fh:

@@ -1,7 +1,10 @@
 """Every top-level name in ``src/deskchain`` serves the program, not only the
 tests: some file under ``src/``, ``scripts/`` or ``perfbench/`` refers to it
 outside its own definition (a use, an attribute access or an import). A
-package ``__init__.py`` that re-exports a name does not use it."""
+package ``__init__.py`` that re-exports a name does not use it. Likewise
+every field of a class that is not a ``WireRecord`` is read as an attribute
+somewhere in those files; a wire record's fields are its schema and are
+exempt."""
 import ast
 import os
 from collections import Counter
@@ -12,6 +15,9 @@ from conftest import REPO_ROOT
 # the compute spot check, the pinned edge derivation, and the paper's
 # semi-Markov return approximation
 KEPT_FOR_TESTS = {"verify_light", "spot_check", "derive_edge", "discounted_return"}
+# fields only tests read: the claimed result of a compute job, which the
+# spot check above leaves to the caller
+KEPT_FIELDS_FOR_TESTS = {"ComputeTrace.claimed_output"}
 
 
 def _references(node) -> Counter:
@@ -38,7 +44,7 @@ def _definitions(tree):
                         yield n.id, node
 
 
-def test_no_name_in_src_is_referenced_only_by_tests():
+def _program_trees() -> dict:
     trees = {}
     for top in ("src", "scripts", "perfbench"):
         for dirpath, _, filenames in os.walk(os.path.join(REPO_ROOT, top)):
@@ -47,6 +53,16 @@ def test_no_name_in_src_is_referenced_only_by_tests():
                     path = os.path.join(dirpath, filename)
                     with open(path, encoding="utf-8") as fh:
                         trees[path] = ast.parse(fh.read(), path)
+    return trees
+
+
+def _base_names(cls: ast.ClassDef) -> set:
+    return {b.id if isinstance(b, ast.Name) else b.attr
+            for b in cls.bases if isinstance(b, (ast.Name, ast.Attribute))}
+
+
+def test_no_name_in_src_is_referenced_only_by_tests():
+    trees = _program_trees()
     everywhere = Counter()
     for path, tree in trees.items():
         if os.path.basename(path) == "__init__.py":
@@ -60,3 +76,23 @@ def test_no_name_in_src_is_referenced_only_by_tests():
         if everywhere[name] <= _references(node)[name]
     }
     assert unreferenced == KEPT_FOR_TESTS
+
+
+def test_every_field_outside_the_wire_records_is_read_by_the_program():
+    trees = _program_trees()
+    package = os.path.join(REPO_ROOT, "src", "deskchain")
+    classes = [n for path, tree in trees.items() if path.startswith(package)
+               for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    wire = {"WireRecord"}
+    while subclasses := {c.name for c in classes if _base_names(c) & wire} - wire:
+        wire |= subclasses
+    read = {n.attr for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = {
+        f"{c.name}.{node.target.id}"
+        for c in classes if c.name not in wire
+        for node in c.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+        and node.target.id not in read
+    }
+    assert unread == KEPT_FIELDS_FOR_TESTS

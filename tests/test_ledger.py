@@ -42,27 +42,27 @@ def test_name_record_rules():
 
 def test_charge_maintenance_linear():
     a = Account(b"\x01" * 32, 100, freshness=0)
-    updated, collected, shortfall = charge_maintenance(a, 10, 1)
-    assert (updated.balance, collected, shortfall) == (90, 10, 0)
+    updated, collected = charge_maintenance(a, 10, 1)
+    assert (updated.balance, collected) == (90, 10)
     assert updated.freshness == 10
 
 
 def test_charge_maintenance_zero_elapsed():
     a = Account(b"\x01" * 32, 100, freshness=5)
-    updated, collected, shortfall = charge_maintenance(a, 5, 7)
-    assert (updated.balance, collected, shortfall) == (100, 0, 0)
+    updated, collected = charge_maintenance(a, 5, 7)
+    assert (updated.balance, collected) == (100, 0)
 
 
 def test_charge_maintenance_floors_at_zero():
     a = Account(b"\x01" * 32, 5, freshness=0)
-    updated, collected, shortfall = charge_maintenance(a, 10, 1)
-    assert (updated.balance, collected, shortfall) == (0, 5, 5)
+    updated, collected = charge_maintenance(a, 10, 1)
+    assert (updated.balance, collected) == (0, 5)
 
 
 def test_charge_maintenance_idempotent_at_height():
     a = Account(b"\x01" * 32, 100, freshness=0)
-    once, collected1, _ = charge_maintenance(a, 7, 3)
-    twice, collected2, _ = charge_maintenance(once, 7, 3)
+    once, collected1 = charge_maintenance(a, 7, 3)
+    twice, collected2 = charge_maintenance(once, 7, 3)
     assert once == twice and collected2 == 0
 
 

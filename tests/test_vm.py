@@ -5,26 +5,29 @@ from hypothesis import given, settings, strategies as st
 
 from deskchain import templates
 from deskchain.codec import Writer
+from deskchain.config import NetworkConfig
 from deskchain.errors import CodecError, LedgerError, VmFailure
 from deskchain.vm import (
-    FAILED, HALTED, OPS, OUT_OF_GAS, OUT_OF_SPACE, Instr, Program, VmEnv, assemble,
+    FAILED, HALTED, OPS, OUT_OF_GAS, OUT_OF_SPACE, Instr, Program, assemble,
     eval_pure, execute,
 )
 
 from conftest import metered_api_state, payment_split_state, storage_payout_state
+
+PURE = (NetworkConfig().pure_gas, NetworkConfig().pure_space)  # eval_pure's meters
 
 
 def disassemble(program: Program) -> str:
     return "\n".join(str(i) for i in program.instructions) + "\n"
 
 
-def run(src, call_data=(), gas=1000, space=100, env=None):
-    return execute(assemble(src), list(call_data), env, gas, space)
+def run(src, call_data=(), gas=1000, space=100, balance_of=None):
+    return execute(assemble(src), list(call_data), balance_of, gas, space)
 
 
 def test_push_add_counts_gas():
     out = run("PUSH 2\nPUSH 3\nADD\nSTOP", gas=10)
-    assert (out.status, out.stack_top, out.gas_used) == (HALTED, 5, 4)
+    assert (out.status, out.stack[-1], out.gas_used) == (HALTED, 5, 4)
 
 
 def test_out_of_gas_before_stop():
@@ -53,15 +56,17 @@ def test_fail_instruction():
 
 
 def test_select_semantics():
-    assert run("PUSH 10\nPUSH 20\nPUSH 1\nSELECT\nSTOP").stack_top == 20
-    assert run("PUSH 10\nPUSH 20\nPUSH 0\nSELECT\nSTOP").stack_top == 10
+    assert run("PUSH 10\nPUSH 20\nPUSH 1\nSELECT\nSTOP").stack[-1] == 20
+    assert run("PUSH 10\nPUSH 20\nPUSH 0\nSELECT\nSTOP").stack[-1] == 10
 
 
 def test_store_load_and_space():
-    out = run("PUSH 5\nSTORE 0\nLOAD 0\nLOAD 0\nADD\nSTOP")
-    assert out.stack_top == 10
+    src = "PUSH 5\nSTORE 0\nLOAD 0\nLOAD 0\nADD\nSTOP"
+    out = run(src)
+    assert out.stack[-1] == 10
     # peak: one stored cell plus two stack slots
-    assert out.space_peak == 3
+    assert run(src, space=2).status == OUT_OF_SPACE
+    assert run(src, space=3).status == HALTED
 
 
 def test_out_of_space():
@@ -75,41 +80,40 @@ def test_call_data_counts_toward_space():
 
 
 def test_balance_and_sigok_views():
-    env = VmEnv(balance_of=lambda h: {0: 500}.get(h, 0), sig_ok=lambda a, b: a == b)
-    out = run("PUSH 0\nBALANCE\nSTOP", env=env)
-    assert out.stack_top == 500
-    out = run("PUSH 4\nPUSH 4\nSIGOK\nSTOP", env=env)
-    assert out.stack_top == 1
-    out = run("PUSH 0\nBALANCE\nSTOP", env=None)
+    balance_of = lambda h: {0: 500}.get(h, 0)
+    out = run("PUSH 0\nBALANCE\nSTOP", balance_of=balance_of)
+    assert out.stack[-1] == 500
+    out = run("PUSH 4\nPUSH 4\nSIGOK\nSTOP", balance_of=balance_of)
+    assert out.status == FAILED
+    out = run("PUSH 0\nBALANCE\nSTOP", balance_of=None)
     assert out.status == FAILED
 
 
 def test_purity_env_never_mutated():
     lookups = []
-    env = VmEnv(balance_of=lambda h: lookups.append(h) or 7, sig_ok=None)
-    out = run("PUSH 1\nBALANCE\nPOP\nSTOP", env=env)
+    out = run("PUSH 1\nBALANCE\nPOP\nSTOP", balance_of=lambda h: lookups.append(h) or 7)
     assert out.status == HALTED
     assert lookups == [1]
 
 
 def test_identity_program_returns_state():
-    assert eval_pure(assemble("STOP"), [4, 2]) == [4, 2]
+    assert eval_pure(assemble("STOP"), [4, 2], *PURE) == [4, 2]
 
 
 def test_eval_pure_deterministic():
     program = templates.PAYMENT_SPLIT
     state = payment_split_state(1000, 1, 3)
-    assert eval_pure(program, list(state)) == eval_pure(program, list(state))
+    assert eval_pure(program, list(state), *PURE) == eval_pure(program, list(state), *PURE)
 
 
 def test_eval_pure_rejects_env_ops():
     with pytest.raises(VmFailure):
-        eval_pure(assemble("PUSH 0\nBALANCE\nSTOP"), [])
+        eval_pure(assemble("PUSH 0\nBALANCE\nSTOP"), [], *PURE)
 
 
 def test_eval_pure_raises_on_failure():
     with pytest.raises(VmFailure) as err:
-        eval_pure(assemble("FAIL"), [])
+        eval_pure(assemble("FAIL"), [], *PURE)
     assert err.value.status == FAILED
 
 
@@ -140,7 +144,7 @@ def test_gas_monotonicity(gas_small, extra):
     lo = execute(program, [], None, gas_small, 100)
     hi = execute(program, [], None, gas_small + extra, 100)
     if lo.status == HALTED:
-        assert (hi.status, hi.stack_top, hi.gas_used) == (lo.status, lo.stack_top, lo.gas_used)
+        assert (hi.status, hi.stack, hi.gas_used) == (lo.status, lo.stack, lo.gas_used)
     elif hi.status == HALTED:
         assert lo.status == OUT_OF_GAS
 
@@ -193,7 +197,7 @@ def test_comments_and_blank_lines():
 
 def test_payment_split_example():
     out = eval_pure(
-        templates.PAYMENT_SPLIT, payment_split_state(8_000_000, 3, 1)
+        templates.PAYMENT_SPLIT, payment_split_state(8_000_000, 3, 1), *PURE
     )
     assert out == [6_000_000, 2_000_000]
 
@@ -201,21 +205,21 @@ def test_payment_split_example():
 def test_hash_timelock_claim_and_refund():
     total = 10_000
     good = templates.hash_timelock_state(total, preimage=99, deadline=50, height=40)
-    assert eval_pure(templates.HASH_TIMELOCK, good) == [0, total]
+    assert eval_pure(templates.HASH_TIMELOCK, good, *PURE) == [0, total]
     bad_preimage = list(good)
     bad_preimage[4] = 98
-    assert eval_pure(templates.HASH_TIMELOCK, bad_preimage) == [total, 0]
+    assert eval_pure(templates.HASH_TIMELOCK, bad_preimage, *PURE) == [total, 0]
     late = templates.hash_timelock_state(total, preimage=99, deadline=50, height=51)
-    assert eval_pure(templates.HASH_TIMELOCK, late) == [total, 0]
+    assert eval_pure(templates.HASH_TIMELOCK, late, *PURE) == [total, 0]
 
 
 def test_metered_api_capped_by_total():
-    assert eval_pure(templates.METERED_API, metered_api_state(500, 7, 60)) == [80, 420]
-    assert eval_pure(templates.METERED_API, metered_api_state(500, 100, 60)) == [0, 500]
+    assert eval_pure(templates.METERED_API, metered_api_state(500, 7, 60), *PURE) == [80, 420]
+    assert eval_pure(templates.METERED_API, metered_api_state(500, 100, 60), *PURE) == [0, 500]
 
 
 def test_storage_payout_template():
-    out = eval_pure(templates.STORAGE_PAYOUT, storage_payout_state(1000, 3, 100))
+    out = eval_pure(templates.STORAGE_PAYOUT, storage_payout_state(1000, 3, 100), *PURE)
     assert out == [700, 300]
 
 
