@@ -111,9 +111,10 @@ _INT_KEYS = {
 }
 
 # int keys with a floor: a 0 divides by zero later, a 0 countdown or vote
-# window closes a dispute before anyone can act, a meter below 1 runs no
-# contract, and a negative window or latency runs the clock backwards
+# window closes a dispute before anyone can act, a meter or nonce budget
+# below 1 runs nothing, and a negative window or latency runs time backwards
 _INT_MINIMUM = {
+    "pow.nonce_budget": 1,
     "coinbase.halving_blocks": 1,
     "channel.countdown_blocks": 1,
     "oracle.challenge_window": 0,
@@ -146,7 +147,8 @@ _FRACTION_KEYS = {
 
 
 def parse_config(text: str) -> NetworkConfig:
-    from .crypto import KeyPair  # local import to keep config standalone
+    from .crypto import KeyPair  # local imports to keep config standalone
+    from .pow import PowParams
 
     updates: dict[str, object] = {}
     accounts: list[tuple[str, bytes, int]] = []
@@ -163,6 +165,8 @@ def parse_config(text: str) -> NetworkConfig:
                 updates[_INT_KEYS[key]] = n = int(value, 10)
                 if n < _INT_MINIMUM.get(key, n):
                     raise ConfigError(f"{key} must be at least {_INT_MINIMUM[key]}, got {n}")
+                if key in ("pow.edge_bits", "pow.cycle_len"):
+                    PowParams(**{key[4:]: n})  # PowParams' own range check
                 if key.startswith("sim.latency_"):
                     last_latency_line = line_no
             elif key in _AMOUNT_KEYS:

@@ -46,6 +46,19 @@ class Account(WireRecord):
         if self.kind == EXTERNAL and self.code_hash is not None:
             raise LedgerError("BadFormat", "external accounts carry no code")
 
+    def edit(self, balance: int, counter: int, freshness: int) -> "Account":
+        """This account with a new balance, counter and freshness, built without
+        the constructor, whose checks the other fields passed: only the balance
+        is checked. An edit that changes nothing is this record and digest."""
+        if balance == self.balance and counter == self.counter and freshness == self.freshness:
+            return self
+        check_amount(balance, "balance")
+        edited = object.__new__(Account)
+        fields = edited.__dict__
+        fields["address"], fields["kind"], fields["code_hash"] = self.address, self.kind, self.code_hash
+        fields["balance"], fields["counter"], fields["freshness"] = balance, counter, freshness
+        return edited
+
 
 class NameRecord(WireRecord):
     name: Text
@@ -166,21 +179,13 @@ def verify_light(headers: list[BlockHeader], tx_bytes: bytes, proof: MerkleProof
     return merkle_verify(headers[-1].tx_root, tx_bytes, proof, headers[-1].tx_count)
 
 
-def charge_maintenance(
-    account: Account, current_height: int, rate_per_block: int
-) -> tuple[Account, int]:
-    """Lazy per-block fee since last touch, floored at the balance.
+def charge_maintenance(account: Account, current_height: int, rate_per_block: int) -> tuple[int, int]:
+    """Lazy per-block fee since the account's freshness, floored at its balance.
 
-    Returns (updated account, collected); collected goes to burn accounting.
+    Returns (balance left, collected); collected goes to burn accounting, and
+    the caller writes the balance with freshness ``current_height``.
     """
     if current_height < account.freshness:
         raise LedgerError("BadHeight", "maintenance into the past")
-    if current_height == account.freshness:
-        return account, 0  # the same record, which keeps its cached digest
-    charge = rate_per_block * (current_height - account.freshness)
-    collected = min(account.balance, charge)
-    updated = Account(
-        account.address, account.balance - collected, account.counter, current_height,
-        account.kind, account.code_hash,
-    )
-    return updated, collected
+    collected = min(account.balance, rate_per_block * (current_height - account.freshness))
+    return account.balance - collected, collected

@@ -51,9 +51,9 @@ class PowParams:
 
     def __post_init__(self) -> None:
         if not 4 <= self.edge_bits <= 31:
-            raise LedgerError("BadPowParams", f"edge_bits {self.edge_bits}")
+            raise LedgerError("BadPowParams", f"edge_bits {self.edge_bits} not in 4..31")
         if self.cycle_len < 4 or self.cycle_len % 2 != 0:
-            raise LedgerError("BadPowParams", f"cycle_len {self.cycle_len}")
+            raise LedgerError("BadPowParams", f"cycle_len {self.cycle_len} is not even and at least 4")
         if len(self.target) != 32:
             raise LedgerError("BadPowParams", "target must be 32 bytes")
 

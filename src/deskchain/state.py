@@ -6,8 +6,10 @@ shares the records, so the parent survives for forks. Within that clone a
 transaction is rolled back through an undo journal, not another copy: while
 the journal is open, every write to a store logs the key's prior value, a
 savepoint is the journal's length plus the four scalar fields, and a
-rollback pops the log back to it. ``tx.apply_tx`` opens the journal and
-empties and closes it when it returns, so no stored state holds entries.
+rollback pops the log back to it. ``tx._execute`` opens one journal per
+block and empties and closes it after the last transaction, each of which
+rolls back to a savepoint of its own; ``tx.apply_tx`` called alone opens and
+closes its own journal. So no stored state holds entries.
 Seven Merkle roots commit the state: accounts, names, a combined wormhole
 tree (channels, storage contracts, AZs, and the reward pool, i.e. all
 contract-ish objects), two oracle trees split by liveness, plus the
@@ -32,8 +34,10 @@ and oracle trees are small and are rebuilt in key order.
 
 Conservation is a hard invariant: genesis total + minted coinbase must
 always equal circulating balances + locks + deposits + pool funds + burned.
+A block checks it by delta, over the keys it wrote; genesis sums it whole.
 Maintenance is charged lazily: any credit, debit, or touch of an existing
-account first settles the per-block fee accrued since its freshness height.
+account first settles the per-block fee accrued since its freshness height,
+in the same ``Account.edit`` and store write that applies the amount.
 """
 from __future__ import annotations
 
@@ -169,6 +173,13 @@ class Savepoint(NamedTuple):
 
 
 _STORES = ("accounts", "names", "channels", "oracles", "storage_contracts", "azs", "code")
+# the value one record of each value-holding store holds, for conservation
+_HELD = {
+    "accounts": lambda account: account.balance,
+    "channels": lambda channel: 0 if channel.status == CLOSED else channel.total,
+    "oracles": OracleQuestion.escrowed,
+    "storage_contracts": lambda contract: contract.escrow,
+}
 
 
 @dataclass
@@ -264,44 +275,38 @@ class ChainState:
 
     # --- account plumbing ---
 
-    def _maintain(self, address: bytes, height: int) -> Account:
-        account = self.accounts[address]
-        updated, collected = charge_maintenance(account, height, self.cfg.maintenance_rate)
-        if collected:
-            self.burned_total += collected
-        if updated is not account:
-            self.accounts[address] = updated
-        return updated
+    def write_account(self, account: Account, balance: int, counter: int, height: int, burned: int) -> Account:
+        """Store ``account`` edited, fresh at ``height``, in one write (none if
+        nothing changes), and burn the maintenance ``burned`` settled on it."""
+        edited = account.edit(balance, counter, height)
+        if edited is not account:
+            self.accounts[account.address] = edited
+        self.burned_total += burned
+        return edited
 
     def touch(self, address: bytes, height: int) -> Account:
         """Apply lazy maintenance before any use of an account."""
         if address not in self.accounts:
             raise LedgerError("NotFound", address.hex())
-        return self._maintain(address, height)
+        return self.credit(address, 0, height)
 
     def credit(self, address: bytes, amount: int, height: int) -> Account:
         check_amount(amount, "credit")
-        if address in self.accounts:
-            account = self._maintain(address, height)
-        else:
-            account = Account(address, 0, freshness=height)
-        account = Account(
-            address, account.balance + amount, account.counter, height, account.kind, account.code_hash
-        )
-        self.accounts[address] = account
-        return account
+        account = self.accounts.get(address)
+        if account is None:
+            self.accounts[address] = account = Account(address, amount, freshness=height)
+            return account
+        balance, burned = charge_maintenance(account, height, self.cfg.maintenance_rate)
+        return self.write_account(account, balance + amount, account.counter, height, burned)
 
     def debit(self, address: bytes, amount: int, height: int) -> Account:
+        """A shortfall raises and writes nothing."""
         check_amount(amount, "debit")
-        account = self._maintain(address, height) if address in self.accounts else None
-        if account is None or account.balance < amount:
-            have = account.balance if account else 0
-            raise LedgerError("InsufficientFunds", f"{have} < {amount}")
-        account = Account(
-            address, account.balance - amount, account.counter, height, account.kind, account.code_hash
-        )
-        self.accounts[address] = account
-        return account
+        account = self.accounts.get(address)
+        balance, burned = charge_maintenance(account, height, self.cfg.maintenance_rate) if account else (0, 0)
+        if account is None or balance < amount:
+            raise LedgerError("InsufficientFunds", f"{balance} < {amount}")
+        return self.write_account(account, balance - amount, account.counter, height, burned)
 
     def burn(self, amount: int) -> None:
         self.burned_total += check_amount(amount, "burn")
@@ -350,39 +355,54 @@ class ChainState:
     # --- invariants ---
 
     def locked_in_channels(self) -> int:
-        return sum(c.total for c in self.channels.values() if c.status != CLOSED)
+        return self._held("channels")
 
     def oracle_deposits(self) -> int:
-        return sum(q.escrowed() for q in self.oracles.values())
+        return self._held("oracles")
 
     def storage_escrow(self) -> int:
-        return sum(s.escrow for s in self.storage_contracts.values())
+        return self._held("storage_contracts")
 
     def circulating(self) -> int:
-        return sum(a.balance for a in self.accounts.values())
+        return self._held("accounts")
+
+    def _held(self, name: str) -> int:
+        return sum(map(_HELD[name], getattr(self, name).values()))
+
+    def _scalar_sides(self) -> tuple[int, int]:
+        """The sources, and the sinks held outside the keyed stores."""
+        pool = self.pool
+        return self.genesis_total + self.minted_total, pool.pool_balance + pool.endowment + self.burned_total
 
     def conservation_sides(self) -> tuple[int, int]:
-        sources = self.genesis_total + self.minted_total
-        sinks = (
-            self.circulating()
-            + self.locked_in_channels()
-            + self.oracle_deposits()
-            + self.storage_escrow()
-            + self.pool.pool_balance
-            + self.pool.endowment
-            + self.burned_total
-        )
-        return sources, sinks
+        """Sources and sinks summed over the whole state."""
+        sources, sinks = self._scalar_sides()
+        return sources, sinks + sum(self._held(name) for name in _HELD)
 
-    def check_invariants(self) -> None:
-        """Conservation over the whole state; the key and freshness rules
-        over the keys written since the parent (every key at genesis). That
-        is exact: a record no one wrote passed them when it was written, and
-        the height only grows."""
-        sources, sinks = self.conservation_sides()
+    def _conservation_change(self, parent: "ChainState") -> tuple[int, int]:
+        """How far sources and sinks moved since ``parent``: the keyed stores'
+        part over the keys each value-holding store wrote since the clone."""
+        (sources, sinks), (parent_sources, parent_sinks) = self._scalar_sides(), parent._scalar_sides()
+        sinks -= parent_sinks
+        for name, held in _HELD.items():
+            store, before = getattr(self, name), getattr(parent, name)
+            for key in store.written:
+                now, then = store.get(key), before.get(key)
+                sinks += (0 if now is None else held(now)) - (0 if then is None else held(then))
+        return sources - parent_sources, sinks
+
+    def check_invariants(self, parent: "ChainState | None" = None) -> None:
+        """Conservation, and the key and freshness rules, over the keys written
+        since ``parent``, the state this one was cloned from: the change in
+        sources must equal the change in sinks, relative to a parent that
+        passed its own check. Genesis, or no parent, checks every key and sums
+        the whole state. That is exact: a record no one wrote passed when it
+        was written, and the height only grows."""
+        genesis = self.height == 0
+        whole = genesis or parent is None
+        sources, sinks = self.conservation_sides() if whole else self._conservation_change(parent)
         if sources != sinks:
             raise LedgerError("Conservation", f"{sources} != {sinks}")
-        genesis = self.height == 0
         for name in self.names if genesis else self.names.written:
             record = self.names.get(name)
             if record is not None and record.name != name:

@@ -25,7 +25,7 @@ from .codec import (
 )
 from .crypto import ZERO32, ZERO_SIG, hash256, verify_sig
 from .errors import BlockError, CodecError, LedgerError, TxError
-from .ledger import Account, Block, BlockHeader, CONTRACT, NameRecord, expected_entropy
+from .ledger import Account, Block, BlockHeader, CONTRACT, NameRecord, charge_maintenance, expected_entropy
 from .merkle import MerkleProof, tree_root
 from .state import ChainState
 from .vm import HALTED, Program, execute
@@ -566,9 +566,9 @@ def apply_tx(state: ChainState, tx, miner: bytes, prev_hash: bytes) -> Receipt:
     mutates state and raises TxError if the transaction is inapplicable.
 
     Transactional: on any raise the state is exactly as it was, so callers
-    may probe candidates and skip failures without replay divergence. The
-    outermost call opens the state's undo journal, rolls back through it on
-    a raise, and empties and closes it before returning.
+    may probe candidates and skip failures without replay divergence: it
+    rolls back to a savepoint in ``_execute``'s journal for the block, or,
+    called alone, in a journal it opens and empties and closes on return.
     """
     check_tx(state, tx)
     start = state.savepoint()
@@ -593,13 +593,11 @@ def _apply_checked(state: ChainState, tx, miner: bytes, prev_hash: bytes) -> Rec
     sender = tx_sender(tx)
     fee = effective_fee(tx)
 
-    state.touch(sender, height)
-    if state.accounts[sender].balance < fee:
+    payer = state.accounts[sender]
+    balance, burned = charge_maintenance(payer, height, state.cfg.maintenance_rate)
+    if balance < fee:
         raise TxError("InsufficientForFee", "fee exceeds balance after maintenance")
-    payer = state.debit(sender, fee, height)
-    state.accounts[sender] = Account(
-        sender, payer.balance, tx.counter, payer.freshness, payer.kind, payer.code_hash
-    )
+    state.write_account(payer, balance - fee, tx.counter, height, burned)
     state.credit(miner, fee, height)
     charged = state.savepoint()  # a revert keeps the fee and the counter bump
     try:
@@ -635,7 +633,8 @@ def state_roots(state: ChainState) -> dict[str, bytes]:
 
 def _execute(state: ChainState, txs, miner: bytes, height: int, prev_hash: bytes, strict: bool):
     """The block transition both the miner and the validator run: clone the
-    parent, mint the coinbase, apply ``txs`` in order, and commit.
+    parent, mint the coinbase, apply ``txs`` in order under one undo
+    journal (each ``apply_tx`` takes its own savepoint in it), and commit.
 
     An inapplicable tx (a ``LedgerError``, or a ``CodecError`` raised while
     applying) makes a ``strict`` caller, the validator, reject the block
@@ -649,6 +648,7 @@ def _execute(state: ChainState, txs, miner: bytes, height: int, prev_hash: bytes
     receipts: list[Receipt] = []
     if height > 0:
         work.mint(miner, pow.coinbase(height, state.cfg), height)
+    journal = work.savepoint()
     for tx in txs:
         try:
             receipts.append(apply_tx(work, tx, miner, prev_hash))
@@ -657,6 +657,7 @@ def _execute(state: ChainState, txs, miner: bytes, height: int, prev_hash: bytes
                 raise BlockError("BadTx", f"{exc}") from exc
             continue
         included.append(tx)
+    work.release(journal)
     proved = [
         storage.ProofLeaf(t.contract_id, height, t.proof.leaf_index, hash256(t.chunk)).digest()
         for t, r in zip(included, receipts)
@@ -683,7 +684,7 @@ def apply_block(state: ChainState, block: Block) -> tuple[ChainState, list[Recei
     for name, value in commitments.items():
         if getattr(header, name) != value:
             raise BlockError("RootMismatch", name)
-    work.check_invariants()
+    work.check_invariants(state)
     return work, receipts
 
 

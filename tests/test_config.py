@@ -54,6 +54,12 @@ def test_readme_config_keys_are_the_keys_parse_config_accepts():
     ("pool.alpha = -1", "pool.alpha = 0"),
     ("pool.mu = -2", "pool.mu = 0"),
     ("pool.mu = 2", "pool.mu = 1"),
+    ("pow.nonce_budget = -5", "pow.nonce_budget = 1"),
+    ("pow.nonce_budget = 0", "pow.nonce_budget = 1"),
+    ("pow.edge_bits = 3", "pow.edge_bits = 4"),
+    ("pow.edge_bits = 32", "pow.edge_bits = 31"),  # parsed only: mining it allocates 2^31-entry lists
+    ("pow.cycle_len = 2", "pow.cycle_len = 4"),
+    ("pow.cycle_len = 7", "pow.cycle_len = 8"),
 ])
 def test_a_value_a_later_command_cannot_run_with_is_rejected_at_its_line(bad, least):
     with open(os.path.join(REPO_ROOT, "scenarios", "net.cfg"), encoding="utf-8") as fh:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from deskchain import channels, oracles, rewards, storage, tx as txmod
 from deskchain.codec import Reader
 from deskchain.crypto import KeyPair, ZERO32
-from deskchain.errors import BlockError, LedgerError
+from deskchain.errors import BlockError, CodecError, LedgerError, TxError
 from deskchain.ledger import (
     Account, NameRecord, charge_maintenance, expected_entropy, header_ok,
     validate_header, verify_light,
@@ -42,28 +42,27 @@ def test_name_record_rules():
 
 def test_charge_maintenance_linear():
     a = Account(b"\x01" * 32, 100, freshness=0)
-    updated, collected = charge_maintenance(a, 10, 1)
-    assert (updated.balance, collected) == (90, 10)
-    assert updated.freshness == 10
+    balance, collected = charge_maintenance(a, 10, 1)
+    assert (balance, collected) == (90, 10)
 
 
 def test_charge_maintenance_zero_elapsed():
     a = Account(b"\x01" * 32, 100, freshness=5)
-    updated, collected = charge_maintenance(a, 5, 7)
-    assert (updated.balance, collected) == (100, 0)
+    balance, collected = charge_maintenance(a, 5, 7)
+    assert (balance, collected) == (100, 0)
 
 
 def test_charge_maintenance_floors_at_zero():
     a = Account(b"\x01" * 32, 5, freshness=0)
-    updated, collected = charge_maintenance(a, 10, 1)
-    assert (updated.balance, collected) == (0, 5)
+    balance, collected = charge_maintenance(a, 10, 1)
+    assert (balance, collected) == (0, 5)
 
 
 def test_charge_maintenance_idempotent_at_height():
     a = Account(b"\x01" * 32, 100, freshness=0)
-    once, collected1 = charge_maintenance(a, 7, 3)
-    twice, collected2 = charge_maintenance(once, 7, 3)
-    assert once == twice and collected2 == 0
+    balance, collected1 = charge_maintenance(a, 7, 3)
+    settled = a.edit(balance, a.counter, 7)
+    assert charge_maintenance(settled, 7, 3) == (balance, 0) and collected1 == 21
 
 
 def _mine_chain(cfg, n_blocks, txs_at=None):
@@ -504,3 +503,28 @@ def test_apply_tx_undoes_the_fee_envelope_of_an_address_collision():
     assert err.value.code == "AddressCollision"
     assert _deep_fields(bench.state) == before
     assert all(getattr(bench.state, name).log is None for name in _STORES)
+
+
+def test_maintenance_that_leaves_less_than_the_fee_refuses_the_tx_and_writes_nothing():
+    bench = Bench(make_cfg("maintenance.rate = 3\n"), height=5)
+    dave = KeyPair.from_name("dave")
+    bench.state.credit(dave.address, 20, 0)  # 15 maintenance by height 5 leaves 5 < the fee
+    tx = txmod.Spend(dave.address, bench.addr("alice"), 1, 10, 1)
+    before = _deep_fields(bench.state)
+    with pytest.raises(TxError) as err:
+        bench.apply(tx, dave)
+    assert err.value.code == "InsufficientForFee"
+    assert _deep_fields(bench.state) == before
+    assert all(getattr(bench.state, name).log is None for name in _STORES)
+
+
+def test_an_account_edit_matches_the_constructor_and_drops_the_digest():
+    account = Account(b"\x07" * 32, 42, counter=3, freshness=9, kind="contract", code_hash=b"\x01" * 32)
+    digest = account.digest()
+    assert account.edit(42, 3, 9) is account  # no change: the same record and digest
+    edited = account.edit(40, 4, 11)
+    assert "_digest" not in vars(edited)
+    rebuilt = Account(account.address, 40, 4, 11, "contract", b"\x01" * 32)
+    assert edited == rebuilt and edited.digest() == rebuilt.digest() != digest
+    with pytest.raises(CodecError):
+        account.edit(2**64, 3, 9)

@@ -12,7 +12,7 @@ from deskchain.config import parse_config
 from deskchain.channels import SignedState
 from deskchain.crypto import ZERO_SIG, KeyPair, hash256
 from deskchain.errors import BlockError, CodecError, LedgerError, TxError
-from deskchain.ledger import CONTRACT, Block
+from deskchain.ledger import CONTRACT, Account, Block
 from deskchain.state import _STORES, ChainState
 from deskchain.merkle import MerkleProof
 from deskchain.rewards import AZFactors, EpochReport, UserContribution, WorkItem
@@ -749,3 +749,17 @@ def test_decode_rejects_what_a_record_constructor_refuses():
     kind_at = 32 + 3 * 8  # address, then balance, counter and freshness
     with pytest.raises(CodecError):
         Account.read(codec.Reader(account[:kind_at] + b"\x07" + account[kind_at + 1:]))
+
+
+def test_a_call_credit_keeps_the_contract_fields_and_stores_a_record_the_constructor_would():
+    bench = Bench(make_cfg("maintenance.rate = 2\n"), height=1)
+    _, address = _create_contract(bench, code="PUSH 1\nSTOP")
+    bench.advance(4)
+    kp = bench.key("bob")
+    tx = txmod.ContractCall(kp.address, address, 250, gas=10, gas_price=3, call_data=(), fee=30, counter=1)
+    assert bench.apply(tx, kp).status == "applied"
+    stored = bench.state.accounts[address]
+    assert (stored.kind, stored.code_hash) == (CONTRACT, assemble("PUSH 1\nSTOP").code_hash())
+    assert (stored.balance, stored.freshness) == (1500 - 4 * 2 + 250, 5)
+    rebuilt = Account(address, stored.balance, stored.counter, stored.freshness, stored.kind, stored.code_hash)
+    assert stored == rebuilt and stored.digest() == rebuilt.digest()
