@@ -6,25 +6,22 @@ The encoding is injective by construction; decode(encode(x)) == x and
 encode(decode(b)) == b are asserted property-style in the test suite.
 
 A record is declared once, by its fields: it subclasses ``WireRecord`` and
-annotates each field with one of the aliases below (``U64``, ``Bytes32``,
-``Seq[Ratio]``, ``Record[Program]``, ...), and the base class makes it a
-frozen dataclass of those fields. Its wire form is the fields in
-declaration order, so reordering fields is a consensus change.
-``wire_fields`` turns the annotations into the ``(name, FieldCodec)``
-schema; ``encode`` and ``read`` run plans compiled from it at first use,
-one ``struct`` call per fixed-width run. A record's identity is
+annotates each field with one of the aliases below, and the base class makes
+it a frozen dataclass of those fields. Its wire form is the fields in
+declaration order (reordering them is a consensus change), each as its alias
+writes it: an integer big-endian, ``Bytes32`` and ``Sig`` as they are, a
+``Flag`` as a byte 0 or 1, a ``Tag`` as the u8 index of its name, ``Maybe``
+as a flag byte and the value if any, ``Seq`` as a u32 count and the items,
+and ``Blob``, ``Text`` (utf-8) and ``Record`` as a u32 length and the bytes.
+``encode`` and ``read`` run plans generated from the annotations at a
+class's first use: every field's code runs inside its record's plan, with
+one ``struct`` call per run of fixed-width fields. A record's identity is
 ``digest()``, hash256 of its encoding, kept on the record after the first
-call.
-Every tx kind (after its u8 tag) and every state record is written this
-way: Account, NameRecord, Channel, SignedState, OracleQuestion, Vote,
-StorageContract, MerkleProof, AZ, RewardPoolState, and the EpochReport with
-its AZFactors, UserContribution and WorkItem rows. So are ``BlockHeader``
-(its PoW input ``base_bytes`` is the prefix of its encoding up to
-``miner``), ``Program`` (a version byte, then ``Seq[vm.Op]``, where each
-opcode decides whether an argument follows it) and the CLI's channel file.
-
-One type writes its own bytes: ``Block``, whose txs are of any kind, each
-read by its u8 tag through ``tx.decode_tx``.
+call. Every tx kind (after its u8 tag), state record, ``BlockHeader`` (its
+PoW input ``base_bytes`` is the prefix of its encoding up to ``miner``),
+``Program`` and the CLI's channel file is written this way; only ``Block``,
+whose txs are of any kind, each read by its u8 tag through ``tx.decode_tx``,
+writes its own bytes.
 
 Signing bytes follow one of two rules, each written once. A transaction
 signs its wire bytes with every ``Sig`` field zeroed
@@ -36,6 +33,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Annotated, Any, Callable, get_type_hints
 
@@ -45,7 +43,8 @@ from .errors import CodecError, LedgerError
 U64_MAX = 2**64 - 1
 I64_MIN = -(2**63)
 I64_MAX = 2**63 - 1
-_BAD_VALUE = (CodecError, struct.error, TypeError, ValueError, AttributeError)  # encoding a bad value
+# what encoding a value its codec cannot write raises
+_BAD_VALUE = (CodecError, struct.error, TypeError, ValueError, AttributeError, LookupError)
 
 
 def check_amount(n: int, what: str = "amount") -> int:
@@ -61,35 +60,24 @@ class Writer:
     def __init__(self) -> None:
         self._parts: list[bytes] = []
 
-    def u8(self, n: int) -> "Writer":
-        if not 0 <= n <= 0xFF:
-            raise CodecError(f"u8 out of range: {n}")
-        self._parts.append(n.to_bytes(1, "big"))
+    def _int(self, n: int, size: int, signed: bool = False) -> "Writer":
+        try:
+            self._parts.append(n.to_bytes(size, "big", signed=signed))
+        except OverflowError:
+            raise CodecError(f"{'i' if signed else 'u'}{8 * size} out of range: {n}") from None
         return self
 
-    def u16(self, n: int) -> "Writer":
-        if not 0 <= n <= 0xFFFF:
-            raise CodecError(f"u16 out of range: {n}")
-        self._parts.append(n.to_bytes(2, "big"))
-        return self
+    def u8(self, n: int) -> "Writer":
+        return self._int(n, 1)
 
     def u32(self, n: int) -> "Writer":
-        if not 0 <= n <= 0xFFFFFFFF:
-            raise CodecError(f"u32 out of range: {n}")
-        self._parts.append(n.to_bytes(4, "big"))
-        return self
+        return self._int(n, 4)
 
     def u64(self, n: int) -> "Writer":
-        if not 0 <= n <= U64_MAX:
-            raise CodecError(f"u64 out of range: {n}")
-        self._parts.append(n.to_bytes(8, "big"))
-        return self
+        return self._int(n, 8)
 
     def i64(self, n: int) -> "Writer":
-        if not I64_MIN <= n <= I64_MAX:
-            raise CodecError(f"i64 out of range: {n}")
-        self._parts.append(n.to_bytes(8, "big", signed=True))
-        return self
+        return self._int(n, 8, signed=True)
 
     def fixed(self, b: bytes, size: int) -> "Writer":
         if len(b) != size:
@@ -127,35 +115,11 @@ class Reader:
     def u8(self) -> int:
         return self._take(1)[0]
 
-    def u16(self) -> int:
-        return int.from_bytes(self._take(2), "big")
-
     def u32(self) -> int:
         return int.from_bytes(self._take(4), "big")
 
-    def u64(self) -> int:
-        return int.from_bytes(self._take(8), "big")
-
-    def i64(self) -> int:
-        return int.from_bytes(self._take(8), "big", signed=True)
-
-    def fixed(self, size: int) -> bytes:
-        return self._take(size)
-
     def blob(self) -> bytes:
         return self._take(self.u32())
-
-    def text(self) -> str:
-        try:
-            return self.blob().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CodecError(f"invalid utf-8: {exc}") from exc
-
-    def flag(self) -> bool:
-        v = self.u8()
-        if v not in (0, 1):
-            raise CodecError(f"flag byte must be 0 or 1, got {v}")
-        return v == 1
 
     def expect_end(self) -> None:
         if self._pos != len(self._data):
@@ -167,120 +131,247 @@ class Reader:
 
 @dataclass(frozen=True)
 class FieldCodec:
-    """How one field is written and read; ``is_sig`` fields are the ones a
-    record's signing bytes zero or leave out."""
+    """How one field is written and read, as source for ``_compile``'s plans.
+    A fixed-width value has a struct ``fmt`` and joins the run of them around
+    it (``names``: the values a Tag or Flag byte indexes; ``is_sig``: what
+    signing bytes zero or leave out). Any other value's bytes are ``put(plan,
+    value)``; ``take(plan, target)`` adds lines reading it at ``data[pos]``."""
 
-    write: Callable[[Writer, Any], Any]
-    read: Callable[[Reader], Any]
+    fmt: str = ""
+    names: tuple = ()
     is_sig: bool = False
-    fmt: str = ""  # a fixed-width field's struct format
-    names: tuple = ()  # the values a Tag or Flag byte indexes
+    put: Callable | None = None
+    take: Callable | None = None
+
+    def __post_init__(self) -> None:  # read(r): one value, through a plan of this field alone
+        object.__setattr__(self, "read", lambda r: self._reader(r))
+
+    @cached_property
+    def _reader(self) -> Callable:
+        return _Plan(True, "value").reader([(self, "v", None)], ["return v"])
+
+
+def _fail(message: str):
+    raise ValueError(message)
+
+
+class _Plan:
+    """A plan's source while it is generated: its lines, the objects they
+    name, and the run of fixed-width values one struct call packs or unpacks
+    next. A reader names the field it is in (``where``) in its errors."""
+
+    def __init__(self, reading: bool, record: str) -> None:
+        self.reading, self.record, self.said, self.depth, self.vars = reading, record, record, 1, 0
+        self.lines, self.run, self.parts = [], [], []
+        self.env = {"CodecError": CodecError, "struct_error": struct.error, "fail": _fail,
+                    "U32": struct.Struct(">I"), "pack": struct.pack, "unpack_from": struct.unpack_from}
+
+    def ref(self, obj) -> str:
+        self.env[key := f"e{len(self.env)}"] = obj
+        return key
+
+    def var(self) -> str:  # a fresh local name
+        self.vars += 1
+        return f"t{self.vars}"
+
+    def line(self, source: str) -> None:
+        self.lines.append("    " * self.depth + source)
+
+    def say(self, where: str | None) -> None:
+        if where and where != self.said:  # top-level values only: a nested one keeps its field's
+            self.line(f"where = {where!r}")
+            self.said = where
+
+    def flush(self) -> None:
+        run, self.run = self.run, []
+        if not run:
+            return
+        packer = struct.Struct(">" + "".join(fmt for fmt, *_ in run))
+        if not self.reading:
+            return self.parts.append(f"{self.ref(packer)}.pack({', '.join(arg for _, arg in run)})")
+        self.say(self.record if run[0][3] else None)
+        self.line(f"{', '.join(target for _, target, *_ in run)}, = {self.ref(packer)}.unpack_from(data, pos)")
+        self.line(f"pos += {packer.size}")
+        for _, target, names, where in run:
+            if names:  # a Tag or Flag byte past its names is malformed
+                self.say(where)
+                self.line(f"{target} = {(key := self.ref(names))}[{target}] if {target} < {len(names)} "
+                          f"else fail(f'byte {{{target}}} names none of {{{key}}}')")
+
+    def arg(self, codec: FieldCodec, value: str) -> str:
+        """A fixed-width value as struct packs it; it would pad or cut bytes."""
+        if codec.fmt.endswith("s"):
+            return f"({value} if len({value}) == {codec.fmt[:-1]} else fail('bytes of the wrong length'))"
+        return f"{self.ref(codec.names)}.index({value})" if codec.fmt == "B" and codec.names else value
+
+    def expr(self, codec: FieldCodec, value: str) -> str:
+        """A nested value's bytes, as one expression."""
+        if not codec.fmt:
+            return codec.put(self, value)
+        arg = self.arg(codec, value)
+        return arg if codec.fmt.endswith("s") else f"{self.ref(struct.Struct('>' + codec.fmt))}.pack({arg})"
+
+    def take(self, codec: FieldCodec, target: str, where: str | None = None) -> None:
+        """Read a value into ``target``: a fixed-width one joins the run."""
+        if codec.fmt:
+            return self.run.append((codec.fmt.replace("?", "B"), target, codec.names, where))
+        self.flush()
+        self.say(where)
+        codec.take(self, target)
+
+    def nest(self, header: str, codec: FieldCodec, target: str) -> None:
+        """A ``header`` block that reads ``codec`` into ``target``."""
+        self.line(header)
+        self.depth += 1
+        self.take(codec, target)
+        self.flush()
+        self.depth -= 1
+
+    def writer(self, fields) -> Callable:
+        for codec, value in fields:
+            if codec.fmt:
+                self.run.append((codec.fmt, self.arg(codec, value)))
+            else:
+                self.flush()
+                self.parts.append(codec.put(self, value))
+        self.flush()
+        exec("def plan(self):\n    return " + (" + ".join(self.parts) or "b''"), self.env)
+        return self.env["plan"]
+
+    def reader(self, fields, tail: list[str]) -> Callable:
+        for codec, target, where in fields:
+            self.take(codec, target, where)
+        self.flush()
+        lines = ["data = r._data", "pos = r._pos", f"where = {self.record!r}", "try:", *self.lines,
+                 "    r._pos = pos", "except (struct_error, IndexError):",
+                 "    raise CodecError(f'{where}: unexpected end of input') from None",
+                 "except ValueError as exc:", "    raise CodecError(f'{where}: {exc}') from exc", *tail]
+        exec("def plan(r):\n    " + "\n    ".join(lines), self.env)
+        return self.env["plan"]
 
 
 def _split(hint) -> tuple[Any, FieldCodec]:
     """The base type and codec of a field annotation. A bare WireRecord
     class is that record's fields inline, with no length prefix."""
     if isinstance(hint, type) and issubclass(hint, WireRecord):
-        return hint, FieldCodec(lambda w, record: w._parts.append(record.encode()), hint.read)
+        def take(g: _Plan, target: str) -> None:
+            g.line("r._pos = pos")
+            g.line(f"{target} = {g.ref(hint.read)}(r)")
+            g.line("pos = r._pos")
+
+        return hint, FieldCodec(put=lambda g, value: f"{value}.encode()", take=take)
     codec = next((m for m in getattr(hint, "__metadata__", ()) if isinstance(m, FieldCodec)), None)
     if codec is None:
         raise TypeError(f"no wire codec for {hint!r}")
     return hint.__origin__, codec
 
 
-def _write_record(w: Writer, record) -> None:
-    w.blob(record.encode())
+def _take_blob(g: _Plan, target: str) -> None:
+    g.line(f"{(size := g.var())}, = U32.unpack_from(data, pos)")
+    g.line(f"{target} = data[pos + 4:pos + 4 + {size}]")
+    g.line(f"pos += 4 + {size}")
+    g.line(f"if len({target}) != {size}: raise IndexError")
 
 
-def _write_ratio(w: Writer, f: Fraction) -> None:
-    w.u64(f.numerator).u64(f.denominator)
+def _take_pair(g: _Plan, target: str) -> None:
+    g.line(f"{target} = {g.ref(_PAIR)}.unpack_from(data, pos)")
+    g.line("pos += 16")
 
 
-def _read_ratio(r: Reader) -> Fraction:
-    num, den = r.u64(), r.u64()
-    if den == 0 or gcd(num, den) != 1:
-        raise CodecError(f"fraction {num}/{den} is not in lowest terms")
-    return Fraction(num, den)
+def _adapted(codec: FieldCodec, to_wire: str, from_wire: Callable) -> FieldCodec:
+    """A value ``codec`` writes as ``to_wire`` ({0}: the value) and reads back through ``from_wire``."""
+
+    def take(g: _Plan, target: str) -> None:
+        g.take(codec, target)
+        g.flush()
+        g.line(f"{target} = {g.ref(from_wire)}({target})")
+
+    return FieldCodec(put=lambda g, value: g.expr(codec, to_wire.format(value)), take=take)
 
 
-def _write_u64_pair(w: Writer, pair: tuple[int, int]) -> None:
-    a, b = pair
-    w.u64(a).u64(b)
+def _ratio(pair: tuple[int, int]) -> Fraction:
+    if pair[1] == 0 or gcd(*pair) != 1:
+        raise ValueError(f"fraction {pair[0]}/{pair[1]} is not in lowest terms")
+    return Fraction(*pair)
 
 
-U8 = Annotated[int, FieldCodec(Writer.u8, Reader.u8, fmt="B")]
-U32 = Annotated[int, FieldCodec(Writer.u32, Reader.u32, fmt="I")]
-U64 = Annotated[int, FieldCodec(Writer.u64, Reader.u64, fmt="Q")]
-I64 = Annotated[int, FieldCodec(Writer.i64, Reader.i64, fmt="q")]
-Bytes32 = Annotated[bytes, FieldCodec(lambda w, v: w.fixed(v, 32), lambda r: r.fixed(32), fmt="32s")]
-Sig = Annotated[bytes, FieldCodec(lambda w, v: w.fixed(v, SIG_SIZE), lambda r: r.fixed(SIG_SIZE),
-                                  is_sig=True, fmt=f"{SIG_SIZE}s")]
-Blob = Annotated[bytes, FieldCodec(Writer.blob, Reader.blob)]
-Text = Annotated[str, FieldCodec(Writer.text, Reader.text)]
-Flag = Annotated[bool, FieldCodec(Writer.flag, Reader.flag, fmt="?", names=(False, True))]
-Ratio = Annotated[Fraction, FieldCodec(_write_ratio, _read_ratio)]  # u64 numerator, u64 denominator
-U64Pair = Annotated[tuple[int, int], FieldCodec(_write_u64_pair, lambda r: (r.u64(), r.u64()))]
+def _address_set(addresses: tuple) -> frozenset[bytes]:
+    if any(a >= b for a, b in zip(addresses, addresses[1:])):
+        raise ValueError("address set is not strictly ascending")
+    return frozenset(addresses)
+
+
+_PAIR = struct.Struct(">QQ")
+U8 = Annotated[int, FieldCodec(fmt="B")]
+U32 = Annotated[int, FieldCodec(fmt="I")]
+U64 = Annotated[int, FieldCodec(fmt="Q")]
+I64 = Annotated[int, FieldCodec(fmt="q")]
+Bytes32 = Annotated[bytes, FieldCodec(fmt="32s")]
+Sig = Annotated[bytes, FieldCodec(fmt=f"{SIG_SIZE}s", is_sig=True)]
+Flag = Annotated[bool, FieldCodec(fmt="?", names=(False, True))]
+Blob = Annotated[bytes, FieldCodec(put=lambda g, v: f"U32.pack(len({(b := g.var())} := {v})) + {b}",
+                                   take=_take_blob)]
+Text = Annotated[str, _adapted(_split(Blob)[1], "{0}.encode()", bytes.decode)]  # utf-8
+U64Pair = Annotated[tuple[int, int], FieldCodec(put=lambda g, v: f"{g.ref(_PAIR)}.pack(*{v})",
+                                                take=_take_pair)]
+Ratio = Annotated[Fraction, _adapted(_split(U64Pair)[1], "({0}.numerator, {0}.denominator)", _ratio)]
 
 
 class Tag:
     """``Tag[a, b, ...]``: one of the listed names, as its u8 index."""
 
     def __class_getitem__(cls, names: tuple):
-        index = {name: i for i, name in enumerate(names)}
-
-        def write(w: Writer, name) -> None:
-            if name not in index:
-                raise CodecError(f"{name!r} is not one of {names}")
-            w.u8(index[name])
-
-        def read(r: Reader):
-            i = r.u8()
-            if i >= len(names):
-                raise CodecError(f"tag {i} names none of {names}")
-            return names[i]
-
-        return Annotated[str, FieldCodec(write, read, fmt="B", names=names)]
+        return Annotated[str, FieldCodec(fmt="B", names=names)]
 
 
 class Maybe:
-    """``Maybe[X]``: a flag, then X when the value is not None."""
+    """``Maybe[X]``: a flag byte, then X when the value is not None."""
 
     def __class_getitem__(cls, alias):
-        base, codec = _split(alias)
+        base, item = _split(alias)
 
-        def write(w: Writer, value) -> None:
-            w.flag(value is not None)
-            if value is not None:
-                codec.write(w, value)
+        def take(g: _Plan, target: str) -> None:
+            g.line(f"{(flag := g.var())} = data[pos]")
+            g.line("pos += 1")
+            g.line(f"if {flag} > 1: raise ValueError(f'flag byte must be 0 or 1, got {{{flag}}}')")
+            g.line(f"{target} = None")
+            g.nest(f"if {flag}:", item, target)
 
-        def read(r: Reader):
-            return codec.read(r) if r.flag() else None
-
-        return Annotated[base | None, FieldCodec(write, read)]
+        put = lambda g, value: f"(b'\\0' if {value} is None else b'\\1' + {g.expr(item, value)})"  # noqa: E731
+        return Annotated[base | None, FieldCodec(put=put, take=take)]
 
 
 class Seq:
-    """``Seq[X]``: a u32 count, then each item as X writes it."""
+    """``Seq[X]``: a u32 count, then each item as X writes it (numbers in one struct call)."""
 
     def __class_getitem__(cls, alias):
-        base, codec = _split(alias)
+        base, item = _split(alias)
+        numbers = len(item.fmt) == 1 and not item.names
 
-        def write(w: Writer, items) -> None:
-            w.u32(len(items))
-            for item in items:
-                codec.write(w, item)
+        def put(g: _Plan, items: str) -> str:
+            if numbers:
+                return f"pack(f'>I{{len({items})}}{item.fmt}', len({items}), *{items})"
+            return f"U32.pack(len({items})) + b''.join([{g.expr(item, x := g.var())} for {x} in {items}])"
 
-        def read(r: Reader) -> tuple:
-            return tuple(codec.read(r) for _ in range(r.u32()))
+        def take(g: _Plan, target: str) -> None:
+            g.line(f"{(count := g.var())}, = U32.unpack_from(data, pos)")
+            g.line("pos += 4")
+            if numbers:
+                g.line(f"{target} = unpack_from(f'>{{{count}}}{item.fmt}', data, pos)")
+                return g.line(f"pos += {struct.calcsize(item.fmt)} * {count}")
+            g.line(f"{target} = []")
+            g.nest(f"for _ in range({count}):", item, x := g.var())
+            g.line(f"    {target}.append({x})")
+            g.line(f"{target} = tuple({target})")
 
-        return Annotated[tuple[base, ...], FieldCodec(write, read)]
+        return Annotated[tuple[base, ...], FieldCodec(put=put, take=take)]
 
 
 class Record:
     """``Record[T]``: a nested T, as a blob that must read exactly to its end."""
 
     def __class_getitem__(cls, record_type):
-        return Annotated[record_type, FieldCodec(_write_record, lambda r: record_type.decode(r.blob()))]
+        return Annotated[record_type, _adapted(_split(Blob)[1], "{0}.encode()", record_type.decode)]
 
 
 class OptionalRecord:
@@ -291,20 +382,8 @@ class OptionalRecord:
 
 
 I64s = Seq[I64]
-_, _addresses = _split(Seq[Bytes32])
-
-
-def _read_address_set(r: Reader) -> frozenset[bytes]:
-    addresses = _addresses.read(r)
-    if any(a >= b for a, b in zip(addresses, addresses[1:])):
-        raise CodecError("address set is not strictly ascending")
-    return frozenset(addresses)
-
-
 # a set of 32-byte addresses, as a Seq in ascending order
-AddressSet = Annotated[frozenset[bytes], FieldCodec(
-    lambda w, v: _addresses.write(w, sorted(v)), _read_address_set
-)]
+AddressSet = Annotated[frozenset[bytes], _adapted(_split(Seq[Bytes32])[1], "sorted({0})", _address_set)]
 
 
 def wire_fields(cls) -> tuple[tuple[str, FieldCodec], ...]:
@@ -319,61 +398,22 @@ def wire_fields(cls) -> tuple[tuple[str, FieldCodec], ...]:
     return tuple(schema)
 
 
-def _compile(cls, mode: str) -> Callable:
-    """Generate and keep ``cls``'s encoder for Sig fields "keep", "zero" or
-    "omit", or its reader ("read"), as ``dataclasses`` generates methods; a
-    reader fills the record's ``__dict__``, then runs ``__post_init__``."""
-    reading = mode == "read"
-    env = {"cls": cls, "Writer": Writer, "CodecError": CodecError, "ZERO_SIG": ZERO_SIG, "new": object.__new__}
-    run = [("B", str(cls.TAG))] if cls.TAG is not None and not reading else []
-    lines, packs, sizes, checks, fills = [], [], [], [], []
-
-    def flush() -> None:
-        if run:
-            key = f"s{len(lines)}"
-            values = ", ".join(value for _, value in run)
-            env[key] = packer = struct.Struct(">" + "".join(fmt for fmt, _ in run))
-            if reading:
-                unpack = f"{values}, = {key}.unpack_from(r._data, r._pos)"
-                lines.extend([unpack, f"r._pos += {packer.size}", *checks])
-            else:
-                packs.append(f"{key}.pack({values})")
-                lines.append(f"p({packs[-1]})")
-            del run[:], checks[:]
-
-    for i, (name, codec) in enumerate(cls._FIELDS):
-        if codec.is_sig and mode == "omit":
-            continue
-        value = f"v{i}" if reading else f"self.{name}"
-        env[f"n{i}"] = codec.names  # a Tag's or Flag's byte indexes its names
-        if not codec.fmt:
-            flush()
-            env[f"c{i}"] = codec.read if reading else codec.write
-            lines.append(f"v{i} = c{i}(r)" if reading else f"c{i}(w, {value})")
-        elif reading:  # a Tag or Flag byte past its names is malformed
-            run.append((codec.fmt.replace("?", "B"), value))
-            if codec.names:
-                checks.append(f"if {value} >= {len(codec.names)}: raise CodecError("
-                              f"f'{cls.__name__}.{name}: byte {{{value}}} names none of {{n{i}}}')")
-                value = f"n{i}[{value}]"
-        elif codec.is_sig and mode == "zero":
-            run.append((codec.fmt, "ZERO_SIG"))
-        else:  # a Flag packs as "?", a Tag as its index; struct pads a short Bytes32 or Sig
-            run.append((codec.fmt, f"n{i}.index({value})" if codec.fmt == "B" and codec.names else value))
-            if codec.fmt.endswith("s"):
-                sizes.append(f"len({value}) != {codec.fmt[:-1]}")
-        fills.append(f"d[{name!r}] = {value}")
-    flush()
-    if reading:
+def _compile(cls, mode: str, fields: tuple | None = None) -> Callable:
+    """Generate and keep ``cls``'s encoder for Sig fields "keep", "zero" or "omit", or its
+    reader ("read"), as ``dataclasses`` generates methods; with ``fields``, an encoder of
+    those alone, not kept. A reader fills the record's ``__dict__``, then runs ``__post_init__``."""
+    g = _Plan(mode == "read", cls.__name__)
+    g.env.update(cls=cls, new=object.__new__)
+    if g.reading:
+        values = [(codec, f"v{i}", f"{cls.__name__}.{name}") for i, (name, codec) in enumerate(cls._FIELDS)]
+        fills = [f"od[{name!r}] = v{i}" for i, (name, _) in enumerate(cls._FIELDS)]
         post = ["o.__post_init__()"] if hasattr(cls, "__post_init__") else []
-        lines += ["o = new(cls)", "d = o.__dict__", *fills, *post, "return o"]
-    elif len(packs) < len(lines):  # some field writes through its codec callable
-        lines = ["w = Writer()", "p = w._parts.append", *lines, "return w.done()"]
-    else:  # fixed-width fields only, so one run: its pack is the whole encoding
-        lines = [f"return {packs[0]}" if packs else 'return b""']
-    lines[:0] = [f"if {' or '.join(sizes)}: raise ValueError"] if sizes else []
-    exec(f"def plan({'r' if reading else 'self'}):\n    " + "\n    ".join(lines), env)
-    return cls._plans.setdefault(mode, env["plan"])
+        plan = g.reader(values, ["o = new(cls)", "od = o.__dict__", *fills, *post, "return o"])
+    else:
+        g.run += [("B", str(cls.TAG))] if cls.TAG is not None and fields is None else []
+        plan = g.writer([(codec, g.ref(ZERO_SIG) if codec.is_sig and mode == "zero" else f"self.{name}")
+                         for name, codec in fields or cls._FIELDS if not codec.is_sig or mode != "omit"])
+    return cls._plans.setdefault(mode, plan) if fields is None else plan
 
 
 class WireRecord:
@@ -384,6 +424,7 @@ class WireRecord:
     tagged union (``tx.decode_tx``) reads the tag."""
 
     TAG = None
+    _digest = None  # hash256(encode()), kept by digest()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -396,34 +437,31 @@ class WireRecord:
 
     def digest(self) -> bytes:
         """hash256 of ``encode()``: the record's identity, as its tx hash,
-        block hash, code hash or state-tree leaf. It is kept after the first
-        call, which is sound because the record is frozen; an edit builds a
-        new record, which never sees the old digest."""
-        try:
-            return self._digest  # not via __dict__, which would build one per record
-        except AttributeError:
+        block hash, code hash or state-tree leaf. The first call keeps it on
+        the record, over the class's None, which is sound because the record
+        is frozen; an edit builds a new record, which never sees it."""
+        digest = self._digest
+        if digest is None:
             digest = hash256(self.encode())
             object.__setattr__(self, "_digest", digest)
-            return digest
+        return digest
 
     def _encode(self, sigs: str) -> bytes:
         """The wire bytes with every Sig field kept, "zero"ed or "omit"ted."""
         plan = self._plans.get(sigs) or _compile(type(self), sigs)
         try:
             return plan(self)
-        except _BAD_VALUE as exc:  # name the first field that fails through its own codec
-            for name, codec in self._FIELDS:
+        except _BAD_VALUE as exc:  # name the first field that fails in a plan of its own
+            for field in self._FIELDS:
                 try:
-                    if not codec.is_sig or sigs == "keep":
-                        codec.write(Writer(), getattr(self, name))
+                    _compile(type(self), sigs, (field,))(self)
                 except _BAD_VALUE as field_exc:
-                    raise CodecError(f"{type(self).__name__}.{name}: {field_exc}") from exc
+                    raise CodecError(f"{type(self).__name__}.{field[0]}: {field_exc}") from exc
             raise CodecError(f"{type(self).__name__}: {exc!r}") from exc
 
     @classmethod
     def decode(cls, data: bytes):
-        """One untagged record's whole encoding; trailing bytes are a
-        CodecError."""
+        """One untagged record's whole encoding; trailing bytes are a CodecError."""
         r = Reader(data)
         record = cls.read(r)
         r.expect_end()
@@ -431,12 +469,10 @@ class WireRecord:
 
     @classmethod
     def read(cls, r: Reader):
-        """The record from its fields; short input, an unnamed tag byte or a
-        value the constructor rejects is a CodecError, like any malformed input."""
+        """The record from its fields. Malformed input is a CodecError naming
+        its field, and a value the constructor rejects one naming the record."""
         plan = cls._plans.get("read") or _compile(cls, "read")
         try:
             return plan(r)
-        except struct.error:
-            raise CodecError("unexpected end of input") from None
         except LedgerError as exc:
             raise CodecError(f"{cls.__name__}: {exc}") from exc

@@ -10,11 +10,12 @@ opcode with no signature view behind it, so it always traps.
 """
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Annotated, Callable
 
-from .codec import I64_MAX, I64_MIN, U8, FieldCodec, Reader, Seq, WireRecord, Writer
-from .errors import CodecError, LedgerError, VmFailure
+from .codec import I64_MAX, I64_MIN, U8, FieldCodec, Seq, WireRecord
+from .errors import LedgerError, VmFailure
 from .crypto import hash256
 
 MAX_PROGRAM_LEN = 65_536
@@ -54,29 +55,33 @@ class Instr:
         return self.op
 
 
-def _write_op(w: Writer, ins: Instr) -> None:
-    w.u8(_OPCODE[ins.op])
-    if ins.op in _HAS_IMM:
-        w.i64(ins.arg)
-    elif ins.op in _HAS_IDX:
-        w.u16(ins.arg)
+# PUSH's i64 immediate or STORE's and LOAD's u16 index, by opcode; any other
+# instruction is one shared Instr, as an Instr is frozen
+_ARG = {_OPCODE[op]: struct.Struct(">q" if op in _HAS_IMM else ">H") for op in _HAS_IMM | _HAS_IDX}
+_PLAIN = tuple(None if code in _ARG else Instr(op) for code, op in enumerate(OPS))
+_BYTE = {op: bytes([code]) for code, op in enumerate(OPS) if code not in _ARG}
+_PACK = {OPS[code]: struct.Struct(">B" + arg.format[1:]) for code, arg in _ARG.items()}
 
 
-def _read_op(r: Reader) -> Instr:
-    code = r.u8()
-    if code >= len(OPS):
-        raise CodecError(f"bad opcode {code}")
-    op = OPS[code]
-    if op in _HAS_IMM:
-        return Instr(op, r.i64())
-    if op in _HAS_IDX:
-        return Instr(op, r.u16())
-    return Instr(op)
+def _take_op(g, ins: str) -> None:
+    """Read one instruction, built without the checks ``Instr`` runs (by
+    ``object.__setattr__``: writing ``__dict__`` would slow every read of it)."""
+    code, arg, args = g.var(), g.var(), g.ref(_ARG)
+    g.line(f"{code} = data[pos]")
+    g.line("pos += 1")
+    g.line(f"if {code} >= {len(OPS)}: raise ValueError(f'bad opcode {{{code}}}')")
+    g.line(f"{ins} = {g.ref(_PLAIN)}[{code}]")
+    g.line(f"if {ins} is None:")
+    g.line(f"    {arg}, = {args}[{code}].unpack_from(data, pos)")
+    g.line(f"    pos += {args}[{code}].size")
+    g.line(f"    {ins} = {g.ref(object.__new__)}({g.ref(Instr)})")
+    g.line(f"    {g.ref(object.__setattr__)}({ins}, 'op', {g.ref(OPS)}[{code}])")
+    g.line(f"    {g.ref(object.__setattr__)}({ins}, 'arg', {arg})")
 
 
-# one instruction: a u8 opcode, then an i64 immediate for PUSH or a u16
-# store index for STORE and LOAD
-Op = Annotated[Instr, FieldCodec(_write_op, _read_op)]
+# one instruction: its opcode byte, then its argument if it has one
+Op = Annotated[Instr, FieldCodec(take=_take_op, put=lambda g, ins: (
+    f"({g.ref(_BYTE)}.get({ins}.op) or {g.ref(_PACK)}[{ins}.op].pack({g.ref(_OPCODE)}[{ins}.op], {ins}.arg))"))]
 
 
 class Program(WireRecord):

@@ -3,13 +3,20 @@ import hashlib
 import pytest
 from hypothesis import given, strategies as st
 
+from deskchain import codec
 from deskchain.codec import CodecError, Reader, Writer, check_amount
+
+
+def _field(alias):
+    # the field codec behind a wire alias, which reads one value from a Reader
+    return alias.__metadata__[0]
 
 
 def test_u64_round_trip():
     data = Writer().u64(0).u64(2**64 - 1).u64(12345).done()
     r = Reader(data)
-    assert (r.u64(), r.u64(), r.u64()) == (0, 2**64 - 1, 12345)
+    u64 = _field(codec.U64)
+    assert (u64.read(r), u64.read(r), u64.read(r)) == (0, 2**64 - 1, 12345)
     r.expect_end()
 
 
@@ -39,7 +46,7 @@ def test_trailing_bytes_detected():
 def test_truncated_input_detected():
     r = Reader(b"\x00\x01")
     with pytest.raises(CodecError):
-        r.u64()
+        _field(codec.U64).read(r)
 
 
 def test_check_amount():
@@ -55,7 +62,7 @@ def test_check_amount():
 
 @given(st.integers(min_value=-(2**63), max_value=2**63 - 1))
 def test_i64_round_trip(value):
-    assert Reader(Writer().i64(value).done()).i64() == value
+    assert _field(codec.I64).read(Reader(Writer().i64(value).done())) == value
 
 
 @given(st.binary(max_size=64), st.text(max_size=32))
@@ -63,18 +70,18 @@ def test_blob_text_round_trip(blob, text):
     data = Writer().blob(blob).text(text).done()
     r = Reader(data)
     assert r.blob() == blob
-    assert r.text() == text
+    assert _field(codec.Text).read(r) == text
     r.expect_end()
 
 
 @given(st.booleans())
 def test_flag_round_trip(flag):
-    assert Reader(Writer().flag(flag).done()).flag() == flag
+    assert _field(codec.Flag).read(Reader(Writer().flag(flag).done())) == flag
 
 
 def test_flag_rejects_other_bytes():
     with pytest.raises(CodecError):
-        Reader(b"\x02").flag()
+        _field(codec.Flag).read(Reader(b"\x02"))
 
 
 def _state_record_examples():
@@ -428,3 +435,125 @@ def test_importing_the_cli_compiles_no_codec_plan():
     )
     path = os.pathsep.join([os.path.join(REPO_ROOT, "src"), os.environ.get("PYTHONPATH", "")])
     subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path}, check=True, timeout=60)
+
+
+def _bad_variable_width_values(hint):
+    # values a variable-width field's codec cannot write, by the field's type
+    from deskchain.vm import Instr
+
+    def instr(op, arg):  # set past the constructor, which would refuse it
+        ins = object.__new__(Instr)
+        ins.__dict__.update(op=op, arg=arg)
+        return ins
+
+    origin = getattr(hint, "__origin__", None)
+    if origin == bytes | None:  # Maybe[Bytes32]
+        return [b"\x01" * 31, b"\x01" * 33]
+    if hint == codec.I64s:
+        return [(1, 2**63)]
+    if origin == tuple[int, ...]:  # Seq[U64]
+        return [(-1,), (5, 2**64)]
+    if hint == codec.Text:
+        return ["\ud800", "lone \udfff"]
+    if origin == tuple[Instr, ...]:  # Seq[vm.Op]
+        return [(instr("PUSH", 2**63),), (instr("STOP", 0), instr("STORE", 65536))]
+    return []
+
+
+def test_every_variable_width_field_rejects_what_it_cannot_encode():
+    import copy
+    import typing
+
+    checked = set()
+    for cls in _wire_record_classes():
+        good = _encodable(cls)
+        good.encode()
+        hints = typing.get_type_hints(cls, include_extras=True)
+        for name, _ in cls._FIELDS:
+            for value in _bad_variable_width_values(hints[name]):
+                bad = copy.copy(good)
+                object.__setattr__(bad, name, value)
+                for form in [bad.encode] + ([bad.signing_bytes] if hasattr(bad, "signing_bytes") else []):
+                    with pytest.raises(CodecError, match=rf"^{cls.__name__}\.{name}: "):
+                        form()
+                checked.add(f"{cls.__name__}.{name}")
+    assert checked >= {
+        "Account.code_hash", "SignedState.contract_hash", "SignedState.contract_state", "ContractCall.call_data",
+        "BlockHeader.pow_cycle", "AZFactors.raw", "NameRecord.name", "NameClaim.name", "Program.instructions",
+    }
+
+
+def test_a_read_error_names_the_field_it_is_in():
+    from deskchain.ledger import Account, NameRecord
+    from deskchain.merkle import MerkleProof
+    from deskchain.vm import Program
+
+    account = Account(b"\x11" * 32, 0, 1, 2, "contract", b"\x12" * 32).encode()
+    name = NameRecord("plant-7", b"\x13" * 32, b"\x14" * 32).encode()
+    proof = MerkleProof(5, (b"\x19" * 32, b"\x1a" * 32)).encode()
+    cases = [
+        (Account, account[:-33] + b"\x02" + account[-32:], r"Account\.code_hash: flag byte must be 0 or 1, got 2"),
+        (NameRecord, name.replace(b"plant-7", b"plant\xff7"), r"NameRecord\.name: .*utf-8.* decode byte 0xff"),
+        (Program, bytes([1, 0, 0, 0, 1, 99]), r"Program\.instructions: bad opcode 99"),
+        (MerkleProof, proof[:4] + (3).to_bytes(4, "big") + proof[8:], r"MerkleProof\.siblings: unexpected end"),
+    ]
+    for cls, data, message in cases:
+        with pytest.raises(CodecError, match=rf"^{message}"):
+            cls.decode(data)
+
+
+def _accepted(record) -> bool:
+    # the constructor's checks, on the record and on every record inside it
+    import wire_reference
+    from deskchain.errors import LedgerError
+
+    for each in (record, *wire_reference.nested(record)):
+        try:
+            if hasattr(each, "__post_init__"):
+                each.__post_init__()
+        except (LedgerError, CodecError):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("cls", _wire_record_classes(), ids=lambda cls: cls.__qualname__)
+def test_compiled_plans_agree_with_a_reference_encoder(cls):
+    # encode() is the bytes wire_reference writes through Writer primitives;
+    # read gives the record back, or refuses it when its constructor would
+    import wire_reference
+    from hypothesis import HealthCheck, settings
+
+    from deskchain.tx import TxBase
+
+    outcomes = set()
+
+    @settings(max_examples=12, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(wire_reference.records(cls))
+    def check(record):
+        encoded = record.encode()
+        assert encoded == wire_reference.encode(record)
+        if hasattr(record, "signing_bytes"):
+            sigs = "zero" if isinstance(record, TxBase) else "omit"
+            assert record.signing_bytes() == wire_reference.encode(record, sigs)
+        body = encoded[cls.TAG is not None:]
+        if _accepted(record):
+            assert cls.decode(body) == record
+            outcomes.add("accepted")
+        else:
+            with pytest.raises(CodecError):
+                cls.decode(body)
+            outcomes.add("refused")
+
+    check()
+    assert "accepted" in outcomes
+
+
+def test_a_program_of_every_opcode_agrees_with_the_reference_encoder():
+    import wire_reference
+    from deskchain.vm import OPS, Instr, Program
+
+    args = {"PUSH": -7, "STORE": 513, "LOAD": 65535}
+    program = Program(1, tuple(Instr(op, args.get(op, 0)) for op in OPS))
+    assert program.encode() == wire_reference.encode(program)
+    assert Program.decode(program.encode()) == program
