@@ -3,7 +3,10 @@
 
     python3 scripts/bench.py REF PR
 
-Exports ``REF`` with ``git archive`` into a temporary directory and runs
+Exports both sides the same way, each into a fresh temporary directory
+through ``git archive`` (see ``export``): ``REF``'s tree, and the working
+tree's tracked and untracked, non-ignored files, so neither side runs with
+bytecode caches or earlier run output. Then runs
 ``perfbench/run.py --seconds 20 --trace 0`` for every workload that
 BENCHMARK.json lists: ``PAIRS`` pairs per workload, each pair one run of
 ``REF`` and one of the working tree on the same seed, alternating which side
@@ -29,6 +32,28 @@ PAIRS = 10
 SECONDS = 20
 SEED_BASE = 20_000
 SIDES = ("parent", "change")
+
+
+def export(root: str, dest: str, ref: str | None = None) -> str:
+    """Extract into ``dest`` the tree of ``ref``, or with None the working
+    tree's tracked and untracked, non-ignored files as they are on disk, and
+    return that tree's id. The working tree is staged into a scratch index,
+    so the repository's own index and refs are left as they are."""
+    with tempfile.TemporaryDirectory(prefix="bench-index-") as scratch:
+        env = {**os.environ, "GIT_INDEX_FILE": os.path.join(scratch, "index")}
+
+        def git(*args: str) -> bytes:
+            return subprocess.run(["git", *args], cwd=root, env=env, capture_output=True, check=True).stdout
+
+        if ref is None:
+            git("add", "--all")
+            tree = git("write-tree").decode().strip()
+        else:
+            tree = git("rev-parse", f"{ref}^{{tree}}").decode().strip()
+        archive = git("archive", tree)
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return tree
 
 
 def run_once(root: str, workload: str, seed: int) -> tuple[dict | None, str]:
@@ -86,11 +111,10 @@ def main(argv: list[str]) -> int:
     seeds = [SEED_BASE + i for i in range(PAIRS)]
     report = {"ref": ref, "ref_commit": commit, "change": "working tree", "seconds": SECONDS,
               "seeds": seeds, "host": None, "workloads": {}}
-    with tempfile.TemporaryDirectory(prefix="bench-ref-") as parent_root:
-        archive = subprocess.run(["git", "archive", commit], cwd=ROOT, capture_output=True, check=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(parent_root, filter="data")
-        roots = {"parent": parent_root, "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
+        roots = {side: os.path.join(tmp, side) for side in SIDES}
+        export(ROOT, roots["parent"], commit)
+        report["change_tree"] = export(ROOT, roots["change"])
         for workload in (w["name"] for w in spec["workloads"]):
             pairs = []
             for i, seed in enumerate(seeds):

@@ -12,16 +12,17 @@ declaration order (reordering them is a consensus change), each as its alias
 writes it: an integer big-endian, ``Bytes32`` and ``Sig`` as they are, a
 ``Flag`` as a byte 0 or 1, a ``Tag`` as the u8 index of its name, ``Maybe``
 as a flag byte and the value if any, ``Seq`` as a u32 count and the items,
-and ``Blob``, ``Text`` (utf-8) and ``Record`` as a u32 length and the bytes.
-``encode`` and ``read`` run plans generated from the annotations at a
-class's first use: every field's code runs inside its record's plan, with
-one ``struct`` call per run of fixed-width fields. A record's identity is
-``digest()``, hash256 of its encoding, kept on the record after the first
-call. Every tx kind (after its u8 tag), state record, ``BlockHeader`` (its
-PoW input ``base_bytes`` is the prefix of its encoding up to ``miner``),
-``Program`` and the CLI's channel file is written this way; only ``Block``,
-whose txs are of any kind, each read by its u8 tag through ``tx.decode_tx``,
-writes its own bytes.
+and ``Blob``, ``Text`` (utf-8) and ``Record`` framed: a u32 length and the
+bytes, by ``frame``, the one framer (``Block`` and the CLI's chain and
+mempool files use it too). ``encode`` and ``read`` run plans generated from
+the annotations at a class's first use, with one ``struct`` call per run of
+fixed-width fields; they are the only byte writer. A record's identity is
+``digest()``, hash256 of its encoding, kept once computed or decoded. Every
+tx kind (after its u8 tag), state record, ``BlockHeader`` (its PoW input
+``base_bytes`` is the prefix of its encoding up to ``miner``), ``Program``
+and the CLI's channel file is written this way; only ``Block``, whose txs
+are of any kind, each read by its u8 tag through ``tx.decode_tx``, writes
+its own bytes.
 
 Signing bytes follow one of two rules, each written once. A transaction
 signs its wire bytes with every ``Sig`` field zeroed
@@ -43,6 +44,7 @@ from .errors import CodecError, LedgerError
 U64_MAX = 2**64 - 1
 I64_MIN = -(2**63)
 I64_MAX = 2**63 - 1
+_U32 = struct.Struct(">I")
 # what encoding a value its codec cannot write raises
 _BAD_VALUE = (CodecError, struct.error, TypeError, ValueError, AttributeError, LookupError)
 
@@ -56,48 +58,9 @@ def check_amount(n: int, what: str = "amount") -> int:
     return n
 
 
-class Writer:
-    def __init__(self) -> None:
-        self._parts: list[bytes] = []
-
-    def _int(self, n: int, size: int, signed: bool = False) -> "Writer":
-        try:
-            self._parts.append(n.to_bytes(size, "big", signed=signed))
-        except OverflowError:
-            raise CodecError(f"{'i' if signed else 'u'}{8 * size} out of range: {n}") from None
-        return self
-
-    def u8(self, n: int) -> "Writer":
-        return self._int(n, 1)
-
-    def u32(self, n: int) -> "Writer":
-        return self._int(n, 4)
-
-    def u64(self, n: int) -> "Writer":
-        return self._int(n, 8)
-
-    def i64(self, n: int) -> "Writer":
-        return self._int(n, 8, signed=True)
-
-    def fixed(self, b: bytes, size: int) -> "Writer":
-        if len(b) != size:
-            raise CodecError(f"expected {size} bytes, got {len(b)}")
-        self._parts.append(bytes(b))
-        return self
-
-    def blob(self, b: bytes) -> "Writer":
-        self.u32(len(b))
-        self._parts.append(bytes(b))
-        return self
-
-    def text(self, s: str) -> "Writer":
-        return self.blob(s.encode("utf-8"))
-
-    def flag(self, b: bool) -> "Writer":
-        return self.u8(1 if b else 0)
-
-    def done(self) -> bytes:
-        return b"".join(self._parts)
+def frame(data: bytes) -> bytes:
+    """``data`` framed as every blob is: its u32 big-endian length, then its bytes."""
+    return _U32.pack(len(data)) + data
 
 
 class Reader:
@@ -164,7 +127,7 @@ class _Plan:
         self.reading, self.record, self.said, self.depth, self.vars = reading, record, record, 1, 0
         self.lines, self.run, self.parts = [], [], []
         self.env = {"CodecError": CodecError, "struct_error": struct.error, "fail": _fail,
-                    "U32": struct.Struct(">I"), "pack": struct.pack, "unpack_from": struct.unpack_from}
+                    "U32": _U32, "frame": frame, "pack": struct.pack, "unpack_from": struct.unpack_from}
 
     def ref(self, obj) -> str:
         self.env[key := f"e{len(self.env)}"] = obj
@@ -309,8 +272,7 @@ I64 = Annotated[int, FieldCodec(fmt="q")]
 Bytes32 = Annotated[bytes, FieldCodec(fmt="32s")]
 Sig = Annotated[bytes, FieldCodec(fmt=f"{SIG_SIZE}s", is_sig=True)]
 Flag = Annotated[bool, FieldCodec(fmt="?", names=(False, True))]
-Blob = Annotated[bytes, FieldCodec(put=lambda g, v: f"U32.pack(len({(b := g.var())} := {v})) + {b}",
-                                   take=_take_blob)]
+Blob = Annotated[bytes, FieldCodec(put=lambda g, v: f"frame({v})", take=_take_blob)]
 Text = Annotated[str, _adapted(_split(Blob)[1], "{0}.encode()", bytes.decode)]  # utf-8
 U64Pair = Annotated[tuple[int, int], FieldCodec(put=lambda g, v: f"{g.ref(_PAIR)}.pack(*{v})",
                                                 take=_take_pair)]
@@ -461,10 +423,13 @@ class WireRecord:
 
     @classmethod
     def decode(cls, data: bytes):
-        """One untagged record's whole encoding; trailing bytes are a CodecError."""
+        """A record's whole encoding; trailing bytes are a CodecError. Decoding is canonical,
+        so an untagged record keeps ``hash256(data)`` as its ``digest()``."""
         r = Reader(data)
         record = cls.read(r)
         r.expect_end()
+        if cls.TAG is None:
+            object.__setattr__(record, "_digest", hash256(data))
         return record
 
     @classmethod

@@ -94,36 +94,24 @@ class NetworkConfig:
         return sum(b for _, _, b in self.genesis_accounts) + self.genesis_endowment
 
 
+# key -> (field, floor); a floor of None leaves the range to PowParams or to
+# latency_min <= latency_max. A 0 divides by zero later, a 0 countdown or vote
+# window closes a dispute before anyone can act, a meter or nonce budget below
+# 1 runs nothing, and a negative window or latency runs time backwards
 _INT_KEYS = {
-    "pow.edge_bits": "pow_edge_bits",
-    "pow.cycle_len": "pow_cycle_len",
-    "pow.nonce_budget": "pow_nonce_budget",
-    "coinbase.halving_blocks": "coinbase_halving_blocks",
-    "channel.countdown_blocks": "countdown_blocks",
-    "oracle.challenge_window": "oracle_challenge_window",
-    "oracle.vote_window": "oracle_vote_window",
-    "storage.retrieval_unit": "retrieval_unit",
-    "epoch.blocks": "blocks_per_epoch",
-    "vm.pure_gas": "pure_gas",
-    "vm.pure_space": "pure_space",
-    "sim.latency_min": "sim_latency_min",
-    "sim.latency_max": "sim_latency_max",
-}
-
-# int keys with a floor: a 0 divides by zero later, a 0 countdown or vote
-# window closes a dispute before anyone can act, a meter or nonce budget
-# below 1 runs nothing, and a negative window or latency runs time backwards
-_INT_MINIMUM = {
-    "pow.nonce_budget": 1,
-    "coinbase.halving_blocks": 1,
-    "channel.countdown_blocks": 1,
-    "oracle.challenge_window": 0,
-    "oracle.vote_window": 1,
-    "storage.retrieval_unit": 1,
-    "epoch.blocks": 1,
-    "vm.pure_gas": 1,
-    "vm.pure_space": 1,
-    "sim.latency_min": 0,
+    "pow.edge_bits": ("pow_edge_bits", None),
+    "pow.cycle_len": ("pow_cycle_len", None),
+    "pow.nonce_budget": ("pow_nonce_budget", 1),
+    "coinbase.halving_blocks": ("coinbase_halving_blocks", 1),
+    "channel.countdown_blocks": ("countdown_blocks", 1),
+    "oracle.challenge_window": ("oracle_challenge_window", 0),
+    "oracle.vote_window": ("oracle_vote_window", 1),
+    "storage.retrieval_unit": ("retrieval_unit", 1),
+    "epoch.blocks": ("blocks_per_epoch", 1),
+    "vm.pure_gas": ("pure_gas", 1),
+    "vm.pure_space": ("pure_space", 1),
+    "sim.latency_min": ("sim_latency_min", 0),
+    "sim.latency_max": ("sim_latency_max", None),
 }
 
 _AMOUNT_KEYS = {
@@ -162,9 +150,10 @@ def parse_config(text: str) -> NetworkConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         try:
             if key in _INT_KEYS:
-                updates[_INT_KEYS[key]] = n = int(value, 10)
-                if n < _INT_MINIMUM.get(key, n):
-                    raise ConfigError(f"{key} must be at least {_INT_MINIMUM[key]}, got {n}")
+                field, floor = _INT_KEYS[key]
+                updates[field] = n = int(value, 10)
+                if floor is not None and n < floor:
+                    raise ConfigError(f"{key} must be at least {floor}, got {n}")
                 if key in ("pow.edge_bits", "pow.cycle_len"):
                     PowParams(**{key[4:]: n})  # PowParams' own range check
                 if key.startswith("sim.latency_"):

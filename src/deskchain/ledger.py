@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import pow
-from .codec import U32, U64, Bytes32, Maybe, Reader, Seq, Tag, Text, WireRecord, Writer, check_amount
+from .codec import U32, U64, Bytes32, Maybe, Reader, Seq, Tag, Text, WireRecord, check_amount, frame
 from .crypto import ADDRESS_SIZE, ZERO32, hash256
 from .errors import BlockError, LedgerError
 from .merkle import MerkleProof, merkle_verify
@@ -110,13 +110,9 @@ class Block:
     transactions: tuple  # of tx kinds; see tx.py
 
     def encode(self) -> bytes:
-        w = Writer()
-        header = self.header.encode()
-        w.blob(header)
-        w.u32(len(self.transactions))
-        for tx in self.transactions:
-            w.blob(tx.encode())
-        return w.done()
+        """The header framed, the u32 tx count, then each tx framed."""
+        txs = [frame(tx.encode()) for tx in self.transactions]
+        return b"".join([frame(self.header.encode()), len(txs).to_bytes(4, "big"), *txs])
 
     @staticmethod
     def read(r: Reader) -> "Block":
@@ -157,14 +153,6 @@ def validate_header(header: BlockHeader, prev: BlockHeader | None, cfg) -> None:
         raise BlockError("BadPow", "cuckoo solution rejected")
 
 
-def header_ok(header: BlockHeader, prev: BlockHeader | None, cfg) -> bool:
-    try:
-        validate_header(header, prev, cfg)
-        return True
-    except BlockError:
-        return False
-
-
 def verify_light(headers: list[BlockHeader], tx_bytes: bytes, proof: MerkleProof, cfg) -> bool:
     """Header-only verification: chain links + PoW + inclusion in the tip."""
     if not headers:
@@ -173,9 +161,11 @@ def verify_light(headers: list[BlockHeader], tx_bytes: bytes, proof: MerkleProof
     first = headers[0]
     if not pow.verify(first.base_hash(), pow.CuckooSolution(first.pow_nonce, first.pow_cycle), params):
         return False
-    for prev, nxt in zip(headers, headers[1:]):
-        if not header_ok(nxt, prev, cfg):
-            return False
+    try:
+        for prev, nxt in zip(headers, headers[1:]):
+            validate_header(nxt, prev, cfg)
+    except BlockError:
+        return False
     return merkle_verify(headers[-1].tx_root, tx_bytes, proof, headers[-1].tx_count)
 
 

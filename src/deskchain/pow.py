@@ -35,11 +35,11 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import struct
 import sys
 from array import array
 from dataclasses import dataclass
 
-from .codec import Writer
 from .errors import LedgerError
 
 
@@ -104,10 +104,8 @@ def _endpoints(header_hash: bytes, nonce: int, edge_bits: int, messages) -> list
 
 
 def solution_digest(header_hash: bytes, edges: tuple[int, ...]) -> bytes:
-    w = Writer().fixed(header_hash, 32).u32(len(edges))
-    for e in edges:
-        w.u64(e)
-    return hashlib.sha256(w.done()).digest()
+    """sha256 of the header hash, the u32 edge count and each edge as a u64."""
+    return hashlib.sha256(struct.pack(f">32sI{len(edges)}Q", header_hash, len(edges), *edges)).digest()
 
 
 def meets_target(digest: bytes, target: bytes) -> bool:

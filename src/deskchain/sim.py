@@ -381,21 +381,21 @@ class Simulation:
 
     # --- scenario commands ---
 
-    def _node(self, name: str, line_no: int) -> SimNode:
+    def _node(self, name: str) -> SimNode:
         node = self.nodes.get(name)
         if node is None:
-            raise ScenarioError(line_no, f"unknown node {name!r}")
+            raise ScenarioError(0, f"unknown node {name!r}")
         return node
 
     def _addr(self, name: str) -> bytes:
         return KeyPair.from_name(name).address
 
-    def _handle(self, token: str, line_no: int) -> bytes:
+    def _handle(self, token: str) -> bytes:
         if token.startswith("hex:"):
             return bytes.fromhex(token[4:])
         if token in self.handles:
             return self.handles[token]
-        raise ScenarioError(line_no, f"unknown handle {token!r}")
+        raise ScenarioError(0, f"unknown handle {token!r}")
 
     def _opts(self, args: list[str]) -> tuple[list[str], dict[str, str], str | None]:
         positional: list[str] = []
@@ -423,7 +423,7 @@ class Simulation:
         cmd, *rest = argv
         try:
             args, opts, handle = self._opts(rest)
-            self._exec(line_no, cmd, args, opts, handle)
+            self._exec(cmd, args, opts, handle)
         except ScenarioError as exc:
             if exc.line_no == 0:  # raised by a helper that cannot see the line
                 raise ScenarioError(line_no, exc.message) from exc
@@ -436,7 +436,7 @@ class Simulation:
         except (KeyError, IndexError, ValueError) as exc:
             raise ScenarioError(line_no, f"{cmd}: {exc}") from exc
 
-    def _exec(self, line_no: int, cmd: str, args: list[str], opts: dict, handle: str | None) -> None:
+    def _exec(self, cmd: str, args: list[str], opts: dict, handle: str | None) -> None:
         cfg = self.cfg
         if cmd == "budget":
             self.budget = int(args[0])
@@ -451,7 +451,7 @@ class Simulation:
             self._resync()
             return
 
-        node = self._node(args[0], line_no)
+        node = self._node(args[0])
         if cmd == "crash":
             node.online = False
             node.mempool.clear()
@@ -470,7 +470,7 @@ class Simulation:
         if cmd == "mine":
             self.mine(node, int(args[1]) if len(args) > 1 else 1)
         elif cmd == "channel-update":
-            channel_id = self._handle(args[1], line_no)
+            channel_id = self._handle(args[1])
             balances = (parse_amount(args[2]), parse_amount(args[3]))
             program = None
             if "contract" in opts:
@@ -483,7 +483,7 @@ class Simulation:
             try:
                 report = parse_factors(text, node.state.pool.epoch_index + 1, self.handles)
             except ScenarioError as exc:  # its line number is the factors file's
-                raise ScenarioError(line_no, f"{args[1]} line {exc.line_no}: {exc.message}") from exc
+                raise ScenarioError(0, f"{args[1]} line {exc.line_no}: {exc.message}") from exc
             node.staged_epoch = report
             self.log(node.name, "epoch_staged", azs=len(report.az_rows))
         elif cmd == "advance-epoch":
@@ -491,13 +491,13 @@ class Simulation:
             target = ((height // cfg.blocks_per_epoch) + 1) * cfg.blocks_per_epoch
             self.mine(node, target - height)
         else:
-            t = self._tx(node, line_no, cmd, args, opts)
+            t = self._tx(node, cmd, args, opts)
             created = txmod.created_id(t)
             if handle and created:
                 self.handles[handle] = created
             self.submit_tx(node, t)
 
-    def _tx(self, node: SimNode, line_no: int, cmd: str, args: list[str], opts: dict):
+    def _tx(self, node: SimNode, cmd: str, args: list[str], opts: dict):
         """The signed transaction a scenario verb submits at ``node``."""
         fee = int(opts.get("fee", "1"))
 
@@ -505,13 +505,13 @@ class Simulation:
             return node.make(KeyPair.from_name(args[1]), kind, *fields, fee=fee, cosigner=cosigner)
 
         if cmd == "spend":
-            return make(txmod.Spend, self._resolve_target(args[2], line_no), parse_amount(args[3]))
+            return make(txmod.Spend, self._resolve_target(args[2]), parse_amount(args[3]))
         if cmd == "data":
             return make(txmod.DataOnly, bytes.fromhex(args[2]), fee=int(opts.get("gas_price", "1")))
         if cmd == "name-claim":
-            return make(txmod.NameClaim, args[2], self._resolve_target(args[3], line_no))
+            return make(txmod.NameClaim, args[2], self._resolve_target(args[3]))
         if cmd == "delete-account":
-            return make(txmod.AccountDelete, self._resolve_target(args[2], line_no))
+            return make(txmod.AccountDelete, self._resolve_target(args[2]))
         if cmd == "contract-create":
             program = templates.load_program(args[2], self.base_dir)
             gas, gas_price = int(args[5]), int(args[6])
@@ -524,7 +524,7 @@ class Simulation:
             gas, gas_price = int(args[4]), int(args[5])
             call_data = parse_ints(opts.get("call", ""))
             return make(
-                txmod.ContractCall, self._handle(args[2], line_no), parse_amount(args[3]),
+                txmod.ContractCall, self._handle(args[2]), parse_amount(args[3]),
                 gas, gas_price, call_data, fee=gas * gas_price,
             )
         if cmd == "channel-open":
@@ -534,7 +534,7 @@ class Simulation:
             )
         family, _, action = cmd.partition("-")
         if family == "channel" and action in txmod.SETTLE_KINDS:
-            channel_id = self._handle(args[1], line_no)
+            channel_id = self._handle(args[1])
             if action == "finalize":  # settles the on-chain candidate; needs no endpoint
                 endpoint = node.endpoints.get(channel_id) or ChannelEndpoint(channel_id)
             else:
@@ -547,10 +547,10 @@ class Simulation:
             return make(txmod.OracleRegister, question_hash, int(args[3]), int(args[4]))
         if family == "oracle" and action in txmod.ORACLE_KINDS:
             bit = ({"yes": True, "no": False}[args[3]],) if action in ("answer", "vote") else ()
-            return make(txmod.ORACLE_KINDS[action], self._handle(args[2], line_no), *bit)
+            return make(txmod.ORACLE_KINDS[action], self._handle(args[2]), *bit)
         if cmd == "storage-commit":
             chunk_size = int(args[4])
-            chunks, root = storage.commit_data(self._read_data(args[3], line_no), chunk_size)
+            chunks, root = storage.commit_data(self._read_data(args[3]), chunk_size)
             t = make(
                 txmod.StorageCreate, self._addr(args[2]), root, len(chunks), chunk_size,
                 int(args[5]), parse_amount(args[6]), parse_amount(args[7]),
@@ -560,28 +560,28 @@ class Simulation:
                 provider_node.chunk_store[txmod.created_id(t)] = chunks
             return t
         if cmd == "storage-prove":
-            contract_id = self._handle(args[2], line_no)
+            contract_id = self._handle(args[2])
             chunks = node.chunk_store.get(contract_id)
             if chunks is None:
-                raise ScenarioError(line_no, "provider holds no chunks for that contract")
+                raise ScenarioError(0, "provider holds no chunks for that contract")
             index = storage.challenge_index(node.tip, contract_id, len(chunks))
             return make(txmod.StorageProof, contract_id, chunks[index], merkle_prove(chunks, index))
         if cmd == "storage-close":
-            return make(txmod.StorageClose, self._handle(args[2], line_no))
+            return make(txmod.StorageClose, self._handle(args[2]))
         if cmd == "az-create":
             return make(txmod.AzCreate, parse_amount(args[2]))
         if cmd == "az-join":
-            return make(txmod.AzJoin, self._handle(args[2], line_no))
+            return make(txmod.AzJoin, self._handle(args[2]))
         if cmd == "az-refer":
-            return make(txmod.AzRefer, self._addr(args[2]), self._handle(args[3], line_no))
-        raise ScenarioError(line_no, f"unknown command {cmd!r}")
+            return make(txmod.AzRefer, self._addr(args[2]), self._handle(args[3]))
+        raise ScenarioError(0, f"unknown command {cmd!r}")
 
-    def _resolve_target(self, token: str, line_no: int) -> bytes:
-        if token.startswith("hex:"):
-            return bytes.fromhex(token[4:])
-        if token in self.handles:
-            return self.handles[token]
-        return self._addr(token)
+    def _resolve_target(self, token: str) -> bytes:
+        """A handle, as ``_handle`` reads it, or else a node name's address."""
+        try:
+            return self._handle(token)
+        except ScenarioError:
+            return self._addr(token)
 
     def _contract_state(self, token: str) -> tuple[int, ...]:
         """csv integers/amounts, or `htlc:total,preimage,deadline,height`
@@ -597,13 +597,13 @@ class Simulation:
             )
         return tuple(parse_amount(v) for v in token.split(",") if v)
 
-    def _read_data(self, token: str, line_no: int) -> bytes:
+    def _read_data(self, token: str) -> bytes:
         if token.startswith("hex:"):
             return bytes.fromhex(token[4:])
         if token.startswith("file:"):
             with open(os.path.join(self.base_dir, token[5:]), "rb") as fh:
                 return fh.read()
-        raise ScenarioError(line_no, f"expected hex:... or file:..., got {token!r}")
+        raise ScenarioError(0, f"expected hex:... or file:..., got {token!r}")
 
 
 def parse_factors(text: str, epoch_index: int, handles: dict[str, bytes]) -> rewards.EpochReport:
@@ -626,6 +626,15 @@ def parse_factors(text: str, epoch_index: int, handles: dict[str, bytes]) -> rew
             raise ValueError(f"unknown zone {token!r}: not a handle or a 64-hex id")
         return bytes.fromhex(token)
 
+    def pairs(tokens: list[str], keys: tuple[str, ...]) -> dict[str, str]:
+        """``key value ...`` with every key one of ``keys`` and given a value."""
+        for key in tokens[::2]:
+            if key not in keys:
+                raise ValueError(f"unknown key {key!r}")
+        if len(tokens) % 2:
+            raise ValueError(f"{tokens[-1]} has no value")
+        return dict(zip(tokens[::2], tokens[1::2]))
+
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -641,7 +650,7 @@ def parse_factors(text: str, epoch_index: int, handles: dict[str, bytes]) -> rew
             elif key == "user":
                 az_id = zone(parts[1])
                 member = KeyPair.from_name(parts[2]).address
-                kv = dict(zip(parts[3::2], parts[4::2]))
+                kv = pairs(parts[3:], ("eps", "theta"))
                 users.append(
                     dict(
                         az_id=az_id, member=member,
@@ -654,20 +663,14 @@ def parse_factors(text: str, epoch_index: int, handles: dict[str, bytes]) -> rew
                 if not users:
                     raise ScenarioError(line_no, "item line before any user line")
                 tokens = parts[1:]
-                kv = {}
-                i = 0
-                while i < len(tokens):
-                    if tokens[i] == "usage":
-                        kv["usage"] = tokens[i + 1 :]
-                        break
-                    kv[tokens[i]] = tokens[i + 1]
-                    i += 2
+                at = tokens.index("usage") if "usage" in tokens else len(tokens)
+                kv, usage = pairs(tokens[:at], ("alpha", "s", "beta")), tokens[at + 1 :]
                 users[-1]["items"].append(
                     rewards.WorkItem(
                         alpha=parse_fraction(kv.get("alpha", "1")),
                         s=parse_fraction(kv.get("s", "0")),
                         beta=parse_fraction(kv.get("beta", "1")),
-                        usage=tuple(parse_fraction(v) for v in kv.get("usage", [])),
+                        usage=tuple(parse_fraction(v) for v in usage),
                     )
                 )
             else:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import os
 
 from . import tx as txmod
-from .codec import Record, Seq, WireRecord
+from .codec import Record, Seq, WireRecord, frame
 from .config import NetworkConfig, load_config
 from .crypto import KeyPair
 from .errors import CodecError, DeskchainError
@@ -102,8 +102,7 @@ class StateDir:
 
     def append_block(self, block: Block) -> None:
         with open(self.path("chain.bin"), "ab") as fh:
-            enc = block.encode()
-            fh.write(len(enc).to_bytes(4, "big") + enc)
+            fh.write(frame(block.encode()))
 
     def blocks(self) -> list[Block]:
         if not os.path.exists(self.path("chain.bin")):
@@ -129,11 +128,7 @@ class StateDir:
         return self._records("mempool.bin", txmod.decode_tx)
 
     def write_mempool(self, txs: list) -> None:
-        parts = []
-        for t in txs:
-            enc = t.encode()
-            parts.append(len(enc).to_bytes(4, "big") + enc)
-        _write_atomic(self.path("mempool.bin"), b"".join(parts))
+        _write_atomic(self.path("mempool.bin"), b"".join(frame(t.encode()) for t in txs))
 
     # --- channel endpoints ---
 

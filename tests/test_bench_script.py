@@ -1,8 +1,9 @@
-"""scripts/bench.py's summary, fed canned run.py result lines; no benchmark
-process starts."""
+"""scripts/bench.py's summary, fed canned run.py result lines, and its
+export of both sides; no benchmark process starts."""
 import importlib.util
 import json
 import os
+import subprocess
 
 from conftest import REPO_ROOT
 
@@ -42,3 +43,36 @@ def test_an_incorrect_run_or_a_failed_op_is_not_clean():
                                     "change": _line(1, 1, correct=False)}])
     assert not bench.clean(good + [{"seed": 1, "first": "change", "parent": _line(1, 1, failed=2),
                                     "change": _line(1, 1)}])
+
+
+def test_both_sides_export_without_caches_or_run_output_and_leave_the_index_alone(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.org", *args],
+                              cwd=repo, capture_output=True, text=True, check=True).stdout
+
+    git("init", "-q")
+    (repo / ".gitignore").write_text("__pycache__/\n.perfbench_work/\n")
+    (repo / "kept.py").write_text("committed\n")
+    git("add", "--all")
+    git("commit", "-qm", "base")
+    (repo / "kept.py").write_text("edited\n")
+    (repo / "new.py").write_text("untracked\n")
+    for ignored in ("__pycache__/kept.cpython-311.pyc", ".perfbench_work/chain.bin"):
+        (repo / ignored).parent.mkdir()
+        (repo / ignored).write_bytes(b"\0")
+    status, head = git("status", "--porcelain"), git("rev-parse", "HEAD")
+
+    def files(root):
+        return {p.relative_to(root).as_posix(): p.read_text() for p in root.rglob("*") if p.is_file()}
+
+    bench.export(str(repo), str(tmp_path / "parent"), head.strip())
+    tree = bench.export(str(repo), str(tmp_path / "change"))
+    assert files(tmp_path / "parent") == {".gitignore": "__pycache__/\n.perfbench_work/\n",
+                                          "kept.py": "committed\n"}
+    assert files(tmp_path / "change") == {".gitignore": "__pycache__/\n.perfbench_work/\n",
+                                          "kept.py": "edited\n", "new.py": "untracked\n"}
+    assert git("cat-file", "-t", tree).strip() == "tree"
+    assert (git("status", "--porcelain"), git("rev-parse", "HEAD")) == (status, head)

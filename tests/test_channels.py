@@ -227,6 +227,32 @@ def test_settle_split_fallbacks(cfg):
     assert channels.settle_split(candidate, 8 * DSD, failing, cfg) == (4 * DSD, 4 * DSD)
 
 
+@pytest.mark.parametrize("ratio, split", [((0, 1), (0, 8 * DSD)), ((1, 0), (8 * DSD, 0))])
+def test_a_contract_split_that_pays_one_side_nothing_settles_as_the_contract_says(cfg, ratio, split):
+    # any two non-negative amounts that sum to the deposits are the split,
+    # 0 included; the candidate's balances are only the fallback
+    program = templates.PAYMENT_SPLIT
+    candidate = SignedState(
+        b"\x01" * 32, 3, 4 * DSD, 4 * DSD,
+        program.code_hash(), tuple(payment_split_state(8 * DSD, *ratio)),
+    )
+    assert channels.settle_split(candidate, 8 * DSD, program, cfg) == split
+
+
+def test_an_endpoint_records_each_nonce_once():
+    # a holder keeps the first state it saw at a nonce and never an older one
+    cid = b"\x01" * 32
+    endpoint = ChannelEndpoint(cid)
+    first = SignedState(cid, 1, 4 * DSD, 4 * DSD)
+    endpoint.record(first)
+    endpoint.record(SignedState(cid, 1, 3 * DSD, 5 * DSD))
+    endpoint.record(SignedState(cid, 0, 4 * DSD, 4 * DSD))
+    assert endpoint.history == [first]
+    later = SignedState(cid, 2, 2 * DSD, 6 * DSD)
+    endpoint.record(later)
+    assert endpoint.history == [first, later]
+
+
 def test_htlc_finalize_end_to_end(bench):
     # candidate carries a hash-timelock whose preimage is revealed in the
     # recorded contract state; settlement pays party B the full lock

@@ -252,6 +252,18 @@ def test_epoch_run_report_sums(workdir, capsys):
     assert sum(int(l.rsplit(" ", 1)[1]) for l in user_lines) == 1001
 
 
+@pytest.mark.parametrize("bad, named", [
+    ("eps", "line 2: user: eps has no value"),
+    ("epsilon 3 theta 2", "line 2: user: unknown key 'epsilon'"),
+    ("eps 1\nitem alhpa 5 s 1/2 beta 1 usage 1", "line 3: item: unknown key 'alhpa'"),
+], ids=["no-value", "user-key", "item-key"])
+def test_epoch_run_refuses_a_factors_key_without_a_value_or_unknown(workdir, capsys, bad, named):
+    factors = workdir / "f.factors"
+    factors.write_text("az " + "0a" * 32 + " 10\nuser " + "0a" * 32 + f" alice {bad}\n")
+    assert run(workdir, "epoch", "run", "--factors", str(factors), "--gamma", "1001") == 1
+    assert capsys.readouterr().err == f"error: {named}\n"
+
+
 def test_optimizer_bp_cli(workdir, tmp_path, capsys):
     graph = tmp_path / "g.graph"
     graph.write_text("var x 2\nunary x 1 3\n")

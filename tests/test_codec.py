@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from deskchain import codec
-from deskchain.codec import CodecError, Reader, Writer, check_amount
+from deskchain.codec import CodecError, Reader, check_amount
+
+from wire_reference import Writer
 
 
 def _field(alias):
@@ -547,6 +549,36 @@ def test_compiled_plans_agree_with_a_reference_encoder(cls):
 
     check()
     assert "accepted" in outcomes
+
+
+@pytest.mark.parametrize("cls", [cls for cls in _wire_record_classes() if cls.TAG is None],
+                         ids=lambda cls: cls.__qualname__)
+def test_a_decoded_record_keeps_the_hash_of_its_encoding(cls):
+    # decoding is canonical, so the digest kept from the decoded bytes is the
+    # hash of the record's encoding, for the record and every record decoded
+    # inside it
+    import wire_reference
+    from hypothesis import HealthCheck, settings
+
+    from deskchain.crypto import hash256
+
+    kept = []
+
+    @settings(max_examples=12, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(wire_reference.records(cls))
+    def check(record):
+        if not _accepted(record):
+            return
+        decoded = cls.decode(wire_reference.encode(record))
+        assert "_digest" in vars(decoded)
+        for each in (decoded, *wire_reference.nested(decoded)):
+            if "_digest" in vars(each):
+                assert vars(each)["_digest"] == hash256(each.encode())
+                kept.append(each)
+
+    check()
+    assert kept
 
 
 def test_a_program_of_every_opcode_agrees_with_the_reference_encoder():

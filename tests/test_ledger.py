@@ -10,8 +10,8 @@ from deskchain.codec import Reader
 from deskchain.crypto import KeyPair, ZERO32
 from deskchain.errors import BlockError, CodecError, LedgerError, TxError
 from deskchain.ledger import (
-    Account, NameRecord, charge_maintenance, expected_entropy, header_ok,
-    validate_header, verify_light,
+    Account, NameRecord, charge_maintenance, expected_entropy, validate_header,
+    verify_light,
 )
 from deskchain.merkle import merkle_prove
 from deskchain.state import _STORES, ChainState
@@ -38,6 +38,18 @@ def test_name_record_rules():
         NameRecord("x" * 65, b"\x03" * 32, b"\x04" * 32)
     with pytest.raises(LedgerError):
         NameRecord("ok", b"\x03" * 31, b"\x04" * 32)
+
+
+def test_a_name_of_64_utf8_bytes_is_claimed_and_one_of_65_refused(bench):
+    # a name is 1 to 64 utf-8 bytes; "é" is two of them
+    kp = bench.key("alice")
+    at_limit = txmod.NameClaim(kp.address, "é" * 32, bench.addr("bob"), 5, bench.counter("alice"))
+    assert bench.apply(at_limit, kp).status == "applied"
+    assert bench.state.resolve_name("é" * 32) == bench.addr("bob")
+    over = txmod.NameClaim(kp.address, "é" * 32 + "x", bench.addr("bob"), 5, bench.counter("alice"))
+    with pytest.raises(LedgerError) as err:
+        bench.apply(over, kp)
+    assert err.value.code == "BadFormat"
 
 
 def test_charge_maintenance_linear():
@@ -133,7 +145,8 @@ def test_entropy_rule_enforced():
     import dataclasses
 
     tampered = dataclasses.replace(header, entropy=b"\x09" * 32)
-    assert not header_ok(tampered, blocks[0].header, cfg)
+    with pytest.raises(BlockError, match="BadPow"):
+        validate_header(tampered, blocks[0].header, cfg)
 
 
 def test_prefix_closure():
@@ -142,9 +155,9 @@ def test_prefix_closure():
     headers = [b.header for b in blocks]
     for n in range(1, len(headers) + 1):
         prefix = headers[:n]
-        assert header_ok(prefix[0], None, cfg)
+        validate_header(prefix[0], None, cfg)
         for prev, nxt in zip(prefix, prefix[1:]):
-            assert header_ok(nxt, prev, cfg)
+            validate_header(nxt, prev, cfg)
 
 
 def _spend(cfg, name, to, amount, fee, counter):

@@ -64,6 +64,17 @@ def test_answer_after_window_reverts(bench):
     assert bench.apply(tx, kp).status == "reverted"
 
 
+def test_the_asker_answers_from_start_on(bench):
+    # the answer window is [start, end]: one block before start is refused
+    question_id = ask(bench, start=bench.height + 2)
+    kp = bench.key("alice")
+    bench.advance(1)
+    early = txmod.OracleAnswer(kp.address, question_id, True, 1, bench.counter("alice"))
+    assert bench.apply(early, kp).reason == "OutsideWindow"
+    bench.advance(1)
+    _answer(bench, question_id)
+
+
 def _answer(bench, question_id, asker="alice", bit=True):
     kp = bench.key(asker)
     tx = txmod.OracleAnswer(kp.address, question_id, bit, 1, bench.counter(asker))
@@ -105,6 +116,40 @@ def test_counterclaim_after_window_too_late(bench):
     _answer(bench, question_id)
     bench.advance(10 + bench.cfg.oracle_challenge_window + 1)
     assert _counter(bench, question_id).status == "reverted"
+
+
+def test_a_counterclaim_is_taken_at_end_plus_the_challenge_window(bench):
+    # an answer can be challenged until end + challenge_window inclusive
+    question_id = ask(bench)
+    _answer(bench, question_id)
+    bench.advance(bench.state.oracles[question_id].end + bench.cfg.oracle_challenge_window - bench.height)
+    assert _counter(bench, question_id).status == "applied"
+
+
+def test_votes_are_taken_before_vote_end_only(bench):
+    # a contest is open to votes for vote_window blocks: heights below vote_end
+    question_id = ask(bench)
+    _answer(bench, question_id)
+    assert _counter(bench, question_id).status == "applied"
+    bench.advance(bench.state.oracles[question_id].vote_end - 1 - bench.height)
+    assert _vote(bench, question_id, "carol", False).status == "applied"
+    bench.advance(1)
+    assert _vote(bench, question_id, "miner", False).reason == "TooLate"
+    assert len(bench.state.oracles[question_id].votes) == 1
+
+
+def test_an_unanswered_question_is_burned_from_end_plus_one(bench):
+    # the asker may still answer at end, so resolving there is refused
+    question_id = ask(bench)
+    q = bench.state.oracles[question_id]
+    bench.advance(q.end - bench.height)
+    assert _resolve(bench, question_id).reason == "NotReady"
+    assert bench.state.oracles[question_id].phase == "open"
+    burned_before = bench.state.burned_total
+    bench.advance(1)
+    assert _resolve(bench, question_id).status == "applied"
+    assert bench.state.oracles[question_id].phase == "burned"
+    assert bench.state.burned_total == burned_before + q.deposit
 
 
 def test_accepted_path_returns_deposit(bench):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deskchain import rewards, tx as txmod
-from deskchain.errors import LedgerError
+from deskchain.errors import LedgerError, TxError
 
 from conftest import Bench
 
@@ -278,6 +278,19 @@ def test_epoch_out_of_order_rejected(bench):
     report = rewards.EpochReport(5, (F(1),), (rewards.AZFactors(az_a, (1,)),), ())
     with pytest.raises(LedgerError):
         rewards.apply_epoch(bench.state, report, 10, bench.cfg)
+
+
+def test_an_epoch_tx_applies_at_a_boundary_block_only(bench):
+    # epoch.blocks = 10: the first epoch tx belongs in block 10, not block 9
+    epoch_tx = txmod.EpochTx(rewards.EpochReport(1, (), (), ()))
+    bench.advance(9 - bench.height)
+    with pytest.raises(TxError) as err:
+        bench.apply(epoch_tx)
+    assert err.value.code == "BadFormat"
+    assert bench.state.pool.epoch_index == 0
+    bench.advance(1)
+    assert bench.apply(epoch_tx).status == "applied"
+    assert bench.state.pool.epoch_index == 1
 
 
 def test_zero_weight_epoch_carries_forward(bench):

@@ -112,6 +112,20 @@ def test_a_bad_factors_file_names_its_line_at_the_scenario_line(tmp_path):
     )
 
 
+@pytest.mark.parametrize("bad, named", [
+    ("user {zone} alice eps", "line 2: user: eps has no value"),
+    ("user {zone} alice epsilon 3 theta 2", "line 2: user: unknown key 'epsilon'"),
+    ("user {zone} alice\nitem alhpa 5 s 1/2 beta 1 usage 1", "line 3: item: unknown key 'alhpa'"),
+], ids=["no-value", "user-key", "item-key"])
+def test_a_factors_key_without_a_value_or_unknown_is_refused_at_its_line(tmp_path, bad, named):
+    # a user line takes eps and theta, an item line alpha, s, beta and usage,
+    # each with its value; any other key would silently keep its default weight
+    (tmp_path / "bad.factors").write_text("weights 1\n" + bad.format(zone="0a" * 32) + "\n")
+    with pytest.raises(ScenarioError) as err:
+        sim.run(CFG, "0 mine alice\n1 epoch-factors alice bad.factors\n", seed=7, base_dir=str(tmp_path))
+    assert str(err.value) == f"line 2: bad.factors {named}"
+
+
 def test_oracle_contest_scenario_challenger_wins():
     result = run_file("oracle_contest.scn")
     question = result.state.oracles[result.handles["q1"]]

@@ -3,11 +3,12 @@ import os
 import pytest
 
 from deskchain import channels, tx as txmod
-from deskchain.codec import Writer
 from deskchain.crypto import KeyPair
 from deskchain.errors import CodecError, DeskchainError
 from deskchain.ledger import Block, BlockHeader
 from deskchain.statedir import StateDir
+
+from wire_reference import Writer
 
 
 def test_failed_mempool_write_leaves_the_previous_file(tmp_path):

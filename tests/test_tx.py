@@ -264,6 +264,33 @@ def test_maintenance_charged_on_touch():
     assert bench.conservation_ok()
 
 
+def test_a_fee_equal_to_the_whole_balance_is_taken(bench):
+    # a sender may pay its whole balance as the fee, and not one unit more
+    dave = KeyPair.from_name("dave")
+    assert bench.apply(spend(bench, "alice", "dave", 20, 1), bench.key("alice")).status == "applied"
+    over = txmod.sign_tx(txmod.DataOnly(dave.address, b"abcdefg", 3, 1), dave)  # fee 21
+    with pytest.raises(TxError) as err:
+        txmod.check_tx(bench.state, over)
+    assert err.value.code == "InsufficientForFee"
+    whole = txmod.sign_tx(txmod.DataOnly(dave.address, b"abcd", 5, 1), dave)  # fee 20
+    txmod.check_tx(bench.state, whole)
+    assert bench.apply(whole).status == "applied"
+    assert bench.balance("dave") == 0
+    assert bench.conservation_ok()
+
+
+def test_a_fee_equal_to_the_balance_left_after_maintenance_is_taken():
+    # maintenance is charged first; the fee may then take all that is left
+    bench = Bench(make_cfg("maintenance.rate = 3\n"))
+    dave = KeyPair.from_name("dave")
+    assert bench.apply(spend(bench, "alice", "dave", 20, 1), bench.key("alice")).status == "applied"
+    bench.advance(5)  # 15 maintenance leaves 5
+    tx = txmod.DataOnly(dave.address, b"a", 5, 1)  # fee 5
+    assert bench.apply(tx, dave).status == "applied"
+    assert bench.balance("dave") == 0
+    assert bench.conservation_ok()
+
+
 # sha256 of encode() and signing_bytes() for each signed example below.
 # Field order is the wire order, a consensus rule: a refactor of the codec
 # must leave every digest unchanged.
@@ -548,6 +575,20 @@ def test_apply_block_encodes_no_decoded_tx(monkeypatch):
     _, receipts = txmod.apply_block(state, replay)
     assert sorted(r.status for r in receipts) == ["applied", "applied", "reverted"]
     assert [record for record in calls if isinstance(record, txmod.TxBase)] == []
+
+
+def test_applying_a_decoded_contract_create_encodes_its_program_once(bench, monkeypatch):
+    # the signature check encodes the tx, program and all; the code hash is
+    # the digest the program kept from the bytes it was decoded from
+    alice = bench.key("alice")
+    tx = txmod.ContractCreate(alice.address, PROGRAM, 1, 10, 20, 5, 2, (1, -2), 10, bench.counter("alice"))
+    decoded = txmod.decode_tx(txmod.sign_tx(tx, alice).encode())
+    calls = []
+    encode = codec.WireRecord.encode
+    monkeypatch.setattr(codec.WireRecord, "encode", lambda record: calls.append(record) or encode(record))
+    assert bench.apply(decoded).status == "applied"
+    assert [record for record in calls if isinstance(record, Program)] == [decoded.code]
+    assert bench.state.code[decoded.code.code_hash()] == PROGRAM
 
 
 def test_apply_block_clones_once_and_keeps_no_journal(monkeypatch):

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deskchain import templates
-from deskchain.codec import Writer
 from deskchain.config import NetworkConfig
 from deskchain.errors import CodecError, LedgerError, VmFailure
 from deskchain.vm import (
@@ -13,6 +12,7 @@ from deskchain.vm import (
 )
 
 from conftest import metered_api_state, payment_split_state, storage_payout_state
+from wire_reference import Writer
 
 PURE = (NetworkConfig().pure_gas, NetworkConfig().pure_space)  # eval_pure's meters
 

@@ -1,8 +1,9 @@
 """A reference encoder for the wire records, and Hypothesis strategies that
 draw them.
 
-It writes each field through ``codec.Writer`` primitives by the wire rules
-that codec.py's docstring states. A field's rule comes from its annotation
+It writes each field through the ``Writer`` primitives below by the wire
+rules that codec.py's docstring states, so it imports no writer from the code
+it checks. A field's rule comes from its annotation
 as declared (``"Maybe[Bytes32]"``, ``"Seq[Record[WorkItem]]"``, ...),
 evaluated with every codec alias standing for a rule below, so nothing here
 reads the compiled plans or their field codecs.
@@ -14,11 +15,59 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from deskchain.codec import WireRecord, Writer
+from deskchain.codec import WireRecord
 from deskchain.crypto import SIG_SIZE
+from deskchain.errors import CodecError
 from deskchain.vm import OPS, Instr
 
 U64_MAX = 2**64 - 1
+
+
+class Writer:
+    """Wire primitives appended in order: integers big-endian, fixed-size
+    bytes as they are, a blob or utf-8 text as a u32 length and the bytes."""
+
+    def __init__(self) -> None:
+        self._parts: list[bytes] = []
+
+    def _int(self, n: int, size: int, signed: bool = False) -> "Writer":
+        try:
+            self._parts.append(n.to_bytes(size, "big", signed=signed))
+        except OverflowError:
+            raise CodecError(f"{'i' if signed else 'u'}{8 * size} out of range: {n}") from None
+        return self
+
+    def u8(self, n: int) -> "Writer":
+        return self._int(n, 1)
+
+    def u32(self, n: int) -> "Writer":
+        return self._int(n, 4)
+
+    def u64(self, n: int) -> "Writer":
+        return self._int(n, 8)
+
+    def i64(self, n: int) -> "Writer":
+        return self._int(n, 8, signed=True)
+
+    def fixed(self, b: bytes, size: int) -> "Writer":
+        if len(b) != size:
+            raise CodecError(f"expected {size} bytes, got {len(b)}")
+        self._parts.append(bytes(b))
+        return self
+
+    def blob(self, b: bytes) -> "Writer":
+        self.u32(len(b))
+        self._parts.append(bytes(b))
+        return self
+
+    def text(self, s: str) -> "Writer":
+        return self.blob(s.encode("utf-8"))
+
+    def flag(self, b: bool) -> "Writer":
+        return self.u8(1 if b else 0)
+
+    def done(self) -> bytes:
+        return b"".join(self._parts)
 
 
 class Rule:
