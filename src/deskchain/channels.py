@@ -215,6 +215,13 @@ def _apply_split(state, channel: Channel, split: tuple[int, int], height: int) -
     )
 
 
+def _settle(state, channel: Channel, ss: SignedState, height: int, cfg) -> None:
+    """Close ``channel`` at ``ss``, by ``settle_split`` with the program ``ss``
+    names if the chain's code store holds it."""
+    program = state.code.get(ss.contract_hash) if ss.contract_hash else None
+    _apply_split(state, channel, settle_split(ss, channel.total, program, cfg), height)
+
+
 def cooperative_close(state, channel_id: bytes, final: SignedState, height: int) -> None:
     channel = _get_channel(state, channel_id, OPEN)
     if not state_sigs_ok(channel, final):
@@ -244,9 +251,7 @@ def challenge(state, channel_id: bytes, better: SignedState, height: int, cfg) -
     assert channel.candidate is not None
     if better.nonce <= channel.candidate.nonce:
         raise LedgerError("NotBetter", f"{better.nonce} <= {channel.candidate.nonce}")
-    program = state.code.get(better.contract_hash) if better.contract_hash else None
-    split = settle_split(better, channel.total, program, cfg)
-    _apply_split(state, channel, split, height)
+    _settle(state, channel, better, height, cfg)
 
 
 def finalize(state, channel_id: bytes, height: int, cfg) -> None:
@@ -254,7 +259,4 @@ def finalize(state, channel_id: bytes, height: int, cfg) -> None:
     if height < channel.deadline:
         raise LedgerError("NotYet", f"countdown ends at {channel.deadline}")
     assert channel.candidate is not None
-    candidate = channel.candidate
-    program = state.code.get(candidate.contract_hash) if candidate.contract_hash else None
-    split = settle_split(candidate, channel.total, program, cfg)
-    _apply_split(state, channel, split, height)
+    _settle(state, channel, channel.candidate, height, cfg)

@@ -34,7 +34,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 from typing import Annotated, Any, Callable, get_type_hints
 
@@ -64,9 +63,9 @@ def frame(data: bytes) -> bytes:
 
 
 class Reader:
-    def __init__(self, data: bytes) -> None:
+    def __init__(self, data: bytes, pos: int = 0) -> None:
         self._data = data
-        self._pos = 0
+        self._pos = pos
 
     def _take(self, n: int) -> bytes:
         if self._pos + n > len(self._data):
@@ -74,9 +73,6 @@ class Reader:
         out = self._data[self._pos : self._pos + n]
         self._pos += n
         return out
-
-    def u8(self) -> int:
-        return self._take(1)[0]
 
     def u32(self) -> int:
         return int.from_bytes(self._take(4), "big")
@@ -87,6 +83,16 @@ class Reader:
     def expect_end(self) -> None:
         if self._pos != len(self._data):
             raise CodecError(f"{len(self._data) - self._pos} trailing bytes")
+
+
+def decode_whole(read: Callable[[Reader], Any], data: bytes, pos: int = 0):
+    """What ``read`` reads from ``data`` at ``pos``, which must be the rest of
+    ``data``: trailing bytes are a CodecError. Every whole encoding (a
+    record, a block, a tx after its tag) is decoded through it."""
+    r = Reader(data, pos)
+    value = read(r)
+    r.expect_end()
+    return value
 
 
 # --- field codecs --------------------------------------------------------
@@ -105,13 +111,6 @@ class FieldCodec:
     is_sig: bool = False
     put: Callable | None = None
     take: Callable | None = None
-
-    def __post_init__(self) -> None:  # read(r): one value, through a plan of this field alone
-        object.__setattr__(self, "read", lambda r: self._reader(r))
-
-    @cached_property
-    def _reader(self) -> Callable:
-        return _Plan(True, "value").reader([(self, "v", None)], ["return v"])
 
 
 def _fail(message: str):
@@ -425,9 +424,7 @@ class WireRecord:
     def decode(cls, data: bytes):
         """A record's whole encoding; trailing bytes are a CodecError. Decoding is canonical,
         so an untagged record keeps ``hash256(data)`` as its ``digest()``."""
-        r = Reader(data)
-        record = cls.read(r)
-        r.expect_end()
+        record = decode_whole(cls.read, data)
         if cls.TAG is None:
             object.__setattr__(record, "_digest", hash256(data))
         return record

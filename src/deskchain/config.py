@@ -44,6 +44,16 @@ def parse_ints(text: str) -> tuple[int, ...]:
         raise ConfigError(f"bad integer list {text!r}") from exc
 
 
+def text_lines(text: str, comment: str = "#"):
+    """``(line number, line)`` for each line of a text input left non-blank once
+    cut at ``comment`` and stripped, numbered from 1 over every line. Config,
+    scenario, factors, device-group, factor-graph and assembly text are read so."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split(comment, 1)[0].strip()
+        if line:
+            yield line_no, line
+
+
 def parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
@@ -141,10 +151,7 @@ def parse_config(text: str) -> NetworkConfig:
     updates: dict[str, object] = {}
     accounts: list[tuple[str, bytes, int]] = []
     last_latency_line = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in text_lines(text):
         if "=" not in line:
             raise ConfigError(f"line {line_no}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import pow
-from .codec import U32, U64, Bytes32, Maybe, Reader, Seq, Tag, Text, WireRecord, check_amount, frame
+from .codec import U32, U64, Bytes32, Maybe, Reader, Seq, Tag, Text, WireRecord, check_amount, decode_whole, frame
 from .crypto import ADDRESS_SIZE, ZERO32, hash256
 from .errors import BlockError, LedgerError
 from .merkle import MerkleProof, merkle_verify
@@ -125,10 +125,7 @@ class Block:
     @staticmethod
     def decode(data: bytes) -> "Block":
         """One whole block encoding; trailing bytes are a CodecError."""
-        r = Reader(data)
-        block = Block.read(r)
-        r.expect_end()
-        return block
+        return decode_whole(Block.read, data)
 
 
 def validate_header(header: BlockHeader, prev: BlockHeader | None, cfg) -> None:

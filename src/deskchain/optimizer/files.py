@@ -25,16 +25,10 @@ Factor graph:
 """
 from __future__ import annotations
 
+from ..config import text_lines
 from ..errors import LedgerError
 from .bp import TreeFactorGraph
 from .mdp import DeviceGroupMdp
-
-
-def _lines(text: str):
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line_no, line.split()
 
 
 def parse_mdp(text: str) -> DeviceGroupMdp:
@@ -43,7 +37,8 @@ def parse_mdp(text: str) -> DeviceGroupMdp:
     arrival_kind, arrival_rate = "constant", 1.0
     capacity: dict[str, list[int]] = {}
     rows: dict[tuple[str, int], list[float]] = {}
-    for line_no, parts in _lines(text):
+    for line_no, line in text_lines(text):
+        parts = line.split()
         key = parts[0]
         try:
             if key == "devices":
@@ -92,7 +87,8 @@ def parse_factor_graph(text: str) -> TreeFactorGraph:
     domains: dict[str, int] = {}
     unaries: dict[str, tuple[float, ...]] = {}
     edges: list[tuple[str, str, tuple[tuple[float, ...], ...]]] = []
-    for line_no, parts in _lines(text):
+    for line_no, line in text_lines(text):
+        parts = line.split()
         key = parts[0]
         try:
             if key == "var":

@@ -63,13 +63,6 @@ def window_deposit(start: int, end: int, cfg) -> int:
     return cfg.oracle_deposit_rate * (end - start)
 
 
-def _get(state, question_id: bytes) -> OracleQuestion:
-    q = state.oracles.get(question_id)
-    if q is None:
-        raise LedgerError("NotFound", question_id.hex())
-    return q
-
-
 def register(state, asker: bytes, question_hash: bytes, start: int, end: int,
              counter: int, height: int, cfg) -> bytes:
     if end <= start or start < height:
@@ -86,7 +79,7 @@ def register(state, asker: bytes, question_hash: bytes, start: int, end: int,
 
 
 def answer(state, question_id: bytes, caller: bytes, bit: bool, height: int) -> None:
-    q = _get(state, question_id)
+    q = state.oracles.need(question_id)
     if q.phase != PH_OPEN:
         raise LedgerError("NotReady", f"phase {q.phase}")
     if caller != q.asker:
@@ -99,7 +92,7 @@ def answer(state, question_id: bytes, caller: bytes, bit: bool, height: int) -> 
 
 
 def counterclaim(state, question_id: bytes, challenger: bytes, height: int, cfg) -> None:
-    q = _get(state, question_id)
+    q = state.oracles.need(question_id)
     if q.phase != PH_ANSWERED:
         raise LedgerError("NotReady", f"phase {q.phase}")
     if height > q.end + cfg.oracle_challenge_window:
@@ -115,7 +108,7 @@ def counterclaim(state, question_id: bytes, challenger: bytes, height: int, cfg)
 
 
 def record_vote(state, question_id: bytes, voter: bytes, bit: bool, weight: int, height: int) -> None:
-    q = _get(state, question_id)
+    q = state.oracles.need(question_id)
     if q.phase != PH_CONTESTED:
         raise LedgerError("NotReady", f"phase {q.phase}")
     if height >= q.vote_end:
@@ -132,7 +125,7 @@ def tally(votes: tuple[Vote, ...]) -> tuple[int, int]:
 
 
 def resolve(state, question_id: bytes, height: int, cfg) -> None:
-    q = _get(state, question_id)
+    q = state.oracles.need(question_id)
     if q.phase == PH_OPEN:
         if height <= q.end:
             raise LedgerError("NotReady", "window still open")
@@ -164,7 +157,7 @@ def resolve(state, question_id: bytes, height: int, cfg) -> None:
 
 def read_answer(state, question_id: bytes):
     """True/False once resolved, PENDING while live, BURNED forever after expiry."""
-    q = _get(state, question_id)
+    q = state.oracles.need(question_id)
     if q.phase == PH_RESOLVED:
         return q.resolved_bit
     if q.phase == PH_BURNED:

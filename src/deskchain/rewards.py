@@ -177,15 +177,8 @@ def az_create(state, owner: bytes, join_price: int, counter: int, height: int, c
     return az_id
 
 
-def _get_az(state, az_id: bytes) -> AZ:
-    az = state.azs.get(az_id)
-    if az is None:
-        raise LedgerError("NotFound", az_id.hex())
-    return az
-
-
 def az_join(state, user: bytes, az_id: bytes, height: int) -> None:
-    az = _get_az(state, az_id)
+    az = state.azs.need(az_id)
     if user in az.members:
         raise LedgerError("AlreadyMember", user.hex())
     state.debit(user, az.join_price, height)
@@ -196,7 +189,7 @@ def az_join(state, user: bytes, az_id: bytes, height: int) -> None:
 
 
 def az_refer(state, member: bytes, user: bytes, az_id: bytes) -> None:
-    az = _get_az(state, az_id)
+    az = state.azs.need(az_id)
     if member not in az.members:
         raise LedgerError("NotMember", member.hex())
     if user in az.members:
@@ -267,9 +260,9 @@ def apply_epoch(state, report: EpochReport, height: int, cfg) -> EpochResult:
     if report.epoch_index != state.pool.epoch_index + 1:
         raise LedgerError("BadFormat", f"epoch {report.epoch_index} out of order")
     for row in report.az_rows:
-        _get_az(state, row.az_id)
+        state.azs.need(row.az_id)
     for row in report.user_rows:
-        az = _get_az(state, row.az_id)
+        az = state.azs.need(row.az_id)
         if row.member not in az.members:
             raise LedgerError("NotMember", row.member.hex())
     # Q(t+1) does not exist yet; the previous Q serves as the bootstrap estimate.

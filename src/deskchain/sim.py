@@ -20,11 +20,11 @@ import heapq
 import os
 import random
 import shlex
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import channels, rewards, storage, templates, tx as txmod
 from .channels import ChannelEndpoint, SignedState
-from .config import ConfigError, NetworkConfig, parse_amount, parse_fraction, parse_ints
+from .config import ConfigError, NetworkConfig, parse_amount, parse_fraction, parse_ints, text_lines
 from .crypto import KeyPair, hash256
 from .errors import BlockError, DeskchainError, LedgerError, ScenarioError, TxError
 from .ledger import Block, validate_header
@@ -340,10 +340,7 @@ class Simulation:
     def run_scenario(self, text: str, base_dir: str = ".") -> SimResult:
         self.base_dir = base_dir
         last_time = 0
-        for line_no, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for line_no, line in text_lines(text):
             try:
                 parts = shlex.split(line)
                 at = int(parts[0])
@@ -612,12 +609,13 @@ def parse_factors(text: str, epoch_index: int, handles: dict[str, bytes]) -> rew
     Lines: `weights w1 w2 ...`, `az <zone> raw1 raw2 ...`,
     `user <zone> <name> eps E theta T`, then `item alpha A s S beta B
     usage c1 c2 ...` rows attaching to the preceding user. A zone is a
-    key of ``handles`` or a 64-hex AZ id; a malformed line raises
-    ScenarioError with its line number.
+    key of ``handles`` or a 64-hex AZ id. Each record is built at its own
+    line (a user's again with each item), so a malformed line, or a value
+    the reward records refuse, raises ScenarioError with its line number.
     """
-    weights: tuple = ()
+    report = rewards.EpochReport(epoch_index, (), (), ())
     az_rows: list[rewards.AZFactors] = []
-    users: list[dict] = []
+    users: list[rewards.UserContribution] = []
 
     def zone(token: str) -> bytes:
         if token in handles:
@@ -635,15 +633,12 @@ def parse_factors(text: str, epoch_index: int, handles: dict[str, bytes]) -> rew
             raise ValueError(f"{tokens[-1]} has no value")
         return dict(zip(tokens[::2], tokens[1::2]))
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in text_lines(text):
         parts = line.split()
         key = parts[0]
         try:
             if key == "weights":
-                weights = tuple(parse_fraction(v) for v in parts[1:])
+                report = replace(report, factor_weights=tuple(parse_fraction(v) for v in parts[1:]))
             elif key == "az":
                 az_id = zone(parts[1])
                 az_rows.append(rewards.AZFactors(az_id, tuple(int(v) for v in parts[2:])))
@@ -651,39 +646,27 @@ def parse_factors(text: str, epoch_index: int, handles: dict[str, bytes]) -> rew
                 az_id = zone(parts[1])
                 member = KeyPair.from_name(parts[2]).address
                 kv = pairs(parts[3:], ("eps", "theta"))
-                users.append(
-                    dict(
-                        az_id=az_id, member=member,
-                        epsilon=parse_fraction(kv.get("eps", "1")),
-                        theta=parse_fraction(kv.get("theta", "1")),
-                        items=[],
-                    )
-                )
+                users.append(rewards.UserContribution(
+                    az_id, member, parse_fraction(kv.get("eps", "1")), parse_fraction(kv.get("theta", "1")), ()
+                ))
             elif key == "item":
                 if not users:
                     raise ScenarioError(line_no, "item line before any user line")
                 tokens = parts[1:]
                 at = tokens.index("usage") if "usage" in tokens else len(tokens)
                 kv, usage = pairs(tokens[:at], ("alpha", "s", "beta")), tokens[at + 1 :]
-                users[-1]["items"].append(
-                    rewards.WorkItem(
-                        alpha=parse_fraction(kv.get("alpha", "1")),
-                        s=parse_fraction(kv.get("s", "0")),
-                        beta=parse_fraction(kv.get("beta", "1")),
-                        usage=tuple(parse_fraction(v) for v in usage),
-                    )
+                item = rewards.WorkItem(
+                    alpha=parse_fraction(kv.get("alpha", "1")),
+                    s=parse_fraction(kv.get("s", "0")),
+                    beta=parse_fraction(kv.get("beta", "1")),
+                    usage=tuple(parse_fraction(v) for v in usage),
                 )
+                users[-1] = replace(users[-1], items=users[-1].items + (item,))
             else:
                 raise ScenarioError(line_no, f"unknown factors key {key!r}")
-        except (ValueError, IndexError, ConfigError) as exc:
+        except (ValueError, IndexError, ConfigError, LedgerError) as exc:
             raise ScenarioError(line_no, f"{key}: {exc}") from exc
-    user_rows = tuple(
-        rewards.UserContribution(
-            u["az_id"], u["member"], u["epsilon"], u["theta"], tuple(u["items"])
-        )
-        for u in users
-    )
-    return rewards.EpochReport(epoch_index, weights, tuple(az_rows), user_rows)
+    return replace(report, az_rows=tuple(az_rows), user_rows=tuple(users))
 
 
 def run(cfg: NetworkConfig, scenario_text: str, seed: int, base_dir: str = ".") -> SimResult:

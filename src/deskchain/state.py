@@ -88,6 +88,14 @@ class StateDict(dict):
         self.written.add(key)
         dict.__delitem__(self, key)
 
+    def need(self, key):
+        """The record under ``key``; an absent one is LedgerError NotFound,
+        naming a bytes key by its hex and a name by itself."""
+        record = self.get(key)
+        if record is None:
+            raise LedgerError("NotFound", key.hex() if isinstance(key, bytes) else key)
+        return record
+
     def _unlogged(self, *args, **kwargs):
         raise TypeError("a state store changes only by item assignment or del")
 
@@ -286,8 +294,7 @@ class ChainState:
 
     def touch(self, address: bytes, height: int) -> Account:
         """Apply lazy maintenance before any use of an account."""
-        if address not in self.accounts:
-            raise LedgerError("NotFound", address.hex())
+        self.accounts.need(address)
         return self.credit(address, 0, height)
 
     def credit(self, address: bytes, amount: int, height: int) -> Account:
@@ -316,18 +323,13 @@ class ChainState:
         self.credit(address, amount, height)
 
     def delete_account(self, address: bytes) -> None:
-        account = self.accounts.get(address)
-        if account is None:
-            raise LedgerError("NotFound", address.hex())
+        account = self.accounts.need(address)
         if account.balance != 0:
             raise LedgerError("NonZeroBalance", f"balance {account.balance}")
         del self.accounts[address]
 
     def resolve_name(self, name: str) -> bytes:
-        record = self.names.get(name)
-        if record is None:
-            raise LedgerError("NotFound", name)
-        return record.target
+        return self.names.need(name).target
 
     # --- commitments ---
 

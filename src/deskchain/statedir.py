@@ -9,7 +9,7 @@ from __future__ import annotations
 import os
 
 from . import tx as txmod
-from .codec import Record, Seq, WireRecord, frame
+from .codec import Reader, Record, Seq, WireRecord, frame
 from .config import NetworkConfig, load_config
 from .crypto import KeyPair
 from .errors import CodecError, DeskchainError
@@ -80,24 +80,23 @@ class StateDir:
     # --- chain ---
 
     def _records(self, name: str, decode) -> list:
-        """Decode every length-prefixed record of one file; a torn or padded
+        """Decode every framed record of one file; a torn or padded
         record is reported with its index and byte offset."""
         path = self.path(name)
         with open(path, "rb") as fh:
-            data = fh.read()
+            r = Reader(fh.read())
         out = []
-        pos = 0
-        while pos < len(data):
-            end = pos + 4 + int.from_bytes(data[pos : pos + 4], "big")
-            if end > len(data):
+        while (pos := r._pos) < len(r._data):
+            try:
+                record = r.blob()
+            except CodecError:
                 raise DeskchainError(
                     f"{path}: record {len(out)} at byte {pos} runs past the end of the file (torn tail)"
-                )
+                ) from None
             try:
-                out.append(decode(data[pos + 4 : end]))
+                out.append(decode(record))
             except CodecError as exc:
                 raise CodecError(f"{path}: record {len(out)} at byte {pos}: {exc}") from exc
-            pos = end
         return out
 
     def append_block(self, block: Block) -> None:

@@ -106,13 +106,6 @@ def spot_check(trace: ComputeTrace, recompute: Callable[[int], bytes], entropy: 
 # --- on-chain transitions ---
 
 
-def _get(state, contract_id: bytes) -> StorageContract:
-    contract = state.storage_contracts.get(contract_id)
-    if contract is None:
-        raise LedgerError("NotFound", contract_id.hex())
-    return contract
-
-
 def create_contract(
     state, payer: bytes, provider: bytes, data_root: bytes, chunk_count: int,
     chunk_size: int, challenge_period_n: int, reward_per_proof: int,
@@ -138,7 +131,7 @@ def prove_and_pay(
     """Verify a possession proof for the challenged index and pay for it.
 
     Returns the amount paid (capped by remaining escrow)."""
-    contract = _get(state, contract_id)
+    contract = state.storage_contracts.need(contract_id)
     if contract.closed:
         raise LedgerError("WrongChannel", "storage contract closed")
     if height % contract.challenge_period_n != 0:
@@ -161,7 +154,7 @@ def prove_and_pay(
 def close_contract(state, contract_id: bytes, caller: bytes, height: int) -> int:
     """Payer ends the contract; the unspent escrow comes back. Returns the
     refunded amount."""
-    contract = _get(state, contract_id)
+    contract = state.storage_contracts.need(contract_id)
     if contract.closed:
         raise LedgerError("WrongChannel", "storage contract closed")
     if caller != contract.payer:

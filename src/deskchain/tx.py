@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import channels, oracles, pow, rewards, storage
 from .channels import SignedState
 from .codec import (
-    U8, U64, Blob, Bytes32, Flag, I64s, OptionalRecord, Reader, Record, Sig, Text, WireRecord,
+    U8, U64, Blob, Bytes32, Flag, I64s, OptionalRecord, Record, Sig, Text, WireRecord, decode_whole,
 )
 from .crypto import ZERO32, ZERO_SIG, hash256, verify_sig
 from .errors import BlockError, CodecError, LedgerError, TxError
@@ -325,13 +325,12 @@ def decode_tx(data: bytes):
     """The tx that ``data`` encodes. Decoding is canonical (``encode_tx``
     of the result is ``data``), so the tx keeps ``hash256(data)`` as its
     ``digest()`` and is never re-encoded to get it."""
-    r = Reader(data)
-    tag = r.u8()
-    cls = _BY_TAG.get(tag)
+    if not data:
+        raise CodecError("unexpected end of input")
+    cls = _BY_TAG.get(data[0])
     if cls is None:
-        raise CodecError(f"unknown tx tag {tag}")
-    tx = cls.read(r)
-    r.expect_end()
+        raise CodecError(f"unknown tx tag {data[0]}")
+    tx = decode_whole(cls.read, data, 1)
     object.__setattr__(tx, "_digest", hash256(data))
     return tx
 

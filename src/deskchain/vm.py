@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Annotated, Callable
 
 from .codec import I64_MAX, I64_MIN, U8, FieldCodec, Seq, WireRecord
+from .config import text_lines
 from .errors import LedgerError, VmFailure
 from .crypto import hash256
 
@@ -104,10 +105,7 @@ class Program(WireRecord):
 def assemble(text: str) -> Program:
     """One instruction per line; ';' starts a comment."""
     instrs = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split(";", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in text_lines(text, ";"):
         parts = line.split()
         op = parts[0].upper()
         if op not in _OPCODE:

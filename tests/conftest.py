@@ -29,6 +29,18 @@ genesis.endowment = 1000dsd
 """
 
 
+# factors files with a value the reward records refuse, and the line and
+# message that name it; each record is built at its own line
+REFUSED_FACTORS = [
+    ("weights 1\nuser {zone} alice\nitem alpha 5 s 1/2 beta 1 usage 2",
+     "line 3: item: BadFormat: normalized values must lie in [0, 1]"),
+    ("az {zone} 3\nweights 1/2 1/3", "line 2: weights: BadFormat: factor weights must sum to 1"),
+    ("az {zone} 3\nweights -1 2", "line 2: weights: BadFormat: negative factor weight"),
+    ("weights 1\nuser {zone} alice eps -1", "line 2: user: BadFormat: value weights must be non-negative"),
+]
+REFUSED_IDS = ["item-usage", "weights-sum", "weights-negative", "user-eps"]
+
+
 def make_cfg(extra: str = "") -> NetworkConfig:
     return parse_config(BASE_CFG_TEXT + extra)
 

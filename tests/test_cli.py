@@ -7,7 +7,7 @@ import pytest
 
 from deskchain.cli import main
 
-from conftest import REPO_ROOT, SCENARIO_DIR
+from conftest import REFUSED_FACTORS, REFUSED_IDS, REPO_ROOT, SCENARIO_DIR
 
 NET_CFG = """
 pow.edge_bits = 8
@@ -166,6 +166,13 @@ def test_name_claim_resolve(workdir, capsys):
     assert resolved == KeyPair.from_name("bob").address.hex()
 
 
+def test_name_resolve_of_an_unclaimed_name_is_not_found(workdir, capsys):
+    run(workdir, "genesis", "--config", str(workdir / "net.cfg"))
+    capsys.readouterr()
+    assert run(workdir, "name", "resolve", "--name", "plant-7") == 1
+    assert capsys.readouterr().err == "error: NotFound: plant-7\n"
+
+
 def test_channel_cycle_via_cli(workdir, capsys):
     run(workdir, "genesis", "--config", str(workdir / "net.cfg"))
     run(workdir, "channel", "open", "--a", "alice", "--b", "bob",
@@ -260,6 +267,14 @@ def test_epoch_run_report_sums(workdir, capsys):
 def test_epoch_run_refuses_a_factors_key_without_a_value_or_unknown(workdir, capsys, bad, named):
     factors = workdir / "f.factors"
     factors.write_text("az " + "0a" * 32 + " 10\nuser " + "0a" * 32 + f" alice {bad}\n")
+    assert run(workdir, "epoch", "run", "--factors", str(factors), "--gamma", "1001") == 1
+    assert capsys.readouterr().err == f"error: {named}\n"
+
+
+@pytest.mark.parametrize("bad, named", REFUSED_FACTORS, ids=REFUSED_IDS)
+def test_epoch_run_refuses_a_factors_value_the_reward_records_refuse(workdir, capsys, bad, named):
+    factors = workdir / "f.factors"
+    factors.write_text(bad.format(zone="0a" * 32) + "\n")
     assert run(workdir, "epoch", "run", "--factors", str(factors), "--gamma", "1001") == 1
     assert capsys.readouterr().err == f"error: {named}\n"
 

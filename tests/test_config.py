@@ -3,8 +3,11 @@ import re
 
 import pytest
 
-from deskchain import config
+from deskchain import config, sim
 from deskchain.config import ConfigError, parse_config
+from deskchain.errors import DeskchainError
+from deskchain.optimizer.files import parse_factor_graph, parse_mdp
+from deskchain.vm import assemble
 
 from conftest import REPO_ROOT
 
@@ -68,3 +71,25 @@ def test_a_value_a_later_command_cannot_run_with_is_rejected_at_its_line(bad, le
     with pytest.raises(ConfigError, match=rf"^line {line_no}: "):
         parse_config(f"{text}{bad}\n")
     parse_config(f"{text}{least}\n")
+
+
+# (reader, comment marker, a good line, a bad line)
+_TEXT_FORMATS = {
+    "config": (parse_config, "#", "epoch.blocks = 5", "epoch.blocks five"),
+    "scenario": (lambda text: sim.run(config.load_config(os.path.join(REPO_ROOT, "scenarios", "net.cfg")),
+                                      text, seed=7), "#", "0 mine alice", "then mine alice"),
+    "factors": (lambda text: sim.parse_factors(text, 1, {}), "#", "weights 1", "weight 1"),
+    "mdp": (parse_mdp, "#", "devices 1", "states three"),
+    "graph": (parse_factor_graph, "#", "var a 2", "edge a b 1 2"),
+    "asm": (assemble, ";", "PUSH 1", "PUSH"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TEXT_FORMATS))
+def test_every_text_format_names_the_bad_line_counting_blank_and_comment_lines(name):
+    # line 1 blank, line 2 a comment, line 3 a good line with a trailing
+    # comment, line 4 the bad line: every format counts from 1 over all lines
+    read, comment, good, bad = _TEXT_FORMATS[name]
+    with pytest.raises(DeskchainError) as err:
+        read(f"\n{comment} a comment\n{good}  {comment} trailing\n{bad}\n")
+    assert re.findall(r"\bline (\d+)", str(err.value)) == ["4"]

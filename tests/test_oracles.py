@@ -64,6 +64,13 @@ def test_answer_after_window_reverts(bench):
     assert bench.apply(tx, kp).status == "reverted"
 
 
+def test_the_asker_answers_up_to_end(bench):
+    # the answer window is [start, end]: an answer at end itself is taken
+    question_id = ask(bench)
+    bench.advance(10)
+    _answer(bench, question_id)
+
+
 def test_the_asker_answers_from_start_on(bench):
     # the answer window is [start, end]: one block before start is refused
     question_id = ask(bench, start=bench.height + 2)

@@ -41,6 +41,13 @@ def test_replenish_moves_endowment():
     assert nxt.epoch_index == 4
 
 
+def test_replenish_may_draw_the_whole_endowment():
+    # with alpha 1 and mu 0 the new Q is gamma_t, 50: an endowment of exactly 50 pays it
+    pool = rewards.RewardPoolState(q=0, gamma_t=50, pool_balance=0, endowment=50)
+    nxt = rewards.replenish(pool, 0, F(1), F(0))
+    assert (nxt.q, nxt.endowment, nxt.pool_balance) == (50, 0, 50)
+
+
 def test_replenish_insufficient_endowment():
     pool = rewards.RewardPoolState(q=0, gamma_t=50, pool_balance=0, endowment=10)
     with pytest.raises(LedgerError) as err:
@@ -90,6 +97,27 @@ def test_allocation_monotonicity():
     base = rewards.allocate(1000, [(ids[0], F(1)), (ids[1], F(2)), (ids[2], F(3))])
     bumped = rewards.allocate(1000, [(ids[0], F(2)), (ids[1], F(2)), (ids[2], F(3))])
     assert dict(bumped)[ids[0]] >= dict(base)[ids[0]]
+
+
+def test_normalized_values_may_be_0_or_1():
+    # an item's s and each usage value lie in [0, 1], both ends included
+    def contribution(s, usage):
+        item = rewards.WorkItem(F(1), s, F(1), usage)
+        return rewards.UserContribution(b"\x01" * 32, b"\x02" * 32, F(1), F(1), (item,))
+
+    contribution(F(0), (F(0), F(1)))
+    contribution(F(1), ())
+    for s, usage in ((F(-1, 2), ()), (F(3, 2), ()), (F(1), (F(3, 2),))):
+        with pytest.raises(LedgerError):
+            contribution(s, usage)
+
+
+def test_a_factor_weight_may_be_0():
+    # factor weights are each 0 or more and sum to 1
+    assert rewards.EpochReport(1, (F(1), F(0)), (), ()).factor_weights == (F(1), F(0))
+    for weights in ((F(2), F(-1)), (F(1, 2), F(1, 3))):
+        with pytest.raises(LedgerError):
+            rewards.EpochReport(1, weights, (), ())
 
 
 def test_poc_weight_examples():

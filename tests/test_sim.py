@@ -8,7 +8,7 @@ from deskchain import channels, config, sim
 from deskchain.crypto import KeyPair
 from deskchain.errors import CodecError, ScenarioError
 
-from conftest import SCENARIO_DIR
+from conftest import REFUSED_FACTORS, REFUSED_IDS, SCENARIO_DIR
 
 CFG = config.load_config(os.path.join(SCENARIO_DIR, "net.cfg"))
 
@@ -121,6 +121,16 @@ def test_a_factors_key_without_a_value_or_unknown_is_refused_at_its_line(tmp_pat
     # a user line takes eps and theta, an item line alpha, s, beta and usage,
     # each with its value; any other key would silently keep its default weight
     (tmp_path / "bad.factors").write_text("weights 1\n" + bad.format(zone="0a" * 32) + "\n")
+    with pytest.raises(ScenarioError) as err:
+        sim.run(CFG, "0 mine alice\n1 epoch-factors alice bad.factors\n", seed=7, base_dir=str(tmp_path))
+    assert str(err.value) == f"line 2: bad.factors {named}"
+
+
+@pytest.mark.parametrize("bad, named", REFUSED_FACTORS, ids=REFUSED_IDS)
+def test_a_factors_value_the_reward_records_refuse_is_named_at_its_line(tmp_path, bad, named):
+    # not a protocol rejection logged as ev=rejected: the scenario stops at the
+    # epoch-factors line, naming the factors file's line too
+    (tmp_path / "bad.factors").write_text(bad.format(zone="0a" * 32) + "\n")
     with pytest.raises(ScenarioError) as err:
         sim.run(CFG, "0 mine alice\n1 epoch-factors alice bad.factors\n", seed=7, base_dir=str(tmp_path))
     assert str(err.value) == f"line 2: bad.factors {named}"

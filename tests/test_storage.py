@@ -113,6 +113,15 @@ def test_prove_and_pay_happy_path(bench):
     assert bench.conservation_ok()
 
 
+def test_a_contract_of_one_one_byte_chunk_is_proved_every_block(bench):
+    # chunk count, chunk size and challenge period may each be 1
+    contract_id, chunks = _setup_contract(bench, data=b"x", chunk_size=1, period=1)
+    assert len(chunks) == 1
+    for _ in range(2):
+        bench.advance(1)
+        assert _prove(bench, contract_id, chunks, hash256(b"prev-block")).status == "applied"
+
+
 def test_prove_wrong_chunk_rejected(bench):
     contract_id, chunks = _setup_contract(bench)
     bench.advance(1)

@@ -804,3 +804,41 @@ def test_a_call_credit_keeps_the_contract_fields_and_stores_a_record_the_constru
     assert (stored.balance, stored.freshness) == (1500 - 4 * 2 + 250, 5)
     rebuilt = Account(address, stored.balance, stored.counter, stored.freshness, stored.kind, stored.code_hash)
     assert stored == rebuilt and stored.digest() == rebuilt.digest()
+
+
+ABSENT = b"\x0e" * 32  # no account, oracle question, storage contract or AZ has this id
+
+
+# each tx kind that looks a record up by id, and its fields after the sender
+ABSENT_LOOKUPS = {
+    txmod.AccountDelete: (ABSENT,),
+    txmod.OracleAnswer: (ABSENT, True),
+    txmod.OracleCounter: (ABSENT,),
+    txmod.OracleVote: (ABSENT, True),
+    txmod.OracleResolve: (ABSENT,),
+    txmod.StorageProof: (ABSENT, b"chunk", PROOF),
+    txmod.StorageClose: (ABSENT,),
+    txmod.AzJoin: (ABSENT,),
+    txmod.AzRefer: (KeyPair.from_name("bob").address, ABSENT),
+}
+
+
+@pytest.mark.parametrize("kind", list(ABSENT_LOOKUPS), ids=lambda kind: kind.__name__)
+def test_a_tx_naming_an_absent_record_reverts_with_not_found(bench, kind):
+    alice = bench.key("alice")
+    receipt = bench.apply(kind(alice.address, *ABSENT_LOOKUPS[kind], 10, bench.counter("alice")), alice)
+    assert (receipt.status, receipt.reason) == (txmod.REVERTED, "NotFound")
+    assert bench.conservation_ok()
+
+
+@pytest.mark.parametrize("report", [
+    EpochReport(1, (Fraction(1),), (AZFactors(ABSENT, (1,)),), ()),
+    EpochReport(1, (), (), (UserContribution(ABSENT, KeyPair.from_name("alice").address,
+                                             Fraction(1), Fraction(1), ()),)),
+], ids=["az-row", "user-row"])
+def test_an_epoch_tx_row_naming_an_absent_az_is_not_found(bench, report):
+    bench.advance(bench.cfg.blocks_per_epoch - bench.height)
+    with pytest.raises(LedgerError) as err:
+        bench.apply(txmod.EpochTx(report))
+    assert err.value.code == "NotFound"
+    assert bench.state.pool.epoch_index == 0
