@@ -35,7 +35,10 @@ import tokenize
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MODULES = ("state", "channels", "oracles", "storage", "rewards")
 # a module's tests when it has no tests/test_<module>.py of its own
-MODULE_TESTS = {"state": ("tests/test_ledger.py", "tests/test_conservation.py", "tests/test_tx.py")}
+MODULE_TESTS = {
+    "state": ("tests/test_ledger.py", "tests/test_conservation.py", "tests/test_tx.py"),
+    "tx": ("tests/test_tx.py", "tests/test_model.py", "tests/test_ledger.py", "tests/test_conservation.py"),
+}
 FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
 SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add}
 TEXT = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=",

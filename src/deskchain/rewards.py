@@ -72,6 +72,10 @@ class AZFactors(WireRecord):
     az_id: Bytes32
     raw: Seq[U64]
 
+    def __post_init__(self) -> None:
+        if any(v < 0 for v in self.raw):
+            raise LedgerError("BadFormat", "factors must be non-negative")
+
 
 def normalize_factors(rows: list[AZFactors]) -> dict[bytes, tuple[Fraction, ...]]:
     """Min-max per factor column across all AZs this epoch; a column with
@@ -81,8 +85,6 @@ def normalize_factors(rows: list[AZFactors]) -> dict[bytes, tuple[Fraction, ...]
     k = len(rows[0].raw)
     if any(len(row.raw) != k for row in rows):
         raise LedgerError("BadFormat", "ragged factor rows")
-    if any(v < 0 for row in rows for v in row.raw):
-        raise LedgerError("BadFormat", "factors must be non-negative")
     lows = [min(row.raw[i] for row in rows) for i in range(k)]
     highs = [max(row.raw[i] for row in rows) for i in range(k)]
     out: dict[bytes, tuple[Fraction, ...]] = {}

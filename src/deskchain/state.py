@@ -37,7 +37,8 @@ always equal circulating balances + locks + deposits + pool funds + burned.
 A block checks it by delta, over the keys it wrote; genesis sums it whole.
 Maintenance is charged lazily: any credit, debit, or touch of an existing
 account first settles the per-block fee accrued since its freshness height,
-in the same ``Account.edit`` and store write that applies the amount.
+in the same ``Account.edit`` and store write that applies the amount. A
+block's miner takes two credits: the coinbase first, its fees at the close.
 """
 from __future__ import annotations
 

@@ -3,10 +3,11 @@
 Application follows a six-step discipline: (1) format/signature/counter
 checks, (2) escrow of deposit+fee+amount, (3) fee = gas*gas_price deducted
 and the counter bumped, (4) value moved and contract code run, (5) on
-failure everything is rolled back except the fee, which the miner keeps,
-(6) on success unused gas is refunded at gas_price. ``apply_tx`` reads the
-height from ``ChainState.height`` and takes as plain arguments the miner the
-fee credits and the parent block hash a storage challenge is drawn from.
+failure all but the fee and the counter bump rolls back, (6) on success
+unused gas is refunded to the sender at gas_price. A block's fees reach its
+miner in one credit when it closes. ``apply_tx`` reads the height from
+``ChainState.height`` and takes as plain arguments the miner and the parent
+block hash a storage challenge is drawn from.
 
 check_tx failures make a transaction inapplicable (an honest miner never
 includes it; a block carrying one is invalid). Failures after that point
@@ -43,7 +44,7 @@ class Receipt:
     tx_hash: bytes
     status: str
     gas_used: int
-    fee_paid: int  # the miner's credit too
+    fee_paid: int  # the sender's net cost; the block's sum of these credits its miner at close
     reason: str = ""  # revert diagnostics; not part of any commitment
 
     def render(self) -> str:
@@ -424,11 +425,6 @@ def check_tx(state: ChainState, tx) -> None:
 # --- application -------------------------------------------------------
 
 
-def _register_program(state: ChainState, program: Program | None) -> None:
-    if program is not None:
-        state.code[program.code_hash()] = program
-
-
 def _apply_inner(state: ChainState, tx, prev_hash: bytes) -> int:
     """Kind-specific value movement. Returns VM gas used (0 for non-VM)."""
     height, cfg = state.height, state.cfg
@@ -486,25 +482,19 @@ def _apply_inner(state: ChainState, tx, prev_hash: bytes) -> int:
             state, tx.party_a, tx.party_b, tx.deposit_a, tx.deposit_b, tx.counter, height
         )
         return 0
-    if isinstance(tx, ChannelCloseCoop):
-        if tx.state is None:
-            raise LedgerError("BadFormat", "cooperative close needs a signed state")
-        _register_program(state, tx.program)
-        channels.cooperative_close(state, tx.channel_id, tx.state, height)
-        return 0
-    if isinstance(tx, ChannelClose):
-        _register_program(state, tx.program)
-        channels.unilateral_close(state, tx.channel_id, tx.state, height, cfg)
-        return 0
-    if isinstance(tx, ChannelChallenge):
-        if tx.state is None:
-            raise LedgerError("BadFormat", "challenge needs a signed state")
-        _register_program(state, tx.program)
-        channels.challenge(state, tx.channel_id, tx.state, height, cfg)
-        return 0
-    if isinstance(tx, ChannelFinalize):
-        _register_program(state, tx.program)
-        channels.finalize(state, tx.channel_id, height, cfg)
+    if isinstance(tx, _ChannelTx):
+        if tx.program is not None:
+            state.code[tx.program.code_hash()] = tx.program
+        if isinstance(tx, ChannelClose):
+            channels.unilateral_close(state, tx.channel_id, tx.state, height, cfg)
+        elif isinstance(tx, ChannelFinalize):
+            channels.finalize(state, tx.channel_id, height, cfg)
+        elif tx.state is None:
+            raise LedgerError("BadFormat", f"{type(tx).__name__} needs a signed state")
+        elif isinstance(tx, ChannelCloseCoop):
+            channels.cooperative_close(state, tx.channel_id, tx.state, height)
+        else:
+            channels.challenge(state, tx.channel_id, tx.state, height, cfg)
         return 0
     if isinstance(tx, OracleRegister):
         oracles.register(
@@ -565,14 +555,18 @@ def apply_tx(state: ChainState, tx, miner: bytes, prev_hash: bytes) -> Receipt:
     mutates state and raises TxError if the transaction is inapplicable.
 
     Transactional: on any raise the state is exactly as it was, so callers
-    may probe candidates and skip failures without replay divergence: it
-    rolls back to a savepoint in ``_execute``'s journal for the block, or,
-    called alone, in a journal it opens and empties and closes on return.
+    may probe candidates and skip failures without replay divergence. In a
+    block it rolls back to a savepoint in ``_execute``'s journal; called
+    alone, it opens its own and settles as a block of one tx: it credits
+    ``miner`` the fee before it empties and closes the journal.
     """
     check_tx(state, tx)
     start = state.savepoint()
     try:
-        return _apply_checked(state, tx, miner, prev_hash)
+        receipt = _apply_checked(state, tx, prev_hash)
+        if start.opened and receipt.fee_paid:
+            state.credit(miner, receipt.fee_paid, state.height)
+        return receipt
     except Exception:
         state.rollback(start)
         raise
@@ -580,7 +574,7 @@ def apply_tx(state: ChainState, tx, miner: bytes, prev_hash: bytes) -> Receipt:
         state.release(start)
 
 
-def _apply_checked(state: ChainState, tx, miner: bytes, prev_hash: bytes) -> Receipt:
+def _apply_checked(state: ChainState, tx, prev_hash: bytes) -> Receipt:
     this_hash = tx.digest()
     height = state.height
     if isinstance(tx, EpochTx):
@@ -597,7 +591,6 @@ def _apply_checked(state: ChainState, tx, miner: bytes, prev_hash: bytes) -> Rec
     if balance < fee:
         raise TxError("InsufficientForFee", "fee exceeds balance after maintenance")
     state.write_account(payer, balance - fee, tx.counter, height, burned)
-    state.credit(miner, fee, height)
     charged = state.savepoint()  # a revert keeps the fee and the counter bump
     try:
         gas_used = _apply_inner(state, tx, prev_hash)
@@ -611,7 +604,6 @@ def _apply_checked(state: ChainState, tx, miner: bytes, prev_hash: bytes) -> Rec
     if isinstance(tx, GAS_KINDS):
         refund = (tx.gas - gas_used) * tx.gas_price
         if refund:
-            state.debit(miner, refund, height)
             state.credit(sender, refund, height)
         return Receipt(this_hash, APPLIED, gas_used, gas_used * tx.gas_price)
     return Receipt(this_hash, APPLIED, gas_used, fee)
@@ -633,7 +625,8 @@ def state_roots(state: ChainState) -> dict[str, bytes]:
 def _execute(state: ChainState, txs, miner: bytes, height: int, prev_hash: bytes, strict: bool):
     """The block transition both the miner and the validator run: clone the
     parent, mint the coinbase, apply ``txs`` in order under one undo
-    journal (each ``apply_tx`` takes its own savepoint in it), and commit.
+    journal (each ``apply_tx`` takes its own savepoint in it), credit the
+    miner the receipts' fees at once, and commit.
 
     An inapplicable tx (a ``LedgerError``, or a ``CodecError`` raised while
     applying) makes a ``strict`` caller, the validator, reject the block
@@ -656,6 +649,8 @@ def _execute(state: ChainState, txs, miner: bytes, height: int, prev_hash: bytes
                 raise BlockError("BadTx", f"{exc}") from exc
             continue
         included.append(tx)
+    if fees := sum(r.fee_paid for r in receipts):
+        work.credit(miner, fees, height)
     work.release(journal)
     proved = [
         storage.ProofLeaf(t.contract_id, height, t.proof.leaf_index, hash256(t.chunk)).digest()

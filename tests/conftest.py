@@ -37,8 +37,9 @@ REFUSED_FACTORS = [
     ("az {zone} 3\nweights 1/2 1/3", "line 2: weights: BadFormat: factor weights must sum to 1"),
     ("az {zone} 3\nweights -1 2", "line 2: weights: BadFormat: negative factor weight"),
     ("weights 1\nuser {zone} alice eps -1", "line 2: user: BadFormat: value weights must be non-negative"),
+    ("weights 1\naz {zone} -3", "line 2: az: BadFormat: factors must be non-negative"),
 ]
-REFUSED_IDS = ["item-usage", "weights-sum", "weights-negative", "user-eps"]
+REFUSED_IDS = ["item-usage", "weights-sum", "weights-negative", "user-eps", "az-negative"]
 
 
 def make_cfg(extra: str = "") -> NetworkConfig:

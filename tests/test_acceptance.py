@@ -489,7 +489,7 @@ EVENT_LOG_DIGESTS = {
     "names.scn": "5fed20f7e0c44c8b23157028970f45916812d5e3c5a9b7de6afecd4b483dfea0",
     "oracle_accept.scn": "e47ff486eae86fc714255ff86125c8e5835e956ad17a70d881d810568babd485",
     "oracle_burn.scn": "5f6f43b186d02f4213c9133db9a81eca10ec024c771be0f0c0ff5875eeac1be5",
-    "oracle_contest.scn": "eb8e6e92843e70e1cba4cd432b4f9eaec8b8553f75e49a18d80d16a05a0fadda",
+    "oracle_contest.scn": "8c0346f65a8842dfb7a25c256da6517ff6acc627229bc80424cc1ad3a7b0d53d",
     "rewards_epoch.scn": "f9b0c46d54f63754620da0d4f5d2cc2466cbcf28d3a29e2709082eec049426e9",
     "spends.scn": "efa52dfb4d51b4e96c2e0d2ef2214307c8f45d5c70ea9f5f0490046092ba62e4",
     "storage.scn": "fdfcc5fabc583f356ecf5227f733c155d75595d6dd0494eb14c0d0d3612750b3",

@@ -536,6 +536,23 @@ def test_apply_block_empty_only_coinbase():
     assert src == snk
 
 
+def test_a_genesis_block_carries_no_transactions():
+    # README: the genesis block carries no transactions, so the miner drops
+    # every candidate at height 0 and the validator refuses a genesis block
+    # that carries one
+    cfg = make_cfg()
+    state = ChainState.genesis(cfg)
+    alice = KeyPair.from_name("alice")
+    spend = txmod.sign_tx(txmod.Spend(alice.address, KeyPair.from_name("bob").address, 5, 1, 1), alice)
+    block = txmod.build_block(state, [spend], alice.address, prev_header=None)
+    assert block.transactions == ()
+    assert txmod.apply_block(state, block)[0].accounts[alice.address].balance == 100 * DSD
+    stuffed = dataclasses.replace(block, header=dataclasses.replace(block.header, tx_count=1),
+                                  transactions=(spend,))
+    with pytest.raises(BlockError, match="genesis carries no transactions"):
+        txmod.apply_block(state, stuffed)
+
+
 def test_apply_block_conservation_with_spend():
     cfg = make_cfg()
     state, genesis = txmod.genesis_block(cfg)
@@ -550,6 +567,39 @@ def test_apply_block_conservation_with_spend():
     assert sum(a.balance for a in new_state.accounts.values()) == (
         sum(a.balance for a in state.accounts.values()) + pow.coinbase(1, cfg)
     )
+
+
+def test_a_miner_does_not_see_its_own_blocks_fees_until_the_block_closes():
+    # README: a block's fees reach its miner when the block closes. dave
+    # holds only the coinbase, so his tx can pay its fee only out of the fee
+    # alice's tx pays earlier in the same block
+    cfg = make_cfg("coinbase.initial = 5\n")
+    state, genesis = txmod.genesis_block(cfg)
+    alice, dave = KeyPair.from_name("alice"), KeyPair.from_name("dave")
+    paid = txmod.sign_tx(txmod.Spend(alice.address, dave.address, 0, 50, 1), alice)
+    own = txmod.sign_tx(txmod.Spend(dave.address, alice.address, 0, 6, 1), dave)
+    block = txmod.build_block(state, [paid, own], dave.address, genesis.header)
+    assert block.transactions == (paid,)
+    applied, receipts = txmod.apply_block(state, block)
+    assert [r.fee_paid for r in receipts] == [50]
+    assert applied.accounts[dave.address].balance == 5 + 50
+    stuffed = dataclasses.replace(block, header=dataclasses.replace(block.header, tx_count=2),
+                                  transactions=(paid, own))
+    with pytest.raises(BlockError, match="BadTx.*InsufficientForFee"):
+        txmod.apply_block(state, stuffed)
+
+
+def test_a_lone_apply_tx_credits_the_miner_before_it_returns(bench):
+    # applied alone, a tx settles as a block of one: when the call returns,
+    # the miner holds the fee and the journal the call opened is closed
+    alice = bench.key("alice")
+    miner, payer = bench.balance("miner"), bench.balance("alice")
+    receipt = bench.apply(txmod.Spend(alice.address, bench.addr("bob"), 7, 9, 1), alice)
+    assert receipt.fee_paid == 9
+    assert bench.balance("miner") == miner + 9
+    assert bench.balance("alice") == payer - 7 - 9
+    assert all(getattr(bench.state, name).log is None for name in _STORES)
+    assert bench.conservation_ok()
 
 
 def test_apply_block_encodes_no_decoded_tx(monkeypatch):
