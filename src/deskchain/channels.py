@@ -185,7 +185,7 @@ def settle_split(
     return out[0], out[1]
 
 
-# --- on-chain transitions (mutate a working ChainState) ---
+# --- on-chain transitions (mutate a working ChainState at its height) ---
 
 
 def _get_channel(state, channel_id: bytes, *statuses: str) -> Channel:
@@ -195,41 +195,41 @@ def _get_channel(state, channel_id: bytes, *statuses: str) -> Channel:
     return channel
 
 
-def open_channel(state, a: bytes, b: bytes, deposit_a: int, deposit_b: int, counter_a: int, height: int) -> bytes:
+def open_channel(state, a: bytes, b: bytes, deposit_a: int, deposit_b: int, counter_a: int) -> bytes:
     channel_id = channel_id_for(a, b, counter_a)
     if channel_id in state.channels:
         raise LedgerError("WrongChannel", "channel id already exists")
-    state.debit(a, deposit_a, height)
-    state.debit(b, deposit_b, height)
+    state.debit(a, deposit_a)
+    state.debit(b, deposit_b)
     state.channels[channel_id] = Channel(channel_id, a, b, deposit_a, deposit_b)
     return channel_id
 
 
-def _apply_split(state, channel: Channel, split: tuple[int, int], height: int) -> None:
+def _apply_split(state, channel: Channel, split: tuple[int, int]) -> None:
     if split[0] + split[1] != channel.total:
         raise LedgerError("BalanceSumMismatch", "settlement must conserve deposits")
-    state.credit(channel.party_a, split[0], height)
-    state.credit(channel.party_b, split[1], height)
+    state.credit(channel.party_a, split[0])
+    state.credit(channel.party_b, split[1])
     state.channels[channel.channel_id] = replace(
         channel, status=CLOSED, candidate=None, deadline=0, final_split=split
     )
 
 
-def _settle(state, channel: Channel, ss: SignedState, height: int, cfg) -> None:
+def _settle(state, channel: Channel, ss: SignedState) -> None:
     """Close ``channel`` at ``ss``, by ``settle_split`` with the program ``ss``
     names if the chain's code store holds it."""
     program = state.code.get(ss.contract_hash) if ss.contract_hash else None
-    _apply_split(state, channel, settle_split(ss, channel.total, program, cfg), height)
+    _apply_split(state, channel, settle_split(ss, channel.total, program, state.cfg))
 
 
-def cooperative_close(state, channel_id: bytes, final: SignedState, height: int) -> None:
+def cooperative_close(state, channel_id: bytes, final: SignedState) -> None:
     channel = _get_channel(state, channel_id, OPEN)
     if not state_sigs_ok(channel, final):
         raise LedgerError("BadSignature", "cooperative close needs both signatures")
-    _apply_split(state, channel, (final.balance_a, final.balance_b), height)
+    _apply_split(state, channel, (final.balance_a, final.balance_b))
 
 
-def unilateral_close(state, channel_id: bytes, candidate: SignedState | None, height: int, cfg) -> None:
+def unilateral_close(state, channel_id: bytes, candidate: SignedState | None) -> None:
     channel = _get_channel(state, channel_id, OPEN)
     candidate = candidate if candidate is not None else nonce_zero_state(channel)
     if not state_sigs_ok(channel, candidate):
@@ -237,26 +237,26 @@ def unilateral_close(state, channel_id: bytes, candidate: SignedState | None, he
     state.channels[channel_id] = replace(
         channel,
         status=CLOSING,
-        deadline=height + cfg.countdown_blocks,
+        deadline=state.height + state.cfg.countdown_blocks,
         candidate=candidate,
     )
 
 
-def challenge(state, channel_id: bytes, better: SignedState, height: int, cfg) -> None:
+def challenge(state, channel_id: bytes, better: SignedState) -> None:
     channel = _get_channel(state, channel_id, CLOSING)
-    if height >= channel.deadline:
-        raise LedgerError("TooLate", f"deadline {channel.deadline} passed at {height}")
+    if state.height >= channel.deadline:
+        raise LedgerError("TooLate", f"deadline {channel.deadline} passed at {state.height}")
     if not state_sigs_ok(channel, better):
         raise LedgerError("BadSignature", "challenge state is not doubly signed")
     assert channel.candidate is not None
     if better.nonce <= channel.candidate.nonce:
         raise LedgerError("NotBetter", f"{better.nonce} <= {channel.candidate.nonce}")
-    _settle(state, channel, better, height, cfg)
+    _settle(state, channel, better)
 
 
-def finalize(state, channel_id: bytes, height: int, cfg) -> None:
+def finalize(state, channel_id: bytes) -> None:
     channel = _get_channel(state, channel_id, CLOSING)
-    if height < channel.deadline:
+    if state.height < channel.deadline:
         raise LedgerError("NotYet", f"countdown ends at {channel.deadline}")
     assert channel.candidate is not None
-    _settle(state, channel, channel.candidate, height, cfg)
+    _settle(state, channel, channel.candidate)

@@ -468,7 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
         c.add_argument("--mode", choices=("q", "sarsa"), default="q")
         c.add_argument("--gamma", type=float, default=0.5)
         c.add_argument("--epsilon", type=float, default=0.3)
-        c.add_argument("--compare-vi", action="store_true")
+        if action == "train":
+            c.add_argument("--compare-vi", action="store_true")
     c = psub.add_parser("bp")
     c.add_argument("--graph", required=True)
 

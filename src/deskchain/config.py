@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codec import check_amount
+from .codec import U64_MAX, check_amount
 from .errors import DeskchainError
 
 BASE_UNITS_PER_DSD = 1_000_000
@@ -150,11 +150,12 @@ def parse_config(text: str) -> NetworkConfig:
 
     updates: dict[str, object] = {}
     accounts: list[tuple[str, bytes, int]] = []
-    last_latency_line = 0
+    line_of: dict[str, int] = {}  # key -> the last line that set it
     for line_no, line in text_lines(text):
         if "=" not in line:
             raise ConfigError(f"line {line_no}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
+        line_of[key] = line_no
         try:
             if key in _INT_KEYS:
                 field, floor = _INT_KEYS[key]
@@ -163,8 +164,6 @@ def parse_config(text: str) -> NetworkConfig:
                     raise ConfigError(f"{key} must be at least {floor}, got {n}")
                 if key in ("pow.edge_bits", "pow.cycle_len"):
                     PowParams(**{key[4:]: n})  # PowParams' own range check
-                if key.startswith("sim.latency_"):
-                    last_latency_line = line_no
             elif key in _AMOUNT_KEYS:
                 updates[_AMOUNT_KEYS[key]] = parse_amount(value)
             elif key in _FRACTION_KEYS:
@@ -190,11 +189,18 @@ def parse_config(text: str) -> NetworkConfig:
         except DeskchainError as exc:
             raise ConfigError(f"line {line_no}: {exc}") from exc
     cfg = NetworkConfig(genesis_accounts=tuple(accounts), **updates)
-    if cfg.sim_latency_min > cfg.sim_latency_max:
-        raise ConfigError(
-            f"line {last_latency_line}: sim.latency_min {cfg.sim_latency_min} "
-            f"exceeds sim.latency_max {cfg.sim_latency_max}"
-        )
+    # every coinbase pow.coinbase pays: halving_blocks blocks at each halving
+    emission = cfg.coinbase_halving_blocks * sum(cfg.coinbase_initial >> k for k in range(64))
+    for keys, broken, why in (
+        (("sim.latency_min", "sim.latency_max"), cfg.sim_latency_min > cfg.sim_latency_max,
+         f"sim.latency_min {cfg.sim_latency_min} exceeds sim.latency_max {cfg.sim_latency_max}"),
+        # a balance is a u64, and none can exceed the whole supply
+        (("genesis.account", "genesis.endowment", "coinbase.initial", "coinbase.halving_blocks"),
+         cfg.genesis_total + emission > U64_MAX,
+         f"genesis total {cfg.genesis_total} plus coinbase emission {emission} exceeds the u64 maximum"),
+    ):
+        if broken:
+            raise ConfigError(f"line {max(line_of.get(key, 0) for key in keys)}: {why}")
     return cfg
 
 

@@ -63,12 +63,11 @@ def window_deposit(start: int, end: int, cfg) -> int:
     return cfg.oracle_deposit_rate * (end - start)
 
 
-def register(state, asker: bytes, question_hash: bytes, start: int, end: int,
-             counter: int, height: int, cfg) -> bytes:
-    if end <= start or start < height:
-        raise LedgerError("BadWindow", f"[{start}, {end}) at height {height}")
-    deposit = window_deposit(start, end, cfg)
-    state.debit(asker, deposit, height)
+def register(state, asker: bytes, question_hash: bytes, start: int, end: int, counter: int) -> bytes:
+    if end <= start or start < state.height:
+        raise LedgerError("BadWindow", f"[{start}, {end}) at height {state.height}")
+    deposit = window_deposit(start, end, state.cfg)
+    state.debit(asker, deposit)
     question_id = question_id_for(asker, counter, question_hash)
     if question_id in state.oracles:
         raise LedgerError("BadFormat", "question id already exists")
@@ -78,40 +77,40 @@ def register(state, asker: bytes, question_hash: bytes, start: int, end: int,
     return question_id
 
 
-def answer(state, question_id: bytes, caller: bytes, bit: bool, height: int) -> None:
+def answer(state, question_id: bytes, caller: bytes, bit: bool) -> None:
     q = state.oracles.need(question_id)
     if q.phase != PH_OPEN:
         raise LedgerError("NotReady", f"phase {q.phase}")
     if caller != q.asker:
         raise LedgerError("NotAsker", "only the asker answers for free")
-    if not q.start <= height <= q.end:
-        raise LedgerError("OutsideWindow", f"height {height} not in [{q.start}, {q.end}]")
+    if not q.start <= state.height <= q.end:
+        raise LedgerError("OutsideWindow", f"height {state.height} not in [{q.start}, {q.end}]")
     state.oracles[question_id] = replace(
-        q, phase=PH_ANSWERED, answer_bit=bit, answer_height=height
+        q, phase=PH_ANSWERED, answer_bit=bit, answer_height=state.height
     )
 
 
-def counterclaim(state, question_id: bytes, challenger: bytes, height: int, cfg) -> None:
+def counterclaim(state, question_id: bytes, challenger: bytes) -> None:
     q = state.oracles.need(question_id)
     if q.phase != PH_ANSWERED:
         raise LedgerError("NotReady", f"phase {q.phase}")
-    if height > q.end + cfg.oracle_challenge_window:
+    if state.height > q.end + state.cfg.oracle_challenge_window:
         raise LedgerError("TooLate", "challenge window closed")
-    state.debit(challenger, q.deposit, height)  # same deposit, exactly
+    state.debit(challenger, q.deposit)  # same deposit, exactly
     state.oracles[question_id] = replace(
         q,
         phase=PH_CONTESTED,
         counter_party=challenger,
         counter_deposit=q.deposit,
-        vote_end=height + cfg.oracle_vote_window,
+        vote_end=state.height + state.cfg.oracle_vote_window,
     )
 
 
-def record_vote(state, question_id: bytes, voter: bytes, bit: bool, weight: int, height: int) -> None:
+def record_vote(state, question_id: bytes, voter: bytes, bit: bool, weight: int) -> None:
     q = state.oracles.need(question_id)
     if q.phase != PH_CONTESTED:
         raise LedgerError("NotReady", f"phase {q.phase}")
-    if height >= q.vote_end:
+    if state.height >= q.vote_end:
         raise LedgerError("TooLate", "vote window closed")
     if any(v.voter == voter for v in q.votes):
         raise LedgerError("AlreadyVoted", voter.hex())
@@ -124,20 +123,20 @@ def tally(votes: tuple[Vote, ...]) -> tuple[int, int]:
     return yes, no
 
 
-def resolve(state, question_id: bytes, height: int, cfg) -> None:
+def resolve(state, question_id: bytes) -> None:
     q = state.oracles.need(question_id)
     if q.phase == PH_OPEN:
-        if height <= q.end:
+        if state.height <= q.end:
             raise LedgerError("NotReady", "window still open")
         state.burn(q.deposit)
         state.oracles[question_id] = replace(q, phase=PH_BURNED)
     elif q.phase == PH_ANSWERED:
-        if height <= q.end + cfg.oracle_challenge_window:
+        if state.height <= q.end + state.cfg.oracle_challenge_window:
             raise LedgerError("NotReady", "challenge window still open")
-        state.credit(q.asker, q.deposit, height)
+        state.credit(q.asker, q.deposit)
         state.oracles[question_id] = replace(q, phase=PH_RESOLVED, resolved_bit=q.answer_bit)
     elif q.phase == PH_CONTESTED:
-        if height < q.vote_end:
+        if state.height < q.vote_end:
             raise LedgerError("NotReady", "vote window still open")
         yes, no = tally(q.votes)
         if yes == no:
@@ -145,10 +144,10 @@ def resolve(state, question_id: bytes, height: int, cfg) -> None:
         else:
             bit = yes > no
         if bit == q.answer_bit:
-            state.credit(q.asker, q.deposit, height)
+            state.credit(q.asker, q.deposit)
             state.burn(q.counter_deposit)
         else:
-            state.credit(q.counter_party, q.counter_deposit, height)
+            state.credit(q.counter_party, q.counter_deposit)
             state.burn(q.deposit)
         state.oracles[question_id] = replace(q, phase=PH_RESOLVED, resolved_bit=bit)
     else:

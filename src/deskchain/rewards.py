@@ -166,25 +166,25 @@ def poc_weight(c: UserContribution) -> Fraction:
 # --- AZ lifecycle (on-chain transitions) ---
 
 
-def az_create(state, owner: bytes, join_price: int, counter: int, height: int, cfg) -> bytes:
+def az_create(state, owner: bytes, join_price: int, counter: int) -> bytes:
     az_id = az_id_for(owner, counter)
     if az_id in state.azs:
         raise LedgerError("BadFormat", "AZ id already exists")
-    state.debit(owner, cfg.az_creation_price, height)
+    state.debit(owner, state.cfg.az_creation_price)
     # creation price feeds the eco-incentive endowment
-    state.pool = replace(state.pool, endowment=state.pool.endowment + cfg.az_creation_price)
+    state.pool = replace(state.pool, endowment=state.pool.endowment + state.cfg.az_creation_price)
     state.azs[az_id] = AZ(
         az_id, owner, join_price, frozenset({owner}), frozenset({owner}), frozenset()
     )
     return az_id
 
 
-def az_join(state, user: bytes, az_id: bytes, height: int) -> None:
+def az_join(state, user: bytes, az_id: bytes) -> None:
     az = state.azs.need(az_id)
     if user in az.members:
         raise LedgerError("AlreadyMember", user.hex())
-    state.debit(user, az.join_price, height)
-    state.credit(az.owner, az.join_price, height)
+    state.debit(user, az.join_price)
+    state.credit(az.owner, az.join_price)
     state.azs[az_id] = replace(
         az, members=az.members | {user}, referred=az.referred - {user}
     )
@@ -257,7 +257,7 @@ def compute_epoch(report: EpochReport, gamma: int) -> EpochResult:
     )
 
 
-def apply_epoch(state, report: EpochReport, height: int, cfg) -> EpochResult:
+def apply_epoch(state, report: EpochReport) -> EpochResult:
     """System transition at an epoch boundary: replenish, allocate, credit."""
     if report.epoch_index != state.pool.epoch_index + 1:
         raise LedgerError("BadFormat", f"epoch {report.epoch_index} out of order")
@@ -268,10 +268,10 @@ def apply_epoch(state, report: EpochReport, height: int, cfg) -> EpochResult:
         if row.member not in az.members:
             raise LedgerError("NotMember", row.member.hex())
     # Q(t+1) does not exist yet; the previous Q serves as the bootstrap estimate.
-    state.pool = replenish(state.pool, state.pool.q, cfg.pool_alpha, cfg.pool_mu)
+    state.pool = replenish(state.pool, state.pool.q, state.cfg.pool_alpha, state.cfg.pool_mu)
     result = compute_epoch(report, state.pool.pool_balance)
     for _, member, amount in result.user_payouts:
-        state.credit(member, amount, height)
+        state.credit(member, amount)
     state.pool = replace(
         state.pool,
         pool_balance=state.pool.pool_balance - result.distributed,

@@ -39,6 +39,9 @@ Maintenance is charged lazily: any credit, debit, or touch of an existing
 account first settles the per-block fee accrued since its freshness height,
 in the same ``Account.edit`` and store write that applies the amount. A
 block's miner takes two credits: the coinbase first, its fees at the close.
+Every write happens at the state's ``height`` under its ``cfg``: no primitive
+here, nor any transition in ``channels``, ``oracles``, ``storage``,
+``rewards`` or ``tx``, takes either as an argument.
 """
 from __future__ import annotations
 
@@ -284,44 +287,45 @@ class ChainState:
 
     # --- account plumbing ---
 
-    def write_account(self, account: Account, balance: int, counter: int, height: int, burned: int) -> Account:
-        """Store ``account`` edited, fresh at ``height``, in one write (none if
-        nothing changes), and burn the maintenance ``burned`` settled on it."""
-        edited = account.edit(balance, counter, height)
+    def write_account(self, account: Account, balance: int, counter: int, burned: int) -> Account:
+        """Store ``account`` edited, fresh at the state's height, in one write
+        (none if nothing changes), and burn the maintenance ``burned`` settled
+        on it."""
+        edited = account.edit(balance, counter, self.height)
         if edited is not account:
             self.accounts[account.address] = edited
         self.burned_total += burned
         return edited
 
-    def touch(self, address: bytes, height: int) -> Account:
+    def touch(self, address: bytes) -> Account:
         """Apply lazy maintenance before any use of an account."""
         self.accounts.need(address)
-        return self.credit(address, 0, height)
+        return self.credit(address, 0)
 
-    def credit(self, address: bytes, amount: int, height: int) -> Account:
+    def credit(self, address: bytes, amount: int) -> Account:
         check_amount(amount, "credit")
         account = self.accounts.get(address)
         if account is None:
-            self.accounts[address] = account = Account(address, amount, freshness=height)
+            self.accounts[address] = account = Account(address, amount, freshness=self.height)
             return account
-        balance, burned = charge_maintenance(account, height, self.cfg.maintenance_rate)
-        return self.write_account(account, balance + amount, account.counter, height, burned)
+        balance, burned = charge_maintenance(account, self.height, self.cfg.maintenance_rate)
+        return self.write_account(account, balance + amount, account.counter, burned)
 
-    def debit(self, address: bytes, amount: int, height: int) -> Account:
+    def debit(self, address: bytes, amount: int) -> Account:
         """A shortfall raises and writes nothing."""
         check_amount(amount, "debit")
         account = self.accounts.get(address)
-        balance, burned = charge_maintenance(account, height, self.cfg.maintenance_rate) if account else (0, 0)
+        balance, burned = charge_maintenance(account, self.height, self.cfg.maintenance_rate) if account else (0, 0)
         if account is None or balance < amount:
             raise LedgerError("InsufficientFunds", f"{balance} < {amount}")
-        return self.write_account(account, balance - amount, account.counter, height, burned)
+        return self.write_account(account, balance - amount, account.counter, burned)
 
     def burn(self, amount: int) -> None:
         self.burned_total += check_amount(amount, "burn")
 
-    def mint(self, address: bytes, amount: int, height: int) -> None:
+    def mint(self, address: bytes, amount: int) -> None:
         self.minted_total += check_amount(amount, "mint")
-        self.credit(address, amount, height)
+        self.credit(address, amount)
 
     def delete_account(self, address: bytes) -> None:
         account = self.accounts.need(address)
@@ -357,19 +361,8 @@ class ChainState:
 
     # --- invariants ---
 
-    def locked_in_channels(self) -> int:
-        return self._held("channels")
-
-    def oracle_deposits(self) -> int:
-        return self._held("oracles")
-
-    def storage_escrow(self) -> int:
-        return self._held("storage_contracts")
-
-    def circulating(self) -> int:
-        return self._held("accounts")
-
-    def _held(self, name: str) -> int:
+    def held(self, name: str) -> int:
+        """The value one of the ``_HELD`` stores holds, for conservation."""
         return sum(map(_HELD[name], getattr(self, name).values()))
 
     def _scalar_sides(self) -> tuple[int, int]:
@@ -380,7 +373,7 @@ class ChainState:
     def conservation_sides(self) -> tuple[int, int]:
         """Sources and sinks summed over the whole state."""
         sources, sinks = self._scalar_sides()
-        return sources, sinks + sum(self._held(name) for name in _HELD)
+        return sources, sinks + sum(self.held(name) for name in _HELD)
 
     def _conservation_change(self, parent: "ChainState") -> tuple[int, int]:
         """How far sources and sinks moved since ``parent``: the keyed stores'

@@ -109,14 +109,14 @@ def spot_check(trace: ComputeTrace, recompute: Callable[[int], bytes], entropy: 
 def create_contract(
     state, payer: bytes, provider: bytes, data_root: bytes, chunk_count: int,
     chunk_size: int, challenge_period_n: int, reward_per_proof: int,
-    escrow: int, counter: int, height: int,
+    escrow: int, counter: int,
 ) -> bytes:
     if chunk_count < 1 or challenge_period_n < 1:
         raise LedgerError("BadFormat", "chunk_count and period must be >= 1")
     contract_id = contract_id_for(payer, counter)
     if contract_id in state.storage_contracts:
         raise LedgerError("BadFormat", "storage contract id already exists")
-    state.debit(payer, escrow, height)
+    state.debit(payer, escrow)
     state.storage_contracts[contract_id] = StorageContract(
         contract_id, payer, provider, data_root, chunk_count, chunk_size,
         challenge_period_n, reward_per_proof, escrow,
@@ -125,8 +125,7 @@ def create_contract(
 
 
 def prove_and_pay(
-    state, contract_id: bytes, chunk: bytes, proof: MerkleProof,
-    height: int, prev_block_hash: bytes,
+    state, contract_id: bytes, chunk: bytes, proof: MerkleProof, prev_block_hash: bytes,
 ) -> int:
     """Verify a possession proof for the challenged index and pay for it.
 
@@ -134,24 +133,24 @@ def prove_and_pay(
     contract = state.storage_contracts.need(contract_id)
     if contract.closed:
         raise LedgerError("WrongChannel", "storage contract closed")
-    if height % contract.challenge_period_n != 0:
-        raise LedgerError("NotChallengeHeight", f"height {height}")
-    if contract.last_paid_height == height:
-        raise LedgerError("AlreadyProved", f"height {height}")
+    if state.height % contract.challenge_period_n != 0:
+        raise LedgerError("NotChallengeHeight", f"height {state.height}")
+    if contract.last_paid_height == state.height:
+        raise LedgerError("AlreadyProved", f"height {state.height}")
     want = challenge_index(prev_block_hash, contract_id, contract.chunk_count)
     if proof.leaf_index != want:
         raise LedgerError("WrongIndex", f"{proof.leaf_index} != {want}")
     if not merkle_verify(contract.data_root, chunk, proof, contract.chunk_count):
         raise LedgerError("BadProof", "chunk does not match commitment")
     paid = min(contract.reward_per_proof, contract.escrow)
-    state.credit(contract.provider, paid, height)
+    state.credit(contract.provider, paid)
     state.storage_contracts[contract_id] = replace(
-        contract, escrow=contract.escrow - paid, last_paid_height=height
+        contract, escrow=contract.escrow - paid, last_paid_height=state.height
     )
     return paid
 
 
-def close_contract(state, contract_id: bytes, caller: bytes, height: int) -> int:
+def close_contract(state, contract_id: bytes, caller: bytes) -> int:
     """Payer ends the contract; the unspent escrow comes back. Returns the
     refunded amount."""
     contract = state.storage_contracts.need(contract_id)
@@ -160,6 +159,6 @@ def close_contract(state, contract_id: bytes, caller: bytes, height: int) -> int
     if caller != contract.payer:
         raise LedgerError("BadFormat", "only the payer can close")
     refund = contract.escrow
-    state.credit(contract.payer, refund, height)
+    state.credit(contract.payer, refund)
     state.storage_contracts[contract_id] = replace(contract, escrow=0, closed=True)
     return refund

@@ -5,9 +5,11 @@ checks, (2) escrow of deposit+fee+amount, (3) fee = gas*gas_price deducted
 and the counter bumped, (4) value moved and contract code run, (5) on
 failure all but the fee and the counter bump rolls back, (6) on success
 unused gas is refunded to the sender at gas_price. A block's fees reach its
-miner in one credit when it closes. ``apply_tx`` reads the height from
-``ChainState.height`` and takes as plain arguments the miner and the parent
-block hash a storage challenge is drawn from.
+miner in one credit when it closes. ``apply_tx`` takes as plain arguments
+the miner and the parent block hash a storage challenge is drawn from; the
+height and the config it applies under are the state's own ``height`` and
+``cfg``, which every transition below it reads too, so ``_apply_inner``
+passes each one only the tx's fields. ``_execute`` alone sets the height.
 
 check_tx failures make a transaction inapplicable (an honest miner never
 includes it; a block carrying one is invalid). Failures after that point
@@ -426,38 +428,38 @@ def check_tx(state: ChainState, tx) -> None:
 
 
 def _apply_inner(state: ChainState, tx, prev_hash: bytes) -> int:
-    """Kind-specific value movement. Returns VM gas used (0 for non-VM)."""
-    height, cfg = state.height, state.cfg
+    """Kind-specific value movement at ``state.height``. Returns VM gas used
+    (0 for non-VM)."""
     if isinstance(tx, Spend):
-        state.debit(tx.sender, tx.amount, height)
-        state.credit(tx.recipient, tx.amount, height)
+        state.debit(tx.sender, tx.amount)
+        state.credit(tx.recipient, tx.amount)
         return 0
     if isinstance(tx, ContractCreate):
         address = contract_address(tx.owner, tx.counter)
         if address in state.accounts:
             raise LedgerError("AddressCollision", address.hex())
-        state.debit(tx.owner, tx.deposit + tx.amount, height)
+        state.debit(tx.owner, tx.deposit + tx.amount)
         code_hash = tx.code.code_hash()
         state.accounts[address] = Account(
-            address, tx.deposit + tx.amount, freshness=height, kind=CONTRACT,
+            address, tx.deposit + tx.amount, freshness=state.height, kind=CONTRACT,
             code_hash=code_hash,
         )
         state.code[code_hash] = tx.code
         balance_of = _call_env(state, tx.owner, address)
-        result = execute(tx.code, list(tx.call_data), balance_of, tx.gas, cfg.pure_space)
+        result = execute(tx.code, list(tx.call_data), balance_of, tx.gas, state.cfg.pure_space)
         if result.status != HALTED:
             raise LedgerError(result.status)
         return result.gas_used
     if isinstance(tx, ContractCall):
-        state.debit(tx.caller, tx.amount, height)
-        state.credit(tx.contract, tx.amount, height)
+        state.debit(tx.caller, tx.amount)
+        state.credit(tx.contract, tx.amount)
         target = state.accounts.get(tx.contract)
         if target is not None and target.kind == CONTRACT:
             program = state.code.get(target.code_hash)
             if program is None:
                 raise LedgerError("BadFormat", "contract code missing from store")
             balance_of = _call_env(state, tx.caller, tx.contract)
-            result = execute(program, list(tx.call_data), balance_of, tx.gas, cfg.pure_space)
+            result = execute(program, list(tx.call_data), balance_of, tx.gas, state.cfg.pure_space)
             if result.status != HALTED:
                 raise LedgerError(result.status)
             return result.gas_used
@@ -470,68 +472,64 @@ def _apply_inner(state: ChainState, tx, prev_hash: bytes) -> int:
         state.names[tx.name] = NameRecord(tx.name, tx.target, tx.owner)
         return 0
     if isinstance(tx, AccountDelete):
-        state.touch(tx.target, height)
+        state.touch(tx.target)
         state.delete_account(tx.target)
-        reward = min(cfg.delete_reward, state.pool.endowment)
+        reward = min(state.cfg.delete_reward, state.pool.endowment)
         if reward:
             state.pool = replace(state.pool, endowment=state.pool.endowment - reward)
-            state.credit(tx.sender, reward, height)
+            state.credit(tx.sender, reward)
         return 0
     if isinstance(tx, ChannelOpen):
-        channels.open_channel(
-            state, tx.party_a, tx.party_b, tx.deposit_a, tx.deposit_b, tx.counter, height
-        )
+        channels.open_channel(state, tx.party_a, tx.party_b, tx.deposit_a, tx.deposit_b, tx.counter)
         return 0
     if isinstance(tx, _ChannelTx):
         if tx.program is not None:
             state.code[tx.program.code_hash()] = tx.program
         if isinstance(tx, ChannelClose):
-            channels.unilateral_close(state, tx.channel_id, tx.state, height, cfg)
+            channels.unilateral_close(state, tx.channel_id, tx.state)
         elif isinstance(tx, ChannelFinalize):
-            channels.finalize(state, tx.channel_id, height, cfg)
+            channels.finalize(state, tx.channel_id)
         elif tx.state is None:
             raise LedgerError("BadFormat", f"{type(tx).__name__} needs a signed state")
         elif isinstance(tx, ChannelCloseCoop):
-            channels.cooperative_close(state, tx.channel_id, tx.state, height)
+            channels.cooperative_close(state, tx.channel_id, tx.state)
         else:
-            channels.challenge(state, tx.channel_id, tx.state, height, cfg)
+            channels.challenge(state, tx.channel_id, tx.state)
         return 0
     if isinstance(tx, OracleRegister):
-        oracles.register(
-            state, tx.asker, tx.question_hash, tx.start, tx.end, tx.counter, height, cfg
-        )
+        oracles.register(state, tx.asker, tx.question_hash, tx.start, tx.end, tx.counter)
         return 0
     if isinstance(tx, OracleAnswer):
-        oracles.answer(state, tx.question_id, tx.sender, tx.bit, height)
+        oracles.answer(state, tx.question_id, tx.sender, tx.bit)
         return 0
     if isinstance(tx, OracleCounter):
-        oracles.counterclaim(state, tx.question_id, tx.sender, height, cfg)
+        oracles.counterclaim(state, tx.question_id, tx.sender)
         return 0
     if isinstance(tx, OracleVote):
         weight = pow.stake_weight(state, tx.sender)
-        oracles.record_vote(state, tx.question_id, tx.sender, tx.bit, weight, height)
+        oracles.record_vote(state, tx.question_id, tx.sender, tx.bit, weight)
         return 0
     if isinstance(tx, OracleResolve):
-        oracles.resolve(state, tx.question_id, height, cfg)
+        oracles.resolve(state, tx.question_id)
         return 0
     if isinstance(tx, StorageCreate):
         storage.create_contract(
             state, tx.payer, tx.provider, tx.data_root, tx.chunk_count,
             tx.chunk_size, tx.challenge_period_n, tx.reward_per_proof,
-            tx.escrow, tx.counter, height,
+            tx.escrow, tx.counter,
         )
         return 0
     if isinstance(tx, StorageProof):
-        storage.prove_and_pay(state, tx.contract_id, tx.chunk, tx.proof, height, prev_hash)
+        storage.prove_and_pay(state, tx.contract_id, tx.chunk, tx.proof, prev_hash)
         return 0
     if isinstance(tx, StorageClose):
-        storage.close_contract(state, tx.contract_id, tx.sender, height)
+        storage.close_contract(state, tx.contract_id, tx.sender)
         return 0
     if isinstance(tx, AzCreate):
-        rewards.az_create(state, tx.owner, tx.join_price, tx.counter, height, cfg)
+        rewards.az_create(state, tx.owner, tx.join_price, tx.counter)
         return 0
     if isinstance(tx, AzJoin):
-        rewards.az_join(state, tx.sender, tx.az_id, height)
+        rewards.az_join(state, tx.sender, tx.az_id)
         return 0
     if isinstance(tx, AzRefer):
         rewards.az_refer(state, tx.sender, tx.user, tx.az_id)
@@ -565,7 +563,7 @@ def apply_tx(state: ChainState, tx, miner: bytes, prev_hash: bytes) -> Receipt:
     try:
         receipt = _apply_checked(state, tx, prev_hash)
         if start.opened and receipt.fee_paid:
-            state.credit(miner, receipt.fee_paid, state.height)
+            state.credit(miner, receipt.fee_paid)
         return receipt
     except Exception:
         state.rollback(start)
@@ -580,7 +578,7 @@ def _apply_checked(state: ChainState, tx, prev_hash: bytes) -> Receipt:
     if isinstance(tx, EpochTx):
         if height == 0 or height % state.cfg.blocks_per_epoch != 0:
             raise TxError("BadFormat", f"epoch tx at non-boundary height {height}")
-        rewards.apply_epoch(state, tx.report, height, state.cfg)
+        rewards.apply_epoch(state, tx.report)
         return Receipt(this_hash, APPLIED, 0, 0)
 
     sender = tx_sender(tx)
@@ -590,7 +588,7 @@ def _apply_checked(state: ChainState, tx, prev_hash: bytes) -> Receipt:
     balance, burned = charge_maintenance(payer, height, state.cfg.maintenance_rate)
     if balance < fee:
         raise TxError("InsufficientForFee", "fee exceeds balance after maintenance")
-    state.write_account(payer, balance - fee, tx.counter, height, burned)
+    state.write_account(payer, balance - fee, tx.counter, burned)
     charged = state.savepoint()  # a revert keeps the fee and the counter bump
     try:
         gas_used = _apply_inner(state, tx, prev_hash)
@@ -604,7 +602,7 @@ def _apply_checked(state: ChainState, tx, prev_hash: bytes) -> Receipt:
     if isinstance(tx, GAS_KINDS):
         refund = (tx.gas - gas_used) * tx.gas_price
         if refund:
-            state.credit(sender, refund, height)
+            state.credit(sender, refund)
         return Receipt(this_hash, APPLIED, gas_used, gas_used * tx.gas_price)
     return Receipt(this_hash, APPLIED, gas_used, fee)
 
@@ -639,7 +637,7 @@ def _execute(state: ChainState, txs, miner: bytes, height: int, prev_hash: bytes
     included: list = []
     receipts: list[Receipt] = []
     if height > 0:
-        work.mint(miner, pow.coinbase(height, state.cfg), height)
+        work.mint(miner, pow.coinbase(height, state.cfg))
     journal = work.savepoint()
     for tx in txs:
         try:
@@ -650,7 +648,7 @@ def _execute(state: ChainState, txs, miner: bytes, height: int, prev_hash: bytes
             continue
         included.append(tx)
     if fees := sum(r.fee_paid for r in receipts):
-        work.credit(miner, fees, height)
+        work.credit(miner, fees)
     work.release(journal)
     proved = [
         storage.ProofLeaf(t.contract_id, height, t.proof.leaf_index, hash256(t.chunk)).digest()

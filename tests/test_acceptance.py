@@ -49,8 +49,8 @@ def test_criterion_01_conservation_ledger_wide():
         state = result.state
         lhs = state.genesis_total + state.minted_total
         rhs = (
-            state.circulating() + state.locked_in_channels()
-            + state.oracle_deposits() + state.storage_escrow()
+            state.held("accounts") + state.held("channels")
+            + state.held("oracles") + state.held("storage_contracts")
             + state.pool.pool_balance + state.pool.endowment + state.burned_total
         )
         if lhs != rhs:
@@ -379,7 +379,7 @@ def test_criterion_10_oracle_lifecycle():
         question_id = oracles.question_id_for(kp.address, counter, qh)
         escrowed = bench.state.oracles[question_id].deposit
         burned_0 = bench.state.burned_total
-        balances_0 = bench.state.circulating()
+        balances_0 = bench.state.held("accounts")
         if path != "expired":
             ans = txmod.OracleAnswer(kp.address, question_id, True, 1, bench.counter("alice"))
             assert bench.apply(ans, kp).status == "applied"

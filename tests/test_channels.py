@@ -38,7 +38,7 @@ def test_open_locks_funds(bench):
     channel = bench.state.channels[channel_id]
     assert channel.status == "open"
     assert channel.total == 10 * DSD
-    assert bench.state.locked_in_channels() == 10 * DSD
+    assert bench.state.held("channels") == 10 * DSD
     # accounts dropped by deposits plus fee; the fee went to the miner
     total_after = sum(a.balance for a in bench.state.accounts.values())
     assert total_after == total_before - 10 * DSD
@@ -87,7 +87,7 @@ def test_cooperative_close(bench):
     assert channel.final_split == (6 * DSD, 4 * DSD)
     assert bench.balance("alice") == a_before + 6 * DSD - 1  # minus the fee
     assert bench.balance("bob") == b_before + 4 * DSD
-    assert bench.state.locked_in_channels() == 0
+    assert bench.state.held("channels") == 0
     assert bench.conservation_ok()
 
 

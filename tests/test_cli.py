@@ -44,6 +44,13 @@ def test_usage_error_exits_2(capsys):
         assert err.value.code == 2, argv
 
 
+def test_optimizer_evaluate_takes_no_compare_vi_flag(tmp_path, capsys):
+    # only train compares its Q table with value iteration
+    with pytest.raises(SystemExit) as err:
+        main(["optimizer", "evaluate", "--mdp", str(tmp_path / "m.mdp"), "--compare-vi"])
+    assert err.value.code == 2
+
+
 def test_cli_import_leaves_numpy_unloaded():
     # a fresh interpreter: this one has numpy loaded by other tests
     path = os.pathsep.join([os.path.join(REPO_ROOT, "src"), os.environ.get("PYTHONPATH", "")])
@@ -152,6 +159,17 @@ def test_a_bad_genesis_config_leaves_the_state_dir_as_it_was(workdir, capsys):
     assert run(workdir, "send", "--from", "alice", "--to", "bob", "--amount", "5dsd", "--fee", "9") == 0
     assert run(workdir, "mine", "--miner", "bob") == 0
     assert "status=applied" in capsys.readouterr().out
+
+
+def test_a_genesis_whose_supply_passes_the_u64_ceiling_leaves_the_state_dir_as_it_was(workdir, capsys):
+    # no balance can pass 2^64 - 1 when the genesis total plus every coinbase stays within it
+    assert run(workdir, "genesis", "--config", str(workdir / "net.cfg")) == 0
+    before = {name: (workdir / "state" / name).read_bytes() for name in ("config.cfg", "chain.bin")}
+    (workdir / "rich.cfg").write_text(f"pow.edge_bits = 8\ngenesis.account = rich {2**64 - 10}\n")
+    capsys.readouterr()
+    assert run(workdir, "genesis", "--config", str(workdir / "rich.cfg")) == 1
+    assert "line 2: genesis total" in capsys.readouterr().err
+    assert {name: (workdir / "state" / name).read_bytes() for name in before} == before
 
 
 def test_name_claim_resolve(workdir, capsys):

@@ -64,7 +64,7 @@ def test_a_spend_credit_with_no_debit_fails_its_block(monkeypatch):
 
     def credit_only(state, tx, prev_hash):
         if isinstance(tx, txmod.Spend):
-            state.credit(tx.recipient, tx.amount, state.height)
+            state.credit(tx.recipient, tx.amount)
             return 0
         return apply_inner(state, tx, prev_hash)
 
@@ -74,7 +74,7 @@ def test_a_spend_credit_with_no_debit_fails_its_block(monkeypatch):
 
 
 def test_a_channel_open_with_no_deposit_debit_fails_its_block(monkeypatch):
-    def lock_only(state, a, b, deposit_a, deposit_b, counter_a, height):
+    def lock_only(state, a, b, deposit_a, deposit_b, counter_a):
         channel_id = channels.channel_id_for(a, b, counter_a)
         state.channels[channel_id] = Channel(channel_id, a, b, deposit_a, deposit_b)
         return channel_id

@@ -96,3 +96,35 @@ def test_every_field_outside_the_wire_records_is_read_by_the_program():
         and node.target.id not in read
     }
     assert unread == KEPT_FIELDS_FOR_TESTS
+
+
+def _transition_clocks(tree, module: str):
+    """``module.function`` for each function in ``tree`` that takes a state,
+    as ``state`` or as a ``ChainState`` method's ``self``, together with a
+    ``height`` or ``cfg`` parameter of its own."""
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                params = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
+                takes_state = "state" in params or (owner == "ChainState" and "self" in params)
+                if takes_state and params & {"height", "cfg"}:
+                    yield f"{module}.{owner + '.' if owner else ''}{child.name}"
+                yield from visit(child, owner)
+
+    yield from visit(tree, None)
+
+
+def test_every_state_transition_reads_its_height_and_config_from_the_state():
+    # one clock and one rule set: a transition reads state.height and
+    # state.cfg; only the block executor takes the height it sets on its clone
+    package = os.path.join(REPO_ROOT, "src", "deskchain")
+    found = {
+        name
+        for path, tree in _program_trees().items() if path.startswith(package)
+        for name in _transition_clocks(tree, os.path.relpath(path, package)[:-3].replace(os.sep, "."))
+    }
+    assert found == {"tx._execute"}

@@ -282,7 +282,7 @@ def test_state_roots_match_a_from_scratch_reference(n_accounts, n_names, edits):
     state = ChainState.genesis(cfg)
     addrs = [bytes([i + 1]) * 32 for i in range(12)]
     for a in addrs[:n_accounts]:
-        state.credit(a, 1000 + a[0], 0)
+        state.credit(a, 1000 + a[0])
     for i in range(n_names):
         state.names[f"n{i}"] = NameRecord(f"n{i}", addrs[i], addrs[-1])
     assert txmod.state_roots(state) == _reference_roots(state)
@@ -292,11 +292,11 @@ def test_state_roots_match_a_from_scratch_reference(n_accounts, n_names, edits):
         address = addrs[i]
         try:
             if op == "credit":
-                state.credit(address, amount, height)
+                state.credit(address, amount)
             elif op == "debit":
-                state.debit(address, amount, height)
+                state.debit(address, amount)
             elif op == "touch":
-                state.touch(address, height)
+                state.touch(address)
             elif op == "rename" and state.names:
                 key = sorted(state.names)[i % len(state.names)]
                 state.names[key] = dataclasses.replace(state.names[key], target=address)
@@ -339,9 +339,9 @@ def test_rollback_returns_every_field_to_its_savepoint(n_funded, n_empty, ops):
     state = ChainState.genesis(cfg)
     addrs = [bytes([i + 1]) * 32 for i in range(12)]
     for a in addrs[:n_funded]:
-        state.credit(a, 10**6 + a[0], 0)
+        state.credit(a, 10**6 + a[0])
     for a in addrs[n_funded:n_funded + n_empty]:
-        state.credit(a, 0, 0)  # deletable at once
+        state.credit(a, 0)  # deletable at once
     marks = []  # (savepoint, deep copy taken at it, roots at it), oldest first
     for height, (op, i, amount) in enumerate(ops, start=1):
         state.height = height
@@ -360,30 +360,29 @@ def test_rollback_returns_every_field_to_its_savepoint(n_funded, n_empty, ops):
                 marks.clear()
                 assert all(getattr(state, name).log is None for name in _STORES)
             elif op == "credit":
-                state.credit(address, amount, height)
+                state.credit(address, amount)
             elif op == "debit":
-                state.debit(address, amount, height)
+                state.debit(address, amount)
             elif op == "touch":
-                state.touch(address, height)
+                state.touch(address)
             elif op == "drain":
-                state.debit(address, state.touch(address, height).balance, height)
+                state.debit(address, state.touch(address).balance)
             elif op == "delete":
                 empty = sorted(a for a, account in state.accounts.items() if account.balance == 0)
                 state.delete_account(empty[i % len(empty)] if empty else address)
             elif op == "name":
                 state.names[f"n{i % 5}"] = NameRecord(f"n{i % 5}", address, other)
             elif op == "channel_open":
-                channels.open_channel(state, address, other, amount % 1000, amount % 777, height, height)
+                channels.open_channel(state, address, other, amount % 1000, amount % 777, height)
             elif op == "channel_close" and state.channels:
                 channel = state.channels[sorted(state.channels)[i % len(state.channels)]]
-                channels.cooperative_close(state, channel.channel_id, channels.nonce_zero_state(channel), height)
+                channels.cooperative_close(state, channel.channel_id, channels.nonce_zero_state(channel))
             elif op == "oracle":
-                oracles.register(state, address, bytes([i]) * 32, height, height + 1 + i % 3, height, height, cfg)
+                oracles.register(state, address, bytes([i]) * 32, height, height + 1 + i % 3, height)
             elif op == "storage":
-                storage.create_contract(state, address, other, bytes([i]) * 32, 2, 16, 1, 1, amount % 1000,
-                                        height, height)
+                storage.create_contract(state, address, other, bytes([i]) * 32, 2, 16, 1, 1, amount % 1000, height)
             elif op == "az":
-                rewards.az_create(state, address, amount % 100, height, height, cfg)
+                rewards.az_create(state, address, amount % 100, height)
             elif op == "code":
                 program = _PROGRAMS[i % len(_PROGRAMS)]
                 state.code[program.code_hash()] = program
@@ -392,7 +391,7 @@ def test_rollback_returns_every_field_to_its_savepoint(n_funded, n_empty, ops):
             elif op == "burn":
                 state.burn(amount)
             elif op == "mint":
-                state.mint(address, amount, height)
+                state.mint(address, amount)
         except LedgerError:
             pass  # a failed edit may leave partial writes; only a rollback undoes them
         assert txmod.state_roots(state) == _reference_roots(state)
@@ -429,7 +428,7 @@ def test_incremental_roots_match_a_slot_order_reference(n_funded, ops):
     addrs = [hashlib.sha256(bytes([i])).digest() for i in range(12)]  # creation order is not key order
     state = ChainState.genesis(cfg)
     for a in addrs[:n_funded]:
-        state.credit(a, 10**6 + a[0], 0)
+        state.credit(a, 10**6 + a[0])
     states, models, marks = [state], [{"accounts": [], "names": []}], [[]]
     cur = 0
     for height, (op, i, amount) in enumerate(ops, start=1):
@@ -438,11 +437,11 @@ def test_incremental_roots_match_a_slot_order_reference(n_funded, ops):
         address, other = addrs[i], addrs[(i + 5) % len(addrs)]
         try:
             if op == "credit":
-                state.credit(address, amount, height)
+                state.credit(address, amount)
             elif op == "debit":
-                state.debit(address, amount, height)
+                state.debit(address, amount)
             elif op == "drain":
-                state.debit(address, state.touch(address, height).balance, height)
+                state.debit(address, state.touch(address).balance)
             elif op == "delete":
                 empty = sorted(a for a, account in state.accounts.items() if account.balance == 0)
                 state.delete_account(empty[i % len(empty)] if empty else address)
@@ -521,7 +520,7 @@ def test_apply_tx_undoes_the_fee_envelope_of_an_address_collision():
 def test_maintenance_that_leaves_less_than_the_fee_refuses_the_tx_and_writes_nothing():
     bench = Bench(make_cfg("maintenance.rate = 3\n"), height=5)
     dave = KeyPair.from_name("dave")
-    bench.state.credit(dave.address, 20, 0)  # 15 maintenance by height 5 leaves 5 < the fee
+    bench.state.accounts[dave.address] = Account(dave.address, 20)  # fresh at 0: 15 maintenance by height 5 leaves 5 < the fee
     tx = txmod.Spend(dave.address, bench.addr("alice"), 1, 10, 1)
     before = _deep_fields(bench.state)
     with pytest.raises(TxError) as err:

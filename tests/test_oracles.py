@@ -26,7 +26,7 @@ def test_deposit_proportional_to_window(bench):
     q = bench.state.oracles[question_id]
     assert q.deposit == 2 * 10
     assert bench.balance("alice") == alice_before - 20 - 1
-    assert bench.state.oracle_deposits() == 20
+    assert bench.state.held("oracles") == 20
 
 
 def test_bad_window_rejected(bench):

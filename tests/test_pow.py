@@ -199,7 +199,7 @@ def test_stake_weight_excludes_channel_locks(bench):
     assert receipt.status == "applied"
     after = pow.stake_weight(bench.state, alice.address)
     assert after == before - 10_000_000 - 1  # deposit plus the fee
-    assert bench.state.locked_in_channels() == 15_000_000
+    assert bench.state.held("channels") == 15_000_000
 
 
 def _solution_digest(solution) -> str:

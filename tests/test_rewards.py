@@ -251,8 +251,9 @@ def test_referred_user_contribution_rejected(bench):
         (rewards.UserContribution(az_id, bench.addr("bob"), F(1), F(1),
                                   (rewards.WorkItem(F(1), F(1, 2), F(1), ()),)),),
     )
+    bench.advance(10 - bench.height)
     with pytest.raises(LedgerError) as err:
-        rewards.apply_epoch(bench.state, report, 10, bench.cfg)
+        rewards.apply_epoch(bench.state, report)
     assert err.value.code == "NotMember"
 
 
@@ -289,7 +290,8 @@ def test_apply_epoch_end_to_end(bench):
     report = _epoch_report(az_a, az_b, bench.addr("alice"), bench.addr("bob"))
     pool_total_before = bench.state.pool.endowment + bench.state.pool.pool_balance
     alice_before = bench.balance("alice")
-    result = rewards.apply_epoch(bench.state, report, 10, bench.cfg)
+    bench.advance(10 - bench.height)
+    result = rewards.apply_epoch(bench.state, report)
     assert result.distributed > 0
     assert bench.state.pool.gamma_t == result.distributed
     assert bench.state.pool.epoch_index == 1
@@ -304,8 +306,9 @@ def test_apply_epoch_end_to_end(bench):
 def test_epoch_out_of_order_rejected(bench):
     az_a = make_az(bench, owner="alice", join_price=0)
     report = rewards.EpochReport(5, (F(1),), (rewards.AZFactors(az_a, (1,)),), ())
+    bench.advance(10 - bench.height)
     with pytest.raises(LedgerError):
-        rewards.apply_epoch(bench.state, report, 10, bench.cfg)
+        rewards.apply_epoch(bench.state, report)
 
 
 def test_an_epoch_tx_applies_at_a_boundary_block_only(bench):
@@ -324,7 +327,8 @@ def test_an_epoch_tx_applies_at_a_boundary_block_only(bench):
 def test_zero_weight_epoch_carries_forward(bench):
     report = rewards.EpochReport(1, (), (), ())
     pool_before = bench.state.pool
-    result = rewards.apply_epoch(bench.state, report, 10, bench.cfg)
+    bench.advance(10 - bench.height)
+    result = rewards.apply_epoch(bench.state, report)
     assert result.distributed == 0
     pool = bench.state.pool
     assert pool.epoch_index == 1
@@ -341,7 +345,8 @@ def test_pool_conservation_across_epochs(bench):
     distributed_total = 0
     for epoch in range(1, 6):
         report = _epoch_report(az_a, az_b, bench.addr("alice"), bench.addr("bob"), epoch_index=epoch)
-        result = rewards.apply_epoch(bench.state, report, 10 * epoch, bench.cfg)
+        bench.advance(10 * epoch - bench.height)
+        result = rewards.apply_epoch(bench.state, report)
         distributed_total += result.distributed
     pool = bench.state.pool
     assert endowment_initial == pool.endowment + pool.pool_balance + distributed_total

@@ -530,7 +530,7 @@ def test_apply_block_empty_only_coinbase():
     new_state, receipts = txmod.apply_block(state, block)
     assert receipts == []
     expected = pow.coinbase(1, cfg)
-    assert new_state.circulating() == state.circulating() + expected
+    assert new_state.held("accounts") == state.held("accounts") + expected
     assert new_state.account_root() != state.account_root()
     src, snk = new_state.conservation_sides()
     assert src == snk
@@ -799,10 +799,11 @@ def test_build_block_skips_inapplicable_and_replays(bench):
 
 
 def test_miner_and_validator_agree_on_a_codec_error_at_apply():
-    # both balances sit at the u64 ceiling, so crediting the spend overflows
+    # both balances sit at the u64 ceiling, so crediting the spend overflows;
+    # parse_config refuses such a supply, so the config is built directly
     u64_max = (1 << 64) - 1
-    cfg = parse_config(f"pow.edge_bits = 8\ngenesis.account = rich {u64_max}\n"
-                       f"genesis.account = richer {u64_max}\n")
+    cfg = dataclasses.replace(parse_config("pow.edge_bits = 8\n"), genesis_accounts=tuple(
+        (name, KeyPair.from_name(name).address, u64_max) for name in ("rich", "richer")))
     state, genesis = txmod.genesis_block(cfg)
     rich, richer = KeyPair.from_name("rich"), KeyPair.from_name("richer")
     overflow = txmod.sign_tx(txmod.Spend(rich.address, richer.address, 1, 1, 1), rich)
