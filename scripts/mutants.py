@@ -38,6 +38,7 @@ MODULES = ("state", "channels", "oracles", "storage", "rewards")
 MODULE_TESTS = {
     "state": ("tests/test_ledger.py", "tests/test_conservation.py", "tests/test_tx.py"),
     "tx": ("tests/test_tx.py", "tests/test_model.py", "tests/test_ledger.py", "tests/test_conservation.py"),
+    "ledger": ("tests/test_ledger.py", "tests/test_tx.py", "tests/test_model.py", "tests/test_codec.py"),
 }
 FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
 SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add}
