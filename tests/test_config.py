@@ -73,24 +73,25 @@ def test_a_value_a_later_command_cannot_run_with_is_rejected_at_its_line(bad, le
     parse_config(f"{text}{least}\n")
 
 
+_HALVINGS = "coinbase.initial = 30\ncoinbase.halving_blocks = 2\n"  # mints 2 * (30 + 15 + 7 + 3 + 1) = 112
+
+
 @pytest.mark.parametrize("text, line_no", [
     # no coinbase, but the genesis balances alone pass 2^64 - 1
     (f"coinbase.initial = 0\ngenesis.account = rich {2**64 - 1}\ngenesis.account = alice 1000\n", 3),
     # the default coinbase pays far more than the 9 base units left under the ceiling
     (f"genesis.account = rich {2**64 - 10}\n", 1),
+    # one unit more than the supply accepted below
+    (f"{_HALVINGS}genesis.account = rich {2**64 - 112}\n", 3),
 ])
 def test_a_supply_that_can_pass_the_u64_ceiling_is_rejected(text, line_no):
     with pytest.raises(ConfigError, match=rf"^line {line_no}: genesis total .* exceeds the u64 maximum"):
         parse_config(text)
 
 
-def test_the_supply_ceiling_counts_every_coinbase_pow_will_pay():
-    base = "coinbase.initial = 30\ncoinbase.halving_blocks = 2\n"
-    paid = sum(pow.coinbase(height, parse_config(base)) for height in range(1, 2 * 64))
-    assert paid == 2 * (30 + 15 + 7 + 3 + 1)
-    assert parse_config(f"{base}genesis.account = rich {2**64 - 1 - paid}\n").genesis_total == 2**64 - 1 - paid
-    with pytest.raises(ConfigError, match="^line 3: "):
-        parse_config(f"{base}genesis.account = rich {2**64 - paid}\n")
+def test_a_supply_of_exactly_the_u64_maximum_counting_every_coinbase_is_accepted():
+    cfg = parse_config(f"{_HALVINGS}genesis.account = rich {2**64 - 1 - 112}\n")
+    assert cfg.genesis_total + sum(pow.coinbase(height, cfg) for height in range(1, 2 * 64)) == 2**64 - 1
 
 
 # (reader, comment marker, a good line, a bad line)
