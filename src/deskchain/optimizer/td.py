@@ -6,14 +6,22 @@ and single-threaded, so a (seed, hyperparameters) pair pins the entire
 QTable bit for bit.
 
 ``train`` runs over the MDP's ``JointTable``: Q values and visit counts
-are per-state lists indexed by joint action, the argmax is the first
-maximum (ties go to the lowest action tuple, as in ``best_action``), and
-next states come from ``sample_next`` in mdp.py, the rule
-``DeviceGroupMdp.step`` uses. ``best_action`` is that argmax on a
-``QTable``, which ``greedy_policy`` reads a policy from.
+are per-state lists indexed by joint action, and next states come from
+``sample_next`` in mdp.py, the rule ``DeviceGroupMdp.step`` uses. The
+greedy action is the first maximum of a state's Q row (ties go to the
+lowest action tuple, as in ``best_action``). ``train`` keeps it per state
+in ``greedy`` and mends it on each write to that row: the written action
+takes over when its value passes the kept maximum, or equals it from a
+lower index; when the kept action's own value falls, its row is scanned
+again. A greedy pick and the Q-learning target read ``greedy`` rather
+than scanning the row. That is exact only while no Q value is NaN, which
+the parameter checks ensure for returns within float range: a finite
+start, gamma_d in [0, 1) and a step size in (0, 1]. ``best_action`` is
+the argmax on a ``QTable``, which ``greedy_policy`` reads a policy from.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -52,6 +60,33 @@ def best_action(q: QTable, s: State, actions: list[Action]) -> Action:
     return best
 
 
+def _check_gamma(gamma_d: float) -> None:
+    if not 0.0 <= gamma_d < 1.0:  # false for NaN too
+        raise LedgerError("BadFormat", f"gamma_d {gamma_d!r} must be in [0, 1)")
+
+
+def _check_epsilon(eps: float) -> float:
+    if not 0.0 <= eps <= 1.0:
+        raise LedgerError("BadFormat", f"epsilon {eps!r} must be in [0, 1]")
+    return eps
+
+
+def _check_training(q: QTable, episodes: int, steps_per_episode: int) -> None:
+    """Reject parameters outside train's domain: gamma_d in [0, 1), epsilon
+    in [0, 1], alpha None or in (0, 1], episode and step counts >= 0 and
+    every starting Q value finite. Then no Q value training writes is NaN,
+    unless a return overflows a float."""
+    _check_gamma(q.gamma_d)
+    _check_epsilon(q.epsilon)
+    if q.alpha is not None and not 0.0 < q.alpha <= 1.0:
+        raise LedgerError("BadFormat", f"alpha {q.alpha!r} must be None or in (0, 1]")
+    if episodes < 0 or steps_per_episode < 0:
+        raise LedgerError("BadFormat", f"episodes {episodes} and steps {steps_per_episode} must be >= 0")
+    for key, v in q.values.items():
+        if not math.isfinite(v):
+            raise LedgerError("BadFormat", f"Q value {v!r} at {key} must be finite")
+
+
 def train(
     mdp: DeviceGroupMdp,
     q: QTable,
@@ -67,10 +102,13 @@ def train(
     as 1/(1+visits). epsilon_schedule maps the episode index to an
     exploration rate, defaulting to the constant q.epsilon. Training starts
     from the values already in q and writes back the pairs it updated, in
-    the order they were first updated.
+    the order they were first updated. A parameter outside the ranges
+    ``_check_training`` names, or a scheduled epsilon outside [0, 1],
+    raises ``LedgerError("BadFormat")``.
     """
     if mode not in (ON_POLICY, OFF_POLICY):
         raise LedgerError("BadFormat", f"unknown mode {mode}")
+    _check_training(q, episodes, steps_per_episode)
     table = mdp.table()
     n_actions = len(table.actions)
     values = [[0.0] * n_actions for _ in table.states]
@@ -78,6 +116,7 @@ def train(
         si, ai = table.state_index.get(s), table.action_index.get(a)
         if si is not None and ai is not None:
             values[si][ai] = v
+    greedy = [row.index(max(row)) for row in values]
     visits = [[0] * n_actions for _ in table.states]
     update_order: list[tuple[int, int]] = []
     capacity, devices = table.capacity, table.devices
@@ -89,16 +128,10 @@ def train(
     poisson = mdp.arrival_kind == POISSON
     arrivals = 0 if poisson else mdp.sample_arrivals(rng)  # a constant stream draws nothing
 
-    def pick(si: int, eps: float) -> int:
-        if uniform() < eps:
-            return randrange(n_actions)
-        row = values[si]
-        return row.index(max(row))
-
     for episode in range(episodes):
-        eps = q.epsilon if epsilon_schedule is None else epsilon_schedule(episode)
+        eps = q.epsilon if epsilon_schedule is None else _check_epsilon(epsilon_schedule(episode))
         si = start
-        ai = pick(si, eps)
+        ai = randrange(n_actions) if uniform() < eps else greedy[si]
         for _ in range(steps_per_episode):
             if poisson:
                 arrivals = mdp.sample_arrivals(rng)
@@ -106,9 +139,9 @@ def train(
             r = arrivals if arrivals <= cap else cap  # min(arrivals, cap), without the call
             s2 = sample_next(uniform, devices[si][ai])
             if off_policy:
-                target = max(values[s2])
+                target = values[s2][greedy[s2]]
             else:
-                a2 = pick(s2, eps)
+                a2 = randrange(n_actions) if uniform() < eps else greedy[s2]
                 target = values[s2][a2]
             n = visits[si][ai]
             visits[si][ai] = n + 1
@@ -116,10 +149,19 @@ def train(
                 update_order.append((si, ai))
             step = 1.0 / (1.0 + n) if alpha is None else alpha
             row = values[si]
-            row[ai] = row[ai] + step * (r + gamma_d * target - row[ai])
+            old = row[ai]
+            v = old + step * (r + gamma_d * target - old)
+            row[ai] = v
+            # keep greedy[si] the first maximum of the row just written
+            g = greedy[si]
+            if ai == g:
+                if v < old:
+                    greedy[si] = row.index(max(row))
+            elif v > row[g] or (v == row[g] and ai < g):
+                greedy[si] = ai
             if off_policy:
                 si = s2
-                ai = pick(si, eps)
+                ai = randrange(n_actions) if uniform() < eps else greedy[si]
             else:
                 si, ai = s2, a2
     for si, ai in update_order:
@@ -128,7 +170,9 @@ def train(
 
 
 def value_iteration(mdp: DeviceGroupMdp, gamma_d: float) -> dict[tuple[State, Action], float]:
-    """Bellman-optimality fixed point over the enumerated joint MDP."""
+    """Bellman-optimality fixed point over the enumerated joint MDP; gamma_d
+    must be in [0, 1)."""
+    _check_gamma(gamma_d)
     mdp.require_tabular()
     states = list(mdp.states())
     actions = list(mdp.actions())

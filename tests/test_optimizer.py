@@ -17,6 +17,8 @@ from deskchain.optimizer.files import parse_factor_graph, parse_mdp
 from deskchain.optimizer.mdp import MAX_JOINT_PAIRS, MAX_JOINT_STATES, three_state_fixture
 from deskchain.optimizer.td import best_action
 
+from td_reference import reference_train
+
 
 # --- discounted return ---
 
@@ -596,6 +598,67 @@ def test_optimizer_train_cli_rejects_a_nan_probability(tmp_path, capsys):
     assert captured.out == "" and "BadFormat" in captured.err
 
 
+@pytest.mark.parametrize("action,flags,named", [
+    ("train", ["--gamma", "1.5", "--compare-vi"], "gamma_d 1.5"),
+    ("train", ["--gamma", "nan"], "gamma_d nan"),
+    ("train", ["--gamma", "1.0"], "gamma_d 1.0"),
+    ("train", ["--gamma", "-0.1"], "gamma_d -0.1"),
+    ("train", ["--epsilon", "2", "--episodes", "-5"], "epsilon 2.0"),
+    ("train", ["--epsilon", "nan"], "epsilon nan"),
+    ("train", ["--episodes", "-5"], "episodes -5"),
+    ("train", ["--steps", "-1"], "steps -1"),
+    ("evaluate", ["--gamma", "1.0"], "gamma_d 1.0"),
+])
+def test_optimizer_cli_rejects_parameters_outside_their_domain(tmp_path, capsys, action, flags, named):
+    from deskchain.cli import main
+
+    path = tmp_path / "m.mdp"
+    path.write_text(_CLI_MDP)
+    assert main(["optimizer", action, "--mdp", str(path)] + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "BadFormat" in captured.err and named in captured.err
+
+
+@pytest.mark.parametrize("q,kwargs,named", [
+    (QTable(alpha=0.0), {}, "alpha 0.0"),
+    (QTable(alpha=1.5), {}, "alpha 1.5"),
+    (QTable(alpha=math.nan), {}, "alpha nan"),
+    (QTable(gamma_d=math.inf), {}, "gamma_d inf"),
+    (QTable(epsilon=-0.5), {}, "epsilon -0.5"),
+    (QTable(values={((0,), (1,)): math.inf}), {}, "Q value inf"),
+    (QTable(values={((0,), (0,)): math.nan}), {}, "Q value nan"),
+    (QTable(), {"episodes": -1}, "episodes -1"),
+    (QTable(), {"epsilon_schedule": lambda ep: 1.5}, "epsilon 1.5"),
+])
+def test_train_rejects_parameters_outside_their_domain(q, kwargs, named):
+    args = {"episodes": 2, "seed": 0, "steps_per_episode": 3, **kwargs}
+    with pytest.raises(LedgerError, match=named) as err:
+        train(three_state_fixture(), q, **args)
+    assert err.value.code == "BadFormat"
+
+
+def test_train_takes_the_ends_of_each_range():
+    # gamma_d 0, epsilon 0 and 1, alpha 1, zero episodes or steps all train
+    mdp = three_state_fixture()
+    for q, episodes, steps in (
+        (QTable(alpha=1.0, gamma_d=0.0, epsilon=0.0), 3, 5),
+        (QTable(alpha=1.0, gamma_d=0.0, epsilon=1.0), 3, 5),
+        (QTable(), 0, 5),
+        (QTable(), 3, 0),
+    ):
+        train(mdp, q, episodes=episodes, seed=0, steps_per_episode=steps)
+        assert all(math.isfinite(v) for v in q.values.values())
+
+
+@pytest.mark.parametrize("gamma_d", [1.0, 1.5, -0.5, math.nan, math.inf])
+def test_value_iteration_rejects_a_discount_outside_0_to_1(gamma_d):
+    # at 1.0 it would run every sweep before NoConvergence; above 1 it
+    # would return infinite values as converged
+    with pytest.raises(LedgerError, match="gamma_d") as err:
+        value_iteration(three_state_fixture(), gamma_d=gamma_d)
+    assert err.value.code == "BadFormat"
+
+
 def _bp_pin_graphs():
     """The CLI test's one-variable graph, then 20 seeded random trees in the
     text format: shuffled names (so the root lands anywhere), edges written
@@ -709,10 +772,10 @@ def _reference_train(mdp, q, episodes, seed, mode, steps_per_episode, epsilon_sc
 
 
 @st.composite
-def _small_mdps(draw):
+def _small_mdps(draw, min_actions=1):
     n_devices = draw(st.integers(1, 3))
     n_states = draw(st.integers(2, 3))
-    n_actions = draw(st.integers(1, 3))
+    n_actions = draw(st.integers(min_actions, 3))
 
     def row():
         if n_states == 3 and draw(st.booleans()):
@@ -754,6 +817,48 @@ def test_train_matches_the_reference_loop(mdp, seed, mode, alpha, epsilon, sched
                     q.set(s, a, 0.25 * i)
     schedule = (lambda ep: epsilon / (1 + ep)) if scheduled else None
     want = _reference_train(mdp, tables[0], 4, seed, mode, 15, schedule)
+    got = train(mdp, tables[1], episodes=4, seed=seed, mode=mode, steps_per_episode=15,
+                epsilon_schedule=schedule)
+    assert [(k, v.hex()) for k, v in got.values.items()] == [(k, v.hex()) for k, v in want.values.items()]
+
+
+# --- training against the full-row-scan loop ---
+#
+# td_reference.py keeps the loop that scanned the whole Q row for every
+# greedy pick; train keeps each state's first maximum instead. Prefilled
+# rows of exact ties test the tie rule, and a prefilled argmax far above
+# any return must fall, which forces a rescan of its row.
+
+
+def _prefill(mdp, q, kind, seed):
+    rng = random.Random(seed)
+    actions = list(mdp.actions())
+    for s in mdp.states():
+        high = rng.choice(actions)
+        for a in actions:
+            if kind == "ties":
+                q.set(s, a, rng.choice((0.0, 0.5, 1.0)))
+            elif kind == "falling":
+                q.set(s, a, 100.0 if a == high else 0.0)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    _small_mdps(min_actions=2),
+    st.integers(0, 2**32),
+    st.sampled_from(["off_policy", "on_policy"]),
+    st.sampled_from([None, 0.3]),
+    st.sampled_from([0.0, 0.5, 0.9]),
+    st.floats(0.0, 1.0),
+    st.booleans(),
+    st.sampled_from(["none", "ties", "falling"]),
+)
+def test_train_matches_the_full_row_scan_loop(mdp, seed, mode, alpha, gamma_d, epsilon, scheduled, prefill):
+    tables = [QTable(alpha=alpha, gamma_d=gamma_d, epsilon=epsilon) for _ in range(2)]
+    for q in tables:
+        _prefill(mdp, q, prefill, seed)
+    schedule = (lambda ep: epsilon / (1 + ep)) if scheduled else None
+    want = reference_train(mdp, tables[0], 4, seed, mode, 15, schedule)
     got = train(mdp, tables[1], episodes=4, seed=seed, mode=mode, steps_per_episode=15,
                 epsilon_schedule=schedule)
     assert [(k, v.hex()) for k, v in got.values.items()] == [(k, v.hex()) for k, v in want.values.items()]

@@ -159,6 +159,22 @@ def test_an_unanswered_question_is_burned_from_end_plus_one(bench):
     assert bench.state.burned_total == burned_before + q.deposit
 
 
+def test_an_answered_question_resolves_from_end_plus_the_challenge_window_plus_one(bench):
+    # a counterclaim is still taken at end + challenge_window, so resolving
+    # there is refused; one block later the deposit returns to the asker
+    question_id = ask(bench)
+    _answer(bench, question_id)
+    q = bench.state.oracles[question_id]
+    bench.advance(q.end + bench.cfg.oracle_challenge_window - bench.height)
+    assert _resolve(bench, question_id).reason == "NotReady"
+    assert bench.state.oracles[question_id].phase == "answered"
+    alice_before = bench.balance("alice")
+    bench.advance(1)
+    assert _resolve(bench, question_id).status == "applied"
+    assert bench.state.oracles[question_id].phase == "resolved"
+    assert bench.balance("alice") == alice_before + q.deposit
+
+
 def test_accepted_path_returns_deposit(bench):
     question_id = ask(bench)
     alice_after_ask = bench.balance("alice")

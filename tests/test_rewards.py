@@ -71,6 +71,13 @@ def test_normalize_min_max():
     assert normalized[b"\x02" * 32] == (F(0), F(0))
 
 
+def test_a_factor_column_maps_its_lowest_value_to_0_and_its_highest_to_1():
+    # min-max over the epoch's AZs: (raw - low) / (high - low), low above 0
+    rows = [rewards.AZFactors(bytes([i]) * 32, (raw,)) for i, raw in enumerate((2, 4, 8))]
+    normalized = rewards.normalize_factors(rows)
+    assert [normalized[row.az_id] for row in rows] == [(F(0),), (F(1, 3),), (F(1),)]
+
+
 def test_allocate_exact_proportions():
     out = rewards.allocate(1000, [(b"\x01" * 32, F(1)), (b"\x02" * 32, F(3))])
     assert [a for _, a in out] == [250, 750]
@@ -84,6 +91,12 @@ def test_allocate_largest_remainder_tie_break():
     assert got[ids[1]] == 34
     assert got[ids[0]] == got[ids[2]] == 33
     assert sum(got.values()) == 100
+
+
+def test_leftover_units_go_to_the_largest_remainders_not_the_largest_shares():
+    # shares 2.1 and 0.9 floor to 2 and 0; the one leftover unit goes to the
+    # remainder 0.9, though the other share is larger
+    assert rewards.largest_remainder(3, [F(7, 10), F(3, 10)], [0, 1]) == [2, 1]
 
 
 def test_allocate_scale_invariance():

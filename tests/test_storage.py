@@ -1,11 +1,11 @@
 import pytest
 
 from deskchain import storage, tx as txmod
-from deskchain.crypto import KeyPair, hash256
+from deskchain.crypto import hash256
 from deskchain.errors import LedgerError
-from deskchain.merkle import merkle_prove, tree_root
+from deskchain.merkle import merkle_prove
 
-from conftest import make_cfg, storage_payout_state
+from conftest import storage_payout_state
 
 
 
@@ -155,37 +155,6 @@ def test_second_proof_same_height_rejected(bench):
     prev = hash256(b"prev-block")
     assert _prove(bench, contract_id, chunks, prev).status == "applied"
     assert _prove(bench, contract_id, chunks, prev).status == "reverted"
-
-
-def test_proof_root_commits_only_applied_possession_proofs():
-    # two contracts over the same data, challenged every 2 and every 3
-    # blocks: at height 2 the first one's proof pays and the second's reverts
-    cfg = make_cfg()
-    state, genesis = txmod.genesis_block(cfg)
-    alice, bob, carol = (KeyPair.from_name(n) for n in ("alice", "bob", "carol"))
-    miner = KeyPair.from_name("miner").address
-    chunks, root = storage.commit_data(b"0123456789abcdef", 4)
-    creates = [
-        txmod.sign_tx(txmod.StorageCreate(
-            kp.address, bob.address, root, len(chunks), 4, period, 50, 200, 1, 1), kp)
-        for kp, period in ((alice, 2), (carol, 3))
-    ]
-    block1 = txmod.build_block(state, creates, miner, genesis.header)
-    state1, _ = txmod.apply_block(state, block1)
-    prev = block1.header.block_hash()
-    ids = [storage.contract_id_for(kp.address, 1) for kp in (alice, carol)]
-    index = [storage.challenge_index(prev, cid, len(chunks)) for cid in ids]
-    proofs = [
-        txmod.sign_tx(txmod.StorageProof(
-            kp.address, cid, chunks[i], merkle_prove(chunks, i), 1, counter), kp)
-        for kp, counter, cid, i in ((bob, 1, ids[0], index[0]), (alice, 2, ids[1], index[1]))
-    ]
-    block2 = txmod.build_block(state1, proofs, miner, block1.header)
-    _, receipts = txmod.apply_block(state1, block2)
-    status = {r.tx_hash: r.status for r in receipts}
-    assert [status.get(p.digest()) for p in proofs] == ["applied", "reverted"]
-    paid = storage.ProofLeaf(ids[0], 2, index[0], hash256(chunks[index[0]]))
-    assert block2.header.proof_root == tree_root([paid.digest()])
 
 
 def test_soundness_exhaustive_single_byte_mutations(bench):

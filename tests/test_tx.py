@@ -7,14 +7,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deskchain import codec, pow, tx as txmod
+from deskchain import codec, oracles, pow, storage, tx as txmod
 from deskchain.config import parse_config
 from deskchain.channels import SignedState
 from deskchain.crypto import ZERO_SIG, KeyPair, hash256
 from deskchain.errors import BlockError, CodecError, LedgerError, TxError
 from deskchain.ledger import CONTRACT, Account, Block
 from deskchain.state import _STORES, ChainState
-from deskchain.merkle import MerkleProof
+from deskchain.merkle import MerkleProof, merkle_prove, tree_root
 from deskchain.rewards import AZFactors, EpochReport, UserContribution, WorkItem
 from deskchain.vm import MAX_PROGRAM_LEN, Program, assemble
 
@@ -589,6 +589,31 @@ def test_a_miner_does_not_see_its_own_blocks_fees_until_the_block_closes():
         txmod.apply_block(state, stuffed)
 
 
+def test_an_unanswered_question_resolved_in_a_block_burns_its_deposit():
+    # README: resolved unanswered, a question burns its deposit from end + 1
+    # on; the block moves it from the oracle store to burned_total, and the
+    # block's conservation check holds over that move
+    cfg = make_cfg()
+    state, genesis = txmod.genesis_block(cfg)
+    alice, carol = KeyPair.from_name("alice"), KeyPair.from_name("carol")
+    miner = KeyPair.from_name("miner").address
+    ask = txmod.sign_tx(txmod.OracleRegister(alice.address, hash256(b"q"), 1, 2, 1, 1), alice)
+    question_id = oracles.question_id_for(alice.address, 1, hash256(b"q"))
+    resolve = txmod.sign_tx(txmod.OracleResolve(carol.address, question_id, 1, 1), carol)
+    header = genesis.header
+    for txs in ([ask], [], [resolve]):
+        block = txmod.build_block(state, txs, miner, header)
+        assert block.transactions == tuple(txs)
+        parent = state
+        state, receipts = txmod.apply_block(state, block)
+        assert [r.status for r in receipts] == ["applied"] * len(txs)
+        header = block.header
+    deposit = oracles.window_deposit(1, 2, cfg)
+    assert state.oracles[question_id].phase == "burned"
+    assert state.burned_total == parent.burned_total + deposit
+    assert state.held("oracles") == parent.held("oracles") - deposit
+
+
 def test_a_lone_apply_tx_credits_the_miner_before_it_returns(bench):
     # applied alone, a tx settles as a block of one: when the call returns,
     # the miner holds the fee and the journal the call opened is closed
@@ -600,6 +625,37 @@ def test_a_lone_apply_tx_credits_the_miner_before_it_returns(bench):
     assert bench.balance("alice") == payer - 7 - 9
     assert all(getattr(bench.state, name).log is None for name in _STORES)
     assert bench.conservation_ok()
+
+
+def test_proof_root_commits_only_applied_possession_proofs():
+    # two contracts over the same data, challenged every 2 and every 3
+    # blocks: at height 2 the first one's proof pays and the second's reverts
+    cfg = make_cfg()
+    state, genesis = txmod.genesis_block(cfg)
+    alice, bob, carol = (KeyPair.from_name(n) for n in ("alice", "bob", "carol"))
+    miner = KeyPair.from_name("miner").address
+    chunks, root = storage.commit_data(b"0123456789abcdef", 4)
+    creates = [
+        txmod.sign_tx(txmod.StorageCreate(
+            kp.address, bob.address, root, len(chunks), 4, period, 50, 200, 1, 1), kp)
+        for kp, period in ((alice, 2), (carol, 3))
+    ]
+    block1 = txmod.build_block(state, creates, miner, genesis.header)
+    state1, _ = txmod.apply_block(state, block1)
+    prev = block1.header.block_hash()
+    ids = [storage.contract_id_for(kp.address, 1) for kp in (alice, carol)]
+    index = [storage.challenge_index(prev, cid, len(chunks)) for cid in ids]
+    proofs = [
+        txmod.sign_tx(txmod.StorageProof(
+            kp.address, cid, chunks[i], merkle_prove(chunks, i), 1, counter), kp)
+        for kp, counter, cid, i in ((bob, 1, ids[0], index[0]), (alice, 2, ids[1], index[1]))
+    ]
+    block2 = txmod.build_block(state1, proofs, miner, block1.header)
+    _, receipts = txmod.apply_block(state1, block2)
+    status = {r.tx_hash: r.status for r in receipts}
+    assert [status.get(p.digest()) for p in proofs] == ["applied", "reverted"]
+    paid = storage.ProofLeaf(ids[0], 2, index[0], hash256(chunks[index[0]]))
+    assert block2.header.proof_root == tree_root([paid.digest()])
 
 
 def test_apply_block_encodes_no_decoded_tx(monkeypatch):
