@@ -28,14 +28,14 @@ from __future__ import annotations
 from ..config import text_lines
 from ..errors import LedgerError
 from .bp import TreeFactorGraph
-from .mdp import DeviceGroupMdp
+from .mdp import DeviceGroupMdp, check_total_capacity
 
 
 def parse_mdp(text: str) -> DeviceGroupMdp:
     devices = states = None
     actions: list[str] = []
     arrival_kind, arrival_rate = "constant", 1.0
-    capacity: dict[str, list[int]] = {}
+    capacity: dict[str, tuple[int, list[int]]] = {}  # action -> (line, row)
     rows: dict[tuple[str, int], list[float]] = {}
     for line_no, line in text_lines(text):
         parts = line.split()
@@ -50,7 +50,7 @@ def parse_mdp(text: str) -> DeviceGroupMdp:
             elif key == "arrivals":
                 arrival_kind, arrival_rate = parts[1], float(parts[2])
             elif key == "capacity":
-                capacity[parts[1]] = [int(v) for v in parts[2:]]
+                capacity[parts[1]] = (line_no, [int(v) for v in parts[2:]])
             elif key == "transition":
                 rows[(parts[1], int(parts[2]))] = [float(v) for v in parts[3:]]
             else:
@@ -64,7 +64,9 @@ def parse_mdp(text: str) -> DeviceGroupMdp:
     for action in actions:
         if action not in capacity:
             raise LedgerError("BadFormat", f"missing capacity for action {action!r}")
-        caps.append(tuple(capacity[action]))
+        line_no, row = capacity[action]
+        check_total_capacity(devices, action, row, f"mdp line {line_no}: ")
+        caps.append(tuple(row))
         matrix = []
         for s in range(states):
             row = rows.get((action, s))

@@ -6,7 +6,9 @@ state and on the action (a device under repair serves nothing); the step
 reward is the number of requests served: min(arrivals, total capacity).
 Arrivals are either a constant rate or a seeded Poisson stream, so every
 rollout is reproducible and the expected reward is available in closed
-form for the value-iteration oracle.
+form for the value-iteration oracle. Past POISSON_PART, a Poisson draw
+sums draws at equal parts of the rate, and the expected reward sums the
+pmf in log space.
 
 Rollouts run over indices. ``DeviceGroupMdp.table()`` enumerates joint
 states and actions once, in ``itertools.product`` order, and keeps for
@@ -15,7 +17,8 @@ device's cumulative transition row and its stride in the joint state
 index. Each device's next state is ``bisect_right(cum, u)`` for one
 uniform draw ``u``: the first j with ``u < p_0 + ... + p_j``, or the last
 state when float rounding leaves the row's sum just below ``u``.
-``sample_next`` is that rule, and both ``step`` and TD training use it.
+``sample_next`` is that rule: ``step`` calls it, and TD training makes the
+same draws inline.
 """
 from __future__ import annotations
 
@@ -38,6 +41,9 @@ DeviceRows = tuple[tuple[tuple[float, ...], int], ...]
 # tabular methods enumerate every joint state, and every (state, action) pair
 MAX_JOINT_STATES = 1_000
 MAX_JOINT_PAIRS = 100_000
+MAX_TOTAL_CAPACITY = 2 ** 53  # requests a step: every return is below 2^53 / (1 - gamma_d) <= 2^106
+POISSON_PART = 700.0  # the largest rate one Knuth loop draws: exp(-700) is a normal float
+MAX_POISSON_RATE = 1e6  # a Poisson draw costs about rate uniforms
 
 
 @dataclass(frozen=True)
@@ -86,11 +92,14 @@ class DeviceGroupMdp:
                     raise LedgerError("BadFormat", "transition row needs one probability in [0, 1] per state")
                 if abs(sum(row) - 1.0) > 1e-12:
                     raise LedgerError("BadFormat", f"row sums to {sum(row)!r}")
-        for row in self.capacity:
+        for name, row in zip(self.action_names, self.capacity):
             if len(row) != self.n_states or any(not isinstance(c, int) or c < 0 for c in row):
                 raise LedgerError("BadFormat", "capacity row needs one non-negative int per state")
+            check_total_capacity(self.n_devices, name, row)
         if not math.isfinite(self.arrival_rate) or self.arrival_rate < 0:
             raise LedgerError("BadFormat", f"arrival rate {self.arrival_rate!r} must be finite and >= 0")
+        if self.arrival_kind == POISSON and self.arrival_rate > MAX_POISSON_RATE:
+            raise LedgerError("BadFormat", f"Poisson rate {self.arrival_rate!r} passes {MAX_POISSON_RATE:g}")
 
     @property
     def n_actions(self) -> int:
@@ -131,25 +140,34 @@ class DeviceGroupMdp:
     def sample_arrivals(self, rng: random.Random) -> int:
         if self.arrival_kind == CONSTANT:
             return int(self.arrival_rate)
-        # Knuth's method; rates stay small at desk scale
-        limit = math.exp(-self.arrival_rate)
-        k, p = 0, 1.0
-        while True:
-            p *= rng.random()
-            if p <= limit:
-                return k
-            k += 1
+        # Knuth's method, on equal parts of a rate past POISSON_PART (their sum is Poisson too)
+        parts = max(1, math.ceil(self.arrival_rate / POISSON_PART))
+        limit = math.exp(-self.arrival_rate / parts)
+        k = 0
+        for _ in range(parts):
+            p = rng.random()
+            while p > limit:
+                k += 1
+                p *= rng.random()
+        return k
 
     def expected_reward(self, state: State, action: Action) -> float:
-        cap = self.total_capacity(state, action)
+        return self.expected_served(self.total_capacity(state, action))
+
+    def expected_served(self, cap: int) -> float:  # E[min(arrivals, cap)], the reward at capacity cap
         if self.arrival_kind == CONSTANT:
             return float(min(int(self.arrival_rate), cap))
-        # E[min(X, cap)] for X ~ Poisson(rate)
         rate = self.arrival_rate
+        if rate > POISSON_PART:  # the pmf in log space; 40 sigma away, a term is below exp(-500)
+            lo, hi = max(0, math.floor(rate - 40 * math.sqrt(rate))), math.ceil(rate + 40 * math.sqrt(rate))
+            return math.fsum(min(k, cap) * math.exp(k * math.log(rate) - rate - math.lgamma(k + 1))
+                             for k in range(lo, hi))
         acc = 0.0
         tail = 1.0
         p = math.exp(-rate)
         for k in range(cap):
+            if p == 0.0:  # p underflowed past the mode: the tail left is below any float
+                return acc
             acc += k * p
             tail -= p
             p *= rate / (k + 1)
@@ -210,6 +228,12 @@ class JointTable:
                 for s in states
             ),
         )
+
+
+def check_total_capacity(n_devices: int, name: str, row, where: str = "") -> None:
+    """Refuse a capacity row past MAX_TOTAL_CAPACITY in total; ``where`` prefixes the error."""
+    if n_devices * max(row, default=0) > MAX_TOTAL_CAPACITY:
+        raise LedgerError("BadFormat", f"{where}capacity {name}: {n_devices} devices of {max(row)} pass 2^53")
 
 
 def sample_next(uniform, devices: DeviceRows) -> int:

@@ -6,27 +6,32 @@ and single-threaded, so a (seed, hyperparameters) pair pins the entire
 QTable bit for bit.
 
 ``train`` runs over the MDP's ``JointTable``: Q values and visit counts
-are per-state lists indexed by joint action, and next states come from
-``sample_next`` in mdp.py, the rule ``DeviceGroupMdp.step`` uses. The
-greedy action is the first maximum of a state's Q row (ties go to the
+are per-state lists indexed by joint action. It makes each draw inline: a
+random action is ``getrandbits`` of the action count's bit length, drawn
+again until below the count, as ``Random.randrange`` does, and a next
+state is ``sample_next`` in mdp.py, which ``DeviceGroupMdp.step`` calls.
+The greedy action is the first maximum of a state's Q row (ties go to the
 lowest action tuple, as in ``best_action``). ``train`` keeps it per state
 in ``greedy`` and mends it on each write to that row: the written action
 takes over when its value passes the kept maximum, or equals it from a
 lower index; when the kept action's own value falls, its row is scanned
 again. A greedy pick and the Q-learning target read ``greedy`` rather
 than scanning the row. That is exact only while no Q value is NaN, which
-the parameter checks ensure for returns within float range: a finite
+the parameter checks ensure, as a step serves at most 2^53: a finite
 start, gamma_d in [0, 1) and a step size in (0, 1]. ``best_action`` is
 the argmax on a ``QTable``, which ``greedy_policy`` reads a policy from.
+``value_iteration`` sweeps the same indices.
 """
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import mul, sub
 
 from ..errors import LedgerError
-from .mdp import POISSON, Action, DeviceGroupMdp, State, sample_next
+from .mdp import POISSON, Action, DeviceGroupMdp, State
 
 ON_POLICY = "on_policy"
 OFF_POLICY = "off_policy"
@@ -124,24 +129,31 @@ def train(
     off_policy = mode == OFF_POLICY
     start = table.state_index[mdp.initial_state()]
     rng = random.Random(seed)
-    uniform, randrange = rng.random, rng.randrange
+    uniform, getrandbits = rng.random, rng.getrandbits
+    bits = n_actions.bit_length()  # randrange(n_actions) is getrandbits(bits), redrawn until below it
     poisson = mdp.arrival_kind == POISSON
     arrivals = 0 if poisson else mdp.sample_arrivals(rng)  # a constant stream draws nothing
 
     for episode in range(episodes):
         eps = q.epsilon if epsilon_schedule is None else _check_epsilon(epsilon_schedule(episode))
         si = start
-        ai = randrange(n_actions) if uniform() < eps else greedy[si]
+        ai = getrandbits(bits) if uniform() < eps else greedy[si]
+        while ai >= n_actions:  # only a random pick can land past the last action
+            ai = getrandbits(bits)
         for _ in range(steps_per_episode):
             if poisson:
                 arrivals = mdp.sample_arrivals(rng)
             cap = capacity[si][ai]
             r = arrivals if arrivals <= cap else cap  # min(arrivals, cap), without the call
-            s2 = sample_next(uniform, devices[si][ai])
+            s2 = 0  # sample_next, inline
+            for cum, stride in devices[si][ai]:
+                s2 += stride * bisect_right(cum, uniform())
             if off_policy:
                 target = values[s2][greedy[s2]]
             else:
-                a2 = randrange(n_actions) if uniform() < eps else greedy[s2]
+                a2 = getrandbits(bits) if uniform() < eps else greedy[s2]
+                while a2 >= n_actions:
+                    a2 = getrandbits(bits)
                 target = values[s2][a2]
             n = visits[si][ai]
             visits[si][ai] = n + 1
@@ -161,7 +173,9 @@ def train(
                 greedy[si] = ai
             if off_policy:
                 si = s2
-                ai = randrange(n_actions) if uniform() < eps else greedy[si]
+                ai = getrandbits(bits) if uniform() < eps else greedy[si]
+                while ai >= n_actions:
+                    ai = getrandbits(bits)
             else:
                 si, ai = s2, a2
     for si, ai in update_order:
@@ -171,32 +185,32 @@ def train(
 
 def value_iteration(mdp: DeviceGroupMdp, gamma_d: float) -> dict[tuple[State, Action], float]:
     """Bellman-optimality fixed point over the enumerated joint MDP; gamma_d
-    must be in [0, 1)."""
+    must be in [0, 1). A pair's successors are the product of its devices'
+    non-zero next states, multiplied in ``transition_prob``'s order."""
     _check_gamma(gamma_d)
-    mdp.require_tabular()
-    states = list(mdp.states())
-    actions = list(mdp.actions())
-    expected = {
-        (s, a): mdp.expected_reward(s, a) for s in states for a in actions
-    }
-    probs = {
-        (s, a): [(s2, mdp.transition_prob(s, a, s2)) for s2 in states if mdp.transition_prob(s, a, s2) > 0.0]
-        for s in states
-        for a in actions
-    }
-    q = {(s, a): 0.0 for s in states for a in actions}
+    table = mdp.table()
+    served = {cap: mdp.expected_served(cap) for row in table.capacity for cap in row}
+    expected = [[served[cap] for cap in row] for row in table.capacity]
+    # a pair's successors follow from its devices' transition rows alone, so
+    # pairs with the same rows share one backup: backup_of[si][ai] numbers it
+    shared: dict[tuple, int] = {}
+    backup_of = [[shared.setdefault(tuple(mdp.transitions[a_d][s_d] for s_d, a_d in zip(s, a)), len(shared))
+                  for a in table.actions] for s in table.states]
+    successors = []  # per backup: (probabilities, joint indices)
+    for rows in shared:
+        nxt = [(0, 1.0)]
+        for row in rows:
+            nxt = [(i * mdp.n_states + t, p * pt) for i, p in nxt for t, pt in enumerate(row) if pt > 0.0]
+        successors.append(([p for _, p in nxt], [i for i, _ in nxt]))
+    q = [[0.0] * len(table.actions) for _ in table.states]
     for _ in range(VI_MAX_ITER):
-        delta = 0.0
-        new_q = {}
-        value = {s: max(q[(s, a)] for a in actions) for s in states}
-        for s in states:
-            for a in actions:
-                v = expected[(s, a)] + gamma_d * sum(p * value[s2] for s2, p in probs[(s, a)])
-                new_q[(s, a)] = v
-                delta = max(delta, abs(v - q[(s, a)]))
+        at = [max(row) for row in q].__getitem__
+        backup = [sum(map(mul, probs, map(at, idxs))) for probs, idxs in successors]
+        new_q = [[r + gamma_d * backup[k] for r, k in zip(*pair)] for pair in zip(expected, backup_of)]
+        delta = max(max(map(abs, map(sub, new_row, row))) for new_row, row in zip(new_q, q))
         q = new_q
         if delta < VI_TOL:
-            return q
+            return {(s, a): v for s, row in zip(table.states, q) for a, v in zip(table.actions, row)}
     raise LedgerError("NoConvergence", f"value iteration after {VI_MAX_ITER} sweeps")
 
 

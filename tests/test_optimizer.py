@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import random
+import statistics
 
 import numpy as np
 import pytest
@@ -14,10 +15,13 @@ from deskchain.optimizer import (
     discounted_return, greedy_policy, train, value_iteration,
 )
 from deskchain.optimizer.files import parse_factor_graph, parse_mdp
-from deskchain.optimizer.mdp import MAX_JOINT_PAIRS, MAX_JOINT_STATES, three_state_fixture
+from deskchain.optimizer.mdp import (
+    MAX_JOINT_PAIRS, MAX_JOINT_STATES, MAX_POISSON_RATE, MAX_TOTAL_CAPACITY, POISSON_PART, three_state_fixture,
+)
 from deskchain.optimizer.td import best_action
 
 from td_reference import reference_train
+from vi_reference import reference_value_iteration
 
 
 # --- discounted return ---
@@ -156,6 +160,94 @@ def test_mdp_poisson_expected_reward_matches_truncated_mean():
     # brute truncated mean for cap=1: P(X>=1) = 1 - exp(-2)
     got = poisson.expected_reward((0,), (0,))
     assert abs(got - (1 - math.exp(-2.0))) < 1e-12
+
+
+def _one_state(kind, rate, cap):
+    return DeviceGroupMdp(1, 1, ("only",), (((1.0,),),), ((cap,),), arrival_kind=kind, arrival_rate=rate)
+
+
+def _knuth_poisson(rng, rate):
+    # one product loop, as every Poisson draw was made before rates were split
+    limit = math.exp(-rate)
+    k, p = 0, 1.0
+    while True:
+        p *= rng.random()
+        if p <= limit:
+            return k
+        k += 1
+
+
+def _poisson_mean_served(rate, cap):
+    # E[min(X, cap)] for X ~ Poisson(rate): every log-space pmf term from 0
+    # to 60 sigma past the rate, summed exactly
+    log_rate = math.log(rate)
+    return math.fsum(
+        min(k, cap) * math.exp(k * log_rate - rate - math.lgamma(k + 1))
+        for k in range(int(rate + 60 * math.sqrt(rate)))
+    )
+
+
+@pytest.mark.parametrize("rate", [0.0, 2.5, POISSON_PART])
+def test_poisson_draws_up_to_the_part_are_one_knuth_loop(rate):
+    mdp = _one_state("poisson", rate, 1)
+    a, b = random.Random(5), random.Random(5)
+    assert [mdp.sample_arrivals(a) for _ in range(40)] == [_knuth_poisson(b, rate) for _ in range(40)]
+
+
+@pytest.mark.parametrize("rate", [1000.0, 5000.0])
+def test_poisson_arrivals_above_the_underflow_rate(rate):
+    # exp(-rate) underflows to 0.0 past rate ~745: one product loop then drew
+    # about 745 whatever the rate, and the pmf recurrence gave the capacity
+    mdp = _one_state("poisson", rate, 1)
+    n = 200
+    rng = random.Random(int(rate))
+    mean = statistics.fmean(mdp.sample_arrivals(rng) for _ in range(n))
+    assert abs(mean - rate) < 4 * math.sqrt(rate / n)
+    for cap in (0, 1, int(rate) - 50, int(rate), int(rate) + 50, MAX_TOTAL_CAPACITY):
+        got = _one_state("poisson", rate, cap).expected_reward((0,), (0,))
+        assert math.isclose(got, _poisson_mean_served(rate, cap), rel_tol=1e-9), cap
+
+
+def test_expected_reward_stops_once_the_pmf_underflows():
+    # below the cap where p underflows, the value is the full loop's bit for
+    # bit; past it the loop returns the served mean alone, as the tail left
+    # is below any float, while 1 - sum(p) keeps a rounding residue that a
+    # 2^53 capacity would multiply into the result
+    def full_loop(rate, cap):
+        acc, tail, p = 0.0, 1.0, math.exp(-rate)
+        for k in range(cap):
+            acc += k * p
+            tail -= p
+            p *= rate / (k + 1)
+        return acc + cap * tail
+
+    for rate in (0.0, 2.5, 40.0, POISSON_PART):
+        for cap in (0, 3, int(rate) + 1):
+            assert _one_state("poisson", rate, cap).expected_reward((0,), (0,)).hex() == full_loop(rate, cap).hex()
+        got = _one_state("poisson", rate, MAX_TOTAL_CAPACITY).expected_reward((0,), (0,))
+        assert math.isclose(got, rate, rel_tol=1e-12, abs_tol=1e-300)
+
+
+def test_a_poisson_rate_past_the_bound_is_refused():
+    _one_state("poisson", MAX_POISSON_RATE, 1)
+    _one_state("constant", 2 * MAX_POISSON_RATE, 1)
+    with pytest.raises(LedgerError, match="Poisson rate") as err:
+        _one_state("poisson", 2 * MAX_POISSON_RATE, 1)
+    assert err.value.code == "BadFormat"
+
+
+def test_a_total_capacity_past_2_53_is_refused():
+    # two devices of 2^52 serve at most 2^53 requests a step: the largest allowed
+    text = MDP_TEXT.replace("devices 1", "devices 2").replace("capacity run 1 1 0", f"capacity run 1 {2**52} 0")
+    assert parse_mdp(text).capacity[0] == (1, 2**52, 0)
+    line_no = 1 + MDP_TEXT.splitlines().index("capacity run 1 1 0")
+    for row in (f"1 {2**52 + 1} 0", "1 1 " + "1" + "0" * 400):
+        with pytest.raises(LedgerError, match=f"mdp line {line_no}: capacity run") as err:
+            parse_mdp(text.replace(f"capacity run 1 {2**52} 0", f"capacity run {row}"))
+        assert err.value.code == "BadFormat"
+    with pytest.raises(LedgerError, match="capacity only") as err:
+        _one_state("constant", 1.0, MAX_TOTAL_CAPACITY + 1)
+    assert err.value.code == "BadFormat"
 
 
 def test_mdp_sampling_deterministic_per_seed():
@@ -862,3 +954,40 @@ def test_train_matches_the_full_row_scan_loop(mdp, seed, mode, alpha, gamma_d, e
     got = train(mdp, tables[1], episodes=4, seed=seed, mode=mode, steps_per_episode=15,
                 epsilon_schedule=schedule)
     assert [(k, v.hex()) for k, v in got.values.items()] == [(k, v.hex()) for k, v in want.values.items()]
+
+
+# --- value iteration against the tuple-keyed loop ---
+#
+# vi_reference.py keeps the loop that built every pair's successors through
+# transition_prob and swept tuple-keyed dicts; value_iteration builds them
+# from each device's non-zero next states and sweeps JointTable indices.
+
+
+def _vi_mdps():
+    fixture = three_state_fixture()
+    tiny = 1e-200  # two devices' product underflows: the reference drops it, value_iteration adds 0.0
+    mdps = {f"fixture_rows/{n}": dataclasses.replace(fixture, n_devices=n) for n in (1, 2, 3, 4)}
+    mdps.update(_pin_mdps())
+    mdps["single_state"] = _one_state("constant", 1.0, 1)
+    mdps["underflow"] = DeviceGroupMdp(
+        2, 2, ("a", "b"), (((tiny, 1.0), (0.5, 0.5)), ((1.0, 0.0), (tiny, 1.0))),
+        ((1, 2), (0, 1)), arrival_kind="poisson", arrival_rate=1.5,
+    )
+    return mdps
+
+
+@pytest.mark.parametrize("name", sorted(_vi_mdps()))
+def test_value_iteration_matches_the_tuple_keyed_loop(name):
+    mdp = _vi_mdps()[name]
+    for gamma_d in (0.0, 0.8):
+        want = reference_value_iteration(mdp, gamma_d)
+        got = value_iteration(mdp, gamma_d)
+        assert [(k, v.hex()) for k, v in got.items()] == [(k, v.hex()) for k, v in want.items()]
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(_small_mdps(), st.sampled_from([0.0, 0.5, 0.9]))
+def test_value_iteration_matches_the_tuple_keyed_loop_on_drawn_groups(mdp, gamma_d):
+    want = reference_value_iteration(mdp, gamma_d)
+    got = value_iteration(mdp, gamma_d)
+    assert [(k, v.hex()) for k, v in got.items()] == [(k, v.hex()) for k, v in want.items()]

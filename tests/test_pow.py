@@ -370,3 +370,48 @@ def test_solve_matches_reference(edge_bits):
             assert pow.solve(header, params, 4) == expected
             found += expected is not None
     assert found  # each graph size compares at least one solution
+
+
+# --- forgeries that only one verify rule refuses ---
+#
+# Each is built from a cycle that verifies, and is changed so that only the
+# rule under test refuses it: the incidence and walk checks still pass, and
+# the target is all ones.
+
+SMALL = pow.PowParams(edge_bits=8, cycle_len=8)
+
+
+@pytest.fixture(scope="module")
+def small_cycle():
+    h = hash256(b"verify-rules")
+    solution = pow.solve(h, SMALL, nonce_budget=10_000)
+    assert solution is not None and pow.verify(h, solution, SMALL)
+    return h, solution
+
+
+def test_a_cycle_of_another_length_is_rejected(small_cycle):
+    # the walk follows the given edges, so only the count names cycle_len
+    h, solution = small_cycle
+    for cycle_len in (6, 10):
+        assert not pow.verify(h, solution, pow.PowParams(SMALL.edge_bits, cycle_len))
+
+
+def test_an_edge_index_out_of_range_is_rejected(small_cycle):
+    # an index past 2^edge_bits whose endpoints equal the largest edge's
+    # closes the same cycle and keeps the edges sorted
+    h, solution = small_cycle
+    limit = 1 << SMALL.edge_bits
+    last = pow.derive_edge(h, solution.nonce, solution.edges[-1], SMALL.edge_bits)
+    alias = next(e for e in range(limit, limit + 200_000)
+                 if pow.derive_edge(h, solution.nonce, e, SMALL.edge_bits) == last)
+    forged = pow.CuckooSolution(solution.nonce, solution.edges[:-1] + (alias,))
+    assert not pow.verify(h, forged, SMALL)
+
+
+def test_a_verified_cycle_in_another_edge_order_is_rejected(small_cycle):
+    # sorted edges make a cycle's digest unique; any other order of the same
+    # cycle would verify with a digest of its own, to be ground against the target
+    h, solution = small_cycle
+    for edges in (solution.edges[::-1], solution.edges[1:] + solution.edges[:1]):
+        assert pow.solution_digest(h, edges) != pow.solution_digest(h, solution.edges)
+        assert not pow.verify(h, pow.CuckooSolution(solution.nonce, edges), SMALL)

@@ -120,14 +120,12 @@ def test_eval_pure_raises_on_failure():
 def test_gas_exactness_on_halting_programs():
     # gas_used equals executed instruction count for STOP-halting programs
     rng = random.Random(1)
-    pool = ["PUSH 1", "PUSH 2", "DUP", "ADD", "POP\nPUSH 3", "SWAP"]
+    # from two or more stack items, each entry leaves two or more, so no trap fires
+    pool = ["PUSH 1", "PUSH 2", "DUP", "ADD\nPUSH 1", "POP\nPUSH 3", "SWAP"]
     for _ in range(50):
-        body = []
-        # keep the stack non-empty so no trap fires
-        body.append("PUSH 9")
-        body.append("PUSH 9")
+        body = ["PUSH 9", "PUSH 9"]
         for _ in range(rng.randrange(0, 12)):
-            body.append(rng.choice(["DUP", "ADD\nPUSH 1", "PUSH 4"]))
+            body.append(rng.choice(pool))
         src = "\n".join(body) + "\nSTOP"
         program = assemble(src)
         out = execute(program, [], None, 10_000, 10_000)
