@@ -195,14 +195,12 @@ def _get_channel(state, channel_id: bytes, *statuses: str) -> Channel:
     return channel
 
 
-def open_channel(state, a: bytes, b: bytes, deposit_a: int, deposit_b: int, counter_a: int) -> bytes:
-    channel_id = channel_id_for(a, b, counter_a)
+def open_channel(state, channel_id: bytes, a: bytes, b: bytes, deposit_a: int, deposit_b: int) -> None:
     if channel_id in state.channels:
         raise LedgerError("WrongChannel", "channel id already exists")
     state.debit(a, deposit_a)
     state.debit(b, deposit_b)
     state.channels[channel_id] = Channel(channel_id, a, b, deposit_a, deposit_b)
-    return channel_id
 
 
 def _apply_split(state, channel: Channel, split: tuple[int, int]) -> None:

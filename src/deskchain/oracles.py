@@ -63,18 +63,16 @@ def window_deposit(start: int, end: int, cfg) -> int:
     return cfg.oracle_deposit_rate * (end - start)
 
 
-def register(state, asker: bytes, question_hash: bytes, start: int, end: int, counter: int) -> bytes:
+def register(state, question_id: bytes, asker: bytes, question_hash: bytes, start: int, end: int) -> None:
     if end <= start or start < state.height:
         raise LedgerError("BadWindow", f"[{start}, {end}) at height {state.height}")
     deposit = window_deposit(start, end, state.cfg)
     state.debit(asker, deposit)
-    question_id = question_id_for(asker, counter, question_hash)
     if question_id in state.oracles:
         raise LedgerError("BadFormat", "question id already exists")
     state.oracles[question_id] = OracleQuestion(
         question_id, asker, question_hash, start, end, deposit
     )
-    return question_id
 
 
 def answer(state, question_id: bytes, caller: bytes, bit: bool) -> None:

@@ -166,8 +166,7 @@ def poc_weight(c: UserContribution) -> Fraction:
 # --- AZ lifecycle (on-chain transitions) ---
 
 
-def az_create(state, owner: bytes, join_price: int, counter: int) -> bytes:
-    az_id = az_id_for(owner, counter)
+def az_create(state, az_id: bytes, owner: bytes, join_price: int) -> None:
     if az_id in state.azs:
         raise LedgerError("BadFormat", "AZ id already exists")
     state.debit(owner, state.cfg.az_creation_price)
@@ -176,7 +175,6 @@ def az_create(state, owner: bytes, join_price: int, counter: int) -> bytes:
     state.azs[az_id] = AZ(
         az_id, owner, join_price, frozenset({owner}), frozenset({owner}), frozenset()
     )
-    return az_id
 
 
 def az_join(state, user: bytes, az_id: bytes) -> None:

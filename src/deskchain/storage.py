@@ -107,13 +107,11 @@ def spot_check(trace: ComputeTrace, recompute: Callable[[int], bytes], entropy: 
 
 
 def create_contract(
-    state, payer: bytes, provider: bytes, data_root: bytes, chunk_count: int,
-    chunk_size: int, challenge_period_n: int, reward_per_proof: int,
-    escrow: int, counter: int,
-) -> bytes:
+    state, contract_id: bytes, payer: bytes, provider: bytes, data_root: bytes,
+    chunk_count: int, chunk_size: int, challenge_period_n: int, reward_per_proof: int, escrow: int,
+) -> None:
     if chunk_count < 1 or challenge_period_n < 1:
         raise LedgerError("BadFormat", "chunk_count and period must be >= 1")
-    contract_id = contract_id_for(payer, counter)
     if contract_id in state.storage_contracts:
         raise LedgerError("BadFormat", "storage contract id already exists")
     state.debit(payer, escrow)
@@ -121,15 +119,13 @@ def create_contract(
         contract_id, payer, provider, data_root, chunk_count, chunk_size,
         challenge_period_n, reward_per_proof, escrow,
     )
-    return contract_id
 
 
 def prove_and_pay(
     state, contract_id: bytes, chunk: bytes, proof: MerkleProof, prev_block_hash: bytes,
-) -> int:
-    """Verify a possession proof for the challenged index and pay for it.
-
-    Returns the amount paid (capped by remaining escrow)."""
+) -> None:
+    """Verify a possession proof for the challenged index and pay for it, up
+    to the remaining escrow."""
     contract = state.storage_contracts.need(contract_id)
     if contract.closed:
         raise LedgerError("WrongChannel", "storage contract closed")
@@ -147,18 +143,14 @@ def prove_and_pay(
     state.storage_contracts[contract_id] = replace(
         contract, escrow=contract.escrow - paid, last_paid_height=state.height
     )
-    return paid
 
 
-def close_contract(state, contract_id: bytes, caller: bytes) -> int:
-    """Payer ends the contract; the unspent escrow comes back. Returns the
-    refunded amount."""
+def close_contract(state, contract_id: bytes, caller: bytes) -> None:
+    """Payer ends the contract; the unspent escrow comes back."""
     contract = state.storage_contracts.need(contract_id)
     if contract.closed:
         raise LedgerError("WrongChannel", "storage contract closed")
     if caller != contract.payer:
         raise LedgerError("BadFormat", "only the payer can close")
-    refund = contract.escrow
-    state.credit(contract.payer, refund)
+    state.credit(contract.payer, contract.escrow)
     state.storage_contracts[contract_id] = replace(contract, escrow=0, closed=True)
-    return refund

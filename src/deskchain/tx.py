@@ -10,6 +10,9 @@ the miner and the parent block hash a storage challenge is drawn from; the
 height and the config it applies under are the state's own ``height`` and
 ``cfg``, which every transition below it reads too, so ``_apply_inner``
 passes each one only the tx's fields. ``_execute`` alone sets the height.
+``created_id`` is the one map from a tx to the id it mints; each opener
+takes that id. ``_run`` is the one contract run of ContractCreate and
+ContractCall.
 
 check_tx failures make a transaction inapplicable (an honest miner never
 includes it; a block carrying one is invalid). Failures after that point
@@ -38,7 +41,7 @@ REVERTED = "reverted"
 
 # Error codes that invalidate a block outright when raised during apply;
 # everything else rolls back to a fee-paying reverted receipt.
-NON_REVERTIBLE = {"AddressCollision", "Conservation", "BadFormat", "BadCounter"}
+NON_REVERTIBLE = {"AddressCollision", "BadFormat"}
 
 
 @dataclass(frozen=True)
@@ -428,29 +431,24 @@ def check_tx(state: ChainState, tx) -> None:
 
 
 def _apply_inner(state: ChainState, tx, prev_hash: bytes) -> int:
-    """Kind-specific value movement at ``state.height``. Returns VM gas used
-    (0 for non-VM)."""
+    """Kind-specific value movement at ``state.height``. Returns the VM gas
+    a ContractCreate, or a ContractCall to a contract, used; a DataOnly's
+    payload length; 0 for every other kind."""
     if isinstance(tx, Spend):
         state.debit(tx.sender, tx.amount)
         state.credit(tx.recipient, tx.amount)
-        return 0
-    if isinstance(tx, ContractCreate):
-        address = contract_address(tx.owner, tx.counter)
+    elif isinstance(tx, ContractCreate):
+        address = created_id(tx)
         if address in state.accounts:
             raise LedgerError("AddressCollision", address.hex())
         state.debit(tx.owner, tx.deposit + tx.amount)
         code_hash = tx.code.code_hash()
         state.accounts[address] = Account(
-            address, tx.deposit + tx.amount, freshness=state.height, kind=CONTRACT,
-            code_hash=code_hash,
+            address, tx.deposit + tx.amount, freshness=state.height, kind=CONTRACT, code_hash=code_hash
         )
         state.code[code_hash] = tx.code
-        balance_of = _call_env(state, tx.owner, address)
-        result = execute(tx.code, list(tx.call_data), balance_of, tx.gas, state.cfg.pure_space)
-        if result.status != HALTED:
-            raise LedgerError(result.status)
-        return result.gas_used
-    if isinstance(tx, ContractCall):
+        return _run(state, tx.code, tx, tx.owner, address)
+    elif isinstance(tx, ContractCall):
         state.debit(tx.caller, tx.amount)
         state.credit(tx.contract, tx.amount)
         target = state.accounts.get(tx.contract)
@@ -458,31 +456,23 @@ def _apply_inner(state: ChainState, tx, prev_hash: bytes) -> int:
             program = state.code.get(target.code_hash)
             if program is None:
                 raise LedgerError("BadFormat", "contract code missing from store")
-            balance_of = _call_env(state, tx.caller, tx.contract)
-            result = execute(program, list(tx.call_data), balance_of, tx.gas, state.cfg.pure_space)
-            if result.status != HALTED:
-                raise LedgerError(result.status)
-            return result.gas_used
-        return 0
-    if isinstance(tx, DataOnly):
+            return _run(state, program, tx, tx.caller, tx.contract)
+    elif isinstance(tx, DataOnly):
         return len(tx.payload)  # payload is inert; its cost was the fee
-    if isinstance(tx, NameClaim):
+    elif isinstance(tx, NameClaim):
         if tx.name in state.names:
             raise LedgerError("NameTaken")
         state.names[tx.name] = NameRecord(tx.name, tx.target, tx.owner)
-        return 0
-    if isinstance(tx, AccountDelete):
+    elif isinstance(tx, AccountDelete):
         state.touch(tx.target)
         state.delete_account(tx.target)
         reward = min(state.cfg.delete_reward, state.pool.endowment)
         if reward:
             state.pool = replace(state.pool, endowment=state.pool.endowment - reward)
             state.credit(tx.sender, reward)
-        return 0
-    if isinstance(tx, ChannelOpen):
-        channels.open_channel(state, tx.party_a, tx.party_b, tx.deposit_a, tx.deposit_b, tx.counter)
-        return 0
-    if isinstance(tx, _ChannelTx):
+    elif isinstance(tx, ChannelOpen):
+        channels.open_channel(state, created_id(tx), tx.party_a, tx.party_b, tx.deposit_a, tx.deposit_b)
+    elif isinstance(tx, _ChannelTx):
         if tx.program is not None:
             state.code[tx.program.code_hash()] = tx.program
         if isinstance(tx, ChannelClose):
@@ -495,57 +485,50 @@ def _apply_inner(state: ChainState, tx, prev_hash: bytes) -> int:
             channels.cooperative_close(state, tx.channel_id, tx.state)
         else:
             channels.challenge(state, tx.channel_id, tx.state)
-        return 0
-    if isinstance(tx, OracleRegister):
-        oracles.register(state, tx.asker, tx.question_hash, tx.start, tx.end, tx.counter)
-        return 0
-    if isinstance(tx, OracleAnswer):
+    elif isinstance(tx, OracleRegister):
+        oracles.register(state, created_id(tx), tx.asker, tx.question_hash, tx.start, tx.end)
+    elif isinstance(tx, OracleAnswer):
         oracles.answer(state, tx.question_id, tx.sender, tx.bit)
-        return 0
-    if isinstance(tx, OracleCounter):
+    elif isinstance(tx, OracleCounter):
         oracles.counterclaim(state, tx.question_id, tx.sender)
-        return 0
-    if isinstance(tx, OracleVote):
+    elif isinstance(tx, OracleVote):
         weight = pow.stake_weight(state, tx.sender)
         oracles.record_vote(state, tx.question_id, tx.sender, tx.bit, weight)
-        return 0
-    if isinstance(tx, OracleResolve):
+    elif isinstance(tx, OracleResolve):
         oracles.resolve(state, tx.question_id)
-        return 0
-    if isinstance(tx, StorageCreate):
+    elif isinstance(tx, StorageCreate):
         storage.create_contract(
-            state, tx.payer, tx.provider, tx.data_root, tx.chunk_count,
-            tx.chunk_size, tx.challenge_period_n, tx.reward_per_proof,
-            tx.escrow, tx.counter,
+            state, created_id(tx), tx.payer, tx.provider, tx.data_root, tx.chunk_count,
+            tx.chunk_size, tx.challenge_period_n, tx.reward_per_proof, tx.escrow,
         )
-        return 0
-    if isinstance(tx, StorageProof):
+    elif isinstance(tx, StorageProof):
         storage.prove_and_pay(state, tx.contract_id, tx.chunk, tx.proof, prev_hash)
-        return 0
-    if isinstance(tx, StorageClose):
+    elif isinstance(tx, StorageClose):
         storage.close_contract(state, tx.contract_id, tx.sender)
-        return 0
-    if isinstance(tx, AzCreate):
-        rewards.az_create(state, tx.owner, tx.join_price, tx.counter)
-        return 0
-    if isinstance(tx, AzJoin):
+    elif isinstance(tx, AzCreate):
+        rewards.az_create(state, created_id(tx), tx.owner, tx.join_price)
+    elif isinstance(tx, AzJoin):
         rewards.az_join(state, tx.sender, tx.az_id)
-        return 0
-    if isinstance(tx, AzRefer):
+    elif isinstance(tx, AzRefer):
         rewards.az_refer(state, tx.sender, tx.user, tx.az_id)
-        return 0
-    raise LedgerError("BadFormat", f"unhandled tx kind {type(tx).__name__}")
+    else:
+        raise LedgerError("BadFormat", f"unhandled tx kind {type(tx).__name__}")
+    return 0
 
 
-def _call_env(state: ChainState, caller: bytes, contract: bytes):
-    """BALANCE's view: handle 0 is the caller, 1 the contract, others hold 0."""
+def _run(state: ChainState, program: Program, tx, caller: bytes, contract: bytes) -> int:
+    """Run ``program`` on ``tx``'s call data within its gas; returns the gas
+    used. BALANCE's view: handle 0 is ``caller``, 1 ``contract``, others hold 0."""
 
     def balance_of(handle: int) -> int:
         address = {0: caller, 1: contract}.get(handle)
         account = state.accounts.get(address) if address else None
         return account.balance if account else 0
 
-    return balance_of
+    result = execute(program, list(tx.call_data), balance_of, tx.gas, state.cfg.pure_space)
+    if result.status != HALTED:
+        raise LedgerError(result.status)
+    return result.gas_used
 
 
 def apply_tx(state: ChainState, tx, miner: bytes, prev_hash: bytes) -> Receipt:

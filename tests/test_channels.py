@@ -4,6 +4,7 @@ import pytest
 
 from deskchain import channels, templates, tx as txmod
 from deskchain.channels import ChannelEndpoint, SignedState
+from deskchain.crypto import ZERO_SIG
 from deskchain.errors import DeskchainError, LedgerError
 from deskchain.vm import assemble
 
@@ -202,6 +203,52 @@ def test_finalize_one_block_early_rejected(bench):
     fin = txmod.ChannelFinalize(bob.address, channel_id, None, None, 1, bench.counter("bob"))
     assert bench.apply(fin, bob).status == "applied"
     assert bench.state.channels[channel_id].final_split == (7 * DSD, 3 * DSD)
+
+
+def _singly_signed(bench, channel_id, balances, nonce):
+    """A state at ``nonce`` that carries party A's signature alone."""
+    return dataclasses.replace(signed_update(bench, channel_id, balances, nonce=nonce), sig_b=ZERO_SIG)
+
+
+def test_a_unilateral_close_needs_a_doubly_signed_state(bench):
+    channel_id = open_channel(bench)
+    half = _singly_signed(bench, channel_id, (7 * DSD, 3 * DSD), nonce=5)
+    kp = bench.key("alice")
+    tx = txmod.ChannelClose(kp.address, channel_id, half, None, 1, bench.counter("alice"))
+    assert bench.apply(tx, kp).reason == "BadSignature"
+    assert bench.state.channels[channel_id].status == "open"
+
+
+def test_a_challenge_needs_a_doubly_signed_state(bench):
+    # a later nonce signed by one side only does not displace the candidate
+    channel_id = open_channel(bench)
+    stale = signed_update(bench, channel_id, (7 * DSD, 3 * DSD), nonce=5)
+    bob = bench.key("bob")
+    tx = txmod.ChannelClose(bob.address, channel_id, stale, None, 1, bench.counter("bob"))
+    assert bench.apply(tx, bob).status == "applied"
+    half = _singly_signed(bench, channel_id, (2 * DSD, 8 * DSD), nonce=7)
+    alice = bench.key("alice")
+    challenge = txmod.ChannelChallenge(alice.address, channel_id, half, None, 1, bench.counter("alice"))
+    assert bench.apply(challenge, alice).reason == "BadSignature"
+    assert bench.state.channels[channel_id].candidate == stale
+
+
+def test_a_cooperative_close_whose_balances_miss_the_deposits_reverts(bench):
+    # both signatures do not make a split that mints or burns acceptable
+    channel_id = open_channel(bench)
+    final = SignedState(channel_id, 1, 6 * DSD, 5 * DSD)
+    final = channels.sign_state(channels.sign_state(final, bench.key("alice"), "a"), bench.key("bob"), "b")
+    kp = bench.key("alice")
+    tx = txmod.ChannelCloseCoop(kp.address, channel_id, final, None, 1, bench.counter("alice"))
+    assert bench.apply(tx, kp).reason == "BalanceSumMismatch"
+    assert bench.state.channels[channel_id].status == "open"
+    assert bench.conservation_ok()
+
+
+def test_sign_state_signs_as_side_a_or_b_only(bench):
+    ss = SignedState(b"\x01" * 32, 1, 4 * DSD, 4 * DSD)
+    with pytest.raises(ValueError):
+        channels.sign_state(ss, bench.key("alice"), "c")
 
 
 def test_settle_split_payment_template(cfg):

@@ -74,10 +74,8 @@ def test_a_spend_credit_with_no_debit_fails_its_block(monkeypatch):
 
 
 def test_a_channel_open_with_no_deposit_debit_fails_its_block(monkeypatch):
-    def lock_only(state, a, b, deposit_a, deposit_b, counter_a):
-        channel_id = channels.channel_id_for(a, b, counter_a)
+    def lock_only(state, channel_id, a, b, deposit_a, deposit_b):
         state.channels[channel_id] = Channel(channel_id, a, b, deposit_a, deposit_b)
-        return channel_id
 
     monkeypatch.setattr(channels, "open_channel", lock_only)
 

@@ -128,3 +128,37 @@ def test_every_state_transition_reads_its_height_and_config_from_the_state():
         for name in _transition_clocks(tree, os.path.relpath(path, package)[:-3].replace(os.sep, "."))
     }
     assert found == {"tx._execute"}
+
+
+_ID_RULES = {"contract_address", "channel_id_for", "question_id_for", "contract_id_for", "az_id_for"}
+
+
+def _id_derivers(tree, module: str):
+    """``module.function`` for each function in ``tree`` that calls one of the
+    rules that derive the id a tx mints."""
+
+    def callee(call: ast.Call):
+        return call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{prefix}{child.name}"
+                if not isinstance(child, ast.ClassDef) and any(
+                    isinstance(n, ast.Call) and callee(n) in _ID_RULES for n in ast.walk(child)
+                ):
+                    yield name
+                yield from visit(child, f"{name}.")
+
+    yield from visit(tree, f"{module}.")
+
+
+def test_only_created_id_derives_the_id_a_tx_mints():
+    # one id rule: each opener takes the id tx.created_id derives
+    package = os.path.join(REPO_ROOT, "src", "deskchain")
+    found = {
+        name
+        for path, tree in _program_trees().items() if path.startswith(package)
+        for name in _id_derivers(tree, os.path.relpath(path, package)[:-3].replace(os.sep, "."))
+    }
+    assert found == {"tx.created_id"}

@@ -373,16 +373,19 @@ def test_rollback_returns_every_field_to_its_savepoint(n_funded, n_empty, ops):
             elif op == "name":
                 state.names[f"n{i % 5}"] = NameRecord(f"n{i % 5}", address, other)
             elif op == "channel_open":
-                channels.open_channel(state, address, other, amount % 1000, amount % 777, height)
+                channel_id = channels.channel_id_for(address, other, height)
+                channels.open_channel(state, channel_id, address, other, amount % 1000, amount % 777)
             elif op == "channel_close" and state.channels:
                 channel = state.channels[sorted(state.channels)[i % len(state.channels)]]
                 channels.cooperative_close(state, channel.channel_id, channels.nonce_zero_state(channel))
             elif op == "oracle":
-                oracles.register(state, address, bytes([i]) * 32, height, height + 1 + i % 3, height)
+                question_id = oracles.question_id_for(address, height, bytes([i]) * 32)
+                oracles.register(state, question_id, address, bytes([i]) * 32, height, height + 1 + i % 3)
             elif op == "storage":
-                storage.create_contract(state, address, other, bytes([i]) * 32, 2, 16, 1, 1, amount % 1000, height)
+                contract_id = storage.contract_id_for(address, height)
+                storage.create_contract(state, contract_id, address, other, bytes([i]) * 32, 2, 16, 1, 1, amount % 1000)
             elif op == "az":
-                rewards.az_create(state, address, amount % 100, height)
+                rewards.az_create(state, rewards.az_id_for(address, height), address, amount % 100)
             elif op == "code":
                 program = _PROGRAMS[i % len(_PROGRAMS)]
                 state.code[program.code_hash()] = program

@@ -145,6 +145,28 @@ def test_votes_are_taken_before_vote_end_only(bench):
     assert len(bench.state.oracles[question_id].votes) == 1
 
 
+def test_a_vote_on_an_uncontested_question_is_not_ready(bench):
+    # a ballot opens with a counterclaim; before one it is refused as not
+    # ready, not as late
+    question_id = ask(bench)
+    assert _vote(bench, question_id, "carol", True).reason == "NotReady"
+    _answer(bench, question_id)
+    assert _vote(bench, question_id, "carol", True).reason == "NotReady"
+    assert bench.state.oracles[question_id].votes == ()
+
+
+def test_a_contested_question_resolves_from_vote_end_on(bench):
+    question_id = ask(bench)
+    _answer(bench, question_id)
+    assert _counter(bench, question_id).status == "applied"
+    bench.advance(bench.state.oracles[question_id].vote_end - 1 - bench.height)
+    assert _resolve(bench, question_id).reason == "NotReady"
+    assert bench.state.oracles[question_id].phase == "contested"
+    bench.advance(1)
+    assert _resolve(bench, question_id).status == "applied"
+    assert bench.state.oracles[question_id].phase == "resolved"
+
+
 def test_an_unanswered_question_is_burned_from_end_plus_one(bench):
     # the asker may still answer at end, so resolving there is refused
     question_id = ask(bench)

@@ -67,6 +67,17 @@ def test_challenge_index_reacts_to_prev_hash():
     assert moved >= 1
 
 
+@pytest.mark.parametrize("call", [
+    lambda cfg: storage.chunk_data(b"abc", 0),
+    lambda cfg: storage.challenge_index(hash256(b"prev"), b"\x01" * 32, 0),
+    lambda cfg: storage.retrieval_quote(-1, cfg),
+], ids=["chunk-size-0", "chunk-count-0", "negative-bytes"])
+def test_chunking_challenges_and_quotes_refuse_values_outside_their_domain(cfg, call):
+    with pytest.raises(LedgerError) as err:
+        call(cfg)
+    assert err.value.code == "BadFormat"
+
+
 def test_retrieval_quotes(cfg):
     assert storage.retrieval_quote(65_536, cfg) == 100_000  # 0.1 DSD per 64 KiB
     assert storage.retrieval_quote(192 * 1024, cfg) == 300_000
@@ -99,6 +110,44 @@ def _prove(bench, contract_id, chunks, prev, height=None, index=None, chunk=None
         proof, 1, bench.counter("bob"),
     )
     return bench.apply(tx, kp, prev_block_hash=prev)
+
+
+@pytest.mark.parametrize("chunk_count, period", [(0, 2), (4, 0)], ids=["chunks-0", "period-0"])
+def test_a_storage_create_with_no_chunks_or_no_period_is_inapplicable(bench, chunk_count, period):
+    payer = bench.key("alice")
+    tx = txmod.StorageCreate(
+        payer.address, bench.addr("bob"), hash256(b"root"), chunk_count, 4,
+        period, 50, 200, 1, bench.counter("alice"),
+    )
+    with pytest.raises(LedgerError) as err:
+        bench.apply(tx, payer)
+    assert err.value.code == "BadFormat"
+    assert not bench.state.storage_contracts
+
+
+def _close(bench, contract_id, sender="alice"):
+    kp = bench.key(sender)
+    return bench.apply(txmod.StorageClose(kp.address, contract_id, 1, bench.counter(sender)), kp)
+
+
+def test_a_closed_contract_takes_no_proof_and_no_second_close(bench):
+    contract_id, chunks = _setup_contract(bench)
+    assert _close(bench, contract_id).status == "applied"
+    bench.advance(1)  # height 2, a challenge height for period 2
+    bob_before = bench.balance("bob")
+    assert _prove(bench, contract_id, chunks, hash256(b"prev-block")).reason == "WrongChannel"
+    assert bench.balance("bob") == bob_before - 1  # the fee alone
+    alice_before = bench.balance("alice")
+    assert _close(bench, contract_id).reason == "WrongChannel"
+    assert bench.balance("alice") == alice_before - 1
+
+
+def test_only_the_payer_closes_a_storage_contract(bench):
+    contract_id, _ = _setup_contract(bench)
+    with pytest.raises(LedgerError) as err:
+        _close(bench, contract_id, sender="bob")
+    assert err.value.code == "BadFormat"
+    assert not bench.state.storage_contracts[contract_id].closed
 
 
 def test_prove_and_pay_happy_path(bench):

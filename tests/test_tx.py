@@ -949,3 +949,114 @@ def test_an_epoch_tx_row_naming_an_absent_az_is_not_found(bench, report):
         bench.apply(txmod.EpochTx(report))
     assert err.value.code == "NotFound"
     assert bench.state.pool.epoch_index == 0
+
+
+# --- check_tx rules, BALANCE on the chain, and repeated ids ---
+
+
+@pytest.mark.parametrize("gas, gas_price", [(0, 5), (5, 0)], ids=["gas-0", "gas-price-0"])
+def test_check_tx_refuses_a_gas_or_gas_price_of_0(bench, gas, gas_price):
+    # the fee is gas * gas_price = 0 here, so this rule alone refuses the call
+    kp = bench.key("alice")
+    tx = txmod.ContractCall(kp.address, bench.addr("bob"), 0, gas, gas_price, (), 0, 1)
+    with pytest.raises(TxError) as err:
+        txmod.check_tx(bench.state, txmod.sign_tx(tx, kp))
+    assert err.value.code == "BadFormat"
+
+
+def test_check_tx_refuses_a_create_whose_vm_version_is_not_its_programs(bench):
+    kp = bench.key("alice")
+    tx = txmod.ContractCreate(kp.address, assemble("STOP"), 2, 1000, 0, 10, 1, (), 10, 1)
+    with pytest.raises(TxError) as err:
+        txmod.check_tx(bench.state, txmod.sign_tx(tx, kp))
+    assert err.value.code == "BadFormat"
+
+
+@pytest.mark.parametrize("party_b, signer_b, code", [
+    ("alice", "alice", "BadFormat"), ("bob", "carol", "BadSignature"),
+], ids=["channel-to-oneself", "party-b-signature"])
+def test_check_tx_refuses_a_channel_open_without_two_consenting_parties(bench, party_b, signer_b, code):
+    kp = bench.key("alice")
+    tx = txmod.ChannelOpen(kp.address, bench.addr(party_b), 100, 100, 1, 1)
+    tx = dataclasses.replace(tx, sig_b=bench.key(signer_b).sign(tx.signing_bytes()))
+    with pytest.raises(TxError) as err:
+        txmod.check_tx(bench.state, txmod.sign_tx(tx, kp))
+    assert err.value.code == code
+
+
+def test_balance_in_a_contract_call_reads_the_caller_the_contract_and_0(bench):
+    # the program halts only if BALANCE of the handle equals the expected
+    # value: call data (1, expected, handle) leaves 1 // (BALANCE == expected)
+    _, contract = _create_contract(bench, code="BALANCE\nEQ\nDIV\nSTOP", call_data=(1, 0, 2))
+    kp = bench.key("bob")
+    gas, price, amount = 10, 3, 700
+
+    def call(handle, delta):
+        expected = {
+            0: bench.balance("bob") - gas * price - amount,  # after the fee and the amount moved
+            1: bench.state.accounts[contract].balance + amount,
+            2: 0,
+        }[handle]
+        tx = txmod.ContractCall(kp.address, contract, amount, gas, price, (1, expected + delta, handle),
+                                gas * price, bench.counter("bob"))
+        return bench.apply(tx, kp).status
+
+    for handle in (0, 1, 2):
+        assert call(handle, 1) == "reverted"
+        assert call(handle, 0) == "applied"
+
+
+def _mint_twice(bench, make):
+    """Apply ``make(bench, dave)``, dave's first tx, on a fresh account dave;
+    then drain dave, delete the account and credit it afresh, so its counter
+    starts over, and return ``make(bench, dave)`` again, the same tx at
+    counter 1."""
+    dave, alice = KeyPair.from_name("dave"), bench.key("alice")
+    assert bench.apply(spend(bench, "alice", "dave", 50 * DSD, 1), alice).status == "applied"
+    assert bench.apply(make(bench, dave), dave).status == "applied"
+    assert bench.apply(spend(bench, "dave", "alice", bench.balance("dave") - 1, 1), dave).status == "applied"
+    delete = txmod.AccountDelete(alice.address, dave.address, 1, bench.counter("alice"))
+    assert bench.apply(delete, alice).status == "applied"
+    assert bench.apply(spend(bench, "alice", "dave", 50 * DSD, 1), alice).status == "applied"
+    assert bench.counter("dave") == 1
+    return make(bench, dave)
+
+
+def _channel_open(bench, dave):
+    tx = txmod.ChannelOpen(dave.address, bench.addr("bob"), DSD, DSD, 1, 1)
+    return dataclasses.replace(tx, sig_b=bench.key("bob").sign(tx.signing_bytes()))
+
+
+MINTING_OPENERS = {
+    "OracleRegister": lambda bench, dave: txmod.OracleRegister(dave.address, hash256(b"q"), 1, 9, 1, 1),
+    "StorageCreate": lambda bench, dave: txmod.StorageCreate(
+        dave.address, bench.addr("bob"), hash256(b"root"), 4, 4, 2, 50, 200, 1, 1),
+    "AzCreate": lambda bench, dave: txmod.AzCreate(dave.address, 0, 1, 1),
+}
+
+
+def test_a_repeated_channel_id_reverts(bench):
+    # a channel id hashes party A's counter, which starts over once A's
+    # account is deleted and credited again
+    again = _mint_twice(bench, _channel_open)
+    receipt = bench.apply(again, KeyPair.from_name("dave"))
+    assert (receipt.status, receipt.reason) == ("reverted", "WrongChannel")
+    assert len(bench.state.channels) == 1
+
+
+@pytest.mark.parametrize("kind", list(MINTING_OPENERS))
+def test_a_repeated_question_storage_or_az_id_is_inapplicable(bench, kind):
+    again = _mint_twice(bench, MINTING_OPENERS[kind])
+    with pytest.raises(LedgerError) as err:
+        bench.apply(again, KeyPair.from_name("dave"))
+    assert err.value.code == "BadFormat"
+
+
+def test_a_contract_create_at_a_funded_address_is_inapplicable(bench):
+    # a spend may fund the address a create will mint before the create applies
+    address = txmod.contract_address(bench.addr("alice"), bench.counter("alice"))
+    assert bench.apply(txmod.Spend(bench.addr("bob"), address, 1, 1, 1), bench.key("bob")).status == "applied"
+    with pytest.raises(LedgerError) as err:
+        _create_contract(bench)
+    assert err.value.code == "AddressCollision"
+    assert bench.state.accounts[address].kind != CONTRACT
