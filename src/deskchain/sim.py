@@ -334,8 +334,6 @@ class Simulation:
             self._on_propose(node, src, payload)
         elif kind == CHAN_ACK:
             self._on_ack(node, src, payload)
-        else:
-            raise DeskchainError(f"unknown event kind {kind}")
 
     def run_scenario(self, text: str, base_dir: str = ".") -> SimResult:
         self.base_dir = base_dir

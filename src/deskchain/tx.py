@@ -1,15 +1,20 @@
 """Transaction taxonomy and the block-level state transition.
 
 Application follows a six-step discipline: (1) format/signature/counter
-checks, (2) escrow of deposit+fee+amount, (3) fee = gas*gas_price deducted
-and the counter bumped, (4) value moved and contract code run, (5) on
-failure all but the fee and the counter bump rolls back, (6) on success
-unused gas is refunded to the sender at gas_price. A block's fees reach its
-miner in one credit when it closes. ``apply_tx`` takes as plain arguments
-the miner and the parent block hash a storage challenge is drawn from; the
-height and the config it applies under are the state's own ``height`` and
-``cfg``, which every transition below it reads too, so ``_apply_inner``
-passes each one only the tx's fields. ``_execute`` alone sets the height.
+checks; (2) one savepoint, ``apply_tx``'s; (3) the fee envelope, one write
+of the sender that settles its maintenance, deducts the fee (gas*gas_price
+for a gas kind), bumps the counter and escrows the amount a Spend or a
+ContractCall sends; (4) value moved and contract code run, where a
+ContractCreate debits its deposit and amount only after its address
+collision check; (5) on failure the state rolls back to the savepoint and
+the fee envelope is charged again without the amount: the fee, the counter
+bump and the same maintenance burn; (6) on success unused gas is refunded
+to the sender at gas_price. A block's fees reach its miner in one credit
+when it closes. ``apply_tx`` takes as plain arguments the miner and the
+parent block hash a storage challenge is drawn from; the height and the
+config it applies under are the state's own ``height`` and ``cfg``, which
+every transition below it reads too, so ``_apply_inner`` passes each one
+only the tx's fields. ``_execute`` alone sets the height.
 ``created_id`` is the one map from a tx to the id it mints; each opener
 takes that id. ``_run`` is the one contract run of ContractCreate and
 ContractCall.
@@ -21,8 +26,9 @@ include transactions without simulating their full outcome.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import channels, oracles, pow, rewards, storage
 from .channels import SignedState
@@ -33,7 +39,7 @@ from .crypto import ZERO32, ZERO_SIG, hash256, verify_sig
 from .errors import BlockError, CodecError, LedgerError, TxError
 from .ledger import Account, Block, BlockHeader, CONTRACT, NameRecord, charge_maintenance, expected_entropy
 from .merkle import MerkleProof, tree_root
-from .state import ChainState
+from .state import ChainState, Savepoint
 from .vm import HALTED, Program, execute
 
 APPLIED = "applied"
@@ -44,8 +50,7 @@ REVERTED = "reverted"
 NON_REVERTIBLE = {"AddressCollision", "BadFormat"}
 
 
-@dataclass(frozen=True)
-class Receipt:
+class Receipt(NamedTuple):
     tx_hash: bytes
     status: str
     gas_used: int
@@ -312,6 +317,8 @@ TX_KINDS = (
 )
 _BY_TAG = {cls.TAG: cls for cls in TX_KINDS}
 GAS_KINDS = (ContractCreate, ContractCall)
+# the kinds whose fee envelope also escrows the amount the tx sends
+ESCROW_KINDS = (Spend, ContractCall)
 # the CLI's `channel <action>` and `oracle <action>` verbs, and the DSL's
 # `channel-<action>` and `oracle-<action>`, name these kinds
 SETTLE_KINDS = {
@@ -431,11 +438,11 @@ def check_tx(state: ChainState, tx) -> None:
 
 
 def _apply_inner(state: ChainState, tx, prev_hash: bytes) -> int:
-    """Kind-specific value movement at ``state.height``. Returns the VM gas
-    a ContractCreate, or a ContractCall to a contract, used; a DataOnly's
-    payload length; 0 for every other kind."""
+    """Kind-specific value movement at ``state.height``; a Spend's or a
+    ContractCall's amount is already escrowed from its sender. Returns the
+    VM gas a ContractCreate, or a ContractCall to a contract, used; a
+    DataOnly's payload length; 0 for every other kind."""
     if isinstance(tx, Spend):
-        state.debit(tx.sender, tx.amount)
         state.credit(tx.recipient, tx.amount)
     elif isinstance(tx, ContractCreate):
         address = created_id(tx)
@@ -449,7 +456,6 @@ def _apply_inner(state: ChainState, tx, prev_hash: bytes) -> int:
         state.code[code_hash] = tx.code
         return _run(state, tx.code, tx, tx.owner, address)
     elif isinstance(tx, ContractCall):
-        state.debit(tx.caller, tx.amount)
         state.credit(tx.contract, tx.amount)
         target = state.accounts.get(tx.contract)
         if target is not None and target.kind == CONTRACT:
@@ -511,8 +517,6 @@ def _apply_inner(state: ChainState, tx, prev_hash: bytes) -> int:
         rewards.az_join(state, tx.sender, tx.az_id)
     elif isinstance(tx, AzRefer):
         rewards.az_refer(state, tx.sender, tx.user, tx.az_id)
-    else:
-        raise LedgerError("BadFormat", f"unhandled tx kind {type(tx).__name__}")
     return 0
 
 
@@ -544,7 +548,7 @@ def apply_tx(state: ChainState, tx, miner: bytes, prev_hash: bytes) -> Receipt:
     check_tx(state, tx)
     start = state.savepoint()
     try:
-        receipt = _apply_checked(state, tx, prev_hash)
+        receipt = _apply_checked(state, tx, prev_hash, start)
         if start.opened and receipt.fee_paid:
             state.credit(miner, receipt.fee_paid)
         return receipt
@@ -555,7 +559,9 @@ def apply_tx(state: ChainState, tx, miner: bytes, prev_hash: bytes) -> Receipt:
         state.release(start)
 
 
-def _apply_checked(state: ChainState, tx, prev_hash: bytes) -> Receipt:
+def _apply_checked(state: ChainState, tx, prev_hash: bytes, start: Savepoint) -> Receipt:
+    """The tx's receipt once ``check_tx`` passed; a revert rolls back to
+    ``start``, ``apply_tx``'s savepoint, and charges the fee envelope again."""
     this_hash = tx.digest()
     height = state.height
     if isinstance(tx, EpochTx):
@@ -571,14 +577,18 @@ def _apply_checked(state: ChainState, tx, prev_hash: bytes) -> Receipt:
     balance, burned = charge_maintenance(payer, height, state.cfg.maintenance_rate)
     if balance < fee:
         raise TxError("InsufficientForFee", "fee exceeds balance after maintenance")
-    state.write_account(payer, balance - fee, tx.counter, burned)
-    charged = state.savepoint()  # a revert keeps the fee and the counter bump
+    left = balance - fee
+    sent = tx.amount if isinstance(tx, ESCROW_KINDS) else 0
     try:
+        if left < sent:
+            raise LedgerError("InsufficientFunds", f"{left} < {sent}")
+        state.write_account(payer, left - sent, tx.counter, burned)
         gas_used = _apply_inner(state, tx, prev_hash)
     except LedgerError as exc:
         if exc.code in NON_REVERTIBLE:
             raise
-        state.rollback(charged)
+        state.rollback(start)
+        state.write_account(payer, left, tx.counter, burned)  # a revert keeps the fee and the counter bump
         reverted_gas = tx.gas if isinstance(tx, GAS_KINDS) else 0
         return Receipt(this_hash, REVERTED, reverted_gas, fee, exc.code)
 

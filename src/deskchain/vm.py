@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Annotated, Callable
+from typing import Annotated, Callable, NamedTuple
 
 from .codec import I64_MAX, I64_MIN, U8, FieldCodec, Seq, WireRecord
 from .config import text_lines
@@ -124,8 +124,7 @@ def hash_int(x: int) -> int:
     return int.from_bytes(digest[:8], "big", signed=True)
 
 
-@dataclass(frozen=True)
-class VmResult:
+class VmResult(NamedTuple):
     status: str
     gas_used: int
     stack: tuple[int, ...]

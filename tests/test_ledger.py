@@ -96,6 +96,16 @@ def test_genesis_header_validates():
     assert genesis.header.prev_hash == ZERO32
 
 
+@pytest.mark.parametrize("field, value, code", [("height", 1, "BadHeight"), ("prev_hash", b"\x05" * 32, "BadLink")],
+                         ids=["height", "prev_hash"])
+def test_a_genesis_header_off_height_0_or_the_zero_link_is_rejected(field, value, code):
+    cfg = make_cfg()
+    _, genesis = txmod.genesis_block(cfg)
+    with pytest.raises(BlockError) as err:
+        validate_header(dataclasses.replace(genesis.header, **{field: value}), None, cfg)
+    assert err.value.code == code
+
+
 def test_bad_link_rejected():
     cfg = make_cfg()
     _, blocks = _mine_chain(cfg, 2)

@@ -228,9 +228,25 @@ def test_az_join_pays_owner(bench):
     assert bench.apply(tx, kp).status == "applied"
     assert bench.addr("bob") in bench.state.azs[az_id].members
     assert bench.balance("alice") == owner_before + 500
-    # joining twice bounces
-    tx2 = txmod.AzJoin(kp.address, az_id, 1, bench.counter("bob"))
-    assert bench.apply(tx2, kp).status == "reverted"
+    # a member joining again, the owner (a member from creation) included, bounces
+    for name in ("bob", "alice"):
+        owner_before, before = bench.balance("alice"), bench.balance(name)
+        again = txmod.AzJoin(bench.addr(name), az_id, 1, bench.counter(name))
+        receipt = bench.apply(again, bench.key(name))
+        assert (receipt.status, receipt.reason) == ("reverted", "AlreadyMember")
+        assert bench.balance(name) == before - 1  # only the fee
+        assert bench.balance("alice") == owner_before - (name == "alice")
+
+
+def test_referring_a_member_reverts_with_already_member(bench):
+    az_id = make_az(bench, join_price=0)
+    kp = bench.key("bob")
+    assert bench.apply(txmod.AzJoin(kp.address, az_id, 1, bench.counter("bob")), kp).status == "applied"
+    owner = bench.key("alice")
+    tx = txmod.AzRefer(owner.address, bench.addr("bob"), az_id, 1, bench.counter("alice"))
+    receipt = bench.apply(tx, owner)
+    assert (receipt.status, receipt.reason) == ("reverted", "AlreadyMember")
+    assert bench.state.azs[az_id].referred == frozenset()
 
 
 def test_az_join_free_when_price_zero(bench):

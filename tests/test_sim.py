@@ -1,5 +1,7 @@
+import ast
 import glob
 import hashlib
+import inspect
 import os
 
 import pytest
@@ -304,3 +306,26 @@ def test_unknown_template_names_the_line():
     with pytest.raises(ScenarioError) as err:
         run("0 mine alice\n1 contract-create alice alice template:nope 0 0 10 1\n")
     assert str(err.value) == "line 2: unknown template 'nope'"
+
+
+def test_every_event_kind_the_queue_takes_is_one_dispatch_handles():
+    # schedule is the queue's one writer; its kind, and the kind send and
+    # broadcast pass on to it, is always one of the five constants, and
+    # dispatch has a branch for each; so dispatch needs no unknown-kind guard
+    kinds = {"BLOCK", "TX", "CHAN_PROPOSE", "CHAN_ACK", "COMMAND"}
+    assert len({getattr(sim, name) for name in kinds}) == 5
+    kind_at = {"schedule": 1, "send": 2, "broadcast": 1}  # positional index of the kind
+    tree = ast.parse(inspect.getsource(sim))
+    for function in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+        for call in (n for n in ast.walk(function) if isinstance(n, ast.Call)):
+            name = getattr(call.func, "attr", getattr(call.func, "id", None))
+            if name == "heappush":
+                assert function.name == "schedule"
+            if name in kind_at:
+                kind = call.args[kind_at[name]]
+                forwarded = function.name in ("send", "broadcast") and kind.id == "kind"
+                assert forwarded or kind.id in kinds, (function.name, ast.unparse(call))
+    dispatch = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "dispatch")
+    handled = {c.comparators[0].id for c in ast.walk(dispatch)
+               if isinstance(c, ast.Compare) and getattr(c.left, "id", None) == "kind"}
+    assert handled == kinds

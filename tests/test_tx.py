@@ -1,6 +1,9 @@
+import ast
 import dataclasses
 import hashlib
+import inspect
 import random
+import textwrap
 import typing
 from fractions import Fraction
 
@@ -288,6 +291,63 @@ def test_a_fee_equal_to_the_balance_left_after_maintenance_is_taken():
     tx = txmod.DataOnly(dave.address, b"a", 5, 1)  # fee 5
     assert bench.apply(tx, dave).status == "applied"
     assert bench.balance("dave") == 0
+    assert bench.conservation_ok()
+
+
+# dave holds 100, owes 5 blocks of maintenance at rate 3 and pays a fee of 4,
+# so 81 is left to send: a Spend's or a ContractCall's amount, escrowed with
+# the fee, or a ContractCreate's deposit and amount, debited after it
+ESCROW_LEFT = 100 - 15 - 4
+SENDS = ["Spend", "ContractCall", "ContractCreate"]
+
+
+def _send_from_dave(kind, amount):
+    """Apply dave's one tx that sends ``amount``: a Spend to the absent erin,
+    a ContractCall to a contract, or a ContractCreate with a deposit of 1.
+    Each contract run takes all 4 of the tx's gas, and every other account it
+    touches is fresh, so only dave's maintenance is due. Returns the bench,
+    the receipt, the recipient's address and its balance and the burned
+    total before the tx."""
+    bench = Bench(make_cfg("maintenance.rate = 3\n"))
+    dave = KeyPair.from_name("dave")
+    assert bench.apply(spend(bench, "alice", "dave", 100, 1), bench.key("alice")).status == "applied"
+    bench.advance(5)
+    code = "PUSH 1\nPUSH 2\nADD\nSTOP"
+    created, contract = _create_contract(bench, code=code)
+    assert created.status == "applied"
+    if kind == "Spend":
+        target = bench.addr("erin")
+        tx = txmod.Spend(dave.address, target, amount, 4, 1)
+    elif kind == "ContractCall":
+        target = contract
+        tx = txmod.ContractCall(dave.address, target, amount, gas=4, gas_price=1, call_data=(), fee=4, counter=1)
+    else:
+        target = txmod.contract_address(dave.address, 1)
+        tx = txmod.ContractCreate(dave.address, assemble(code), 1, 1, amount - 1, 4, 1, (), 4, 1)
+    held = bench.state.accounts[target].balance if target in bench.state.accounts else 0
+    burned = bench.state.burned_total
+    return bench, bench.apply(tx, dave), target, held, burned
+
+
+@pytest.mark.parametrize("kind", SENDS)
+def test_a_send_may_take_all_that_the_fee_and_maintenance_leave(kind):
+    bench, receipt, target, held, burned = _send_from_dave(kind, ESCROW_LEFT)
+    assert (receipt.status, receipt.fee_paid) == ("applied", 4)
+    assert bench.balance("dave") == 0
+    assert bench.state.accounts[target].balance == held + ESCROW_LEFT
+    assert bench.state.burned_total == burned + 15
+    assert bench.conservation_ok()
+
+
+@pytest.mark.parametrize("kind", SENDS)
+def test_a_send_one_unit_over_reverts_and_charges_the_fee_envelope_once(kind):
+    bench, receipt, target, held, burned = _send_from_dave(kind, ESCROW_LEFT + 1)
+    assert (receipt.status, receipt.reason, receipt.fee_paid) == ("reverted", "InsufficientFunds", 4)
+    dave = bench.state.accounts[bench.addr("dave")]
+    assert (dave.balance, dave.counter, dave.freshness) == (ESCROW_LEFT, 1, bench.height)
+    recipient = bench.state.accounts.get(target)
+    assert (recipient.balance if recipient else 0) == held  # the amount stays with dave
+    assert bench.state.burned_total == burned + 15
     assert bench.conservation_ok()
 
 
@@ -1060,3 +1120,28 @@ def test_a_contract_create_at_a_funded_address_is_inapplicable(bench):
         _create_contract(bench)
     assert err.value.code == "AddressCollision"
     assert bench.state.accounts[address].kind != CONTRACT
+
+
+def test_decode_tx_yields_only_the_kinds_that_apply_has_a_branch_for():
+    # a tx reaches _apply_inner decoded by tag or built from TX_KINDS in
+    # process, and its if/elif chain has a branch for every kind but EpochTx,
+    # which _apply_checked applies itself; so the chain needs no closing guard
+    assert txmod._BY_TAG == {cls.TAG: cls for cls in txmod.TX_KINDS}
+    assert len(txmod._BY_TAG) == len(txmod.TX_KINDS)
+    for tag in range(256):
+        if tag not in txmod._BY_TAG:
+            with pytest.raises(CodecError, match=f"unknown tx tag {tag}$"):
+                txmod.decode_tx(bytes([tag]))
+    function = ast.parse(textwrap.dedent(inspect.getsource(txmod._apply_inner))).body[0]
+    chain = next(node for node in function.body if isinstance(node, ast.If))
+    branches = []
+    while True:
+        test = chain.test
+        assert isinstance(test, ast.Call) and test.func.id == "isinstance" and test.args[0].id == "tx"
+        branches.append(getattr(txmod, test.args[1].id))
+        if not chain.orelse:
+            break
+        (chain,) = chain.orelse
+        assert isinstance(chain, ast.If)
+    for kind in txmod.TX_KINDS:
+        assert any(issubclass(kind, branch) for branch in branches) == (kind is not txmod.EpochTx), kind
