@@ -1,25 +1,30 @@
 #!/usr/bin/env python3
 """Operator mutation analysis of the consensus modules.
 
-    python3 scripts/mutants.py PR [--modules state,channels,...] [--limit N]
+    python3 scripts/mutants.py PR [--modules state,tx=flip+delete,...] [--limit N]
                                   [--tests PATH ...] [--full PATH ...] [--out FILE]
 
-Makes one mutant per comparison flip (``<``/``<=``, ``>``/``>=``,
-``==``/``!=``) and per ``+``/``-`` swap (``+=``/``-=`` too) in each module,
-found with the standard library's ``ast`` and applied to that one operator
-in the source text. Each mutant runs in one temporary copy of the checkout,
-with bytecode writing off, against its module's tests with ``-x``
-(``MODULE_TESTS``, or ``--tests``), one subprocess at a time; a mutant that
-survives them runs again against full tier-1 (or ``--full``). Writes
+Makes one mutant per site of four kinds in each module, found with the
+standard library's ``ast`` and applied to that one site in the source text:
+``flip``, a comparison flip (``<``/``<=``, ``>``/``>=``, ``==``/``!=``);
+``swap``, a ``+``/``-`` swap (``+=``/``-=`` too); ``delete``, a single-line
+``raise``, call, assignment or augmented assignment in a function body
+replaced by ``pass``; ``bool``, an ``and``/``or`` swap. A module runs the
+kinds named after its ``=`` in ``--modules``, or else all four. Each
+mutant runs in one temporary copy of the checkout, with bytecode writing
+off, against its module's tests with ``-x`` (``MODULE_TESTS``, or
+``--tests``), one subprocess at a time; a mutant that survives them runs
+again against full tier-1 (or ``--full``), which is timed only then. Writes
 ``MUTANTS_<PR>.json`` at the checkout root (or ``--out``): per mutant its
-site, whether a test killed it and the first killing test, the reason for
-each survivor listed in ``EQUIVALENT``, and the totals. Exits 1 if an
-unmutated selection fails.
+kind and site, whether a test killed it and the first killing test, the
+reason for each survivor listed in ``EQUIVALENT``, and the totals. Exits 1
+if an unmutated selection fails.
 """
 from __future__ import annotations
 
 import argparse
 import ast
+import collections
 import io
 import json
 import os
@@ -37,14 +42,21 @@ MODULES = ("state", "channels", "oracles", "storage", "rewards")
 # a module's tests when it has no tests/test_<module>.py of its own
 MODULE_TESTS = {
     "state": ("tests/test_ledger.py", "tests/test_conservation.py", "tests/test_tx.py"),
-    "tx": ("tests/test_tx.py", "tests/test_model.py", "tests/test_ledger.py", "tests/test_conservation.py"),
+    # tx dispatches each kind to the module that applies it, so their tests come last
+    "tx": ("tests/test_tx.py", "tests/test_model.py", "tests/test_ledger.py", "tests/test_conservation.py",
+           "tests/test_channels.py", "tests/test_oracles.py", "tests/test_storage.py", "tests/test_rewards.py"),
     "ledger": ("tests/test_ledger.py", "tests/test_tx.py", "tests/test_model.py", "tests/test_codec.py"),
 }
+KINDS = ("flip", "swap", "delete", "bool")
 FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
 SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add}
+BOOLS = {ast.And: ast.Or, ast.Or: ast.And}
 TEXT = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=",
-        ast.Add: "+", ast.Sub: "-"}
-# survivors that change no behaviour, by (module, source line stripped, from, to)
+        ast.Add: "+", ast.Sub: "-", ast.And: "and", ast.Or: "or"}
+# the statements a deletion mutant replaces by ``pass``: a call, not any expression
+DELETED = (ast.Raise, ast.Assign, ast.AugAssign, ast.AnnAssign)
+# survivors that change no behaviour, by (module, source line stripped, from, to); a
+# deletion's from is the statement's text
 EQUIVALENT = {
     ("state", "if end < len(held):", "<", "<="):
         "deleting held[end:] when end == len(held) deletes nothing, and truncate(end) keeps every level",
@@ -56,12 +68,13 @@ EQUIVALENT = {
 CAP_BYTES = 3 << 30  # address space per test process, so a mutant that allocates without end fails
 
 
-def sites(source: str) -> list[dict]:
-    """Every mutable operator in ``source``: its line, column (in characters),
-    text, replacement and enclosing function."""
+def sites(source: str, kinds=KINDS) -> list[dict]:
+    """Every site of ``kinds`` in ``source``: its kind, line, column (in
+    characters), text, replacement and enclosing function."""
     tree = ast.parse(source)
     lines = source.splitlines()
-    ops = [t for t in tokenize.generate_tokens(io.StringIO(source).readline) if t.type == tokenize.OP]
+    ops = [t for t in tokenize.generate_tokens(io.StringIO(source).readline)
+           if t.type in (tokenize.OP, tokenize.NAME)]
 
     def char_pos(lineno: int, byte_col: int) -> tuple[int, int]:  # ast columns count utf-8 bytes
         return lineno, len(lines[lineno - 1].encode()[:byte_col].decode())
@@ -76,19 +89,28 @@ def sites(source: str) -> list[dict]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
         pairs = []
+        if ("delete" in kinds and function != "<module>" and isinstance(node, ast.stmt)
+                and node.lineno == node.end_lineno
+                and (isinstance(node, DELETED) or isinstance(node, ast.Expr) and isinstance(node.value, ast.Call))):
+            line, col = char_pos(node.lineno, node.col_offset)
+            text = lines[line - 1][col:char_pos(node.end_lineno, node.end_col_offset)[1]]
+            found.append({"kind": "delete", "line": line, "col": col, "from": text, "to": "pass",
+                          "function": function, "source": lines[line - 1].strip()})
         if isinstance(node, ast.Compare):
             operands = [node.left, *node.comparators]
-            pairs = [(op, operands[i], operands[i + 1], FLIPS, "") for i, op in enumerate(node.ops)]
+            pairs = [(op, operands[i], operands[i + 1], FLIPS, "", "flip") for i, op in enumerate(node.ops)]
         elif isinstance(node, ast.BinOp):
-            pairs = [(node.op, node.left, node.right, SWAPS, "")]
+            pairs = [(node.op, node.left, node.right, SWAPS, "", "swap")]
         elif isinstance(node, ast.AugAssign):
-            pairs = [(node.op, node.target, node.value, SWAPS, "=")]
-        for op, left, right, table, suffix in pairs:
-            if type(op) not in table:
+            pairs = [(node.op, node.target, node.value, SWAPS, "=", "swap")]
+        elif isinstance(node, ast.BoolOp):
+            pairs = [(node.op, left, right, BOOLS, "", "bool") for left, right in zip(node.values, node.values[1:])]
+        for op, left, right, table, suffix, kind in pairs:
+            if type(op) not in table or kind not in kinds:
                 continue
             text = TEXT[type(op)] + suffix
             token = token_between((left.end_lineno, left.end_col_offset), (right.lineno, right.col_offset), text)
-            found.append({"line": token.start[0], "col": token.start[1], "from": text,
+            found.append({"kind": kind, "line": token.start[0], "col": token.start[1], "from": text,
                           "to": TEXT[table[type(op)]] + suffix, "function": function,
                           "source": lines[token.start[0] - 1].strip()})
         for child in ast.iter_child_nodes(node):
@@ -149,33 +171,44 @@ def summarize(mutants: list[dict]) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("pr")
-    parser.add_argument("--modules", default=",".join(MODULES))
-    parser.add_argument("--limit", type=int, default=None, help="the first N mutants of each module")
+    parser.add_argument("--modules", default=",".join(MODULES), help="MODULE or MODULE=KIND+KIND, comma-separated")
+    parser.add_argument("--limit", type=int, default=None, help="the first N mutants of each kind in each module")
     parser.add_argument("--tests", nargs="*", default=None, help="every module's selection")
     parser.add_argument("--full", nargs="*", default=[], help="the survivors' selection; all of tier-1 if none")
     parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
     out = args.out or os.path.join(ROOT, f"MUTANTS_{args.pr}.json")
+    kinds = {}
+    for item in args.modules.split(","):
+        module, _, named = item.partition("=")
+        kinds[module] = named.split("+") if named else list(KINDS)
+        if not set(kinds[module]) <= set(KINDS):
+            parser.error(f"{item}: the kinds are {', '.join(KINDS)}")
     selections = {module: args.tests if args.tests is not None else
-                  list(MODULE_TESTS.get(module, (f"tests/test_{module}.py",))) for module in args.modules.split(",")}
+                  list(MODULE_TESTS.get(module, (f"tests/test_{module}.py",))) for module in kinds}
     mutants = []
     with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
         copy = os.path.join(scratch, "repo")
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".benchmarks", "MUTANTS_*.json"))
-        full_timeout = 5 * _timed(copy, args.full) + 60
+        full_timeout = None  # timed at the first survivor
         for module, selection in selections.items():
             path = os.path.join(copy, "src", "deskchain", f"{module}.py")
             with open(path, encoding="utf-8") as fh:
                 source = fh.read()
             timeout = 5 * _timed(copy, selection) + 30
-            for site in sites(source)[:args.limit]:
+            taken = collections.Counter()
+            for site in sites(source, kinds[module]):
+                taken[site["kind"]] += 1
+                if args.limit is not None and taken[site["kind"]] > args.limit:
+                    continue
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(mutate(source, site))
                 try:
                     passed, killer = run_tests(copy, selection, timeout)
                     stage = "module"
                     if passed:
+                        full_timeout = full_timeout or 5 * _timed(copy, args.full) + 60
                         passed, killer = run_tests(copy, args.full, full_timeout)
                         stage = "full"
                 finally:
@@ -184,10 +217,10 @@ def main(argv: list[str] | None = None) -> int:
                 reason = EQUIVALENT.get((module, site["source"], site["from"], site["to"])) if passed else None
                 mutants.append({"module": module, **site, "killed": not passed, "stage": stage,
                                 "killed_by": killer, "reason": reason})
-                print(f"{module}.py:{site['line']}:{site['col']} {site['from']} -> {site['to']}: "
+                print(f"{module}.py:{site['line']}:{site['col']} {site['kind']} {site['from']} -> {site['to']}: "
                       + (f"killed by {killer}" if not passed else f"survived ({reason or 'no reason listed'})"),
                       flush=True)
-    record = {"pr": args.pr, "selection": selections, "full": args.full or "tier-1",
+    record = {"pr": args.pr, "selection": selections, "kinds": kinds, "full": args.full or "tier-1",
               "totals": summarize(mutants),
               "modules": {module: summarize([m for m in mutants if m["module"] == module]) for module in selections},
               "mutants": mutants}

@@ -196,8 +196,6 @@ def _get_channel(state, channel_id: bytes, *statuses: str) -> Channel:
 
 
 def open_channel(state, channel_id: bytes, a: bytes, b: bytes, deposit_a: int, deposit_b: int) -> None:
-    if channel_id in state.channels:
-        raise LedgerError("WrongChannel", "channel id already exists")
     state.debit(a, deposit_a)
     state.debit(b, deposit_b)
     state.channels[channel_id] = Channel(channel_id, a, b, deposit_a, deposit_b)

@@ -60,14 +60,20 @@ class Account(WireRecord):
         return edited
 
 
+def check_name(name: str) -> None:
+    """A name is 1..MAX_NAME_BYTES utf-8 bytes: a NameRecord's rule, and
+    check_tx's for a NameClaim."""
+    if len(name.encode("utf-8")) > MAX_NAME_BYTES or not name:
+        raise LedgerError("BadFormat", "name must be 1..64 utf-8 bytes")
+
+
 class NameRecord(WireRecord):
     name: Text
     target: Bytes32
     owner: Bytes32
 
     def __post_init__(self) -> None:
-        if len(self.name.encode("utf-8")) > MAX_NAME_BYTES or not self.name:
-            raise LedgerError("BadFormat", "name must be 1..64 utf-8 bytes")
+        check_name(self.name)
         if len(self.target) != 32:
             raise LedgerError("BadFormat", "name target must be 32 bytes")
 

@@ -68,8 +68,6 @@ def register(state, question_id: bytes, asker: bytes, question_hash: bytes, star
         raise LedgerError("BadWindow", f"[{start}, {end}) at height {state.height}")
     deposit = window_deposit(start, end, state.cfg)
     state.debit(asker, deposit)
-    if question_id in state.oracles:
-        raise LedgerError("BadFormat", "question id already exists")
     state.oracles[question_id] = OracleQuestion(
         question_id, asker, question_hash, start, end, deposit
     )

@@ -167,8 +167,6 @@ def poc_weight(c: UserContribution) -> Fraction:
 
 
 def az_create(state, az_id: bytes, owner: bytes, join_price: int) -> None:
-    if az_id in state.azs:
-        raise LedgerError("BadFormat", "AZ id already exists")
     state.debit(owner, state.cfg.az_creation_price)
     # creation price feeds the eco-incentive endowment
     state.pool = replace(state.pool, endowment=state.pool.endowment + state.cfg.az_creation_price)

@@ -110,10 +110,6 @@ def create_contract(
     state, contract_id: bytes, payer: bytes, provider: bytes, data_root: bytes,
     chunk_count: int, chunk_size: int, challenge_period_n: int, reward_per_proof: int, escrow: int,
 ) -> None:
-    if chunk_count < 1 or challenge_period_n < 1:
-        raise LedgerError("BadFormat", "chunk_count and period must be >= 1")
-    if contract_id in state.storage_contracts:
-        raise LedgerError("BadFormat", "storage contract id already exists")
     state.debit(payer, escrow)
     state.storage_contracts[contract_id] = StorageContract(
         contract_id, payer, provider, data_root, chunk_count, chunk_size,

@@ -1,28 +1,28 @@
 """Transaction taxonomy and the block-level state transition.
 
-Application follows a six-step discipline: (1) format/signature/counter
-checks; (2) one savepoint, ``apply_tx``'s; (3) the fee envelope, one write
-of the sender that settles its maintenance, deducts the fee (gas*gas_price
-for a gas kind), bumps the counter and escrows the amount a Spend or a
-ContractCall sends; (4) value moved and contract code run, where a
-ContractCreate debits its deposit and amount only after its address
-collision check; (5) on failure the state rolls back to the savepoint and
-the fee envelope is charged again without the amount: the fee, the counter
-bump and the same maintenance burn; (6) on success unused gas is refunded
-to the sender at gas_price. A block's fees reach its miner in one credit
-when it closes. ``apply_tx`` takes as plain arguments the miner and the
-parent block hash a storage challenge is drawn from; the height and the
-config it applies under are the state's own ``height`` and ``cfg``, which
-every transition below it reads too, so ``_apply_inner`` passes each one
-only the tx's fields. ``_execute`` alone sets the height.
-``created_id`` is the one map from a tx to the id it mints; each opener
-takes that id. ``_run`` is the one contract run of ContractCreate and
-ContractCall.
+Application follows a six-step discipline: (1) ``check_tx``; (2) one
+savepoint, ``apply_tx``'s; (3) the fee envelope, one write of the sender
+that settles its maintenance, deducts the fee (gas*gas_price for a gas
+kind), bumps the counter and escrows what a Spend, a ContractCall or a
+ContractCreate sends (a create's deposit too); (4) the minted id checked
+unused, value moved and contract code run; (5) on failure the state rolls
+back to the savepoint and the fee envelope is charged again without the
+escrow: the fee, the counter bump and the same maintenance burn; (6) on
+success unused gas is refunded to the sender at gas_price. A block's fees
+reach its miner in one credit when it closes. ``apply_tx`` takes as plain
+arguments the miner and the parent block hash a storage challenge is drawn
+from; the height and the config it applies under are the state's own
+``height`` and ``cfg``, which every transition below it reads too, so
+``_apply_inner`` passes each one only the tx's fields. ``_execute`` alone
+sets the height. ``created_id`` is the one map from a tx to the id it
+mints, ``_MINTED_IN`` the store it goes into; each opener takes that id.
+``_run`` is the one contract run of ContractCreate and ContractCall.
 
-check_tx failures make a transaction inapplicable (an honest miner never
-includes it; a block carrying one is invalid). Failures after that point
-produce a reverted, fee-paying receipt. The split is what lets miners
-include transactions without simulating their full outcome.
+check_tx failures make a user tx inapplicable (an honest miner never
+includes it; a block carrying one is invalid), as do an EpochTx's failure
+and a CodecError raised while applying. Every other failure produces a
+reverted, fee-paying receipt. The split is what lets miners include
+transactions without simulating their full outcome.
 """
 from __future__ import annotations
 
@@ -37,17 +37,13 @@ from .codec import (
 )
 from .crypto import ZERO32, ZERO_SIG, hash256, verify_sig
 from .errors import BlockError, CodecError, LedgerError, TxError
-from .ledger import Account, Block, BlockHeader, CONTRACT, NameRecord, charge_maintenance, expected_entropy
+from .ledger import Account, Block, BlockHeader, CONTRACT, NameRecord, charge_maintenance, check_name, expected_entropy
 from .merkle import MerkleProof, tree_root
 from .state import ChainState, Savepoint
 from .vm import HALTED, Program, execute
 
 APPLIED = "applied"
 REVERTED = "reverted"
-
-# Error codes that invalidate a block outright when raised during apply;
-# everything else rolls back to a fee-paying reverted receipt.
-NON_REVERTIBLE = {"AddressCollision", "BadFormat"}
 
 
 class Receipt(NamedTuple):
@@ -317,8 +313,12 @@ TX_KINDS = (
 )
 _BY_TAG = {cls.TAG: cls for cls in TX_KINDS}
 GAS_KINDS = (ContractCreate, ContractCall)
-# the kinds whose fee envelope also escrows the amount the tx sends
-ESCROW_KINDS = (Spend, ContractCall)
+# the kinds whose fee envelope also escrows what the tx sends: its amount,
+# and a ContractCreate's deposit as well
+ESCROW_KINDS = (Spend, ContractCreate, ContractCall)
+# the store each minting kind's ``created_id`` goes into
+_MINTED_IN = {ContractCreate: "accounts", ChannelOpen: "channels", OracleRegister: "oracles",
+              StorageCreate: "storage_contracts", AzCreate: "azs"}
 # the CLI's `channel <action>` and `oracle <action>` verbs, and the DSL's
 # `channel-<action>` and `oracle-<action>`, name these kinds
 SETTLE_KINDS = {
@@ -388,11 +388,13 @@ def sign_tx(tx, keypair):
 
 
 def check_tx(state: ChainState, tx) -> None:
-    """Format, signature, and counter checks; raises TxError."""
+    """Format, signature, counter and fee checks; raises TxError."""
     if isinstance(tx, EpochTx):
         return  # system txs carry no envelope; apply_epoch validates them
     try:
         tx.digest()  # encoding runs every range check; a decoded tx passed them on decode
+        if isinstance(tx, NameClaim):
+            check_name(tx.name)
     except (CodecError, LedgerError) as exc:
         raise TxError("BadFormat", str(exc)) from exc
     if isinstance(tx, GAS_KINDS):
@@ -403,16 +405,20 @@ def check_tx(state: ChainState, tx) -> None:
     elif not isinstance(tx, DataOnly) and tx.fee < 1:
         # a reverted transaction must still pay something to the miner
         raise TxError("BadFormat", "fee must be at least 1 base unit")
-    if isinstance(tx, ContractCreate) and tx.vm_version != tx.code.vm_version:
-        raise TxError("BadFormat", "vm_version mismatch")
-    if isinstance(tx, AccountDelete) and tx.target == tx.sender:
-        raise TxError("BadFormat", "cannot delete the fee-paying account")
-    if isinstance(tx, ChannelOpen) and tx.party_a == tx.party_b:
-        raise TxError("BadFormat", "channel needs two distinct parties")
-    if isinstance(tx, Spend):
+    if isinstance(tx, Spend):  # the most frequent kind first; the kinds below are exclusive
         recipient = state.accounts.get(tx.recipient)
         if recipient is not None and recipient.kind == CONTRACT:
             raise TxError("SpendToContract", "contract accounts take no spends")
+    elif isinstance(tx, ContractCreate) and tx.vm_version != tx.code.vm_version:
+        raise TxError("BadFormat", "vm_version mismatch")
+    elif isinstance(tx, AccountDelete) and tx.target == tx.sender:
+        raise TxError("BadFormat", "cannot delete the fee-paying account")
+    elif isinstance(tx, ChannelOpen) and tx.party_a == tx.party_b:
+        raise TxError("BadFormat", "channel needs two distinct parties")
+    elif isinstance(tx, (ChannelCloseCoop, ChannelChallenge)) and tx.state is None:
+        raise TxError("BadFormat", f"{type(tx).__name__} needs a signed state")
+    elif isinstance(tx, StorageCreate) and (tx.chunk_count < 1 or tx.challenge_period_n < 1):
+        raise TxError("BadFormat", "chunk_count and period must be >= 1")
 
     sender = tx_sender(tx)
     msg = tx.signing_bytes()
@@ -430,25 +436,23 @@ def check_tx(state: ChainState, tx) -> None:
     if account is None or tx.counter != account.counter + 1:
         have = account.counter if account else None
         raise TxError("BadCounter", f"counter {tx.counter}, account at {have}")
-    if account.balance < effective_fee(tx):
-        raise TxError("InsufficientForFee", f"{account.balance} < {effective_fee(tx)}")
+    balance, _ = charge_maintenance(account, state.height, state.cfg.maintenance_rate)
+    if balance < effective_fee(tx):
+        raise TxError("InsufficientForFee", f"{balance} < {effective_fee(tx)}")
 
 
 # --- application -------------------------------------------------------
 
 
 def _apply_inner(state: ChainState, tx, prev_hash: bytes) -> int:
-    """Kind-specific value movement at ``state.height``; a Spend's or a
-    ContractCall's amount is already escrowed from its sender. Returns the
+    """Kind-specific value movement at ``state.height``, once the fee envelope
+    escrowed what the tx sends and the id it mints proved unused. Returns the
     VM gas a ContractCreate, or a ContractCall to a contract, used; a
     DataOnly's payload length; 0 for every other kind."""
     if isinstance(tx, Spend):
         state.credit(tx.recipient, tx.amount)
     elif isinstance(tx, ContractCreate):
         address = created_id(tx)
-        if address in state.accounts:
-            raise LedgerError("AddressCollision", address.hex())
-        state.debit(tx.owner, tx.deposit + tx.amount)
         code_hash = tx.code.code_hash()
         state.accounts[address] = Account(
             address, tx.deposit + tx.amount, freshness=state.height, kind=CONTRACT, code_hash=code_hash
@@ -459,10 +463,7 @@ def _apply_inner(state: ChainState, tx, prev_hash: bytes) -> int:
         state.credit(tx.contract, tx.amount)
         target = state.accounts.get(tx.contract)
         if target is not None and target.kind == CONTRACT:
-            program = state.code.get(target.code_hash)
-            if program is None:
-                raise LedgerError("BadFormat", "contract code missing from store")
-            return _run(state, program, tx, tx.caller, tx.contract)
+            return _run(state, state.code[target.code_hash], tx, tx.caller, tx.contract)
     elif isinstance(tx, DataOnly):
         return len(tx.payload)  # payload is inert; its cost was the fee
     elif isinstance(tx, NameClaim):
@@ -485,8 +486,6 @@ def _apply_inner(state: ChainState, tx, prev_hash: bytes) -> int:
             channels.unilateral_close(state, tx.channel_id, tx.state)
         elif isinstance(tx, ChannelFinalize):
             channels.finalize(state, tx.channel_id)
-        elif tx.state is None:
-            raise LedgerError("BadFormat", f"{type(tx).__name__} needs a signed state")
         elif isinstance(tx, ChannelCloseCoop):
             channels.cooperative_close(state, tx.channel_id, tx.state)
         else:
@@ -575,18 +574,19 @@ def _apply_checked(state: ChainState, tx, prev_hash: bytes, start: Savepoint) ->
 
     payer = state.accounts[sender]
     balance, burned = charge_maintenance(payer, height, state.cfg.maintenance_rate)
-    if balance < fee:
-        raise TxError("InsufficientForFee", "fee exceeds balance after maintenance")
-    left = balance - fee
-    sent = tx.amount if isinstance(tx, ESCROW_KINDS) else 0
+    left = balance - fee  # check_tx saw the fee covered
+    sent = 0
+    if isinstance(tx, ESCROW_KINDS):
+        sent = tx.amount + tx.deposit if isinstance(tx, ContractCreate) else tx.amount
     try:
         if left < sent:
             raise LedgerError("InsufficientFunds", f"{left} < {sent}")
         state.write_account(payer, left - sent, tx.counter, burned)
+        store = _MINTED_IN.get(type(tx))
+        if store is not None and (minted := created_id(tx)) in getattr(state, store):
+            raise LedgerError("AddressCollision", minted.hex())
         gas_used = _apply_inner(state, tx, prev_hash)
     except LedgerError as exc:
-        if exc.code in NON_REVERTIBLE:
-            raise
         state.rollback(start)
         state.write_account(payer, left, tx.counter, burned)  # a revert keeps the fee and the counter bump
         reverted_gas = tx.gas if isinstance(tx, GAS_KINDS) else 0
@@ -619,9 +619,10 @@ def _execute(state: ChainState, txs, miner: bytes, height: int, prev_hash: bytes
     journal (each ``apply_tx`` takes its own savepoint in it), credit the
     miner the receipts' fees at once, and commit.
 
-    An inapplicable tx (a ``LedgerError``, or a ``CodecError`` raised while
-    applying) makes a ``strict`` caller, the validator, reject the block
-    with ``BadTx``; the miner drops the tx instead. Returns the new state,
+    An inapplicable tx (``check_tx``'s ``TxError``, an EpochTx's failure or
+    a ``CodecError`` raised while applying; see the module docstring) makes a
+    ``strict`` caller, the validator, reject the block with ``BadTx``; the
+    miner drops the tx instead. Returns the new state,
     the txs applied, their receipts and the header's commitment fields;
     ``proof_root`` commits a ``storage.ProofLeaf`` per applied StorageProof.
     """

@@ -515,18 +515,23 @@ def test_check_invariants_reads_the_keys_written_since_the_parent(cfg):
         genesis.check_invariants()
 
 
-def test_apply_tx_undoes_the_fee_envelope_of_an_address_collision():
-    bench = Bench(make_cfg("maintenance.rate = 3\n"), height=5)  # the touch burns maintenance too
+def test_apply_tx_keeps_the_fee_envelope_of_an_address_collision():
+    cfg = make_cfg("maintenance.rate = 3\n")  # the touch burns maintenance too
+    bench, twin = Bench(cfg, height=5), Bench(cfg, height=5)
     alice = bench.key("alice")
     counter = bench.counter("alice")
     address = txmod.contract_address(alice.address, counter)
-    bench.state.accounts[address] = Account(address, 0)
+    for each in (bench, twin):
+        each.state.accounts[address] = Account(address, 0)
     tx = txmod.ContractCreate(alice.address, assemble("PUSH 1\nSTOP"), 1, 10, 0, 5, 2, (), 10, counter)
-    before = _deep_fields(bench.state)
-    with pytest.raises(LedgerError) as err:
-        bench.apply(tx, alice)
-    assert err.value.code == "AddressCollision"
-    assert _deep_fields(bench.state) == before
+    receipt = bench.apply(tx, alice)
+    assert (receipt.status, receipt.reason, receipt.fee_paid) == ("reverted", "AddressCollision", 10)
+    # what stays is the fee envelope alone: the fee, the counter bump and the maintenance burn
+    payer = twin.state.accounts[alice.address]
+    balance, burned = charge_maintenance(payer, 5, 3)
+    twin.state.write_account(payer, balance - 10, counter, burned)
+    twin.state.credit(twin.miner.address, 10)
+    assert _deep_fields(bench.state) == _deep_fields(twin.state)
     assert all(getattr(bench.state, name).log is None for name in _STORES)
 
 

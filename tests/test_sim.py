@@ -6,8 +6,9 @@ import os
 
 import pytest
 
-from deskchain import channels, config, sim
+from deskchain import channels, config, sim, tx as txmod
 from deskchain.crypto import KeyPair
+from deskchain.ledger import CONTRACT
 from deskchain.errors import CodecError, ScenarioError
 
 from conftest import REFUSED_FACTORS, REFUSED_IDS, SCENARIO_DIR
@@ -67,6 +68,27 @@ def test_scenario_error_carries_line_number():
     with pytest.raises(ScenarioError) as err:
         run("0 mine alice\n1 az-create alice 5dsd as\n")
     assert err.value.line_no == 2
+
+
+def test_a_contract_create_at_an_address_a_spend_funded_first_is_mined_reverted():
+    # the create's address already holds bob's spend, so the create reverts
+    # with AddressCollision in the t=12 block rather than staying pooled; its
+    # sender's next tx is then counted from the tip alone and mined too
+    address = txmod.contract_address(KeyPair.from_name("alice").address, 1)
+    simulation = sim.Simulation(CFG, 7)
+    result = simulation.run_scenario(
+        f"0 spend bob bob hex:{address.hex()} 1\n1 mine bob\n"
+        "5 contract-create alice alice template:payment-split 1000 0 40 2 call=1000,3,1\n"
+        "12 mine bob\n14 spend alice alice bob 5\n15 mine alice\n", SCENARIO_DIR)
+    assert "t=12 node=bob ev=mine height=2" in result.event_log
+    receipts = iter(result.receipts)
+    mined = {block.header.height: [(type(t).__name__, next(receipts)) for t in block.transactions]
+             for block in result.chain}
+    [(kind, receipt)] = mined[2]
+    assert (kind, receipt.status, receipt.reason) == ("ContractCreate", "reverted", "AddressCollision")
+    assert [(kind, receipt.status) for kind, receipt in mined[3]] == [("Spend", "applied")]
+    assert not simulation.nodes["alice"].mempool
+    assert result.state.accounts[address].kind != CONTRACT
 
 
 def test_budget_exhaustion_detected():

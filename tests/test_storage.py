@@ -144,10 +144,12 @@ def test_a_closed_contract_takes_no_proof_and_no_second_close(bench):
 
 def test_only_the_payer_closes_a_storage_contract(bench):
     contract_id, _ = _setup_contract(bench)
-    with pytest.raises(LedgerError) as err:
-        _close(bench, contract_id, sender="bob")
-    assert err.value.code == "BadFormat"
-    assert not bench.state.storage_contracts[contract_id].closed
+    contract = bench.state.storage_contracts[contract_id]
+    bob_before, counter = bench.balance("bob"), bench.counter("bob")
+    receipt = _close(bench, contract_id, sender="bob")
+    assert (receipt.status, receipt.reason, receipt.fee_paid) == ("reverted", "BadFormat", 1)
+    assert bench.state.storage_contracts[contract_id] == contract  # open, with its escrow
+    assert (bench.balance("bob"), bench.counter("bob")) == (bob_before - 1, counter + 1)
 
 
 def test_prove_and_pay_happy_path(bench):

@@ -1,7 +1,9 @@
 import ast
 import dataclasses
+import glob
 import hashlib
 import inspect
+import os
 import random
 import textwrap
 import typing
@@ -16,7 +18,8 @@ from deskchain.channels import SignedState
 from deskchain.crypto import ZERO_SIG, KeyPair, hash256
 from deskchain.errors import BlockError, CodecError, LedgerError, TxError
 from deskchain.ledger import CONTRACT, Account, Block
-from deskchain.state import _STORES, ChainState
+from deskchain.node import Node
+from deskchain.state import _STORES, ChainState, StateDict
 from deskchain.merkle import MerkleProof, merkle_prove, tree_root
 from deskchain.rewards import AZFactors, EpochReport, UserContribution, WorkItem
 from deskchain.vm import MAX_PROGRAM_LEN, Program, assemble
@@ -30,6 +33,27 @@ def spend(bench, frm, to, amount, fee, counter=None):
     kp = bench.key(frm)
     counter = counter if counter is not None else bench.counter(frm)
     return txmod.Spend(kp.address, bench.addr(to), amount, fee, counter)
+
+
+def test_a_receipt_renders_its_reason_only_when_it_has_one():
+    applied = txmod.Receipt(b"\x01" * 32, "applied", 3, 6)
+    assert applied.render() == f"tx={'01' * 32} status=applied gas_used=3 fee=6 miner=6"
+    reverted = applied._replace(status="reverted", reason="NameTaken")
+    assert reverted.render() == f"tx={'01' * 32} status=reverted gas_used=3 fee=6 miner=6 reason=NameTaken"
+
+
+def test_every_user_kind_names_its_sender_and_an_epoch_tx_none(bench):
+    spend_tx = spend(bench, "alice", "bob", 1, 1)
+    assert txmod.tx_sender(spend_tx) == bench.addr("alice")
+    with pytest.raises(TypeError, match="an EpochTx has no sender"):
+        txmod.tx_sender(txmod.EpochTx(EpochReport(1, (), (), ())))
+
+
+def test_check_tx_refuses_a_field_outside_its_wire_range_as_bad_format(bench):
+    # the encoding's range checks run first, so even an unsigned tx is refused for its format
+    with pytest.raises(TxError) as err:
+        txmod.check_tx(bench.state, spend(bench, "alice", "bob", 1 << 64, 1))
+    assert err.value.code == "BadFormat"
 
 
 def test_check_tx_happy_path(bench):
@@ -246,6 +270,17 @@ def test_delete_account_and_recreate(bench):
     tx = spend(bench, "alice", "bob", 1000, 5)
     assert bench.apply(tx, kp).status == "applied"
     assert bench.state.accounts[bob.address].counter == 0
+
+
+def test_account_delete_settles_its_targets_maintenance_first():
+    # dave owes all 12 units it holds as maintenance, so settled it holds 0 and is deleted
+    bench = Bench(make_cfg("maintenance.rate = 3\n"))
+    dave = KeyPair.from_name("dave")
+    assert bench.apply(spend(bench, "alice", "dave", 12, 1), bench.key("alice")).status == "applied"
+    bench.advance(4)
+    delete = txmod.AccountDelete(bench.addr("bob"), dave.address, 1, bench.counter("bob"))
+    assert bench.apply(delete, bench.key("bob")).status == "applied"
+    assert dave.address not in bench.state.accounts
 
 
 def test_delete_nonzero_balance_reverts(bench):
@@ -596,6 +631,13 @@ def test_apply_block_empty_only_coinbase():
     assert src == snk
 
 
+def test_genesis_mining_that_exhausts_its_nonce_budget_is_refused():
+    cfg = make_cfg("pow.target_hex = " + "00" * 32 + "\npow.nonce_budget = 1\n")  # no digest clears it
+    with pytest.raises(BlockError) as err:
+        txmod.genesis_block(cfg)
+    assert err.value.code == "BadPow"
+
+
 def test_a_genesis_block_carries_no_transactions():
     # README: the genesis block carries no transactions, so the miner drops
     # every candidate at height 0 and the validator refuses a genesis block
@@ -809,29 +851,41 @@ def test_a_block_built_past_a_dropped_fresh_account_replays_to_its_roots(monkeyp
     """build_block drops a candidate after it credited a fresh account; the
     rolled-back key takes no leaf slot, so apply_block, which never sees
     it, computes the header's roots. The dropped key sorts before the kept
-    fresh key, so a slot or an empty leaf left for it would move the root."""
+    fresh key, so a slot or an empty leaf left for it would move the root.
+    A CodecError at apply drops a tx; a LedgerError reverts it instead, and
+    then both txs enter the block and the reverted credit takes no slot."""
     cfg = make_cfg()
     state, genesis = txmod.genesis_block(cfg)
     alice, bob = KeyPair.from_name("alice"), KeyPair.from_name("bob")
+    miner = KeyPair.from_name("miner").address
     dropped_to, kept_to = b"\x00" * 31 + b"\x01", b"\xff" * 31 + b"\x01"
     dropped = txmod.sign_tx(txmod.Spend(alice.address, dropped_to, 5, 50, 1), alice)
     kept = txmod.sign_tx(txmod.Spend(bob.address, kept_to, 5, 1, 1), bob)
     apply_inner = txmod._apply_inner
 
-    def failing_after_the_credit(st, t, prev_hash):
-        gas = apply_inner(st, t, prev_hash)
-        if t == dropped:
-            assert dropped_to in st.accounts
-            raise LedgerError("BadFormat", "dropped after crediting a fresh account")
-        return gas
+    def failing_after_the_credit(error):
+        def failing(st, t, prev_hash):
+            gas = apply_inner(st, t, prev_hash)
+            if t == dropped:
+                assert dropped_to in st.accounts
+                raise error
+            return gas
+        return failing
 
-    monkeypatch.setattr(txmod, "_apply_inner", failing_after_the_credit)
-    block = txmod.build_block(state, [kept, dropped], KeyPair.from_name("miner").address, genesis.header)
+    monkeypatch.setattr(txmod, "_apply_inner", failing_after_the_credit(CodecError("dropped after the credit")))
+    block = txmod.build_block(state, [kept, dropped], miner, genesis.header)
     monkeypatch.undo()
     assert block.transactions == (kept,)
     applied, _ = txmod.apply_block(state, block)
     assert dropped_to not in applied.accounts and kept_to in applied.accounts
     assert applied.account_root() == block.header.account_root
+    # the miner and the validator both revert the tx: it is included, the higher fee density first
+    monkeypatch.setattr(txmod, "_apply_inner", failing_after_the_credit(LedgerError("BadFormat", "reverted")))
+    block = txmod.build_block(state, [kept, dropped], miner, genesis.header)
+    assert block.transactions == (dropped, kept)
+    applied, receipts = txmod.apply_block(state, block)
+    assert [(r.status, r.reason) for r in receipts] == [("reverted", "BadFormat"), ("applied", "")]
+    assert dropped_to not in applied.accounts and kept_to in applied.accounts
 
 
 def test_fee_identity_randomized(bench):
@@ -1066,20 +1120,38 @@ def test_balance_in_a_contract_call_reads_the_caller_the_contract_and_0(bench):
         assert call(handle, 0) == "applied"
 
 
-def _mint_twice(bench, make):
-    """Apply ``make(bench, dave)``, dave's first tx, on a fresh account dave;
-    then drain dave, delete the account and credit it afresh, so its counter
-    starts over, and return ``make(bench, dave)`` again, the same tx at
-    counter 1."""
-    dave, alice = KeyPair.from_name("dave"), bench.key("alice")
-    assert bench.apply(spend(bench, "alice", "dave", 50 * DSD, 1), alice).status == "applied"
+def _mint_twice(bench, make, name="dave", funder="alice"):
+    """Apply ``make(bench, dave)``, dave's first tx, on a fresh account dave
+    (or ``name``) that ``funder`` pays; then drain dave, delete the account
+    and credit it afresh, so its counter starts over, and return
+    ``make(bench, dave)`` again, the same tx at counter 1."""
+    dave, alice = KeyPair.from_name(name), bench.key(funder)
+    assert bench.apply(spend(bench, funder, name, 50 * DSD, 1), alice).status == "applied"
     assert bench.apply(make(bench, dave), dave).status == "applied"
-    assert bench.apply(spend(bench, "dave", "alice", bench.balance("dave") - 1, 1), dave).status == "applied"
-    delete = txmod.AccountDelete(alice.address, dave.address, 1, bench.counter("alice"))
+    assert bench.apply(spend(bench, name, funder, bench.balance(name) - 1, 1), dave).status == "applied"
+    delete = txmod.AccountDelete(alice.address, dave.address, 1, bench.counter(funder))
     assert bench.apply(delete, alice).status == "applied"
-    assert bench.apply(spend(bench, "alice", "dave", 50 * DSD, 1), alice).status == "applied"
-    assert bench.counter("dave") == 1
+    assert bench.apply(spend(bench, funder, name, 50 * DSD, 1), alice).status == "applied"
+    assert bench.counter(name) == 1
     return make(bench, dave)
+
+
+def _assert_collision_reverts(bench, tx, signer):
+    """Apply ``tx``, whose minted id is in its store already: it reverts
+    with AddressCollision, pays its fee once and bumps its sender's counter,
+    the miner gains that fee, and no record or other balance moves."""
+    store = getattr(bench.state, txmod._MINTED_IN[type(tx)])
+    minted, sender = txmod.created_id(tx), txmod.tx_sender(tx)
+    record, count = store[minted], len(store)
+    counter = bench.state.accounts[sender].counter
+    balances = {address: account.balance for address, account in bench.state.accounts.items()}
+    balances[sender] -= tx.fee
+    balances[bench.miner.address] += tx.fee
+    receipt = bench.apply(tx, signer)
+    assert (receipt.status, receipt.reason, receipt.fee_paid) == ("reverted", "AddressCollision", tx.fee)
+    assert bench.state.accounts[sender].counter == counter + 1
+    assert (store[minted], len(store)) == (record, count)
+    assert {address: account.balance for address, account in bench.state.accounts.items()} == balances
 
 
 def _channel_open(bench, dave):
@@ -1099,27 +1171,114 @@ def test_a_repeated_channel_id_reverts(bench):
     # a channel id hashes party A's counter, which starts over once A's
     # account is deleted and credited again
     again = _mint_twice(bench, _channel_open)
-    receipt = bench.apply(again, KeyPair.from_name("dave"))
-    assert (receipt.status, receipt.reason) == ("reverted", "WrongChannel")
+    _assert_collision_reverts(bench, again, KeyPair.from_name("dave"))
     assert len(bench.state.channels) == 1
 
 
 @pytest.mark.parametrize("kind", list(MINTING_OPENERS))
-def test_a_repeated_question_storage_or_az_id_is_inapplicable(bench, kind):
+def test_a_repeated_question_storage_or_az_id_reverts(bench, kind):
     again = _mint_twice(bench, MINTING_OPENERS[kind])
-    with pytest.raises(LedgerError) as err:
-        bench.apply(again, KeyPair.from_name("dave"))
-    assert err.value.code == "BadFormat"
+    _assert_collision_reverts(bench, again, KeyPair.from_name("dave"))
 
 
-def test_a_contract_create_at_a_funded_address_is_inapplicable(bench):
+def _funded_create(bench):
+    """alice's ContractCreate at the address a Spend from bob funded first."""
+    alice = bench.key("alice")
+    address = txmod.contract_address(alice.address, bench.counter("alice"))
+    funding = txmod.Spend(bench.addr("bob"), address, 1, 1, bench.counter("bob"))
+    assert bench.apply(funding, bench.key("bob")).status == "applied"
+    return txmod.ContractCreate(alice.address, assemble("PUSH 1\nSTOP"), 1, 1000, 500, 50, 2, (), 100,
+                                bench.counter("alice"))
+
+
+def test_a_contract_create_at_a_funded_address_reverts(bench):
     # a spend may fund the address a create will mint before the create applies
-    address = txmod.contract_address(bench.addr("alice"), bench.counter("alice"))
-    assert bench.apply(txmod.Spend(bench.addr("bob"), address, 1, 1, 1), bench.key("bob")).status == "applied"
-    with pytest.raises(LedgerError) as err:
-        _create_contract(bench)
-    assert err.value.code == "AddressCollision"
-    assert bench.state.accounts[address].kind != CONTRACT
+    create = _funded_create(bench)
+    _assert_collision_reverts(bench, create, bench.key("alice"))
+    assert bench.state.accounts[txmod.created_id(create)].kind != CONTRACT
+
+
+def test_an_admitted_collision_or_close_by_a_non_payer_enters_a_block_reverted():
+    # each of these was inapplicable once check_tx passed it; now a node
+    # admits it, mines it as a reverted receipt and replays the block to the
+    # header's roots
+    cfg = make_cfg()
+    _, genesis = txmod.genesis_block(cfg)
+    bench = Bench(cfg)
+    collisions = [
+        (_mint_twice(bench, _channel_open), "dave"),
+        (_mint_twice(bench, MINTING_OPENERS["OracleRegister"], "erin", "bob"), "erin"),
+        (_mint_twice(bench, MINTING_OPENERS["StorageCreate"], "frank", "carol"), "frank"),
+        (_mint_twice(bench, MINTING_OPENERS["AzCreate"], "grace", "miner"), "grace"),
+        (_funded_create(bench), "alice"),
+    ]
+    frank_contract = storage.contract_id_for(bench.addr("frank"), 1)
+    close = (txmod.StorageClose(bench.addr("bob"), frank_contract, 1, bench.counter("bob")), "bob")
+    node = Node(bench.state, dataclasses.replace(genesis.header, height=bench.height))
+    reasons = {}
+    for t, signer in collisions + [close]:
+        t = txmod.sign_tx(t, bench.key(signer))
+        assert node.admit(t)
+        reasons[t.digest()] = "BadFormat" if isinstance(t, txmod.StorageClose) else "AddressCollision"
+    block = node.build_next_block(bench.miner.address)
+    assert sorted(t.digest() for t in block.transactions) == sorted(reasons)
+    _, receipts = txmod.apply_block(bench.state, block)
+    assert {r.tx_hash: (r.status, r.reason) for r in receipts} == {
+        h: ("reverted", reason) for h, reason in reasons.items()}
+
+
+def test_node_admit_refuses_what_apply_could_never_run(bench):
+    # a settlement with no signed state, a storage contract with no chunks or
+    # no challenge period, and a name outside 1..64 utf-8 bytes: check_tx
+    # refuses each, so it never enters a mempool
+    node = Node(bench.state, txmod.genesis_block(bench.cfg)[1].header)
+    kp, channel_id = bench.key("alice"), hash256(b"channel")
+    refused = [
+        txmod.ChannelCloseCoop(kp.address, channel_id, None, None, 1, 1),
+        txmod.ChannelChallenge(kp.address, channel_id, None, None, 1, 1),
+        txmod.StorageCreate(kp.address, bench.addr("bob"), hash256(b"root"), 0, 4, 2, 50, 200, 1, 1),
+        txmod.StorageCreate(kp.address, bench.addr("bob"), hash256(b"root"), 4, 4, 0, 50, 200, 1, 1),
+        txmod.NameClaim(kp.address, "", bench.addr("bob"), 1, 1),
+        txmod.NameClaim(kp.address, "é" * 32 + "x", bench.addr("bob"), 1, 1),
+    ]
+    for t in refused:
+        with pytest.raises(TxError) as err:
+            node.admit(txmod.sign_tx(t, kp))
+        assert err.value.code == "BadFormat", t
+    assert not node.mempool
+    assert node.admit(txmod.sign_tx(txmod.NameClaim(kp.address, "é" * 32, bench.addr("bob"), 1, 1), kp))
+
+
+def test_a_contract_account_is_built_only_beside_its_code_and_no_code_is_deleted():
+    # a ContractCall runs state.code[target.code_hash] with no guard, since
+    # every CONTRACT account has its code stored. Only _apply_inner's
+    # ContractCreate branch builds one (every other Account call passes no
+    # kind or code hash, and Account.edit keeps both), and its next statement
+    # stores the code, in the same journal, so a rollback undoes both or
+    # neither; no src statement deletes from a code store, and a StateDict
+    # has no pop or clear
+    package = os.path.dirname(txmod.__file__)
+    built = []
+    for path in sorted(glob.glob(os.path.join(package, "**", "*.py"), recursive=True)):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Account":
+                if len(node.args) > 4 or any(k.arg in ("kind", "code_hash") for k in node.keywords):
+                    built.append((os.path.basename(path), ast.unparse(node)))
+            if isinstance(node, ast.keyword) and getattr(node.value, "id", None) == "CONTRACT":
+                assert os.path.basename(path) == "tx.py", ast.unparse(node)
+            if isinstance(node, ast.Delete):
+                assert not any(getattr(getattr(t, "value", None), "attr", None) == "code" for t in node.targets)
+    function = ast.parse(textwrap.dedent(inspect.getsource(txmod._apply_inner))).body[0]
+    create = next(n for n in ast.walk(function)
+                  if isinstance(n, ast.If) and ast.unparse(n.test) == "isinstance(tx, ContractCreate)")
+    body = [ast.unparse(statement) for statement in create.body]
+    at = next(i for i, line in enumerate(body) if line.startswith("state.accounts[address] = Account("))
+    assert built == [("tx.py", body[at].split(" = ", 1)[1])]
+    assert "kind=CONTRACT, code_hash=code_hash" in body[at]
+    assert body[at + 1] == "state.code[code_hash] = tx.code"
+    assert {"pop", "clear", "popitem"} <= {name for name in vars(StateDict) if vars(StateDict)[name] is StateDict._unlogged}
 
 
 def test_decode_tx_yields_only_the_kinds_that_apply_has_a_branch_for():
