@@ -60,6 +60,11 @@ DELETED = (ast.Raise, ast.Assign, ast.AugAssign, ast.AnnAssign)
 EQUIVALENT = {
     ("state", "if end < len(held):", "<", "<="):
         "deleting held[end:] when end == len(held) deletes nothing, and truncate(end) keeps every level",
+    ("state", "self.fresh: list = []", "self.fresh: list = []", "pass"):
+        "fork, the one reader of fresh, calls sync first, and sync assigns fresh before it returns",
+    ("state", "self.accounts.log.clear()", "self.accounts.log.clear()", "pass"):
+        "the next line detaches the journal list from every store and nothing else holds it, "
+        "so emptying it first changes only when its entries are freed",
     ("oracles", "bit = yes > no", ">", ">="):
         "a tie takes the yes == no branch above, so yes >= no and yes > no agree here",
     ("rewards", "if exact < 0:", "<", "<="):

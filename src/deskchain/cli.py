@@ -55,14 +55,12 @@ def _load(sd: StateDir) -> Node:
 
 
 def _submit(sd: StateDir, node: Node, t) -> None:
-    # refuse transactions that would revert against the next block; mined
-    # blocks still honor fee-paying reverts, this is purely front-end care
-    probe = node.state.clone()
-    probe.height += 1
-    receipt = txmod.apply_tx(probe, t, txmod.tx_sender(t), node.header.block_hash())
+    # refuse a tx that would revert after the pooled ones in the next block;
+    # mined blocks still honor fee-paying reverts, this is front-end care
+    receipt = node.admit(t)
     if receipt.status == txmod.REVERTED:
         raise DeskchainError(f"transaction would revert: {receipt.reason}")
-    sd.write_mempool([*node.mempool.values(), t])
+    sd.write_mempool(list(node.mempool.values()))
     print(f"tx={t.digest().hex()}")
 
 

@@ -1,34 +1,32 @@
 """One node's duties, shared by the CLI and the simulator.
 
-A node builds on one tip (its state and header) and keeps a mempool keyed
-by tx hash, admitting only the transactions the tip passes through
-check_tx. It numbers and signs the transactions it makes, mines the next
-block with the epoch-boundary system transaction, and drops from its
-mempool every transaction the tip has already passed.
+A node builds on one tip (its state and header). It keeps a mempool keyed
+by tx hash and one pending state, a clone of the tip at the next height
+with the mempool applied in admission order: a tx is admitted when
+``apply_tx`` takes it there. A new tip admits the mempool again, so a tx
+that no longer follows leaves. The node numbers and signs its txs from the
+pending counters, and mines the next block with the epoch-boundary tx.
 """
 from __future__ import annotations
 
 from dataclasses import replace
 
 from . import rewards, tx as txmod
+from .errors import CodecError, TxError
 from .ledger import Block, BlockHeader
 from .state import ChainState
 
 
 class Node:
     def __init__(self, state: ChainState, header: BlockHeader, mempool=()):
-        self.state = state
-        self.header = header
-        self.mempool: dict[bytes, object] = {t.digest(): t for t in mempool}
         # the next boundary block's report; dropped at that boundary either way
         self.staged_epoch: rewards.EpochReport | None = None
+        self.set_tip(state, header, mempool)
 
     def next_counter(self, address: bytes) -> int:
-        """The tip's counter for ``address``, plus its pending txs, plus one."""
-        account = self.state.accounts.get(address)
-        base = account.counter if account else 0
-        pending = sum(1 for t in self.mempool.values() if txmod.tx_sender(t) == address)
-        return base + pending + 1
+        """The pending state's counter for ``address``, plus one."""
+        account = self.pending.accounts.get(address)
+        return (account.counter if account else 0) + 1
 
     def make(self, keypair, kind, *fields, fee: int, cosigner=None):
         """A signed ``kind`` sent from ``keypair``'s account.
@@ -41,15 +39,16 @@ class Node:
             t = replace(t, sig_b=cosigner.sign(t.signing_bytes()))
         return txmod.sign_tx(t, keypair)
 
-    def admit(self, t) -> bool:
-        """Pool ``t`` unless it is pooled already (False); raises TxError
-        when the tip cannot take it."""
+    def admit(self, t) -> txmod.Receipt | None:
+        """Apply ``t`` to the pending state and pool it; returns its receipt,
+        or None when it is pooled already. Raises TxError, and changes
+        nothing, when the pending state cannot take it."""
         h = t.digest()
         if h in self.mempool:
-            return False
-        txmod.check_tx(self.state, t)
+            return None
+        receipt = txmod.apply_tx(self.pending, t, self.header.miner, self.header.block_hash())
         self.mempool[h] = t
-        return True
+        return receipt
 
     def build_next_block(self, miner: bytes) -> Block | None:
         """Mine the mempool onto the tip; None when the PoW budget runs out.
@@ -66,14 +65,17 @@ class Node:
             candidates.append(txmod.EpochTx(report))
         return txmod.build_block(self.state, candidates, miner, self.header)
 
-    def set_tip(self, state: ChainState, header: BlockHeader) -> None:
+    def set_tip(self, state: ChainState, header: BlockHeader, pool=None) -> None:
+        """Build on ``state`` and ``header``, and admit ``pool`` (by default
+        the mempool) again in order; a tx the new pending state refuses leaves."""
+        pooled = list(self.mempool.values()) if pool is None else pool
         self.state, self.header = state, header
-        self.prune()
-
-    def prune(self) -> None:
-        """Drop the txs whose counter the tip's account has reached."""
-        accounts = self.state.accounts
-        for h, t in list(self.mempool.items()):
-            account = accounts.get(txmod.tx_sender(t))
-            if account and t.counter <= account.counter:
-                del self.mempool[h]
+        self.mempool: dict[bytes, object] = {}
+        self.pending = state.clone()
+        self.pending.height = header.height + 1
+        self.pending.savepoint()  # never released: apply_tx credits no miner
+        for t in pooled:
+            try:
+                self.admit(t)
+            except (TxError, CodecError):
+                pass

@@ -55,7 +55,6 @@ class SimNode(Node):
         self.blocks: dict[bytes, Block] = {gh: genesis}
         self.states: dict[bytes, ChainState] = {gh: genesis_state}
         self.receipts: dict[bytes, list[txmod.Receipt]] = {gh: []}
-        self.tip: bytes = gh
         self.orphans: dict[bytes, list[Block]] = {}
         self.endpoints: dict[bytes, ChannelEndpoint] = {}
         self.chunk_store: dict[bytes, list[bytes]] = {}
@@ -72,7 +71,7 @@ class SimNode(Node):
 
     def chain(self) -> list[Block]:
         """Genesis to tip."""
-        out = [self.blocks[self.tip]]
+        out = [self.blocks[self.header.block_hash()]]
         while out[-1].header.height:
             out.append(self.blocks[out[-1].header.prev_hash])
         return out[::-1]
@@ -169,8 +168,7 @@ class Simulation:
             height=block.header.height, hash=h.hex()[:16], txs=len(block.transactions),
             origin=origin,
         )
-        if node.rank(h) < node.rank(node.tip):
-            node.tip = h
+        if node.rank(h) < node.rank(node.header.block_hash()):
             node.set_tip(new_state, block.header)
             self.log(node.name, "tip", height=node.header.height, hash=h.hex()[:16])
             self._watch_channels(node)
@@ -200,7 +198,7 @@ class Simulation:
     def submit_tx(self, node: SimNode, t) -> None:
         h = t.digest()
         try:
-            if not node.admit(t):
+            if node.admit(t) is None:
                 return
         except TxError as exc:
             self.log(node.name, "tx_rejected", reason=exc.code, hash=h.hex()[:16])
@@ -358,14 +356,15 @@ class Simulation:
         return self._result()
 
     def _result(self) -> SimResult:
-        node = min((self.nodes[name] for name in sorted(self.nodes)), key=lambda n: n.rank(n.tip))
+        node = min((self.nodes[name] for name in sorted(self.nodes)),
+                   key=lambda n: n.rank(n.header.block_hash()))
         chain = node.chain()
         receipts = []
         for block in chain:
             receipts.extend(node.receipts[block.header.block_hash()])
-        self.log(node.name, "final", height=node.header.height, root=node.tip.hex())
+        self.log(node.name, "final", height=node.header.height, root=node.header.block_hash().hex())
         return SimResult(
-            final_tip=node.tip,
+            final_tip=node.header.block_hash(),
             final_state_root=hash256(b"".join(txmod.state_roots(node.state).values())),
             receipts=receipts,
             event_log="\n".join(self.log_lines) + "\n",
@@ -449,7 +448,7 @@ class Simulation:
         node = self._node(args[0])
         if cmd == "crash":
             node.online = False
-            node.mempool.clear()
+            node.set_tip(node.state, node.header, ())
             self.log(node.name, "crash")
             return
         if cmd == "restart":
@@ -559,7 +558,7 @@ class Simulation:
             chunks = node.chunk_store.get(contract_id)
             if chunks is None:
                 raise ScenarioError(0, "provider holds no chunks for that contract")
-            index = storage.challenge_index(node.tip, contract_id, len(chunks))
+            index = storage.challenge_index(node.header.block_hash(), contract_id, len(chunks))
             return make(txmod.StorageProof, contract_id, chunks[index], merkle_prove(chunks, index))
         if cmd == "storage-close":
             return make(txmod.StorageClose, self._handle(args[2]))

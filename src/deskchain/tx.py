@@ -679,14 +679,19 @@ def build_block(
 ) -> Block | None:
     """Assemble and mine the next block.
 
-    Candidate transactions are taken in (fee density, tx hash) order, the
-    epoch tx last; inapplicable ones are dropped. Returns None if the PoW
-    search exhausts its budget.
+    Candidate transactions are taken in (fee density, tx hash) order, but
+    each sender's txs fill the places they got in counter order; the epoch
+    tx goes last, and inapplicable ones are dropped. Returns None if the
+    PoW search exhausts its budget.
     """
     cfg = state.cfg
     height = 0 if prev_header is None else prev_header.height + 1
     prev_hash = ZERO32 if prev_header is None else prev_header.block_hash()
     user = sorted((t for t in candidate_txs if not isinstance(t, EpochTx)), key=_mempool_order)
+    queues: dict[bytes, list] = {}  # each sender's txs, the lowest counter last
+    for t in sorted(user, key=lambda t: t.counter)[::-1]:
+        queues.setdefault(tx_sender(t), []).append(t)
+    user = [queues[tx_sender(t)].pop() for t in user]
     system = [t for t in candidate_txs if isinstance(t, EpochTx)]
     txs = user + system if height > 0 else []
     _, included, _, commitments = _execute(state, txs, miner, height, prev_hash, strict=False)

@@ -485,7 +485,7 @@ EVENT_LOG_DIGESTS = {
     "crash_restart.scn": "f587bc54a48691215494296a41161694d698ddc9bc72d4240922c22bfce9033e",
     "faults.scn": "faa331aa1a0342d22782a875121c57fb23a055d23cc7a3e7002d920494e8ab4b",
     "maintenance_delete.scn": "ae5de37465137b4d6bf7d0ae94331232f56ba44968cc1d2805613056c6f1c9a0",
-    "mixed.scn": "919a22ace5aabfd9680f3711afa6e23486267fb7a1ea098d9a447acee9f09918",
+    "mixed.scn": "c6ab3f83c31015c0c07d2521b80528edab86763a45d7e4a92230fc1e06392d42",
     "names.scn": "5fed20f7e0c44c8b23157028970f45916812d5e3c5a9b7de6afecd4b483dfea0",
     "oracle_accept.scn": "e47ff486eae86fc714255ff86125c8e5835e956ad17a70d881d810568babd485",
     "oracle_burn.scn": "5f6f43b186d02f4213c9133db9a81eca10ec024c771be0f0c0ff5875eeac1be5",

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from deskchain.cli import main
+from deskchain.statedir import StateDir
 
 from conftest import REFUSED_FACTORS, REFUSED_IDS, REPO_ROOT, SCENARIO_DIR
 
@@ -72,6 +73,20 @@ def test_genesis_send_mine_flow(workdir, capsys):
     assert run(workdir, "mine", "--miner", "bob") == 0
     out = capsys.readouterr().out
     assert "status=applied" in out and "fee=9" in out
+
+
+def test_three_sends_before_one_mine_all_enter_the_block_in_counter_order(workdir, capsys):
+    # each send is admitted on top of the pooled ones; the later ones pay
+    # more, so by fee density alone they would go first
+    assert run(workdir, "genesis", "--config", str(workdir / "net.cfg")) == 0
+    for amount, fee in (("1dsd", "9"), ("2dsd", "20"), ("3dsd", "40")):
+        assert run(workdir, "send", "--from", "alice", "--to", "bob", "--amount", amount, "--fee", fee) == 0
+    assert run(workdir, "mine", "--miner", "bob") == 0
+    _, _, blocks = StateDir(str(workdir / "state")).load_chain()
+    assert [(t.counter, t.amount) for t in blocks[-1].transactions] == [
+        (1, 1_000_000), (2, 2_000_000), (3, 3_000_000)]
+    assert capsys.readouterr().out.count("status=applied") == 3
+    assert (workdir / "state" / "mempool.bin").read_bytes() == b""
 
 
 def test_send_without_genesis_fails_1(workdir, capsys):

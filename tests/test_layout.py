@@ -162,3 +162,35 @@ def test_only_created_id_derives_the_id_a_tx_mints():
         for name in _id_derivers(tree, os.path.relpath(path, package)[:-3].replace(os.sep, "."))
     }
     assert found == {"tx.created_id"}
+
+
+_DICT_WRITERS = {"clear", "pop", "popitem", "setdefault", "update"}
+
+
+def _mempool_writers(tree, module: str):
+    """``module.function`` for each function in ``tree`` that assigns, deletes
+    or edits an object's ``mempool`` or one of its entries."""
+
+    def writes(n) -> bool:
+        if isinstance(n, ast.Attribute) and n.attr == "mempool":
+            return isinstance(n.ctx, (ast.Store, ast.Del))
+        if isinstance(n, ast.Subscript) and isinstance(n.ctx, (ast.Store, ast.Del)):
+            return isinstance(n.value, ast.Attribute) and n.value.attr == "mempool"
+        return (isinstance(n, ast.Attribute) and n.attr in _DICT_WRITERS
+                and isinstance(n.value, ast.Attribute) and n.value.attr == "mempool")
+
+    for child in ast.walk(tree):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(map(writes, ast.walk(child))):
+            yield f"{module}.{child.name}"
+
+
+def test_only_the_node_writes_its_mempool():
+    # the mempool and the pending state change together, so only node.py
+    # writes a mempool; the simulator's crash empties one through set_tip
+    package = os.path.join(REPO_ROOT, "src", "deskchain")
+    found = {
+        name
+        for path, tree in _program_trees().items() if path.startswith(package)
+        for name in _mempool_writers(tree, os.path.relpath(path, package)[:-3].replace(os.sep, "."))
+    }
+    assert found and {name.split(".")[0] for name in found} == {"node"}, found

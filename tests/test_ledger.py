@@ -226,6 +226,22 @@ def test_delete_account_rules(cfg):
     assert addr not in state.accounts
 
 
+def test_a_genesis_that_lists_one_account_twice_is_refused():
+    cfg = make_cfg("genesis.account = alice 5\n")  # alice is listed already
+    with pytest.raises(LedgerError, match="BadFormat: duplicate genesis account"):
+        ChainState.genesis(cfg)
+
+
+def test_a_credit_or_debit_outside_the_u64_range_is_refused_and_writes_nothing(cfg):
+    state = ChainState.genesis(cfg)
+    alice = KeyPair.from_name("alice").address
+    before = dict(state.accounts)
+    for edit, amount in ((state.credit, -1), (state.debit, -1), (state.credit, 2**64)):
+        with pytest.raises(CodecError, match="out of u64 range"):
+            edit(alice, amount)
+    assert dict(state.accounts) == before
+
+
 def test_resolve_name(cfg):
     state = ChainState.genesis(cfg)
     with pytest.raises(LedgerError) as err:
@@ -488,6 +504,53 @@ def test_incremental_roots_match_a_slot_order_reference(n_funded, ops):
         assert txmod.state_roots(states[cur]) == _reference_roots(states[cur], models[cur])
     for state, model in zip(states, models):
         assert txmod.state_roots(state) == _reference_roots(state, model)
+
+
+def test_a_key_a_block_only_deletes_leaves_an_empty_leaf_in_its_slot(cfg):
+    # a drained account and a name, both made in the parent block, are
+    # deleted in the next block by a bare del: their slots read EMPTY_LEAF
+    alice, bob, dave = (KeyPair.from_name(n).address for n in ("alice", "bob", "dave"))
+    state = ChainState.genesis(cfg)
+    state.accounts[dave] = Account(dave, 0)
+    state.names["plant-7"] = NameRecord("plant-7", alice, bob)
+    block = state.clone()
+    block.height = 1
+    block.delete_account(dave)
+    del block.names["plant-7"]
+    slots = {"accounts": sorted(state.accounts), "names": ["plant-7"]}
+    assert txmod.state_roots(block) == _reference_roots(block, slots) != txmod.state_roots(state)
+
+
+def test_a_rollback_between_two_roots_puts_back_a_slotted_leaf(cfg):
+    # alice's account has its slot from the parent; the rollback restores
+    # her prior record, and her leaf follows it back
+    state = ChainState.genesis(cfg)
+    block = state.clone()
+    block.height = 1
+    alice = KeyPair.from_name("alice").address
+    before = txmod.state_roots(block)
+    mark = block.savepoint()
+    block.credit(alice, 5)
+    assert txmod.state_roots(block) != before
+    block.rollback(mark)
+    block.release(mark)
+    slots = {"accounts": sorted(state.accounts), "names": []}
+    assert txmod.state_roots(block) == before == _reference_roots(block, slots)
+
+
+@pytest.mark.parametrize("write", [
+    lambda store, key: store.pop(key), lambda store, key: store.popitem(), lambda store, key: store.clear(),
+    lambda store, key: store.setdefault(b"\x07" * 32, None), lambda store, key: store.update({key: None}),
+    lambda store, key: store.__ior__({key: None}),
+], ids=["pop", "popitem", "clear", "setdefault", "update", "ior"])
+def test_a_store_refuses_every_write_but_item_assignment_and_del(cfg, write):
+    # a write the journal does not log could not be rolled back
+    state = ChainState.genesis(cfg)
+    key = next(iter(state.accounts))
+    before, written = dict(state.accounts), set(state.accounts.written)
+    with pytest.raises(TypeError, match="only by item assignment or del"):
+        write(state.accounts, key)
+    assert (dict(state.accounts), state.accounts.written) == (before, written)
 
 
 def test_check_invariants_reads_the_keys_written_since_the_parent(cfg):

@@ -30,9 +30,18 @@ KEYS = [KeyPair.from_name(f"u{i}") for i in range(5)]  # u4 starts with no accou
 NAMES = ["plant-1", "plant-2"]
 
 
-def mempool_order(t):
-    """build_block's documented order: fee density, then tx hash."""
-    return -Fraction(txmod.effective_fee(t), len(t.encode())), t.digest()
+def block_order(txs: list) -> list:
+    """README's block order: txs are ranked by fee density, then tx hash, and
+    each sender's txs then fill the places its txs got, lowest counter first
+    (two at one counter keep their rank order)."""
+    ranked = sorted(txs, key=lambda t: (-Fraction(txmod.effective_fee(t), len(t.encode())), t.digest()))
+    out = list(ranked)
+    for sender in {txmod.tx_sender(t) for t in ranked}:
+        places = [i for i, t in enumerate(ranked) if txmod.tx_sender(t) == sender]
+        by_counter = sorted((ranked[i] for i in places), key=lambda t: t.counter)
+        for i, t in zip(places, by_counter):
+            out[i] = t
+    return out
 
 
 def addresses():
@@ -109,7 +118,7 @@ def test_blocks_agree_with_the_reference_ledger_model(data):
         assert block is not None
         state, receipts = txmod.apply_block(state, block)
         gas_used = {t.digest(): r.gas_used for t, r in zip(block.transactions, receipts)}
-        included, expected = model.block(miner, height, sorted(candidates, key=mempool_order), gas_used)
+        included, expected = model.block(miner, height, block_order(candidates), gas_used)
         assert list(block.transactions) == included
         assert [(r.status, r.reason, r.fee_paid) for r in receipts] == expected
         assert_state_matches(model, state)

@@ -188,7 +188,7 @@ def test_fault_scenario_converges_after_heal():
     assert heights >= 5
     sim_obj = sim.Simulation(CFG, seed=7)
     out = sim_obj.run_scenario(open(os.path.join(SCENARIO_DIR, "faults.scn")).read(), SCENARIO_DIR)
-    tips = {name: node.tip for name, node in sim_obj.nodes.items()}
+    tips = {name: node.header.block_hash() for name, node in sim_obj.nodes.items()}
     assert len(set(tips.values())) == 1  # everyone on the same tip
 
 
@@ -206,6 +206,29 @@ def test_all_fixture_scenarios_conserve_and_terminate():
         sources, sinks = result.state.conservation_sides()
         assert sources == sinks, path
         result.state.check_invariants()
+
+
+def test_no_fixture_log_holds_a_bad_counter():
+    # a node numbers its txs from its pending state, so none of the
+    # fixtures' own txs is refused for its counter
+    for path in sorted(glob.glob(os.path.join(SCENARIO_DIR, "*.scn"))):
+        assert "BadCounter" not in run_file(os.path.basename(path)).event_log, path
+
+
+def test_a_second_tx_before_the_next_block_is_admitted_and_mined():
+    # alice's t=27 oracle-resolve is still pooled at t=31, when her az-create
+    # is admitted on top of it; carol's t=35 block takes both, in counter order
+    result = run_file("mixed.scn")
+    assert "t=31 node=alice ev=tx kind=AzCreate " in result.event_log
+    alice = KeyPair.from_name("alice").address
+    receipts = {r.tx_hash: r for r in result.receipts}
+    mined = [(type(t).__name__, t.counter, receipts[t.digest()].status)
+             for block in result.chain for t in block.transactions
+             if not isinstance(t, txmod.EpochTx) and txmod.tx_sender(t) == alice]
+    resolve, create = mined[-2:]
+    assert resolve[:2] == ("OracleResolve", create[1] - 1)
+    assert create[0::2] == ("AzCreate", "applied")
+    assert result.state.azs[result.handles["zone1"]].owner == alice
 
 
 def test_double_sign_registry_catches_conflicts():

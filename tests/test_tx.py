@@ -671,6 +671,19 @@ def test_apply_block_conservation_with_spend():
     )
 
 
+def test_a_block_fills_each_senders_places_in_counter_order():
+    # README: txs are ranked by fee density, then tx hash, and each sender's
+    # txs fill the places its txs got, lowest counter first. By fee alone the
+    # order is alice's 50, bob's 40, alice's 30 and alice's 1
+    state, genesis = txmod.genesis_block(make_cfg())
+    alice, bob = KeyPair.from_name("alice"), KeyPair.from_name("bob")
+    hers = [txmod.sign_tx(txmod.Spend(alice.address, bob.address, 1, fee, counter), alice)
+            for counter, fee in ((1, 1), (2, 50), (3, 30))]
+    his = txmod.sign_tx(txmod.Spend(bob.address, alice.address, 1, 40, 1), bob)
+    block = txmod.build_block(state, [*hers, his], alice.address, genesis.header)
+    assert list(block.transactions) == [hers[0], his, hers[1], hers[2]]
+
+
 def test_a_miner_does_not_see_its_own_blocks_fees_until_the_block_closes():
     # README: a block's fees reach its miner when the block closes. dave
     # holds only the coinbase, so his tx can pay its fee only out of the fee
