@@ -9,16 +9,16 @@ standard library's ``ast`` and applied to that one site in the source text:
 ``flip``, a comparison flip (``<``/``<=``, ``>``/``>=``, ``==``/``!=``);
 ``swap``, a ``+``/``-`` swap (``+=``/``-=`` too); ``delete``, a single-line
 ``raise``, call, assignment or augmented assignment in a function body
-replaced by ``pass``; ``bool``, an ``and``/``or`` swap. A module runs the
-kinds named after its ``=`` in ``--modules``, or else all four. Each
-mutant runs in one temporary copy of the checkout, with bytecode writing
-off, against its module's tests with ``-x`` (``MODULE_TESTS``, or
-``--tests``), one subprocess at a time; a mutant that survives them runs
-again against full tier-1 (or ``--full``), which is timed only then. Writes
-``MUTANTS_<PR>.json`` at the checkout root (or ``--out``): per mutant its
-kind and site, whether a test killed it and the first killing test, the
-reason for each survivor listed in ``EQUIVALENT``, and the totals. Exits 1
-if an unmutated selection fails.
+replaced by ``pass``; ``bool``, an ``and``/``or`` swap. An operator inside
+an f-string is no site. A module runs the kinds named after its ``=`` in
+``--modules``, or else all four. Each mutant runs in one temporary copy of
+the checkout, with bytecode writing off, against its module's tests with
+``-x`` (``MODULE_TESTS``, or ``--tests``), one subprocess at a time; a
+mutant that survives them runs again against full tier-1 (or ``--full``),
+which is timed only then. Writes ``MUTANTS_<PR>.json`` at the checkout root
+(or ``--out``): per mutant its kind and site, whether a test killed it and
+the first killing test, the reason for each survivor listed in
+``EQUIVALENT``, and the totals. Exits 1 if an unmutated selection fails.
 """
 from __future__ import annotations
 
@@ -69,6 +69,13 @@ EQUIVALENT = {
         "a tie takes the yes == no branch above, so yes >= no and yes > no agree here",
     ("rewards", "if exact < 0:", "<", "<="):
         "an exact Q of 0 returns 0 on either branch",
+    ("pow", "if any(edges[i] >= edges[i + 1] for i in range(len(edges) - 1)):", ">=", ">"):
+        "an index given twice is a double edge whose two nodes touch no other claimed edge, a cycle of two "
+        "apart from the rest (cycle_len is at least 4), so the walk refuses it",
+    ("pow", "used[0] = True", "used[0] = True", "pass"):
+        "the walk's first step then takes edge 0 itself and goes round edge 0's cycle the other way, one "
+        "step shorter: one cycle of cycle_len edges still ends with no revisit, and a shorter one (at most "
+        "cycle_len - 2 edges) leads back to edge 0 within the steps",
 }
 CAP_BYTES = 3 << 30  # address space per test process, so a mutant that allocates without end fails
 
@@ -91,6 +98,8 @@ def sites(source: str, kinds=KINDS) -> list[dict]:
     found = []
 
     def visit(node, function):
+        if isinstance(node, ast.JoinedStr):  # Python 3.11 tokenizes an f-string as one STRING: no OP token
+            return
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
         pairs = []
@@ -132,6 +141,11 @@ def mutate(source: str, site: dict) -> str:
     assert line[col:col + len(site["from"])] == site["from"], site
     lines[site["line"] - 1] = line[:col] + site["to"] + line[col + len(site["from"]):]
     return "".join(lines)
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _cap_memory() -> None:
@@ -207,18 +221,20 @@ def main(argv: list[str] | None = None) -> int:
                 taken[site["kind"]] += 1
                 if args.limit is not None and taken[site["kind"]] > args.limit:
                     continue
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(mutate(source, site))
+                mutant = mutate(source, site)
+                _write(path, mutant)
                 try:
                     passed, killer = run_tests(copy, selection, timeout)
                     stage = "module"
                     if passed:
-                        full_timeout = full_timeout or 5 * _timed(copy, args.full) + 60
+                        if full_timeout is None:  # timed once, on the unmutated source
+                            _write(path, source)
+                            full_timeout = 5 * _timed(copy, args.full) + 60
+                            _write(path, mutant)
                         passed, killer = run_tests(copy, args.full, full_timeout)
                         stage = "full"
                 finally:
-                    with open(path, "w", encoding="utf-8") as fh:
-                        fh.write(source)
+                    _write(path, source)
                 reason = EQUIVALENT.get((module, site["source"], site["from"], site["to"])) if passed else None
                 mutants.append({"module": module, **site, "killed": not passed, "stage": stage,
                                 "killed_by": killer, "reason": reason})

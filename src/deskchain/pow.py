@@ -8,17 +8,18 @@ re-derives only the claimed edges, so it runs in O(cycle_len).
 Each graph has one keyed blake2b state (key header_hash || nonce), copied
 for every endpoint to hash the message (edge index, side byte). The
 messages of the last two graph sizes solved are kept, so a solve reuses
-them for every nonce, and each side's digests are unpacked as one array.
+them for every nonce. Each side's digests are masked in one step, read as
+one big-endian integer and ANDed with the side mask repeated in every
+8-byte lane (kept per edge_bits and lane count), then unpacked as one array.
 The solver tries ascending nonces; per graph it walks the edges in index
 order over parent links, kept in two flat lists and labelled with the edge
-index that made them. An edge (a in U, b in V) joining two roots, the
-common case early in a graph, links them at once. Otherwise a's root path
-is listed only when a has a parent, and b is walked to its root without a
-list. Different roots: the edge links the trees. Same root: b's path is
-listed too, and the edge closes a cycle through the two paths up to where
-they meet; with exactly cycle_len distinct edges, a digest that clears the
-target and a passing verify, that is the solution, and otherwise the edge
-is dropped.
+index that made them. For an edge (a in U, b in V), a and b are each
+walked to their roots without a list. Different roots: the edge links the
+trees, and when a has a parent a second walk up a's path clears it and
+keeps the node just below the root. Same root: both paths are listed, and
+the edge closes a cycle through them up to where they meet; with exactly
+cycle_len distinct edges, a digest that clears the target and a passing
+verify, that is the solution, and otherwise the edge is dropped.
 
 The link is not a true reroot. If a's root path is a=x0->x1->...->xk with
 k >= 1, x0..x(k-1) lose their parent links, the old root xk is hung under
@@ -84,10 +85,14 @@ def _graph_messages(n_edges: int) -> tuple[tuple[bytes, ...], ...]:
     return _messages(range(n_edges))
 
 
+@functools.lru_cache(maxsize=4)  # per (edge_bits, lanes): a graph's, a verify's, one edge's
+def _lane_mask(edge_bits: int, lanes: int) -> int:
+    return int.from_bytes(((1 << (edge_bits - 1)) - 1).to_bytes(8, "big") * lanes, "big")
+
+
 def _endpoints(header_hash: bytes, nonce: int, edge_bits: int, messages) -> list[list[int]]:
     """[us, vs] for the edges whose _messages are given: the 8-byte blake2b
     of each message under the graph's keyed state, masked to a side."""
-    mask = (1 << (edge_bits - 1)) - 1
     copy = hashlib.blake2b(digest_size=8, key=header_hash + nonce.to_bytes(8, "big")).copy
     sides = []
     for side in messages:
@@ -96,10 +101,11 @@ def _endpoints(header_hash: bytes, nonce: int, edge_bits: int, messages) -> list
             h = copy()
             h.update(m)
             digests += h.digest()
-        words = array("Q", digests)
+        masked = int.from_bytes(digests, "big") & _lane_mask(edge_bits, len(side))
+        words = array("Q", masked.to_bytes(len(digests), "big"))
         if sys.byteorder == "little":  # the digests are read big-endian
             words.byteswap()
-        sides.append([x & mask for x in words])
+        sides.append(words.tolist())
     return sides
 
 
@@ -123,8 +129,9 @@ def verify(header_hash: bytes, solution: CuckooSolution, params: PowParams) -> b
         return False
     if any(edges[i] >= edges[i + 1] for i in range(len(edges) - 1)):
         return False
-    # Each node must touch exactly two of the claimed edges and the edges
-    # must chain into one closed walk.
+    # Each node must touch exactly two of the claimed edges, so they form
+    # disjoint cycles; the walk from edge 0 must use every edge before it
+    # comes back to one, and then it has closed at edge 0's U endpoint.
     endpoints = list(zip(*_endpoints(header_hash, solution.nonce, params.edge_bits, _messages(edges))))
     incidence: dict[tuple[int, int], list[int]] = {}
     for i, (u, v) in enumerate(endpoints):
@@ -133,7 +140,6 @@ def verify(header_hash: bytes, solution: CuckooSolution, params: PowParams) -> b
     if any(len(hits) != 2 for hits in incidence.values()):
         return False
     used = [False] * len(edges)
-    i = 0
     node = (1, endpoints[0][1])  # leave edge 0 via its V endpoint
     used[0] = True
     for _ in range(len(edges) - 1):
@@ -144,8 +150,6 @@ def verify(header_hash: bytes, solution: CuckooSolution, params: PowParams) -> b
         used[nxt] = True
         u, v = endpoints[nxt]
         node = (1, v) if node == (0, u) else (0, u)
-    if node != (0, endpoints[0][0]):  # walk must re-enter edge 0
-        return False
     return meets_target(solution_digest(header_hash, edges), params.target)
 
 
@@ -170,32 +174,26 @@ def solve(
         via = [0] * n_edges
         for idx, a, b in zip(range(n_edges), us, vs):
             b += half
-            x = parent[a]
-            if x < 0:
-                if parent[b] < 0:  # two roots: link at once
-                    parent[a] = b
-                    via[a] = idx
-                    continue
-                pa = None
-                root = a
-            else:
-                pa = [a, x]
-                while (x := parent[x]) >= 0:
-                    pa.append(x)
-                root = pa[-1]
+            ra = a
+            while (x := parent[ra]) >= 0:
+                ra = x
             rb = b
             while (x := parent[rb]) >= 0:
                 rb = x
-            if rb != root:
-                if pa:  # the link rule in the module docstring
-                    for x in pa[1:-1]:
+            if ra != rb:
+                if ra != a:  # the link rule in the module docstring
+                    below, x = a, parent[a]
+                    while (y := parent[x]) >= 0:
                         parent[x] = -1
-                    parent[root] = pa[-2]
-                    via[root] = via[a]
+                        below, x = x, y
+                    parent[ra] = below
+                    via[ra] = via[a]
                 parent[a] = b
                 via[a] = idx
                 continue
-            pa = pa or [a]
+            pa = [a]
+            while (x := parent[pa[-1]]) >= 0:
+                pa.append(x)
             pb = [b]
             while (x := parent[pb[-1]]) >= 0:
                 pb.append(x)

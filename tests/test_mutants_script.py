@@ -53,3 +53,36 @@ def test_main_on_two_mutants_writes_each_with_its_site_and_the_totals(tmp_path):
         assert set(mutant) == {"module", "kind", "line", "col", "from", "to", "function", "source",
                                "killed", "stage", "killed_by", "reason"}
         assert mutant["killed"] == (mutant["killed_by"] is not None)
+
+
+def test_an_operator_inside_an_f_string_is_no_site():
+    # Python 3.11 gives an f-string as one STRING token, so its operators have no OP token
+    source = 'def f(a, b):\n    return f"{a + b} {a < b or b}" + str(a == b)\n'
+    found = mutants.sites(source)
+    assert [(s["kind"], s["from"]) for s in found] == [("swap", "+"), ("flip", "==")]
+    with open(os.path.join(REPO_ROOT, "src", "deskchain", "codec.py"), encoding="utf-8") as fh:
+        assert {s["kind"] for s in mutants.sites(fh.read())} == set(mutants.KINDS)
+
+
+def test_every_selection_is_timed_on_the_unmutated_source(tmp_path, monkeypatch):
+    # the module's tests pass every mutant here and the full selection kills it,
+    # so the full selection is timed at the first mutant, which is then in place
+    pow_path = os.path.join("src", "deskchain", "pow.py")
+    timed = []
+
+    def timed_source(copy, selection):
+        with open(os.path.join(copy, pow_path), encoding="utf-8") as fh:
+            timed.append((selection, fh.read()))
+        return 1.0
+
+    monkeypatch.setattr(mutants, "_timed", timed_source)
+    monkeypatch.setattr(mutants, "run_tests", lambda copy, selection, timeout:
+                        (False, "full::test") if selection == ["full"] else (True, None))
+    out = tmp_path / "MUTANTS_0.json"
+    assert mutants.main(["0", "--modules", "pow=delete", "--limit", "2", "--tests", "module", "--full", "full",
+                         "--out", str(out)]) == 0
+    with open(os.path.join(REPO_ROOT, pow_path), encoding="utf-8") as fh:
+        source = fh.read()
+    assert timed == [(["module"], source), (["full"], source)]
+    record = json.loads(out.read_text())
+    assert [(m["killed"], m["stage"], m["killed_by"]) for m in record["mutants"]] == [(True, "full", "full::test")] * 2

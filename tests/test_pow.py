@@ -22,6 +22,15 @@ def test_params_validation():
         pow.PowParams(cycle_len=2)
 
 
+def test_params_bounds_are_inclusive():
+    for edge_bits in (4, 31):
+        assert pow.PowParams(edge_bits=edge_bits).edge_bits == edge_bits
+    assert pow.PowParams(cycle_len=4).cycle_len == 4
+    for bad in ({"edge_bits": 32}, {"target": b"\xff" * 31}, {"target": b"\xff" * 33}):
+        with pytest.raises(LedgerError, match="BadPowParams"):
+            pow.PowParams(**bad)
+
+
 def test_derive_edge_deterministic():
     h = hash256(b"header")
     first = pow.derive_edge(h, 5, 77, 12)
@@ -89,6 +98,8 @@ def test_digest_above_target_rejected():
     harder = pow.PowParams(PARAMS.edge_bits, PARAMS.cycle_len, lowered)
     assert not pow.verify(h, solution, harder)
     assert pow.verify(h, solution, PARAMS)
+    # the target is the largest digest that clears it
+    assert pow.verify(h, solution, pow.PowParams(PARAMS.edge_bits, PARAMS.cycle_len, digest))
 
 
 def test_random_forgeries_rejected():
@@ -408,6 +419,23 @@ def test_an_edge_index_out_of_range_is_rejected(small_cycle):
     assert not pow.verify(h, forged, SMALL)
 
 
+def test_the_first_edge_index_out_of_range_is_rejected():
+    # index 2^edge_bits, where its endpoints equal the largest edge's
+    params = pow.PowParams(edge_bits=4, cycle_len=4)
+    limit = 1 << params.edge_bits
+
+    for i in range(100):
+        h = hash256(b"edge-at-limit" + i.to_bytes(2, "big"))
+        solution = pow.solve(h, params, 20)
+        if solution and (pow.derive_edge(h, solution.nonce, limit, params.edge_bits)
+                         == pow.derive_edge(h, solution.nonce, solution.edges[-1], params.edge_bits)):
+            break
+    else:
+        pytest.fail("no solution in 100 headers shares its largest edge's endpoints with the limit")
+    assert pow.verify(h, solution, params)
+    assert not pow.verify(h, pow.CuckooSolution(solution.nonce, solution.edges[:-1] + (limit,)), params)
+
+
 def test_a_verified_cycle_in_another_edge_order_is_rejected(small_cycle):
     # sorted edges make a cycle's digest unique; any other order of the same
     # cycle would verify with a digest of its own, to be ground against the target
@@ -415,3 +443,76 @@ def test_a_verified_cycle_in_another_edge_order_is_rejected(small_cycle):
     for edges in (solution.edges[::-1], solution.edges[1:] + solution.edges[:1]):
         assert pow.solution_digest(h, edges) != pow.solution_digest(h, solution.edges)
         assert not pow.verify(h, pow.CuckooSolution(solution.nonce, edges), SMALL)
+
+
+def test_two_disjoint_cycles_are_rejected_by_the_walk():
+    # two double edges on disjoint nodes of one derived graph: every node
+    # touches exactly two claimed edges, so only the walk's revisit refuses
+    # them, when it comes back to the first double edge
+    h, params = hash256(b"two-double-edges"), pow.PowParams(edge_bits=8, cycle_len=4)
+    for nonce in range(50):
+        us, vs = pow._endpoints(h, nonce, params.edge_bits, pow._graph_messages(1 << params.edge_bits))
+        by_pair: dict[tuple[int, int], list[int]] = {}
+        for idx, pair in enumerate(zip(us, vs)):
+            by_pair.setdefault(pair, []).append(idx)
+        doubles = [(pair, hits) for pair, hits in by_pair.items() if len(hits) == 2]
+        disjoint = [(x, y) for i, (x, xs) in enumerate(doubles) for y, ys in doubles[i + 1:]
+                    if x[0] != y[0] and x[1] != y[1]]
+        if disjoint:
+            break
+    else:
+        pytest.fail("no graph in 50 nonces has two double edges on disjoint nodes")
+    x, y = disjoint[0]
+    edges = tuple(sorted(by_pair[x] + by_pair[y]))
+    degrees: dict[tuple[int, int], int] = {}
+    for e in edges:
+        u, v = pow.derive_edge(h, nonce, e, params.edge_bits)
+        degrees[(0, u)] = degrees.get((0, u), 0) + 1
+        degrees[(1, v)] = degrees.get((1, v), 0) + 1
+    assert sorted(degrees.values()) == [2] * 4
+    assert not pow.verify(h, pow.CuckooSolution(nonce, edges), params)
+
+
+def _canonical_sides(n_edges: int):
+    """Every assignment of n_edges edges to n_edges // 2 nodes, two edges per
+    node, with nodes numbered in order of first use."""
+    def extend(sides, counts):
+        if len(sides) == n_edges:
+            yield tuple(sides)
+            return
+        for node, count in enumerate(counts):
+            if count < 2:
+                yield from extend(sides + [node], counts[:node] + [count + 1] + counts[node + 1:])
+        if len(counts) < n_edges // 2:
+            yield from extend(sides + [len(counts)], counts + [1])
+    return list(extend([], []))
+
+
+def _one_cycle(us, vs) -> bool:
+    """Whether the graph with these edges is connected."""
+    reached, frontier = {(0, us[0])}, [(0, us[0])]
+    while frontier:
+        node = frontier.pop()
+        for ends in zip(zip((0,) * len(us), us), zip((1,) * len(vs), vs)):
+            if node in ends:
+                frontier += [end for end in ends if end not in reached]
+                reached.update(ends)
+    return len(reached) == len(set(us)) + len(set(vs))
+
+
+def test_every_two_regular_edge_set_verifies_exactly_when_it_is_one_cycle(monkeypatch):
+    # verify's walk either comes back to a used edge or, with every edge used,
+    # ends at edge 0's U endpoint: in a 2-regular graph the edges it follows
+    # from edge 0 go round that edge's cycle, and it uses them all only when
+    # that cycle holds every edge. So no walk needs a closing check.
+    h = hash256(b"two-regular")
+    seen = {True: 0, False: 0}
+    for n_edges in (4, 6, 8):
+        params, edges = pow.PowParams(edge_bits=8, cycle_len=n_edges), tuple(range(n_edges))
+        for us in _canonical_sides(n_edges):
+            for vs in _canonical_sides(n_edges):
+                monkeypatch.setattr(pow, "_endpoints", lambda *_: [list(us), list(vs)])
+                verified = pow.verify(h, pow.CuckooSolution(0, edges), params)
+                assert verified == _one_cycle(us, vs), (us, vs)
+                seen[verified] += 1
+    assert seen[True] and seen[False]
