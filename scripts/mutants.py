@@ -76,6 +76,9 @@ EQUIVALENT = {
         "the walk's first step then takes edge 0 itself and goes round edge 0's cycle the other way, one "
         "step shorter: one cycle of cycle_len edges still ends with no revisit, and a shorter one (at most "
         "cycle_len - 2 edges) leads back to edge 0 within the steps",
+    ("pow", "if x < 0:  # a is its own root", "<", "<="):
+        "x is a U node's parent, so -1 or a V node: every parent link joins a U node and a V node, and V's "
+        "nodes are numbered from 2**(edge_bits - 1), at least 8; so x is never 0",
 }
 CAP_BYTES = 3 << 30  # address space per test process, so a mutant that allocates without end fails
 

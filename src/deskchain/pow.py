@@ -6,11 +6,12 @@ edges whose sorted-edge digest clears the difficulty target. Verification
 re-derives only the claimed edges, so it runs in O(cycle_len).
 
 Each graph has one keyed blake2b state (key header_hash || nonce), copied
-for every endpoint to hash the message (edge index, side byte). The
-messages of the last two graph sizes solved are kept, so a solve reuses
-them for every nonce. Each side's digests are masked in one step, read as
-one big-endian integer and ANDed with the side mask repeated in every
-8-byte lane (kept per edge_bits and lane count), then unpacked as one array.
+for every endpoint to hash the message (edge index, side byte). For the
+last two graph sizes solved, the messages and the edge indices (a tuple)
+are kept, so a solve reuses them for every nonce. Each side's digests are
+read as one big-endian integer, ANDed with the side mask in every 8-byte
+lane, ORed with the side's first node (0 for U, half = 2**(edge_bits - 1)
+for V) in every lane and unpacked as one array, so V's node v is half + v.
 The solver tries ascending nonces; per graph it walks the edges in index
 order over parent links, kept in two flat lists and labelled with the edge
 index that made them. For an edge (a in U, b in V), a and b are each
@@ -72,7 +73,7 @@ class CuckooSolution:
 def derive_edge(header_hash: bytes, nonce: int, edge_index: int, edge_bits: int) -> tuple[int, int]:
     """Endpoints (u, v) of one edge; u lies in partition U, v in V."""
     (u,), (v,) = _endpoints(header_hash, nonce, edge_bits, _messages((edge_index,)))
-    return u, v
+    return u, v - (1 << (edge_bits - 1))
 
 
 def _messages(indices) -> tuple[tuple[bytes, ...], ...]:
@@ -80,28 +81,29 @@ def _messages(indices) -> tuple[tuple[bytes, ...], ...]:
     return tuple(tuple([idx.to_bytes(8, "big") + side for idx in indices]) for side in (b"\x00", b"\x01"))
 
 
-@functools.lru_cache(maxsize=2)  # a whole graph's _messages, per edge count
-def _graph_messages(n_edges: int) -> tuple[tuple[bytes, ...], ...]:
-    return _messages(range(n_edges))
+@functools.lru_cache(maxsize=2)  # per edge count: a whole graph's U and V _messages, and its indices
+def _graph_messages(n_edges: int) -> tuple[tuple, ...]:
+    return (*_messages(range(n_edges)), tuple(range(n_edges)))
 
 
-@functools.lru_cache(maxsize=4)  # per (edge_bits, lanes): a graph's, a verify's, one edge's
-def _lane_mask(edge_bits: int, lanes: int) -> int:
-    return int.from_bytes(((1 << (edge_bits - 1)) - 1).to_bytes(8, "big") * lanes, "big")
+@functools.lru_cache(maxsize=8)  # per lane count, each side's mask and first node
+def _lanes(word: int, lanes: int) -> int:  # word in every 8-byte big-endian lane
+    return int.from_bytes(word.to_bytes(8, "big") * lanes, "big")
 
 
 def _endpoints(header_hash: bytes, nonce: int, edge_bits: int, messages) -> list[list[int]]:
-    """[us, vs] for the edges whose _messages are given: the 8-byte blake2b
-    of each message under the graph's keyed state, masked to a side."""
+    """[us, vs] for the edges whose _messages are messages[0] and [1]: each
+    message's 8-byte keyed blake2b masked to its side, V's numbered after U's."""
     copy = hashlib.blake2b(digest_size=8, key=header_hash + nonce.to_bytes(8, "big")).copy
+    half = 1 << (edge_bits - 1)
     sides = []
-    for side in messages:
+    for side, first in ((messages[0], 0), (messages[1], half)):
         digests = bytearray()
         for m in side:
             h = copy()
             h.update(m)
             digests += h.digest()
-        masked = int.from_bytes(digests, "big") & _lane_mask(edge_bits, len(side))
+        masked = int.from_bytes(digests, "big") & _lanes(half - 1, len(side)) | _lanes(first, len(side))
         words = array("Q", masked.to_bytes(len(digests), "big"))
         if sys.byteorder == "little":  # the digests are read big-endian
             words.byteswap()
@@ -124,8 +126,7 @@ def verify(header_hash: bytes, solution: CuckooSolution, params: PowParams) -> b
     edges = solution.edges
     if len(edges) != params.cycle_len:
         return False
-    limit = 1 << params.edge_bits
-    if any(not 0 <= e < limit for e in edges):
+    if any(not 0 <= e < 1 << params.edge_bits for e in edges):
         return False
     if any(edges[i] >= edges[i + 1] for i in range(len(edges) - 1)):
         return False
@@ -159,38 +160,40 @@ def solve(
     """Search ascending nonces; returns the first qualifying solution.
 
     ``stop`` is an optional zero-argument callable polled before every
-    nonce so a caller can abandon the search; the function itself is
-    side-effect free.
+    nonce so a caller can abandon the search; solve has no side effects.
     """
     n_edges = 1 << params.edge_bits
-    half = n_edges >> 1
     messages = _graph_messages(n_edges)
     for nonce in range(nonce_budget):
         if stop is not None and stop():
             return None
         us, vs = _endpoints(header_hash, nonce, params.edge_bits, messages)
-        # node u of U is u and node v of V is half + v; parent -1 marks a root
-        parent = [-1] * n_edges
+        parent = [-1] * n_edges  # U's nodes, then V's from half; -1 marks a root
         via = [0] * n_edges
-        for idx, a, b in zip(range(n_edges), us, vs):
-            b += half
-            ra = a
-            while (x := parent[ra]) >= 0:
-                ra = x
+        for idx, a, b in zip(messages[2], us, vs):
             rb = b
-            while (x := parent[rb]) >= 0:
-                rb = x
-            if ra != rb:
-                if ra != a:  # the link rule in the module docstring
-                    below, x = a, parent[a]
+            while (y := parent[rb]) >= 0:
+                rb = y
+            x = parent[a]
+            if x < 0:  # a is its own root
+                if a != rb:
+                    parent[a] = b
+                    via[a] = idx
+                    continue
+            else:
+                ra = x
+                while (y := parent[ra]) >= 0:
+                    ra = y
+                if ra != rb:  # the link rule in the module docstring
+                    below = a
                     while (y := parent[x]) >= 0:
                         parent[x] = -1
                         below, x = x, y
-                    parent[ra] = below
-                    via[ra] = via[a]
-                parent[a] = b
-                via[a] = idx
-                continue
+                    parent[x] = below
+                    via[x] = via[a]
+                    parent[a] = b
+                    via[a] = idx
+                    continue
             pa = [a]
             while (x := parent[pa[-1]]) >= 0:
                 pa.append(x)
@@ -206,8 +209,7 @@ def solve(
             cycle = tuple(sorted([idx] + [via[x] for x in pa[:ia]] + [via[x] for x in pb[:ib]]))
             if len(set(cycle)) != params.cycle_len:
                 continue
-            digest = solution_digest(header_hash, cycle)
-            if meets_target(digest, params.target):
+            if meets_target(solution_digest(header_hash, cycle), params.target):
                 candidate = CuckooSolution(nonce, cycle)
                 if verify(header_hash, candidate, params):
                     return candidate

@@ -4,7 +4,7 @@ import pytest
 
 from deskchain import channels, templates, tx as txmod
 from deskchain.channels import ChannelEndpoint, SignedState
-from deskchain.crypto import ZERO_SIG
+from deskchain.crypto import ZERO_SIG, KeyPair
 from deskchain.errors import DeskchainError, LedgerError
 from deskchain.vm import assemble
 
@@ -434,3 +434,14 @@ def test_settlement_finalize_takes_the_candidates_program():
     # no on-chain channel, or a holder without the program: nothing to add
     assert endpoint.settlement("finalize", None) == (None, None)
     assert ChannelEndpoint(channel.channel_id).settlement("finalize", channel) == (None, None)
+
+
+def test_a_state_signed_for_another_channel_is_refused():
+    # both parties signed it, so only the channel id tells the two channels apart
+    alice, bob = KeyPair.from_name("alice"), KeyPair.from_name("bob")
+    channel = channels.Channel(b"\x01" * 32, alice.address, bob.address, 4 * DSD, 4 * DSD)
+    ss = channels.make_update(channel, channels.nonce_zero_state(channel), (3 * DSD, 5 * DSD))
+    ss = channels.sign_state(channels.sign_state(ss, alice, "a"), bob, "b")
+    assert channels.state_sigs_ok(channel, ss)
+    other = dataclasses.replace(channel, channel_id=b"\x02" * 32)
+    assert not channels.state_sigs_ok(other, ss)

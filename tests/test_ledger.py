@@ -77,6 +77,19 @@ def test_charge_maintenance_idempotent_at_height():
     assert charge_maintenance(settled, 7, 3) == (balance, 0) and collected1 == 21
 
 
+def test_charge_maintenance_into_the_past_is_refused():
+    # maintenance runs forward from the account's freshness
+    a = Account(b"\x01" * 32, 100, freshness=5)
+    with pytest.raises(LedgerError, match="BadHeight"):
+        charge_maintenance(a, 4, 1)
+
+
+@pytest.mark.parametrize("field", [{"address": b"\x01" * 31}, {"kind": "validator"}])
+def test_an_account_needs_a_32_byte_address_and_a_known_kind(field):
+    with pytest.raises(LedgerError, match="BadFormat"):
+        Account(**{"address": b"\x01" * 32, "balance": 0, **field})
+
+
 def _mine_chain(cfg, n_blocks, txs_at=None):
     state, genesis = txmod.genesis_block(cfg)
     blocks = [genesis]

@@ -75,6 +75,12 @@ def test_empty_leaves_rejected():
         merkle_prove([], 0)
 
 
+@pytest.mark.parametrize("index", [-1, 3])
+def test_a_proof_of_a_leaf_outside_the_tree_is_refused(index):
+    with pytest.raises(LedgerError, match="BadIndex"):
+        merkle_prove([b"a", b"b", b"c"], index)
+
+
 def test_round_trip_proof():
     leaves = [bytes([i]) * 3 for i in range(5)]
     root = merkle_root(leaves)

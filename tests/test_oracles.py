@@ -223,6 +223,14 @@ def test_expired_path_burns_deposit(bench):
     assert bench.conservation_ok()
 
 
+def test_an_unresolved_question_reads_pending(bench):
+    # live questions answer PENDING, whether or not the asker has answered yet
+    question_id = ask(bench)
+    assert oracles.read_answer(bench.state, question_id) == oracles.PENDING
+    _answer(bench, question_id)
+    assert oracles.read_answer(bench.state, question_id) == oracles.PENDING
+
+
 def test_resolve_not_ready(bench):
     question_id = ask(bench)
     assert _resolve(bench, question_id).status == "reverted"

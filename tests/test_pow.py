@@ -370,17 +370,32 @@ def _reference_solve(header_hash, params, nonce_budget):
     return None
 
 
-@pytest.mark.parametrize("edge_bits", range(5, 11))
+@pytest.mark.parametrize("edge_bits", range(5, 13))
 def test_solve_matches_reference(edge_bits):
+    targets = [b"\xff" * 32]
+    if edge_bits <= 10:  # the reference derives edge by edge: the largest graphs keep to one target for time
+        targets.append(b"\x30" + b"\xff" * 31)
     found = 0
     for cycle_len in (4, 6, 8, 10):
-        for target in (b"\xff" * 32, b"\x30" + b"\xff" * 31):
+        for target in targets:
             params = pow.PowParams(edge_bits, cycle_len, target)
             header = hash256(b"reference" + bytes([edge_bits, cycle_len, target[0]]))
             expected = _reference_solve(header, params, 4)
             assert pow.solve(header, params, 4) == expected
             found += expected is not None
     assert found  # each graph size compares at least one solution
+
+
+def test_solve_numbers_each_v_node_after_u():
+    # the V endpoints solve walks are derive_edge's v moved past U's 2**(edge_bits - 1) nodes
+    rng = random.Random(32)
+    for edge_bits in (4, 8, 11, 12):
+        h, nonce = rng.randbytes(32), rng.randrange(1 << 64)
+        us, vs = pow._endpoints(h, nonce, edge_bits, pow._graph_messages(1 << edge_bits))
+        half = 2 ** (edge_bits - 1)
+        for idx in rng.sample(range(1 << edge_bits), 8):
+            u, v = pow.derive_edge(h, nonce, idx, edge_bits)
+            assert (us[idx], vs[idx]) == (u, v + half) and 0 <= v < half
 
 
 # --- forgeries that only one verify rule refuses ---

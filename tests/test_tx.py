@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from deskchain import codec, oracles, pow, storage, tx as txmod
 from deskchain.config import parse_config
 from deskchain.channels import SignedState
-from deskchain.crypto import ZERO_SIG, KeyPair, hash256
+from deskchain.crypto import ZERO_SIG, KeyPair, hash256, verify_sig
 from deskchain.errors import BlockError, CodecError, LedgerError, TxError
 from deskchain.ledger import CONTRACT, Account, Block
 from deskchain.node import Node
@@ -87,6 +87,15 @@ def test_tampered_body_breaks_signature(bench):
     with pytest.raises(TxError) as err:
         txmod.check_tx(bench.state, tampered)
     assert err.value.code == "BadSignature"
+
+
+def test_a_signature_of_63_or_65_bytes_is_refused():
+    # a signature is the signer's 32-byte seed and a 32-byte tag
+    kp = KeyPair.from_name("alice")
+    sig = kp.sign(b"message")
+    assert verify_sig(kp.address, b"message", sig)
+    for wrong in (sig[:63], sig + b"\x00"):
+        assert not verify_sig(kp.address, b"message", wrong)
 
 
 def test_fee_must_match_gas_product(bench):
