@@ -16,7 +16,8 @@ from; the height and the config it applies under are the state's own
 ``_apply_inner`` passes each one only the tx's fields. ``_execute`` alone
 sets the height. ``created_id`` is the one map from a tx to the id it
 mints, ``_MINTED_IN`` the store it goes into; each opener takes that id.
-``_run`` is the one contract run of ContractCreate and ContractCall.
+``_run`` is the one contract run of ContractCreate and ContractCall; a call
+to an absent account or one without code reverts with NotFound.
 
 check_tx failures make a user tx inapplicable (an honest miner never
 includes it; a block carrying one is invalid), as do an EpochTx's failure
@@ -447,7 +448,7 @@ def check_tx(state: ChainState, tx) -> None:
 def _apply_inner(state: ChainState, tx, prev_hash: bytes) -> int:
     """Kind-specific value movement at ``state.height``, once the fee envelope
     escrowed what the tx sends and the id it mints proved unused. Returns the
-    VM gas a ContractCreate, or a ContractCall to a contract, used; a
+    VM gas a ContractCreate or ContractCall (which always runs code) used; a
     DataOnly's payload length; 0 for every other kind."""
     if isinstance(tx, Spend):
         state.credit(tx.recipient, tx.amount)
@@ -460,10 +461,9 @@ def _apply_inner(state: ChainState, tx, prev_hash: bytes) -> int:
         state.code[code_hash] = tx.code
         return _run(state, tx.code, tx, tx.owner, address)
     elif isinstance(tx, ContractCall):
+        program = state.code.need(state.accounts.need(tx.contract).code_hash)  # no code: NotFound
         state.credit(tx.contract, tx.amount)
-        target = state.accounts.get(tx.contract)
-        if target is not None and target.kind == CONTRACT:
-            return _run(state, state.code[target.code_hash], tx, tx.caller, tx.contract)
+        return _run(state, program, tx, tx.caller, tx.contract)
     elif isinstance(tx, DataOnly):
         return len(tx.payload)  # payload is inert; its cost was the fee
     elif isinstance(tx, NameClaim):

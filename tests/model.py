@@ -4,9 +4,10 @@ written out again over plain dicts, for ``test_model.py`` to hold
 
 An account is a ``(balance, counter, freshness)`` tuple keyed by address. The
 model covers the coinbase, lazy maintenance, the fee envelope and the miner's
-credit at block close, and Spend, DataOnly, NameClaim, AccountDelete and a
-ContractCall to an account that holds no code. It runs no VM: the gas a call
-used is an input, read from its receipt.
+credit at block close, and Spend, DataOnly, NameClaim, AccountDelete and
+ContractCall. It holds no code, so by README's rule each ContractCall reverts
+with NotFound once the sender proves it can cover the amount (InsufficientFunds
+comes first), and pays its declared gas * gas_price like any other revert.
 """
 from deskchain import tx as txmod
 
@@ -61,14 +62,15 @@ class Model:
         """Mine ``candidates`` in this order at ``height``: the coinbase first,
         then each applicable tx, then one credit of every fee paid to the
         miner. Returns the txs included and their receipts as (status,
-        reason, fee paid); ``gas_used`` maps a call's hash to its gas."""
+        reason, fee paid). ``gas_used``, a call's hash to its gas, is unread:
+        no call here runs code."""
         self.height = height
         subsidy = self.cfg.coinbase_initial >> ((height - 1) // self.cfg.coinbase_halving_blocks)
         self.minted += subsidy
         self.credit(miner, subsidy)
         included, receipts = [], []
         for t in candidates:
-            receipt = self.apply(t, gas_used.get(t.digest(), 0))
+            receipt = self.apply(t)
             if receipt is not None:
                 included.append(t)
                 receipts.append(receipt)
@@ -77,7 +79,7 @@ class Model:
             self.credit(miner, fees)
         return included, receipts
 
-    def apply(self, t, gas_used: int):
+    def apply(self, t):
         """One tx's receipt, or None if no block may carry it."""
         sender = txmod.tx_sender(t)
         calls = isinstance(t, txmod.ContractCall)
@@ -102,20 +104,16 @@ class Model:
         if reason:
             self.accounts, self.names, self.endowment, self.burned = saved
             return REVERTED, reason, fee
-        if calls:
-            refund = (t.gas - gas_used) * t.gas_price
-            if refund:
-                self.credit(sender, refund)
-            return APPLIED, "", gas_used * t.gas_price
         return APPLIED, "", fee
 
     def effect(self, t, sender: bytes) -> str:
         """The tx's own change; a revert's reason, or '' if it applied."""
         if isinstance(t, (txmod.Spend, txmod.ContractCall)):
-            recipient = t.recipient if isinstance(t, txmod.Spend) else t.contract
             if not self.debit(sender, t.amount):
                 return "InsufficientFunds"
-            self.credit(recipient, t.amount)
+            if isinstance(t, txmod.ContractCall):
+                return "NotFound"  # no account here holds code
+            self.credit(t.recipient, t.amount)
         elif isinstance(t, txmod.NameClaim):
             if t.name in self.names:
                 return "NameTaken"

@@ -481,13 +481,13 @@ EVENT_LOG_DIGESTS = {
     "channels_coop.scn": "ea3742d2f0619361d282250083f3657674a7a01e5bbd20bb40673c24355f5593",
     "channels_dispute.scn": "58c61958407ca893da2f36ba4dbcf1e0d01d6c0d98ba5b695357a5347086b9e5",
     "channels_htlc.scn": "3ddddc3c7437a1c28192568ef47a6ad4daaa1af963368b075884d4ad5db19353",
-    "contracts.scn": "c6c9887c14ec59f4f4495f412c9da1213ab1e5656b388a184fcd5673c8489ab9",
+    "contracts.scn": "745e56e7b874e4421fb4b1eb63bf3efa71a30a03becaf21236c81df98e8faad2",
     "crash_restart.scn": "f587bc54a48691215494296a41161694d698ddc9bc72d4240922c22bfce9033e",
     "faults.scn": "faa331aa1a0342d22782a875121c57fb23a055d23cc7a3e7002d920494e8ab4b",
     "maintenance_delete.scn": "ae5de37465137b4d6bf7d0ae94331232f56ba44968cc1d2805613056c6f1c9a0",
     "mixed.scn": "c6ab3f83c31015c0c07d2521b80528edab86763a45d7e4a92230fc1e06392d42",
     "names.scn": "5fed20f7e0c44c8b23157028970f45916812d5e3c5a9b7de6afecd4b483dfea0",
-    "oracle_accept.scn": "e47ff486eae86fc714255ff86125c8e5835e956ad17a70d881d810568babd485",
+    "oracle_accept.scn": "6d392b40240760b0c6c8f64c7dccd545c36d0206de38945c22e9d674dbb7c562",
     "oracle_burn.scn": "5f6f43b186d02f4213c9133db9a81eca10ec024c771be0f0c0ff5875eeac1be5",
     "oracle_contest.scn": "8c0346f65a8842dfb7a25c256da6517ff6acc627229bc80424cc1ad3a7b0d53d",
     "rewards_epoch.scn": "f9b0c46d54f63754620da0d4f5d2cc2466cbcf28d3a29e2709082eec049426e9",

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from deskchain.cli import main
+from deskchain.crypto import KeyPair
 from deskchain.statedir import StateDir
 
 from conftest import REFUSED_FACTORS, REFUSED_IDS, REPO_ROOT, SCENARIO_DIR
@@ -222,6 +223,18 @@ def test_channel_cycle_via_cli(workdir, capsys):
     assert run(workdir, "channel", "close", "--channel", channel_id, "--sender", "alice") == 1
     err = capsys.readouterr().err
     assert "would revert" in err
+
+
+def test_contract_call_to_a_plain_account_is_refused_up_front(workdir, capsys):
+    # README: a ContractCall to an account without code reverts (NotFound),
+    # so the CLI refuses it before it reaches the pool
+    run(workdir, "genesis", "--config", str(workdir / "net.cfg"))
+    capsys.readouterr()
+    bob = KeyPair.from_name("bob").address.hex()
+    assert run(workdir, "contract", "call", "--caller", "alice", "--contract", bob,
+               "--amount", "700", "--gas", "5") == 1
+    assert capsys.readouterr().err == "error: transaction would revert: NotFound\n"
+    assert StateDir(str(workdir / "state")).mempool() == []
 
 
 def test_oracle_cycle_via_cli(workdir, capsys):

@@ -235,15 +235,23 @@ def test_partial_gas_refund(bench):
     assert bench.conservation_ok()
 
 
-def test_call_to_external_account_transfers(bench):
+@pytest.mark.parametrize("target", ["carol", "absent"])
+def test_a_call_to_an_account_without_code_reverts_and_pays_its_gas(bench, target):
+    # README: a ContractCall always runs code; one to an account without
+    # code, or to no account, reverts with NotFound and pays gas * gas_price
+    # like any other revert, and what it would send stays with the caller
     kp = bench.key("alice")
-    tx = txmod.ContractCall(
-        kp.address, bench.addr("carol"), 700, gas=5, gas_price=1, call_data=(),
-        fee=5, counter=1,
-    )
+    address = bench.addr("carol") if target == "carol" else hash256(b"no account here")
+    alice, carol, miner = bench.balance("alice"), bench.balance("carol"), bench.balance("miner")
+    tx = txmod.ContractCall(kp.address, address, 700, gas=5, gas_price=1, call_data=(), fee=5, counter=1)
     receipt = bench.apply(tx, kp)
-    assert receipt.status == "applied"
-    assert bench.balance("carol") == 100 * DSD + 700
+    assert (receipt.status, receipt.reason, receipt.gas_used, receipt.fee_paid) == ("reverted", "NotFound", 5, 5)
+    assert bench.balance("miner") == miner + 5
+    assert bench.balance("alice") == alice - 5
+    assert bench.balance("carol") == carol
+    assert (address in bench.state.accounts) == (target == "carol")
+    assert bench.state.accounts[kp.address].counter == 1
+    assert bench.conservation_ok()
 
 
 def test_name_claim_and_reclaim(bench):
@@ -1272,8 +1280,8 @@ def test_node_admit_refuses_what_apply_could_never_run(bench):
 
 
 def test_a_contract_account_is_built_only_beside_its_code_and_no_code_is_deleted():
-    # a ContractCall runs state.code[target.code_hash] with no guard, since
-    # every CONTRACT account has its code stored. Only _apply_inner's
+    # a ContractCall to a CONTRACT account always finds its code in
+    # state.code, since every one has its code stored. Only _apply_inner's
     # ContractCreate branch builds one (every other Account call passes no
     # kind or code hash, and Account.edit keeps both), and its next statement
     # stores the code, in the same journal, so a rollback undoes both or
